@@ -74,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tpms", type=int, default=2)
     p.add_argument("--depth", type=int, default=5,
                    help="adversary derivation depth bound")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--max-states", type=int, default=200_000)
     p.add_argument("--emit-trace", metavar="PATH",
                    help="write the counterexample trace as json")
@@ -150,7 +149,6 @@ def cmd_modelcheck(args) -> Tuple[int, dict, List[str]]:
         tpms=args.tpms,
         derivation_depth=args.depth,
         obfuscate=args.variant == "obfuscated",
-        workers=args.workers,
         max_states=args.max_states,
     )
     verdict = check(config)

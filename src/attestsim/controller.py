@@ -19,10 +19,9 @@ from typing import Dict, List, Optional
 from .agent import AgentApi
 from .crypto import Rng
 from .netsim import BeaconUnreachable, NetworkModel, VirtualClock
+from .tpm import NONCE_LEN
 
 logger = logging.getLogger(__name__)
-
-NONCE_LEN = 32
 
 DEFAULT_POLL_PERIOD_MS = 1000.0
 DEFAULT_MISS_THRESHOLD = 3

@@ -20,8 +20,8 @@ writer may be mid-append), never as tampering by itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from .crypto import DIGEST_LEN, ZERO_DIGEST, KeyPair, Rng, sha256, sign, verify
 from .tpm import IMA_PCR, TpmState, extend_digest
@@ -159,7 +159,6 @@ class ImaCacheState:
 
     bytes_read: int = 0
     running_digest: bytes = ZERO_DIGEST
-    event_hashes: FrozenSet[bytes] = field(default_factory=frozenset)
 
 
 def read_new_events(log_data: bytes, cache: ImaCacheState,
@@ -175,7 +174,6 @@ def read_new_events(log_data: bytes, cache: ImaCacheState,
 
     pos = cache.bytes_read
     running = cache.running_digest
-    hashes = set(cache.event_hashes)
     events: List[ImaEvent] = []
 
     while True:
@@ -197,15 +195,10 @@ def read_new_events(log_data: bytes, cache: ImaCacheState,
             pos = nl + 1
             continue
         running = extend_digest(running, event.template_hash)
-        hashes.add(event.template_hash)
         events.append(event)
         pos = nl + 1
         if running == certified_pcr10:
-            return events, ImaCacheState(
-                bytes_read=pos,
-                running_digest=running,
-                event_hashes=frozenset(hashes),
-            )
+            return events, ImaCacheState(bytes_read=pos, running_digest=running)
 
 
 # --------------------------------------------------------------------------

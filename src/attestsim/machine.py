@@ -8,9 +8,9 @@ kernel and initramfs measurements land in PCRs 17/18/19.  The initramfs
 hook (agent initialization) runs at locality 2; the OS runtime afterwards
 sits at locality 0.
 
-Enclaves are modeled just deeply enough for sealing and local attestation:
-a context carries the binary measurement and a per-machine sealing root, so
-sealed data binds to (machine, enclave binary) and nothing else.
+Enclaves are modeled just deeply enough for sealing: a context carries the
+binary measurement and a per-machine sealing root, so sealed data binds to
+(machine, enclave binary) and nothing else.
 
 TPM channels model the driver between agent and chip.  A
 :class:`DirectTpmChannel` talks to the attached TPM at the machine's
@@ -77,13 +77,11 @@ class Machine:
         platform_ca_pub: bytes,
         rng: Rng,
         dc: str = "dc1",
-        cpu_genuine: bool = True,
     ):
         self.machine_id = machine_id
         self.tpm = tpm
         self.platform_ca_pub = platform_ca_pub
         self.dc = dc
-        self.cpu_genuine = cpu_genuine
         self._seal_root = rng.bytes(32)  # never leaves this module
         self.disk: Dict[str, bytes] = {}
         self.state = "off"  # off | initramfs | runtime
@@ -214,7 +212,7 @@ def reboot_machine(machine: Machine) -> None:
 
 
 # --------------------------------------------------------------------------
-# enclaves and local attestation
+# enclaves
 # --------------------------------------------------------------------------
 
 
@@ -225,7 +223,6 @@ class EnclaveContext:
     machine: Machine
     measurement: bytes
     phase: str  # init | runtime
-    cpu_genuine: bool
 
     def seal_key(self) -> bytes:
         """Sealing key bound to (machine hardware, enclave binary)."""
@@ -239,23 +236,6 @@ def run_enclave(machine: Machine, binary: SoftwareImage, phase: str) -> EnclaveC
         machine=machine,
         measurement=binary.measurement,
         phase=phase,
-        cpu_genuine=machine.cpu_genuine,
-    )
-
-
-@dataclass(frozen=True)
-class AttestReport:
-    measurement: bytes
-    same_cpu: bool
-    genuine: bool
-
-
-def local_attest(verifier: EnclaveContext, target: EnclaveContext) -> AttestReport:
-    """Local attestation between two enclaves."""
-    return AttestReport(
-        measurement=target.measurement,
-        same_cpu=verifier.machine is target.machine,
-        genuine=target.cpu_genuine,
     )
 
 

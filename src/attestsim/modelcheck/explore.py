@@ -1,22 +1,22 @@
-"""Layer-synchronous breadth-first exploration and verdict reporting.
+"""Serial layer-synchronous breadth-first exploration and verdict reporting.
 
-The frontier is expanded one layer at a time.  Within a layer the work is
-partitioned round-robin over ``workers`` executors, but every layer ends
-with a deterministic merge: successor triples are processed in frontier
-order, duplicates dropped against the global visited set, and the next
-frontier sorted canonically.  The verdict is therefore byte-identical for
-any worker count.
+One generator, :func:`_layers`, drives every traversal.  It expands the
+frontier one layer at a time, computes the canonical key of each generated
+world exactly once, drops duplicates against the states already seen, and
+yields the new layer sorted by key together with the parent map.  The
+order, and so the verdict, depends only on the model and the bounds.
 
-A violation ends the search at its layer; among all violating states of
-that first layer the reported counterexample is the one whose event trace
-is lexicographically smallest, which keeps the output stable under
-unrelated model changes.
+:func:`check` runs the property over each layer as it arrives.  A violation
+ends the search at its layer; among all violating states of that first
+layer the reported counterexample is the one whose event trace is
+lexicographically smallest, which keeps the output stable under unrelated
+model changes.  :func:`enumerate_reachable` flattens the same layers for
+invariant sweeps.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -41,7 +41,6 @@ class CheckConfig:
     tpms: int = 2
     derivation_depth: int = 5
     obfuscate: bool = False
-    workers: int = 1
     max_states: int = 200_000
 
     def __post_init__(self):
@@ -51,8 +50,6 @@ class CheckConfig:
             raise ValueError("tpms must cover every machine")
         if self.derivation_depth < 0:
             raise ValueError("derivation_depth must be >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     @property
     def variant(self) -> str:
@@ -76,7 +73,6 @@ class Verdict:
                 "tpms": self.config.tpms,
                 "derivation_depth": self.config.derivation_depth,
             },
-            "workers": self.config.workers,
             "property_holds": self.property_holds,
             "states_explored": self.states_explored,
             "layers": self.layers,
@@ -127,79 +123,61 @@ def _world_summary(world: World, violation: Tuple[int, int, int]) -> dict:
     }
 
 
-def _expand(chunk: List[Tuple[int, World]], obfuscate: bool, depth: int):
-    return [
-        (idx, successors(world, obfuscate, depth)) for idx, world in chunk
-    ]
+def _layers(config: CheckConfig):
+    """Yield ``(layer, parents)`` for every non-empty BFS layer.
+
+    A layer is a list of ``(key, world)`` pairs sorted by key, starting with
+    the initial world alone; ``parents`` maps every key seen so far to its
+    ``(parent key, event)``.  Each world is keyed once, when it is generated.
+    """
+    initial = build_world(config.machines, config.tpms)
+    key = initial.canonical_key()
+    parents: Dict[str, Tuple[Optional[str], Optional[Event]]] = {key: (None, None)}
+    layer: List[Tuple[str, World]] = [(key, initial)]
+    depth = 0
+    while layer:
+        yield layer, parents
+        depth += 1
+        found: List[Tuple[str, World]] = []
+        for parent_key, world in layer:
+            for event, child in successors(world, config.obfuscate, config.derivation_depth):
+                key = child.canonical_key()
+                if key in parents:
+                    continue
+                parents[key] = (parent_key, event)
+                if len(parents) > config.max_states:
+                    raise StateBudgetExceeded(
+                        f"more than {config.max_states} states at layer {depth}"
+                    )
+                found.append((key, child))
+        layer = sorted(found, key=lambda pair: pair[0])
 
 
 def check(config: CheckConfig) -> Verdict:
     """Explore exhaustively; return the verdict with a minimal witness."""
-    initial = build_world(config.machines, config.tpms)
-    visited: Dict[str, int] = {initial.canonical_key(): 0}
-    parents: Dict[str, Tuple[Optional[str], Optional[Event]]] = {
-        initial.canonical_key(): (None, None)
-    }
-    frontier: List[World] = [initial]
-    layers = 0
-    witnesses: List[Tuple[Tuple[str, ...], World, Tuple[int, int, int]]] = []
-
-    while frontier and not witnesses:
-        layers += 1
-        indexed = list(enumerate(frontier))
-        chunks = [indexed[i :: config.workers] for i in range(config.workers)]
-        chunks = [c for c in chunks if c]
-        if len(chunks) <= 1:
-            results = [_expand(c, config.obfuscate, config.derivation_depth) for c in chunks]
-        else:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                results = list(
-                    pool.map(
-                        lambda c: _expand(c, config.obfuscate, config.derivation_depth),
-                        chunks,
-                    )
-                )
-
-        merged: List[Tuple[int, List[Tuple[Event, World]]]] = []
-        for chunk_result in results:
-            merged.extend(chunk_result)
-        merged.sort(key=lambda item: item[0])  # frontier order, not worker order
-
-        next_frontier: List[World] = []
-        for idx, succ in merged:
-            parent_key = frontier[idx].canonical_key()
-            for event, child in succ:
-                child_key = child.canonical_key()
-                if child_key in visited:
-                    continue
-                visited[child_key] = len(visited)
-                if len(visited) > config.max_states:
-                    raise StateBudgetExceeded(
-                        f"more than {config.max_states} states at layer {layers}"
-                    )
-                parents[child_key] = (parent_key, event)
-                next_frontier.append(child)
-                found = violations(child)
-                if found:
-                    trace = _trace(parents, child_key)
-                    witnesses.append((tuple(map(repr, trace)), child, found[0]))
-        frontier = sorted(next_frontier, key=World.canonical_key)
-
-    if not witnesses:
+    for depth, (layer, parents) in enumerate(_layers(config)):
+        witnesses = []
+        for key, world in layer:
+            found = violations(world)
+            if found:
+                trace = _trace(parents, key)
+                witnesses.append((tuple(map(repr, trace)), trace, world, found[0]))
+        if witnesses:
+            break
+    else:
+        # ``layers`` counts expansions; the last layer was expanded into nothing
         return Verdict(
             property_holds=True,
-            states_explored=len(visited),
-            layers=layers,
+            states_explored=len(parents),
+            layers=depth + 1,
             config=config,
         )
 
-    witnesses.sort(key=lambda w: w[0])
-    _, world, violation = witnesses[0]
-    trace = _trace(parents, world.canonical_key())
+    _, trace, world, violation = min(witnesses, key=lambda w: w[0])
     return Verdict(
         property_holds=False,
-        states_explored=len(visited),
-        layers=layers,
+        states_explored=len(parents),
+        layers=depth,
         config=config,
         counterexample={
             "steps": [event_str(e) for e in trace],
@@ -241,22 +219,8 @@ def replay(config: CheckConfig, events: List) -> World:
     return world
 
 
-def check_property(config: CheckConfig) -> bool:
-    return check(config).property_holds
-
-
 def enumerate_reachable(config: CheckConfig):
-    """Yield every reachable world once (serial, for invariant sweeps)."""
-    initial = build_world(config.machines, config.tpms)
-    seen = {initial.canonical_key()}
-    stack = [initial]
-    while stack:
-        world = stack.pop()
-        yield world
-        for _, child in successors(world, config.obfuscate, config.derivation_depth):
-            key = child.canonical_key()
-            if key not in seen:
-                seen.add(key)
-                if len(seen) > config.max_states:
-                    raise StateBudgetExceeded(f"more than {config.max_states} states")
-                stack.append(child)
+    """Yield every reachable world once, layer by layer (for invariant sweeps)."""
+    for layer, _parents in _layers(config):
+        for _key, world in layer:
+            yield world

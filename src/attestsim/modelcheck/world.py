@@ -177,9 +177,10 @@ def _leak(world: World, *terms: Term) -> World:
 
 
 def _host_accepts_extends(world: World, tpm_id: int) -> bool:
-    """Remote-extend physics: only a host booted off the golden stack
-    exposes anything that will extend a PCR for the network; free chips are
-    prepared before the episode and serve reads only."""
+    """Remote-extend physics: only a booted host running a non-golden image
+    exposes anything that will extend a PCR for the network (the golden
+    stack offers no remote-extend service); free chips are prepared before
+    the episode and serve reads only."""
     for m in world.machines:
         if m.attached_tpm == tpm_id:
             return m.phase not in ("created", "halted") and m.image != "golden"

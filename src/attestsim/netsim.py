@@ -191,7 +191,8 @@ def measure_proximity(
     Issues ``n_samples + 1`` back-to-back requests; sample k is
     ``ts(k+1) - ts(k)`` which spans the return leg of request k plus the
     outbound leg of request k+1, one full round trip.  Aborts if the
-    beacon certificate does not chain or any response signature fails.
+    beacon certificate does not chain or any response signature fails
+    under the certified key.
     """
     if n_samples < 4:
         raise ValueError("need at least 4 samples")
@@ -211,7 +212,7 @@ def measure_proximity(
                 bytes([response.signature[0] ^ 1]) + response.signature[1:],
             )
         if response.echo != token or not verify(
-            response.signature, response.signed_payload(), beacon.keypair.public
+            response.signature, response.signed_payload(), beacon.certificate.subject
         ):
             raise BeaconSignatureInvalid(f"beacon {beacon.endpoint} response rejected")
         timestamps.append(response.timestamp_ms)

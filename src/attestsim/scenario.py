@@ -109,6 +109,14 @@ class ScenarioError(Exception):
     """The scenario file does not parse or references missing pieces."""
 
 
+def _require(mapping, key, owner: str):
+    """``mapping[key]``, or a :class:`ScenarioError` naming the missing key."""
+    try:
+        return mapping[key]
+    except (KeyError, TypeError):
+        raise ScenarioError(f"{owner} has no {key!r}") from None
+
+
 # --------------------------------------------------------------------------
 # result type
 # --------------------------------------------------------------------------
@@ -181,6 +189,10 @@ class _Fleet:
         except KeyError:
             raise ScenarioError(f"machine {machine_id!r} has no agent")
 
+    def api(self, machine_id) -> AgentApi:
+        self.agent(machine_id)
+        return self.apis[machine_id]
+
 
 def _golden_policy(fleet: _Fleet) -> str:
     entries = sorted({**fleet.golden_statics, **fleet.golden_dynamics}.items())
@@ -216,7 +228,7 @@ def _build_network(spec: dict, machines: List[dict]) -> NetworkModel:
     placement = {}
     net = NetworkModel(links, placement, adv)
     for m in machines:
-        net.place(f"agent-{m['id']}", m.get("dc", "dc1"))
+        net.place(f"agent-{_require(m, 'id', 'machine entry')}", m.get("dc", "dc1"))
     net.place("controller", machines[0].get("dc", "dc1") if machines else "dc1")
     return net
 
@@ -258,7 +270,7 @@ def build_fleet(doc: dict, seed: int) -> _Fleet:
 
     beacons: Dict[str, BeaconService] = {}
     for b in doc.get("beacons") or []:
-        endpoint = b["endpoint"]
+        endpoint = _require(b, "endpoint", "beacon entry")
         pair = generate_keypair(rng.child(f"beacon-{endpoint}"))
         cert = issue_certificate(platform_ca, pair.public, "beacon")
         beacons[endpoint] = BeaconService(endpoint, pair, cert, VirtualClock())
@@ -269,7 +281,7 @@ def build_fleet(doc: dict, seed: int) -> _Fleet:
     agents: Dict[str, Agent] = {}
     apis: Dict[str, AgentApi] = {}
     for spec in machine_specs:
-        mid = spec["id"]
+        mid = _require(spec, "id", "machine entry")
         if mid in machines:
             raise ScenarioError(f"duplicate machine id {mid!r}")
         mrng = rng.child(f"machine-{mid}")
@@ -352,24 +364,26 @@ class _Runner:
 
     def act_boot(self, step: dict) -> None:
         fleet = self.fleet
-        machine = fleet.machine(step["machine"])
+        mid = _require(step, "machine", "boot step")
+        machine = fleet.machine(mid)
         hook = None
-        if step.get("hook", True) and step["machine"] in fleet.agents:
-            hook = fleet.agents[step["machine"]].initialization_hook
-        kernel = fleet.images[step.get("kernel", "kernel")]
-        initramfs = fleet.images[step.get("initramfs", "initramfs")]
+        if step.get("hook", True) and mid in fleet.agents:
+            hook = fleet.agents[mid].initialization_hook
+        kernel = _require(fleet.images, step.get("kernel", "kernel"), "images")
+        initramfs = _require(fleet.images, step.get("initramfs", "initramfs"), "images")
         outcome = boot(machine, fleet.images["uefi"], fleet.images["tboot"],
                        kernel, initramfs, hook)
-        self.note(step["machine"], "boot",
+        self.note(mid, "boot",
                   {"halted": outcome.halted, "reason": outcome.reason,
                    "hook": hook is not None})
 
     def act_reboot(self, step: dict) -> None:
-        reboot_machine(self.fleet.machine(step["machine"]))
-        self.note(step["machine"], "reboot", {})
+        mid = _require(step, "machine", "reboot step")
+        reboot_machine(self.fleet.machine(mid))
+        self.note(mid, "reboot", {})
 
     def act_establish(self, step: dict) -> None:
-        mid = step["machine"]
+        mid = _require(step, "machine", "establish step")
         agent = self.fleet.agent(mid)
         if self.fleet.machine(mid).state != "runtime":
             verdict = {"trusted": False, "failed_condition": None,
@@ -386,10 +400,11 @@ class _Runner:
 
     def act_deploy_policy(self, step: dict) -> None:
         fleet = self.fleet
-        mid, name = step["machine"], step["policy"]
+        mid = _require(step, "machine", "deploy-policy step")
+        name = _require(step, "policy", "deploy-policy step")
         if name not in fleet.policies:
             raise ScenarioError(f"unknown policy {name!r}")
-        resp = fleet.apis[mid].handle("POST", "/policy", fleet.policies[name])
+        resp = fleet.api(mid).handle("POST", "/policy", fleet.policies[name])
         if resp.status == 200:
             fleet.deployed[(mid, name)] = resp.body["policy_id"]
         self.note(mid, "deploy-policy",
@@ -397,12 +412,13 @@ class _Runner:
 
     def act_verify(self, step: dict) -> None:
         fleet = self.fleet
-        mid, name = step["machine"], step["policy"]
+        mid = _require(step, "machine", "verify step")
+        name = _require(step, "policy", "verify step")
         policy_id = fleet.deployed.get((mid, name))
         if policy_id is None:
             raise ScenarioError(f"policy {name!r} was never deployed to {mid}")
         nonce = self.verify_rng.bytes(32)
-        resp = fleet.apis[mid].handle(
+        resp = fleet.api(mid).handle(
             "GET", f"/policy/{policy_id}?nonce={nonce.hex()}"
         )
         self.note(mid, "verify",
@@ -410,20 +426,22 @@ class _Runner:
 
     def act_load_file(self, step: dict) -> None:
         fleet = self.fleet
-        machine = fleet.machine(step["machine"])
+        mid = _require(step, "machine", "load-file step")
+        path = _require(step, "path", "load-file step")
+        machine = fleet.machine(mid)
         content = str(step.get("content", "")).encode()
         signature = None
         if step.get("signed", False):
             signature = sign(sha256(content), fleet.platform_ca)
-        _event, loaded = machine.load_file(step["path"], content, signature)
-        self.note(step["machine"], "load-file",
-                  {"path": step["path"], "loaded": loaded})
+        _event, loaded = machine.load_file(path, content, signature)
+        self.note(mid, "load-file", {"path": path, "loaded": loaded})
 
     def act_copy_disk(self, step: dict) -> None:
-        src = self.fleet.machine(step["from"])
-        dst = self.fleet.machine(step["to"])
-        dst.restore_disk(src.snapshot_disk())
-        self.note(step["to"], "copy-disk", {"from": step["from"]})
+        src_id = _require(step, "from", "copy-disk step")
+        dst_id = _require(step, "to", "copy-disk step")
+        src = self.fleet.machine(src_id)
+        self.fleet.machine(dst_id).restore_disk(src.snapshot_disk())
+        self.note(dst_id, "copy-disk", {"from": src_id})
 
     def act_relay(self, step: dict) -> None:
         """Hijack a machine's TPM driver: route its traffic to another host.
@@ -431,26 +449,29 @@ class _Runner:
         ``target: null`` hands the driver back (direct channel again).
         """
         fleet = self.fleet
-        agent = fleet.agent(step["machine"])
+        mid = _require(step, "machine", "relay step")
+        agent = fleet.agent(mid)
         target_id = step.get("target")
         if target_id is None:
             agent.channel_factory = DirectTpmChannel
-            self.note(step["machine"], "relay", {"target": None})
+            self.note(mid, "relay", {"target": None})
             return
         target = fleet.machine(target_id)
-        relay_rng = fleet.rng.child(f"relay-{step['machine']}-{target_id}")
+        relay_rng = fleet.rng.child(f"relay-{mid}-{target_id}")
 
         def factory(machine, _target=target, _rng=relay_rng):
             return RelayTpmChannel(machine, RemoteTpmSurface(_target), _rng)
 
         agent.channel_factory = factory
-        self.note(step["machine"], "relay", {"target": target_id})
+        self.note(mid, "relay", {"target": target_id})
 
     def act_extend_pcr(self, step: dict) -> None:
-        machine = self.fleet.machine(step["machine"])
+        mid = _require(step, "machine", "extend-pcr step")
+        machine = self.fleet.machine(mid)
+        pcr = int(_require(step, "pcr", "extend-pcr step"))
         value = sha256(str(step.get("value", "")).encode())
-        machine.tpm.pcr_extend(int(step["pcr"]), value, locality=0)
-        self.note(step["machine"], "extend-pcr", {"pcr": int(step["pcr"])})
+        machine.tpm.pcr_extend(pcr, value, locality=0)
+        self.note(mid, "extend-pcr", {"pcr": pcr})
 
 
 # --------------------------------------------------------------------------
@@ -524,7 +545,7 @@ def execute_scenario(doc: dict, seed: int = 0):
     for at, _tier, _index, step in steps:
         if at > fleet.clock.now_ms:
             fleet.clock.advance(at - fleet.clock.now_ms)
-        if step["action"] == "_poll":
+        if step.get("action") == "_poll":
             # a poll round picks up freshly deployed policies first
             for (mid, _name), policy_id in fleet.deployed.items():
                 if mid in controller.targets():

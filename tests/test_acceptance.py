@@ -9,7 +9,7 @@ The eight criteria:
 1. the symbolic explorer finds the bridged-relay counterexample for the
    plain agent within bounds (2 machines, 2 TPMs, depth 5) in under 60 s;
 2. with PCR obfuscation the same bounds are exhausted with no violation,
-   independent of the worker count;
+   and the verdict is byte-identical from run to run;
 3. the vulnerability-window arithmetic reproduces the reference point
    (155 ms / 58 us / 100 ms / 40 us -> n = 3875, t_vw = 804.5 ms);
 4. the shipped scenarios map each attack onto exactly one of the four
@@ -92,11 +92,11 @@ def test_criterion_1_plain_variant_finds_relay_counterexample(capsys):
 
 
 # --------------------------------------------------------------------------
-# 2. obfuscated variant holds, worker-count independent
+# 2. obfuscated variant holds, deterministically
 # --------------------------------------------------------------------------
 
 
-def test_criterion_2_obfuscated_variant_holds_for_any_worker_count(capsys):
+def test_criterion_2_obfuscated_variant_holds_deterministically(capsys):
     code = cli.main([
         "modelcheck", "--variant", "obfuscated", "--machines", "2",
         "--tpms", "2", "--depth", "5", "--format", "json",
@@ -106,17 +106,14 @@ def test_criterion_2_obfuscated_variant_holds_for_any_worker_count(capsys):
     assert report["property_holds"] is True
     assert report["counterexample"] is None
 
-    verdicts = []
-    for workers in (1, 2, 3):
-        v = check(CheckConfig(machines=2, tpms=2, derivation_depth=5,
-                              obfuscate=True, workers=workers)).to_dict()
-        assert v.pop("workers") == workers
-        verdicts.append(v)
-    assert verdicts[0] == verdicts[1] == verdicts[2]
+    cfg = CheckConfig(machines=2, tpms=2, derivation_depth=5, obfuscate=True)
+    first = check(cfg).to_json()
+    assert check(cfg).to_json() == first
+    assert json.loads(first) == report
 
     print(f"ACCEPTANCE 2 PASS: obfuscated (2,2,5) holds over "
-          f"{report['states_explored']} states; verdict identical for "
-          f"1/2/3 workers")
+          f"{report['states_explored']} states; verdict byte-identical "
+          f"across runs")
 
 
 # --------------------------------------------------------------------------

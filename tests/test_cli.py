@@ -1,6 +1,9 @@
 """Command-line surface: subcommands, exit codes, artifact files."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from attestsim.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def honest():
@@ -72,6 +76,25 @@ def test_run_attack_scenario_exits_two(capsys):
 
 def test_run_missing_file_exits_three(capsys):
     assert main(["run", "no-such-scenario.yaml"]) == 3
+
+
+@pytest.mark.parametrize("document", [
+    "machines: [{id: m0}]\nscript: [{at: 0, action: boot}]\n",
+    "machines: [{id: m0}]\nscript: [{at: 0, action: boot, machine: m0, kernel: nope}]\n",
+    "machines: [{dc: dc1}]\n",
+    "machines: [{id: m0}]\nbeacons: [{dc: dc1}]\n",
+], ids=["step-without-machine", "unknown-image", "machine-without-id",
+        "beacon-without-endpoint"])
+def test_run_schema_errors_exit_three_without_traceback(tmp_path, document):
+    scenario = tmp_path / "bad.yaml"
+    scenario.write_text(document)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "attestsim", "run", str(scenario)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("attestsim: error:")
 
 
 def test_run_json_matches_library_report(capsys):

@@ -1,4 +1,4 @@
-"""Measured boot, enclave sealing, local attestation, TPM channels."""
+"""Measured boot, enclave sealing, TPM channels."""
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +13,6 @@ from attestsim.machine import (
     RemoteTpmSurface,
     SoftwareImage,
     boot,
-    local_attest,
     reboot_machine,
     run_enclave,
 )
@@ -172,26 +171,6 @@ def test_sealed_data_moves_between_phases_but_not_machines():
     assert unseal(blob, run_enclave(a, AGENT_BIN, "runtime").seal_key()) == b"cfg"
     with pytest.raises(UnsealError):
         unseal(blob, run_enclave(b, AGENT_BIN, "runtime").seal_key())
-
-
-def test_local_attest_reports_binding():
-    (a, b), *_ = build_world(n_machines=2)
-    va = run_enclave(a, AGENT_BIN, "runtime")
-    ta = run_enclave(a, OTHER_BIN, "runtime")
-    tb = run_enclave(b, OTHER_BIN, "runtime")
-    rep_same = local_attest(va, ta)
-    rep_cross = local_attest(va, tb)
-    assert rep_same.same_cpu and rep_same.measurement == OTHER_BIN.measurement
-    assert not rep_cross.same_cpu
-
-
-def test_non_genuine_cpu_is_reported():
-    rng = Rng(50)
-    ca = generate_keypair(rng)
-    tpm_ca = generate_keypair(rng)
-    m = Machine("mx", TpmState("tx", tpm_ca, rng), ca.public, rng, cpu_genuine=False)
-    ctx = run_enclave(m, AGENT_BIN, "runtime")
-    assert not local_attest(ctx, ctx).genuine
 
 
 # --------------------------------------------------------------------------

@@ -163,6 +163,18 @@ def test_untrusted_beacon_certificate_aborts():
                           beacon_chain=(rogue.public,))
 
 
+def test_rogue_beacon_with_a_borrowed_certificate_aborts():
+    # the rogue signs with its own key but presents another beacon's valid
+    # certificate; responses must verify under the certified subject
+    rng = Rng(15)
+    clock = VirtualClock()
+    honest, authority = make_beacon(rng, clock)
+    rogue = BeaconService("beacon-1", generate_keypair(rng), honest.certificate, clock)
+    with pytest.raises(BeaconSignatureInvalid):
+        measure_proximity(two_dc_net(), rng, "agent", rogue,
+                          beacon_chain=(authority.public,))
+
+
 # --------------------------------------------------------------------------
 # adversary behaviour
 # --------------------------------------------------------------------------

@@ -175,11 +175,15 @@ def test_establish_on_a_halted_machine_reports_cleanly():
 @pytest.mark.parametrize("mutate,message", [
     (lambda d: d.update(machines=[]), "no machines"),
     (lambda d: d["script"].append({"at": 99, "action": "warp"}), "unknown action"),
+    (lambda d: d["script"].append({"at": 99}), "unknown action"),
     (lambda d: d["script"].append({"action": "boot", "machine": "m0"}), "'at'"),
     (lambda d: d["script"].append(
         {"at": 99, "action": "boot", "machine": "mX"}), "unknown machine"),
     (lambda d: d["script"].append(
         {"at": 99, "action": "establish", "machine": "m1"}), "no agent"),
+    (lambda d: d.update(policies={"g": "builtin:golden"}, script=[
+        {"at": 0, "action": "deploy-policy", "machine": "m1", "policy": "g"}]),
+     "no agent"),
     (lambda d: d["script"].append(
         {"at": 99, "action": "verify", "machine": "m0", "policy": "ghost"}),
      "never deployed"),

@@ -175,15 +175,11 @@ def test_establish_on_a_halted_machine_reports_cleanly():
 @pytest.mark.parametrize("mutate,message", [
     (lambda d: d.update(machines=[]), "no machines"),
     (lambda d: d["script"].append({"at": 99, "action": "warp"}), "unknown action"),
-    (lambda d: d["script"].append({"at": 99}), "unknown action"),
     (lambda d: d["script"].append({"action": "boot", "machine": "m0"}), "'at'"),
     (lambda d: d["script"].append(
         {"at": 99, "action": "boot", "machine": "mX"}), "unknown machine"),
     (lambda d: d["script"].append(
         {"at": 99, "action": "establish", "machine": "m1"}), "no agent"),
-    (lambda d: d.update(policies={"g": "builtin:golden"}, script=[
-        {"at": 0, "action": "deploy-policy", "machine": "m1", "policy": "g"}]),
-     "no agent"),
     (lambda d: d["script"].append(
         {"at": 99, "action": "verify", "machine": "m0", "policy": "ghost"}),
      "never deployed"),
@@ -194,6 +190,21 @@ def test_establish_on_a_halted_machine_reports_cleanly():
     (lambda d: d.update(poll={"rounds": 1, "targets": ["m1"]}), "no agent"),
 ])
 def test_scenario_validation_errors(mutate, message):
+    _assert_rejected(mutate, message)
+
+
+@pytest.mark.parametrize("mutate,message", [
+    pytest.param(lambda d: d["script"].append({"at": 99}), "unknown action",
+                 id="step-without-action"),
+    pytest.param(lambda d: d.update(policies={"g": "builtin:golden"}, script=[
+        {"at": 0, "action": "deploy-policy", "machine": "m1", "policy": "g"}]),
+        "no agent", id="deploy-policy-without-agent"),
+])
+def test_scenario_step_validation_errors(mutate, message):
+    _assert_rejected(mutate, message)
+
+
+def _assert_rejected(mutate, message):
     doc = {
         "name": "bad",
         "machines": [{"id": "m0", "agent": {}}, {"id": "m1"}],

@@ -13,7 +13,6 @@ import sys
 from typing import List, Optional, Tuple
 
 from .controller import (
-    Controller,
     ControllerError,
     VulnerabilityWindowParams,
     format_duration_ms,
@@ -24,6 +23,8 @@ from .modelcheck import CheckConfig, StateBudgetExceeded, check
 from .scenario import (
     ScenarioError,
     ScenarioResult,
+    _controller,
+    _sync_policies,
     execute_scenario,
     generate_ima_log,
     load_scenario,
@@ -264,13 +265,8 @@ def cmd_poll(args) -> Tuple[int, dict, List[str]]:
     doc = load_scenario(args.scenario)
     _result, fleet, controller = execute_scenario(doc, args.seed)
     if controller is None:
-        controller = Controller(clock=fleet.clock, net=fleet.net)
-        for mid in sorted(fleet.agents):
-            endpoint = f"agent-{mid}" if fleet.net is not None else None
-            controller.register(mid, fleet.apis[mid], endpoint)
-    for (mid, _name), policy_id in fleet.deployed.items():
-        if mid in controller.targets():
-            controller.set_policy(mid, policy_id)
+        controller = _controller(fleet, sorted(fleet.agents))
+    _sync_policies(fleet, controller)
 
     rng = fleet.rng.child("cli-poll-nonces")
     for _ in range(args.rounds):

@@ -57,14 +57,6 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def hexdigest(digest: bytes) -> str:
-    return digest.hex()
-
-
-def is_digest(value: object) -> bool:
-    return isinstance(value, bytes) and len(value) == DIGEST_LEN
-
-
 # --------------------------------------------------------------------------
 # randomness
 # --------------------------------------------------------------------------
@@ -86,17 +78,11 @@ class Rng:
     def bytes(self, n: int) -> bytes:
         return self._r.randbytes(n)
 
-    def u64(self) -> int:
-        return self._r.getrandbits(64)
-
     def uniform(self, low: float, high: float) -> float:
         return self._r.uniform(low, high)
 
     def randint(self, low: int, high: int) -> int:
         return self._r.randint(low, high)
-
-    def choice(self, seq):
-        return self._r.choice(seq)
 
     def child(self, label: str) -> "Rng":
         seed_bytes = sha256(self.seed.to_bytes(8, "big") + label.encode())
@@ -167,9 +153,10 @@ def issue_certificate(authority: KeyPair, subject: bytes, role: str) -> Certific
     return Certificate(subject=subject, issuer=authority.public, role=role, signature=sig)
 
 
-def certificate_valid(cert: Certificate, roots: Iterable[bytes]) -> bool:
-    """Chain check: the declared issuer is a trusted root and its signature holds."""
-    if cert.issuer not in set(roots):
+def certificate_valid(cert: Certificate, roots: Iterable[bytes], role: str) -> bool:
+    """Chain check: the certificate is for ``role``, its declared issuer is a
+    trusted root and the issuer's signature holds."""
+    if cert.role != role or cert.issuer not in set(roots):
         return False
     return verify(cert.signature, cert.signed_payload(), cert.issuer)
 

@@ -250,9 +250,6 @@ class DirectTpmChannel:
     def __init__(self, machine: Machine):
         self.machine = machine
 
-    def describe(self) -> str:
-        return f"direct:{self.machine.tpm.tpm_id}"
-
     def create_aik(self, rng: Rng) -> bytes:
         return self.machine.tpm.create_aik(rng)
 
@@ -322,9 +319,6 @@ class RelayTpmChannel:
         self.local = local
         self.surface = surface
         self._rng = rng
-
-    def describe(self) -> str:
-        return f"relay:{self.local.machine_id}->{self.surface.tpm.tpm_id}"
 
     def create_aik(self, rng: Rng) -> bytes:
         return self.surface.tpm.create_aik(rng)

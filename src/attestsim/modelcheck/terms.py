@@ -3,22 +3,16 @@
 Terms are nested tuples with a leading tag:
 
 * ``('n', label)``    an atomic name (nonce, key, constant)
-* ``('pk', t)``       the public part of ``t``
 * ``('h', t)``        a hash of ``t``
 * ``('p', a, b)``     a pair
-* ``('sig', m, k)``   a signature over ``m`` with key ``k``
-* ``('e', m, k)``     symmetric encryption of ``m`` under ``k``
 
 Tuples compare structurally and ``repr`` gives a total, stable order, which
 the explorer uses for canonical state enumeration.
 
-``saturate`` closes a knowledge set under the standard decompositions
-(pairs split, signatures carry their message in clear, ciphertexts open
-under a known key).  ``derivable`` additionally allows bounded
-*composition*: an adversary may build up to ``depth`` nested constructors
-on top of saturated knowledge.  Hashing is one-way and signatures require
-the signing key, so knowing ``h(t)`` or ``sig(m, k)`` never yields ``t``
-or ``k``.
+``saturate`` closes a knowledge set under decomposition (pairs split).
+``derivable`` additionally allows bounded *composition*: an adversary may
+build up to ``depth`` nested constructors on top of saturated knowledge.
+Hashing is one-way, so knowing ``h(t)`` never yields ``t``.
 """
 
 from __future__ import annotations
@@ -27,15 +21,9 @@ from typing import FrozenSet, Iterable, Tuple
 
 Term = Tuple  # nested tag-tuples; atoms are ('n', label)
 
-TAGS = ("n", "pk", "h", "p", "sig", "e")
-
 
 def name(label: str) -> Term:
     return ("n", label)
-
-
-def pk(t: Term) -> Term:
-    return ("pk", t)
 
 
 def h(t: Term) -> Term:
@@ -44,24 +32,6 @@ def h(t: Term) -> Term:
 
 def p(a: Term, b: Term) -> Term:
     return ("p", a, b)
-
-
-def sig(m: Term, k: Term) -> Term:
-    return ("sig", m, k)
-
-
-def enc(m: Term, k: Term) -> Term:
-    return ("e", m, k)
-
-
-def is_term(t) -> bool:
-    if not isinstance(t, tuple) or not t or t[0] not in TAGS:
-        return False
-    if t[0] == "n":
-        return len(t) == 2 and isinstance(t[1], str)
-    if t[0] in ("pk", "h"):
-        return len(t) == 2 and is_term(t[1])
-    return len(t) == 3 and is_term(t[1]) and is_term(t[2])
 
 
 def term_key(t: Term) -> str:
@@ -76,15 +46,9 @@ def saturate(knowledge: Iterable[Term]) -> FrozenSet[Term]:
     while changed:
         changed = False
         for t in list(known):
-            tag = t[0]
-            fresh = []
-            if tag == "p":
-                fresh = [t[1], t[2]]
-            elif tag == "sig":
-                fresh = [t[1]]  # signatures do not hide their message
-            elif tag == "e" and t[2] in known:
-                fresh = [t[1]]
-            for f in fresh:
+            if t[0] != "p":
+                continue
+            for f in (t[1], t[2]):
                 if f not in known:
                     known.add(f)
                     changed = True
@@ -101,16 +65,10 @@ def derivable(term: Term, saturated: FrozenSet[Term], depth: int) -> bool:
     tag = term[0]
     if tag == "n":
         return False  # fresh names cannot be invented
-    if tag in ("pk", "h"):
+    if tag == "h":
         return derivable(term[1], saturated, depth - 1)
-    # pairs, signatures and ciphertexts all need both components; forging a
-    # signature requires the signing key itself
+    # a pair needs both components
     return derivable(term[1], saturated, depth - 1) and derivable(
         term[2], saturated, depth - 1
     )
 
-
-def term_depth(t: Term) -> int:
-    if t[0] == "n":
-        return 0
-    return 1 + max(term_depth(c) for c in t[1:] if isinstance(c, tuple))

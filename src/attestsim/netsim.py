@@ -16,7 +16,7 @@ samples.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .crypto import Certificate, KeyPair, Rng, certificate_valid, sign, verify
@@ -191,12 +191,12 @@ def measure_proximity(
     Issues ``n_samples + 1`` back-to-back requests; sample k is
     ``ts(k+1) - ts(k)`` which spans the return leg of request k plus the
     outbound leg of request k+1, one full round trip.  Aborts if the
-    beacon certificate does not chain or any response signature fails
-    under the certified key.
+    beacon certificate does not chain, is not for the ``beacon`` role, or
+    any response signature fails under the certified key.
     """
     if n_samples < 4:
         raise ValueError("need at least 4 samples")
-    if not certificate_valid(beacon.certificate, beacon_chain):
+    if not certificate_valid(beacon.certificate, beacon_chain, "beacon"):
         raise BeaconCertInvalid(f"beacon {beacon.endpoint} certificate rejected")
 
     clock = beacon.clock

@@ -21,8 +21,7 @@ A policy document is a small YAML dialect::
         chain: |                # beacon authority keys (PEM)
           -----BEGIN CERTIFICATE----- ...
 
-``include: [other.yaml, ...]`` at top level merges template documents,
-last writer wins on scalar fields.  Unknown fields anywhere are rejected.
+Unknown fields anywhere are rejected.
 
 Evaluation is pure: it maps (policy, platform view) to a verdict whose
 ``violations`` list draws from {tpm-cert, pcr-mismatch, untrusted-file,
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import base64
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import yaml
@@ -180,39 +178,6 @@ def _check_keys(node: dict, allowed, where):
     unknown = set(node) - set(allowed)
     if unknown:
         raise PolicyParseError(f"{where}: unknown field(s) {sorted(unknown)}")
-
-
-def _merge(base, overlay):
-    """Template merge: recurse into mappings, last writer wins elsewhere."""
-    if isinstance(base, dict) and isinstance(overlay, dict):
-        merged = dict(base)
-        for k, v in overlay.items():
-            merged[k] = _merge(base[k], v) if k in base else v
-        return merged
-    return overlay
-
-
-def load_policy(path: str | Path) -> Policy:
-    """Parse a policy file, resolving ``include`` templates relative to it."""
-    return parse_policy(_load_document(Path(path), seen=()))
-
-
-def _load_document(path: Path, seen: Tuple[str, ...]) -> dict:
-    key = str(path.resolve())
-    if key in seen:
-        raise PolicyParseError(f"include cycle through {path}")
-    try:
-        raw = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
-        raise PolicyParseError(f"{path}: {exc}") from exc
-    doc = _require_mapping(raw, str(path))
-    includes = doc.pop("include", [])
-    if not isinstance(includes, list):
-        raise PolicyParseError(f"{path}: include must be a list")
-    merged: dict = {}
-    for inc in includes:
-        merged = _merge(merged, _load_document(path.parent / inc, seen + (key,)))
-    return _merge(merged, doc)
 
 
 def parse_policy(doc_or_text) -> Policy:
@@ -375,7 +340,7 @@ def evaluate(policy: Policy, view: PlatformView) -> PolicyVerdict:
     if view.quote.nonce != view.nonce or not view.quote.verify_signature():
         violations.append(Violation("stale-quote", "quote does not bind the round nonce"))
 
-    if not certificate_valid(view.ek_cert, policy.tpm_ca_chain):
+    if not certificate_valid(view.ek_cert, policy.tpm_ca_chain, "tpm-ek"):
         violations.append(Violation("tpm-cert", "ek certificate does not chain to a trusted ca"))
 
     for index, golden in sorted(policy.dynamic_entries().items()):
@@ -456,6 +421,3 @@ class PolicyRegistry:
 
     def __len__(self) -> int:
         return len(self._policies)
-
-    def ids(self):
-        return tuple(self._policies)

@@ -58,7 +58,7 @@ import yaml
 
 from . import ima
 from .agent import Agent, AgentApi, TpmUnreachable, TrustReport
-from .controller import Alert, Controller
+from .controller import DEFAULT_MISS_THRESHOLD, Alert, Controller
 from .crypto import (
     ZERO_DIGEST,
     KeyPair,
@@ -85,7 +85,7 @@ from .netsim import (
     NetworkModel,
     VirtualClock,
 )
-from .policy import pem_encode
+from .policy import PcrEntry, Policy, render_policy
 from .tpm import TpmState, extend_digest
 
 logger = logging.getLogger(__name__)
@@ -115,6 +115,18 @@ def _require(mapping, key, owner: str):
         return mapping[key]
     except (KeyError, TypeError):
         raise ScenarioError(f"{owner} has no {key!r}") from None
+
+
+def _section(mapping, key, kind, owner: str, default=None):
+    """``mapping[key]`` checked to be a ``kind`` (dict or list); ``default``,
+    or an empty ``kind``, when the key is absent or null."""
+    value = mapping.get(key)
+    if value is None:
+        return kind() if default is None else default
+    if not isinstance(value, kind):
+        expected = "mapping" if kind is dict else "list"
+        raise ScenarioError(f"{owner} {key!r} must be a {expected}")
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -196,18 +208,18 @@ class _Fleet:
 
 def _golden_policy(fleet: _Fleet) -> str:
     entries = sorted({**fleet.golden_statics, **fleet.golden_dynamics}.items())
-    doc = {
-        "chain": pem_encode(fleet.tpm_ca_pub),
-        "whitelist": {
-            "pcrs": [{"id": i, "sha256": v.hex()} for i, v in entries]
-        },
-    }
-    return yaml.safe_dump(doc, sort_keys=False)
+    return render_policy(Policy(
+        tpm_ca_chain=(fleet.tpm_ca_pub,),
+        pcr_whitelist=tuple(PcrEntry(i, v) for i, v in entries),
+        runtime_cert=None,
+        software=(),
+        location=(),
+    ))
 
 
 def _build_network(spec: dict, machines: List[dict]) -> NetworkModel:
     links = {}
-    for entry in spec.get("links", []):
+    for entry in _section(spec, "links", list, "network"):
         try:
             a, b = entry["between"]
         except (KeyError, ValueError, TypeError):
@@ -218,12 +230,12 @@ def _build_network(spec: dict, machines: List[dict]) -> NetworkModel:
         )
     adv = None
     if "adversary" in spec:
-        a = spec["adversary"] or {}
+        a = _section(spec, "adversary", dict, "network")
         adv = AdversaryModel(
             added_delay_ms=float(a.get("added_delay_ms", 0.0)),
             can_drop=bool(a.get("can_drop", False)),
             can_modify=bool(a.get("can_modify", False)),
-            relay_targets=tuple(a.get("relay_targets", ())),
+            relay_targets=tuple(_section(a, "relay_targets", list, "adversary")),
         )
     placement = {}
     net = NetworkModel(links, placement, adv)
@@ -247,7 +259,7 @@ def build_fleet(doc: dict, seed: int) -> _Fleet:
         "kernel": SoftwareImage("kernel", GOLDEN_STACK["kernel"]),
         "initramfs": SoftwareImage("initramfs", GOLDEN_STACK["initramfs"]),
     }
-    for name, content in (doc.get("images") or {}).items():
+    for name, content in _section(doc, "images", dict, "scenario").items():
         if name in images:
             raise ScenarioError(f"image name {name!r} shadows a golden image")
         images[name] = SoftwareImage(name, str(content).encode())
@@ -260,16 +272,16 @@ def build_fleet(doc: dict, seed: int) -> _Fleet:
         19: extend_digest(ZERO_DIGEST, images["initramfs"].measurement),
     }
 
-    machine_specs = doc.get("machines") or []
+    machine_specs = _section(doc, "machines", list, "scenario")
     if not machine_specs:
         raise ScenarioError("scenario defines no machines")
 
     net = None
     if "network" in doc:
-        net = _build_network(doc["network"] or {}, machine_specs)
+        net = _build_network(_section(doc, "network", dict, "scenario"), machine_specs)
 
     beacons: Dict[str, BeaconService] = {}
-    for b in doc.get("beacons") or []:
+    for b in _section(doc, "beacons", list, "scenario"):
         endpoint = _require(b, "endpoint", "beacon entry")
         pair = generate_keypair(rng.child(f"beacon-{endpoint}"))
         cert = issue_certificate(platform_ca, pair.public, "beacon")
@@ -289,16 +301,16 @@ def build_fleet(doc: dict, seed: int) -> _Fleet:
         machine = Machine(mid, tpm, platform_ca.public, mrng, dc=spec.get("dc", "dc1"))
         machine.set_golden(golden)
         machines[mid] = machine
-        agent_spec = spec.get("agent")
-        if agent_spec is not None:
-            agent_spec = agent_spec or {}
+        if spec.get("agent") is not None:
+            agent_spec = _section(spec, "agent", dict, f"machine {mid!r}")
             agent = Agent(
                 machine,
                 AGENT_BIN,
                 rng.child(f"agent-{mid}"),
                 golden_statics,
                 golden_dynamics,
-                static_whitelist=tuple(agent_spec.get("static_whitelist", (0,))),
+                static_whitelist=tuple(_section(agent_spec, "static_whitelist", list,
+                                                f"machine {mid!r} agent", [0])),
                 obfuscate=bool(agent_spec.get("obfuscate", True)),
                 clock=clock,
             )
@@ -321,7 +333,7 @@ def build_fleet(doc: dict, seed: int) -> _Fleet:
         net=net,
         beacons=beacons,
     )
-    for name, body in (doc.get("policies") or {}).items():
+    for name, body in _section(doc, "policies", dict, "scenario").items():
         if body == "builtin:golden":
             fleet.policies[name] = _golden_policy(fleet)
         else:
@@ -503,6 +515,26 @@ def run_scenario_doc(doc: dict, seed: int = 0) -> ScenarioResult:
     return result
 
 
+def _controller(fleet: _Fleet, targets,
+                miss_threshold: int = DEFAULT_MISS_THRESHOLD) -> Controller:
+    """A controller polling ``targets`` at their ``agent-<id>`` endpoints."""
+    controller = Controller(clock=fleet.clock, miss_threshold=miss_threshold,
+                            net=fleet.net)
+    for mid in targets:
+        if mid not in fleet.apis:
+            raise ScenarioError(f"poll target {mid!r} has no agent")
+        endpoint = f"agent-{mid}" if fleet.net is not None else None
+        controller.register(mid, fleet.apis[mid], endpoint)
+    return controller
+
+
+def _sync_policies(fleet: _Fleet, controller: Controller) -> None:
+    """Point each polled machine at the policies deployed to it so far."""
+    for (mid, _name), policy_id in fleet.deployed.items():
+        if mid in controller.targets():
+            controller.set_policy(mid, policy_id)
+
+
 def execute_scenario(doc: dict, seed: int = 0):
     """Like :func:`run_scenario_doc` but also returns the live fleet and
     controller, so callers can keep interacting after the script ends."""
@@ -510,30 +542,22 @@ def execute_scenario(doc: dict, seed: int = 0):
     runner = _Runner(fleet)
 
     steps = []
-    for index, step in enumerate(doc.get("script") or []):
+    for index, step in enumerate(_section(doc, "script", list, "scenario")):
         try:
             at = float(step["at"])
         except (KeyError, TypeError, ValueError):
             raise ScenarioError(f"script step {index} needs a numeric 'at'")
         steps.append((at, 0, index, step))
 
-    poll_spec = doc.get("poll") or {}
+    poll_spec = _section(doc, "poll", dict, "scenario")
     controller = None
     poll_rng = fleet.rng.child("poll-nonces")
     if poll_spec:
-        controller = Controller(
-            clock=fleet.clock,
-            miss_threshold=int(poll_spec.get("miss_threshold", 3)),
-            net=fleet.net,
+        controller = _controller(
+            fleet,
+            _section(poll_spec, "targets", list, "poll", sorted(fleet.agents)),
+            int(poll_spec.get("miss_threshold", DEFAULT_MISS_THRESHOLD)),
         )
-        targets = poll_spec.get("targets")
-        if targets is None:
-            targets = sorted(fleet.agents)
-        for mid in targets:
-            if mid not in fleet.apis:
-                raise ScenarioError(f"poll target {mid!r} has no agent")
-            endpoint = f"agent-{mid}" if fleet.net is not None else None
-            controller.register(mid, fleet.apis[mid], endpoint)
         period = float(poll_spec.get("period_ms", 1000.0))
         rounds = int(poll_spec.get("rounds", 5))
         if period <= 0 or rounds < 0:
@@ -547,9 +571,7 @@ def execute_scenario(doc: dict, seed: int = 0):
             fleet.clock.advance(at - fleet.clock.now_ms)
         if step.get("action") == "_poll":
             # a poll round picks up freshly deployed policies first
-            for (mid, _name), policy_id in fleet.deployed.items():
-                if mid in controller.targets():
-                    controller.set_policy(mid, policy_id)
+            _sync_policies(fleet, controller)
             controller.poll_round(poll_rng)
         else:
             runner.run(step)
@@ -561,7 +583,7 @@ def execute_scenario(doc: dict, seed: int = 0):
 
     explorer = None
     if "modelcheck" in doc:
-        spec = doc["modelcheck"] or {}
+        spec = _section(doc, "modelcheck", dict, "scenario")
         config = CheckConfig(
             machines=int(spec.get("machines", 2)),
             tpms=int(spec.get("tpms", 2)),

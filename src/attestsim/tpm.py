@@ -7,13 +7,11 @@ keys, a monotonic reboot counter and a quote clock.  PCRs are extend-only:
 ``pcr[n] = hash(pcr[n] || value)``, never assignable.
 
 Quotes are signatures over the selected-PCR composite digest plus a caller
-nonce and the counters, in a fixed canonical byte layout so they round-trip
-through files and JSON.
+nonce and the counters.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
@@ -66,10 +64,6 @@ class ActivationError(TpmError):
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
-
-
-class QuoteFormatError(TpmError):
-    pass
 
 
 def extend_digest(current: bytes, value: bytes) -> bytes:
@@ -139,56 +133,6 @@ class Quote:
 
     def verify_signature(self) -> bool:
         return verify(self.signature, self.signed_payload(), self.aik_pub)
-
-    def to_bytes(self) -> bytes:
-        sel = bytes([len(self.selection)]) + bytes(self.selection)
-        return (
-            sel
-            + self.pcr_digest
-            + self.nonce
-            + self.reboot_counter.to_bytes(8, "big")
-            + self.clock.to_bytes(8, "big")
-            + self.signature
-            + self.aik_pub
-        )
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "Quote":
-        if len(raw) < 1:
-            raise QuoteFormatError("empty quote")
-        n = raw[0]
-        need = 1 + n + DIGEST_LEN + NONCE_LEN + 8 + 8 + 64 + 32
-        if len(raw) != need:
-            raise QuoteFormatError(f"quote is {len(raw)} bytes, expected {need}")
-        pos = 1
-        selection = tuple(raw[pos : pos + n])
-        pos += n
-        pcr_digest = raw[pos : pos + DIGEST_LEN]
-        pos += DIGEST_LEN
-        nonce = raw[pos : pos + NONCE_LEN]
-        pos += NONCE_LEN
-        reboot_counter = int.from_bytes(raw[pos : pos + 8], "big")
-        pos += 8
-        clock = int.from_bytes(raw[pos : pos + 8], "big")
-        pos += 8
-        signature = raw[pos : pos + 64]
-        pos += 64
-        aik_pub = raw[pos : pos + 32]
-        return cls(selection, pcr_digest, nonce, reboot_counter, clock, signature, aik_pub)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "selection": list(self.selection),
-                "pcr_digest": self.pcr_digest.hex(),
-                "nonce": self.nonce.hex(),
-                "reboot_counter": self.reboot_counter,
-                "clock": self.clock,
-                "signature": self.signature.hex(),
-                "aik_pub": self.aik_pub.hex(),
-            },
-            sort_keys=True,
-        )
 
 
 def composite_digest(values: Sequence[bytes]) -> bytes:

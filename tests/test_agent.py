@@ -30,9 +30,9 @@ from attestsim.machine import (
     reboot_machine,
     run_enclave,
 )
-from attestsim.netsim import BeaconService, LatencyModel, NetworkModel, VirtualClock
+from attestsim.netsim import BeaconService, LatencyModel, NetworkModel
 from attestsim.policy import pem_encode
-from attestsim.tpm import ActivationError, IMA_PCR, TpmError, TpmState, extend_digest
+from attestsim.tpm import IMA_PCR, TpmError, TpmState, extend_digest
 
 AGENT_BIN = SoftwareImage("attest-agent", b"attest-agent-bin-2.3")
 

@@ -83,8 +83,17 @@ def test_run_missing_file_exits_three(capsys):
     "machines: [{id: m0}]\nscript: [{at: 0, action: boot, machine: m0, kernel: nope}]\n",
     "machines: [{dc: dc1}]\n",
     "machines: [{id: m0}]\nbeacons: [{dc: dc1}]\n",
+    "machines: [{id: m0}]\nnetwork: {links: 5}\n",
+    "machines: 5\n",
+    "machines: [{id: m0, agent: {static_whitelist: 5}}]\n",
+    "machines: [{id: m0}]\nscript: 5\n",
+    "machines: [{id: m0}]\nimages: [a]\n",
+    "machines: [{id: m0}]\npolicies: [a]\n",
+    "machines: [{id: m0}]\npoll: 5\n",
 ], ids=["step-without-machine", "unknown-image", "machine-without-id",
-        "beacon-without-endpoint"])
+        "beacon-without-endpoint", "links-not-a-list", "machines-not-a-list",
+        "static-whitelist-not-a-list", "script-not-a-list", "images-not-a-mapping",
+        "policies-not-a-mapping", "poll-not-a-mapping"])
 def test_run_schema_errors_exit_three_without_traceback(tmp_path, document):
     scenario = tmp_path / "bad.yaml"
     scenario.write_text(document)

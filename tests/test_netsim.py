@@ -163,6 +163,18 @@ def test_untrusted_beacon_certificate_aborts():
                           beacon_chain=(rogue.public,))
 
 
+def test_beacon_certificate_for_another_role_aborts():
+    # issued by the beacon authority, but for the ek role
+    rng = Rng(15)
+    clock = VirtualClock()
+    kp, authority = generate_keypair(rng), generate_keypair(rng)
+    miscast = BeaconService("beacon-1", kp, issue_certificate(authority, kp.public, "ek"),
+                            clock)
+    with pytest.raises(BeaconCertInvalid):
+        measure_proximity(two_dc_net(), rng, "agent", miscast,
+                          beacon_chain=(authority.public,))
+
+
 def test_rogue_beacon_with_a_borrowed_certificate_aborts():
     # the rogue signs with its own key but presents another beacon's valid
     # certificate; responses must verify under the certified subject

@@ -1,4 +1,4 @@
-"""Policy schema, template merge, evaluation and registry."""
+"""Policy schema, evaluation and registry."""
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +13,6 @@ from attestsim.policy import (
     SoftwareList,
     UnknownPolicyId,
     evaluate,
-    load_policy,
     parse_policy,
     pem_encode,
     render_policy,
@@ -125,31 +124,6 @@ def test_render_parse_roundtrip():
     assert parse_policy(render_policy(p)) == p
 
 
-def test_include_merge_last_writer_wins(tmp_path):
-    base = tmp_path / "base.yaml"
-    base.write_text(fixture_policy_text(max_latency=9))
-    child = tmp_path / "child.yaml"
-    child.write_text(
-        "include: [base.yaml]\n"
-        "location:\n"
-        "  - host: beacon-1\n"
-        "    max_latency: 2\n"
-        "    chain: |\n" + "\n".join(_indent(pem_encode(BEACON_CA.public), 6)) + "\n"
-    )
-    merged = load_policy(child)
-    assert merged.location[0].max_latency_ms == 2.0
-    assert merged.pcr_whitelist == parse_policy(fixture_policy_text()).pcr_whitelist
-
-
-def test_include_cycle_detected(tmp_path):
-    a = tmp_path / "a.yaml"
-    b = tmp_path / "b.yaml"
-    a.write_text("include: [b.yaml]\n")
-    b.write_text("include: [a.yaml]\n")
-    with pytest.raises(PolicyParseError, match="cycle"):
-        load_policy(a)
-
-
 # --------------------------------------------------------------------------
 # evaluation
 # --------------------------------------------------------------------------
@@ -224,6 +198,14 @@ def test_each_violation_kind_fires():
     view = make_view()
     v = evaluate(POLICY, make_view(nonce=sha256(b"other-nonce")))
     assert "stale-quote" in [x.kind for x in v.violations]
+
+
+def test_ek_certificate_for_another_role_is_rejected():
+    # signed by the trusted tpm ca, but for the beacon role
+    view = make_view()
+    miscast = issue_certificate(TPM_CA, view.ek_cert.subject, "beacon")
+    v = evaluate(POLICY, make_view(ek_cert=miscast))
+    assert [x.kind for x in v.violations] == ["tpm-cert"]
 
 
 def test_latency_exactly_at_bound_passes():

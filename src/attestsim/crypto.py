@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from cryptography.exceptions import InvalidSignature
@@ -101,7 +102,9 @@ class KeyPair:
     seed: bytes
     public: bytes
 
+    @cached_property
     def private_key(self) -> Ed25519PrivateKey:
+        """The signing key, built from ``seed`` once per keypair."""
         return Ed25519PrivateKey.from_private_bytes(self.seed)
 
 
@@ -115,7 +118,7 @@ def generate_keypair(rng: Rng) -> KeyPair:
 def sign(message: bytes, key: KeyPair) -> bytes:
     if len(key.seed) != KEY_LEN:
         raise MalformedKeyError("signing key must hold a 32-byte seed")
-    return key.private_key().sign(message)
+    return key.private_key.sign(message)
 
 
 def verify(signature: bytes, message: bytes, public: bytes) -> bool:

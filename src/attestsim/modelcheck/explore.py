@@ -1,25 +1,36 @@
 """Serial layer-synchronous breadth-first exploration and verdict reporting.
 
 One generator, :func:`_layers`, drives every traversal.  It expands the
-frontier one layer at a time, computes the canonical key of each generated
-world exactly once, drops duplicates against the states already seen, and
-yields the new layer sorted by key together with the parent map.  The
-order, and so the verdict, depends only on the model and the bounds.
+frontier one layer at a time, keys each generated world exactly once, drops
+duplicates against the states already seen, and yields the new layer in
+discovery order together with the parent map.  A world is its own key: the
+records in :mod:`.world` are tuples, so the seen-set hashes and compares
+them structurally.
+
+Discovery order is what makes the output canonical.  A world's *trace* is
+its lexicographically smallest shortest event trace from the initial world,
+events compared by ``repr``.  Expanding a layer in trace order, each
+world's successors in ``repr(event)`` order, reaches every new world first
+through its trace, so the parent map records exactly that trace and the
+next layer comes out in trace order as well (the induction is spelled out
+on :func:`_layers`).  The order, and so the verdict, depends only on the
+model and the bounds.
 
 :func:`check` runs the property over each layer as it arrives.  A violation
-ends the search at its layer; among all violating states of that first
-layer the reported counterexample is the one whose event trace is
-lexicographically smallest, which keeps the output stable under unrelated
-model changes.  :func:`enumerate_reachable` flattens the same layers for
-invariant sweeps.
+ends the search at its layer, and the first violating world of that layer
+is the counterexample: its trace is the lexicographically smallest among
+all shortest violating traces, which keeps the output stable under
+unrelated model changes.  :func:`enumerate_reachable` flattens the same
+layers for invariant sweeps.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from .terms import Term
 from .world import (
     DPCR_G,
     SPCR_G,
@@ -126,75 +137,85 @@ def _world_summary(world: World, violation: Tuple[int, int, int]) -> dict:
 def _layers(config: CheckConfig):
     """Yield ``(layer, parents)`` for every non-empty BFS layer.
 
-    A layer is a list of ``(key, world)`` pairs sorted by key, starting with
-    the initial world alone; ``parents`` maps every key seen so far to its
-    ``(parent key, event)``.  Each world is keyed once, when it is generated.
+    A layer is a list of worlds in discovery order, starting with the
+    initial world alone; ``parents`` maps every world seen so far to its
+    ``(parent world, event)``.  Each world is keyed once, when it is
+    generated.
+
+    Each layer is sorted by trace (module docstring).  Layer 0 is one
+    world.  If layer *k* is sorted, its worlds are expanded in that order
+    and each one's successors in ``repr(event)`` order, so the
+    ``(parent, event)`` pairs arrive sorted by parent trace, then by event.
+    A shortest trace of a world in layer *k + 1* is a shortest trace of a
+    parent in layer *k*, all of length *k*, followed by one event; the
+    smallest of them is therefore the first pair that reaches the world,
+    which is the one the parent map keeps.  Worlds are appended when first
+    reached, so layer *k + 1* is sorted by trace as well.
+
+    Equal knowledge sets of stored worlds share one frozenset, interned in
+    a dict that lives only as long as this traversal.
     """
-    initial = build_world(config.machines, config.tpms)
-    key = initial.canonical_key()
-    parents: Dict[str, Tuple[Optional[str], Optional[Event]]] = {key: (None, None)}
-    layer: List[Tuple[str, World]] = [(key, initial)]
+    initial = build_world(config.machines, config.tpms).canonical_key()
+    parents: Dict[World, Tuple[Optional[World], Optional[Event]]] = {initial: (None, None)}
+    known: Dict[FrozenSet[Term], FrozenSet[Term]] = {}
+    layer: List[World] = [initial]
     depth = 0
     while layer:
         yield layer, parents
         depth += 1
-        found: List[Tuple[str, World]] = []
-        for parent_key, world in layer:
-            for event, child in successors(world, config.obfuscate, config.derivation_depth):
-                key = child.canonical_key()
-                if key in parents:
+        found: List[World] = []
+        for parent in layer:
+            for event, child in successors(parent, config.obfuscate, config.derivation_depth):
+                world = child.canonical_key()
+                if world in parents:
                     continue
-                parents[key] = (parent_key, event)
+                world = world._replace(
+                    knowledge=known.setdefault(world.knowledge, world.knowledge)
+                )
+                parents[world] = (parent, event)
                 if len(parents) > config.max_states:
                     raise StateBudgetExceeded(
                         f"more than {config.max_states} states at layer {depth}"
                     )
-                found.append((key, child))
-        layer = sorted(found, key=lambda pair: pair[0])
+                found.append(world)
+        layer = found
 
 
 def check(config: CheckConfig) -> Verdict:
     """Explore exhaustively; return the verdict with a minimal witness."""
     for depth, (layer, parents) in enumerate(_layers(config)):
-        witnesses = []
-        for key, world in layer:
+        for world in layer:
             found = violations(world)
             if found:
-                trace = _trace(parents, key)
-                witnesses.append((tuple(map(repr, trace)), trace, world, found[0]))
-        if witnesses:
-            break
-    else:
-        # ``layers`` counts expansions; the last layer was expanded into nothing
-        return Verdict(
-            property_holds=True,
-            states_explored=len(parents),
-            layers=depth + 1,
-            config=config,
-        )
-
-    _, trace, world, violation = min(witnesses, key=lambda w: w[0])
+                trace = _trace(parents, world)
+                return Verdict(
+                    property_holds=False,
+                    states_explored=len(parents),
+                    layers=depth,
+                    config=config,
+                    counterexample={
+                        "steps": [event_str(e) for e in trace],
+                        "events": [list(e) for e in trace],
+                        "world": _world_summary(world, found[0]),
+                    },
+                )
+    # ``layers`` counts expansions; the last layer was expanded into nothing
     return Verdict(
-        property_holds=False,
+        property_holds=True,
         states_explored=len(parents),
-        layers=depth,
+        layers=depth + 1,
         config=config,
-        counterexample={
-            "steps": [event_str(e) for e in trace],
-            "events": [list(e) for e in trace],
-            "world": _world_summary(world, violation),
-        },
     )
 
 
-def _trace(parents, key: str) -> List[Event]:
+def _trace(parents, world: World) -> List[Event]:
     events: List[Event] = []
     while True:
-        parent_key, event = parents[key]
-        if parent_key is None:
+        parent, event = parents[world]
+        if parent is None:
             break
         events.append(event)
-        key = parent_key
+        world = parent
     events.reverse()
     return events
 
@@ -222,5 +243,4 @@ def replay(config: CheckConfig, events: List) -> World:
 def enumerate_reachable(config: CheckConfig):
     """Yield every reachable world once, layer by layer (for invariant sweeps)."""
     for layer, _parents in _layers(config):
-        for _key, world in layer:
-            yield world
+        yield from layer

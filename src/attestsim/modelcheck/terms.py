@@ -6,9 +6,6 @@ Terms are nested tuples with a leading tag:
 * ``('h', t)``        a hash of ``t``
 * ``('p', a, b)``     a pair
 
-Tuples compare structurally and ``repr`` gives a total, stable order, which
-the explorer uses for canonical state enumeration.
-
 ``saturate`` closes a knowledge set under decomposition (pairs split).
 ``derivable`` additionally allows bounded *composition*: an adversary may
 build up to ``depth`` nested constructors on top of saturated knowledge.
@@ -32,11 +29,6 @@ def h(t: Term) -> Term:
 
 def p(a: Term, b: Term) -> Term:
     return ("p", a, b)
-
-
-def term_key(t: Term) -> str:
-    """Total order used everywhere a deterministic sequence is needed."""
-    return repr(t)
 
 
 def saturate(knowledge: Iterable[Term]) -> FrozenSet[Term]:

@@ -1,7 +1,10 @@
 """Protocol state space: machines, TPMs, adversary knowledge, transitions.
 
 One world is a frozen snapshot of every machine's protocol phase, every
-TPM's registers (as terms) and the adversary's knowledge set.  Transitions
+TPM's registers (as terms) and the adversary's knowledge set.  The records
+(:class:`World`, :class:`MachineProc`, :class:`TpmProc`) are ``NamedTuple``
+values: equal states are equal tuples with equal hashes, so a world serves
+as its own key in the explorer's seen-set.  Transitions
 follow the implementation's semantics, reduced to what the trust property
 can observe:
 
@@ -41,11 +44,10 @@ property concentrates on the quote-routing conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, NamedTuple, Optional, Tuple
 
-from .terms import Term, derivable, h, name, p, saturate, term_key
+from .terms import Term, derivable, h, name, p, saturate
 
 # -- fixed vocabulary -------------------------------------------------------
 
@@ -89,16 +91,14 @@ def junk_term(tpm_id: int) -> Term:
 PHASES = ("created", "booted", "init_q0", "init_extend", "sealed", "done", "halted")
 
 
-@dataclass(frozen=True)
-class TpmProc:
+class TpmProc(NamedTuple):
     tpm_id: int
     spcr: Term
     dpcr: Term
     initialized: bool  # free chips flip this on their one-shot preparation
 
 
-@dataclass(frozen=True)
-class MachineProc:
+class MachineProc(NamedTuple):
     machine_id: int
     attached_tpm: int
     phase: str = "created"
@@ -111,20 +111,15 @@ class MachineProc:
     trusted: Optional[bool] = None
 
 
-@dataclass(frozen=True)
-class World:
+class World(NamedTuple):
     machines: Tuple[MachineProc, ...]
     tpms: Tuple[TpmProc, ...]
     knowledge: FrozenSet[Term]
 
-    def canonical_key(self) -> str:
-        return repr(
-            (
-                self.machines,
-                self.tpms,
-                tuple(sorted(self.knowledge, key=term_key)),
-            )
-        )
+    def canonical_key(self) -> World:
+        """The world's identity in the explorer's seen-set: the world itself,
+        since equal tuples of equal terms are the same state."""
+        return self
 
 
 Event = Tuple  # ("boot", m, image) | ("q0", m, t) | ("obf", m, route) | ...
@@ -160,20 +155,20 @@ def _saturated(knowledge: FrozenSet[Term]) -> FrozenSet[Term]:
 def _with_machine(world: World, m: MachineProc) -> World:
     machines = list(world.machines)
     machines[m.machine_id] = m
-    return replace(world, machines=tuple(machines))
+    return world._replace(machines=tuple(machines))
 
 
 def _with_tpm(world: World, t: TpmProc) -> World:
     tpms = list(world.tpms)
     tpms[t.tpm_id] = t
-    return replace(world, tpms=tuple(tpms))
+    return world._replace(tpms=tuple(tpms))
 
 
 def _leak(world: World, *terms: Term) -> World:
     missing = [t for t in terms if t not in world.knowledge]
     if not missing:
         return world
-    return replace(world, knowledge=world.knowledge | set(missing))
+    return world._replace(knowledge=world.knowledge | set(missing))
 
 
 def _host_accepts_extends(world: World, tpm_id: int) -> bool:
@@ -236,13 +231,13 @@ def successors(world: World, obfuscate: bool, derivation_depth: int) -> List[Tup
             out.append(
                 (
                     ("tpm-init", t.tpm_id, "golden"),
-                    _with_tpm(world, replace(t, spcr=SPCR_G, initialized=True)),
+                    _with_tpm(world, t._replace(spcr=SPCR_G, initialized=True)),
                 )
             )
         out.append(
             (
                 ("tpm-init", t.tpm_id, "junk"),
-                _with_tpm(world, replace(t, spcr=junk_term(t.tpm_id), initialized=True)),
+                _with_tpm(world, t._replace(spcr=junk_term(t.tpm_id), initialized=True)),
             )
         )
 
@@ -252,17 +247,16 @@ def successors(world: World, obfuscate: bool, derivation_depth: int) -> List[Tup
 
 def _boot(world: World, m: MachineProc, image: str) -> World:
     if image == "unsigned-uefi":
-        return _with_machine(world, replace(m, phase="halted", image=image))
+        return _with_machine(world, m._replace(phase="halted", image=image))
     kernel, initramfs = _BOOT_STACKS[image]
     tpm = world.tpms[m.attached_tpm]
     world = _with_tpm(
         world,
-        replace(tpm, spcr=h(p(tpm.spcr, h(UEFI_S))), dpcr=dpcr_term(kernel, initramfs)),
+        tpm._replace(spcr=h(p(tpm.spcr, h(UEFI_S))), dpcr=dpcr_term(kernel, initramfs)),
     )
     return _with_machine(
         world,
-        replace(
-            m,
+        m._replace(
             phase="booted",
             image=image,
             driver_malicious=image != "golden",
@@ -276,7 +270,7 @@ def _q0(world: World, m: MachineProc, t: int) -> World:
         world = _leak(world, tpm.spcr, tpm.dpcr)
     return _with_machine(
         world,
-        replace(m, phase="init_q0", bound_tpm=t, q0_spcr=tpm.spcr, q0_dpcr=tpm.dpcr),
+        m._replace(phase="init_q0", bound_tpm=t, q0_spcr=tpm.spcr, q0_dpcr=tpm.dpcr),
     )
 
 
@@ -295,11 +289,11 @@ def _obf(world: World, m: MachineProc, route: str) -> World:
         world = _leak(world, rnd)  # the driver sees the mask in the clear
     if route == "local":
         target = world.tpms[m.attached_tpm]
-        world = _with_tpm(world, replace(target, spcr=h(p(target.spcr, rnd))))
+        world = _with_tpm(world, target._replace(spcr=h(p(target.spcr, rnd))))
     elif route == "bound":
         target = world.tpms[m.bound_tpm]
-        world = _with_tpm(world, replace(target, spcr=h(p(target.spcr, rnd))))
-    return _with_machine(world, replace(m, phase="init_extend"))
+        world = _with_tpm(world, target._replace(spcr=h(p(target.spcr, rnd))))
+    return _with_machine(world, m._replace(phase="init_extend"))
 
 
 def _q1(world: World, m: MachineProc) -> World:
@@ -308,12 +302,12 @@ def _q1(world: World, m: MachineProc) -> World:
         world = _leak(world, tpm.spcr, tpm.dpcr)
     expected = h(p(m.q0_spcr, rnd_term(m.machine_id)))
     if tpm.spcr == expected and tpm.dpcr == m.q0_dpcr:
-        return _with_machine(world, replace(m, phase="sealed", sealed_obf=tpm.spcr))
-    return _with_machine(world, replace(m, phase="halted"))
+        return _with_machine(world, m._replace(phase="sealed", sealed_obf=tpm.spcr))
+    return _with_machine(world, m._replace(phase="halted"))
 
 
 def _seal(world: World, m: MachineProc) -> World:
-    return _with_machine(world, replace(m, phase="sealed", sealed_obf=m.q0_spcr))
+    return _with_machine(world, m._replace(phase="sealed", sealed_obf=m.q0_spcr))
 
 
 def _verify(world: World, m: MachineProc) -> World:
@@ -322,7 +316,7 @@ def _verify(world: World, m: MachineProc) -> World:
         world = _leak(world, tpm.spcr, tpm.dpcr)
     c2 = m.q0_dpcr == DPCR_G == tpm.dpcr
     c3 = m.q0_spcr == SPCR_G and tpm.spcr == m.sealed_obf
-    return _with_machine(world, replace(m, phase="done", trusted=c2 and c3))
+    return _with_machine(world, m._replace(phase="done", trusted=c2 and c3))
 
 
 # -- the property -----------------------------------------------------------

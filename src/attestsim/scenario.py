@@ -129,6 +129,22 @@ def _section(mapping, key, kind, owner: str, default=None):
     return value
 
 
+def _number(mapping, key, kind, owner: str, default=None):
+    """``mapping[key]`` checked to be a ``kind`` (``int``, or ``float``, which
+    takes an integer too); ``default`` when the key is absent or null, and a
+    :class:`ScenarioError` then if there is no default."""
+    value = mapping.get(key)
+    if value is None:
+        if default is None:
+            raise ScenarioError(f"{owner} has no {key!r}")
+        return default
+    accepted = (int, float) if kind is float else int
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        expected = "a number" if kind is float else "an integer"
+        raise ScenarioError(f"{owner} {key!r} must be {expected}")
+    return kind(value)
+
+
 # --------------------------------------------------------------------------
 # result type
 # --------------------------------------------------------------------------
@@ -225,14 +241,14 @@ def _build_network(spec: dict, machines: List[dict]) -> NetworkModel:
         except (KeyError, ValueError, TypeError):
             raise ScenarioError(f"network link needs 'between: [dcA, dcB]': {entry!r}")
         links[(a, b)] = LatencyModel(
-            base_ms=float(entry.get("base_ms", 1.0)),
-            jitter_ms=float(entry.get("jitter_ms", 0.0)),
+            base_ms=_number(entry, "base_ms", float, "network link", 1.0),
+            jitter_ms=_number(entry, "jitter_ms", float, "network link", 0.0),
         )
     adv = None
     if "adversary" in spec:
         a = _section(spec, "adversary", dict, "network")
         adv = AdversaryModel(
-            added_delay_ms=float(a.get("added_delay_ms", 0.0)),
+            added_delay_ms=_number(a, "added_delay_ms", float, "adversary", 0.0),
             can_drop=bool(a.get("can_drop", False)),
             can_modify=bool(a.get("can_modify", False)),
             relay_targets=tuple(_section(a, "relay_targets", list, "adversary")),
@@ -480,7 +496,7 @@ class _Runner:
     def act_extend_pcr(self, step: dict) -> None:
         mid = _require(step, "machine", "extend-pcr step")
         machine = self.fleet.machine(mid)
-        pcr = int(_require(step, "pcr", "extend-pcr step"))
+        pcr = _number(step, "pcr", int, "extend-pcr step")
         value = sha256(str(step.get("value", "")).encode())
         machine.tpm.pcr_extend(pcr, value, locality=0)
         self.note(mid, "extend-pcr", {"pcr": pcr})
@@ -556,10 +572,10 @@ def execute_scenario(doc: dict, seed: int = 0):
         controller = _controller(
             fleet,
             _section(poll_spec, "targets", list, "poll", sorted(fleet.agents)),
-            int(poll_spec.get("miss_threshold", DEFAULT_MISS_THRESHOLD)),
+            _number(poll_spec, "miss_threshold", int, "poll", DEFAULT_MISS_THRESHOLD),
         )
-        period = float(poll_spec.get("period_ms", 1000.0))
-        rounds = int(poll_spec.get("rounds", 5))
+        period = _number(poll_spec, "period_ms", float, "poll", 1000.0)
+        rounds = _number(poll_spec, "rounds", int, "poll", 5)
         if period <= 0 or rounds < 0:
             raise ScenarioError("poll period must be positive, rounds >= 0")
         for k in range(1, rounds + 1):
@@ -584,11 +600,16 @@ def execute_scenario(doc: dict, seed: int = 0):
     explorer = None
     if "modelcheck" in doc:
         spec = _section(doc, "modelcheck", dict, "scenario")
+        variant = spec.get("variant", "plain")
+        if variant not in ("plain", "obfuscated"):
+            raise ScenarioError(
+                f"modelcheck 'variant' must be 'plain' or 'obfuscated', not {variant!r}"
+            )
         config = CheckConfig(
-            machines=int(spec.get("machines", 2)),
-            tpms=int(spec.get("tpms", 2)),
-            derivation_depth=int(spec.get("depth", 5)),
-            obfuscate=spec.get("variant", "plain") == "obfuscated",
+            machines=_number(spec, "machines", int, "modelcheck", 2),
+            tpms=_number(spec, "tpms", int, "modelcheck", 2),
+            derivation_depth=_number(spec, "depth", int, "modelcheck", 5),
+            obfuscate=variant == "obfuscated",
         )
         explorer = check(config).to_dict()
 

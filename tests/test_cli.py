@@ -90,10 +90,19 @@ def test_run_missing_file_exits_three(capsys):
     "machines: [{id: m0}]\nimages: [a]\n",
     "machines: [{id: m0}]\npolicies: [a]\n",
     "machines: [{id: m0}]\npoll: 5\n",
+    "machines: [{id: m0}]\nmodelcheck: {machines: [2]}\n",
+    "machines: [{id: m0}]\nmodelcheck: {variant: obfuscate}\n",
+    "machines: [{id: m0}]\npoll: {rounds: [1]}\n",
+    "machines: [{id: m0}]\npoll: {period_ms: [1]}\n",
+    "machines: [{id: m0}]\nnetwork: {links: [{between: [dc1, dc1], base_ms: [1]}]}\n",
+    "machines: [{id: m0}]\nscript: [{at: 0, action: extend-pcr, machine: m0, pcr: [1]}]\n",
 ], ids=["step-without-machine", "unknown-image", "machine-without-id",
         "beacon-without-endpoint", "links-not-a-list", "machines-not-a-list",
         "static-whitelist-not-a-list", "script-not-a-list", "images-not-a-mapping",
-        "policies-not-a-mapping", "poll-not-a-mapping"])
+        "policies-not-a-mapping", "poll-not-a-mapping",
+        "modelcheck-machines-not-an-integer", "modelcheck-unknown-variant",
+        "poll-rounds-not-an-integer", "poll-period-not-a-number",
+        "link-base-ms-not-a-number", "extend-pcr-register-not-an-integer"])
 def test_run_schema_errors_exit_three_without_traceback(tmp_path, document):
     scenario = tmp_path / "bad.yaml"
     scenario.write_text(document)

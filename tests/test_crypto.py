@@ -3,6 +3,7 @@
 import hashlib
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,6 +80,18 @@ def test_sign_verify_roundtrip_and_rejection():
 def test_signing_is_deterministic():
     kp = generate_keypair(Rng(8))
     assert sign(b"x", kp) == sign(b"x", kp)
+
+
+def test_signing_key_is_built_once_and_matches_a_fresh_one():
+    kp = generate_keypair(Rng(11))
+    assert kp.private_key is kp.private_key
+    fresh = Ed25519PrivateKey.from_private_bytes(kp.seed)
+    for message in (b"first", b"second"):
+        assert sign(message, kp) == fresh.sign(message)
+    # the cached key is not part of the keypair's identity
+    twin = KeyPair(seed=kp.seed, public=kp.public)
+    assert twin == kp and hash(twin) == hash(kp)
+    assert KeyPair(seed=bytes(32), public=kp.public) != kp
 
 
 def test_malformed_keys_are_reported():

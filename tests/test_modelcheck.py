@@ -118,6 +118,56 @@ def test_obfuscated_two_machines_holds():
     assert v.states_explored > 1000  # exhaustive, not vacuous
 
 
+RELAY_TRACE = [
+    "boot(m0, golden)",
+    "boot(m1, malicious-initramfs)",
+    "q0(m1, t0)",
+    "seal(m1)",
+    "verify(m1)",
+]
+
+
+@pytest.mark.parametrize("machines,tpms,depth,obfuscate,expected", [
+    (2, 2, 5, False, (False, 226, 5, RELAY_TRACE)),
+    (2, 2, 4, False, (False, 226, 5, RELAY_TRACE)),
+    (2, 2, 5, True, (True, 2057, 11, None)),
+    (2, 3, 5, True, (True, 8299, 12, None)),
+    (2, 3, 5, False, (False, 642, 5, RELAY_TRACE)),
+    (3, 3, 5, False, (False, 1793, 5, RELAY_TRACE)),
+    (1, 2, 5, True, (True, 83, 7, None)),
+    (1, 2, 5, False, (True, 54, 6, None)),
+], ids=["2x2-plain-d5", "2x2-plain-d4", "2x2-obf", "2x3-obf", "2x3-plain",
+        "3x3-plain", "1x2-obf", "1x2-plain"])
+def test_verdict_table_is_pinned(machines, tpms, depth, obfuscate, expected):
+    v = check(CheckConfig(machines=machines, tpms=tpms, derivation_depth=depth,
+                          obfuscate=obfuscate))
+    steps = v.counterexample["steps"] if v.counterexample else None
+    assert (v.property_holds, v.states_explored, v.layers, steps) == expected
+
+
+@pytest.mark.parametrize("depth", [4, 5])
+def test_counterexample_is_the_smallest_shortest_violating_trace(depth):
+    """Oracle for the explorer's discovery order: a depth-first walk over
+    every event trace, with no deduplication, finds no violation in fewer
+    than ``layers`` steps, and the reported trace is the smallest violating
+    trace of that length when events compare by ``repr``."""
+    cfg = CheckConfig(machines=2, tpms=2, derivation_depth=depth)
+    verdict = check(cfg)
+    violating = []
+
+    def walk(world, trace):
+        if violations(world):
+            assert len(trace) == verdict.layers, trace
+            violating.append(trace)
+        elif len(trace) < verdict.layers:
+            for event, child in successors(world, False, depth):
+                walk(child, trace + [event])
+
+    walk(build_world(2, 2), [])
+    smallest = min(violating, key=lambda trace: tuple(map(repr, trace)))
+    assert verdict.counterexample["events"] == [list(e) for e in smallest]
+
+
 def test_free_tpm_cannot_stand_in_for_a_platform():
     # a prepared bench chip can replay the public static chain but never a
     # measured launch, so both variants hold at (1 machine, 2 tpms)

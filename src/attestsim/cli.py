@@ -8,7 +8,6 @@ bad usage alike.
 
 import argparse
 import json
-import logging
 import sys
 from typing import List, Optional, Tuple
 
@@ -34,8 +33,6 @@ from .scenario import (
 EXIT_OK = 0
 EXIT_VIOLATION = 2
 EXIT_ERROR = 3
-
-logger = logging.getLogger(__name__)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -220,20 +217,15 @@ def cmd_gen_ima_log(args) -> Tuple[int, dict, List[str]]:
 def cmd_deploy_policy(args) -> Tuple[int, dict, List[str]]:
     doc = load_scenario(args.scenario)
     _result, fleet, _controller = execute_scenario(doc, args.seed)
-    if args.machine not in fleet.apis:
-        raise ScenarioError(f"machine {args.machine!r} has no agent")
+    api = fleet.api(args.machine)
     if args.policy_file:
-        try:
-            with open(args.policy_file) as fh:
-                body = fh.read()
-        except OSError as exc:
-            raise ScenarioError(f"cannot read policy file: {exc}")
+        with open(args.policy_file) as fh:  # main turns an OSError into exit 3
+            body = fh.read()
     else:
         if args.policy not in fleet.policies:
             raise ScenarioError(f"scenario has no policy named {args.policy!r}")
         body = fleet.policies[args.policy]
 
-    api = fleet.apis[args.machine]
     resp = api.handle("POST", "/policy", body)
     if resp.status == 400:
         raise ScenarioError(f"policy rejected: {resp.body.get('error')}")
@@ -298,10 +290,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, report, lines = _HANDLERS[args.command](args)
-    except (ScenarioError, ControllerError, StateBudgetExceeded, ValueError) as exc:
-        print(f"attestsim: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (ScenarioError, ControllerError, StateBudgetExceeded, ValueError, OSError) as exc:
         print(f"attestsim: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

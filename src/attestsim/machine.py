@@ -38,6 +38,8 @@ RUNTIME_LOCALITY = 0
 
 
 class BootError(Exception):
+    """The machine is in the wrong power state for the request."""
+
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
@@ -121,7 +123,7 @@ class Machine:
         like an appraisal-enforcing kernel logs the attempt before refusing.
         """
         if self.state != "runtime":
-            raise RuntimeError("files load only at OS runtime")
+            raise BootError("files load only at OS runtime")
         event = ima.measure_file(self.ima_log, self.tpm, path, content, signature)
         self.disk["ima/log"] = self.ima_log.to_bytes()
         loaded = True

@@ -21,7 +21,8 @@ A policy document is a small YAML dialect::
         chain: |                # beacon authority keys (PEM)
           -----BEGIN CERTIFICATE----- ...
 
-Unknown fields anywhere are rejected.
+``POLICY`` and the section shapes below declare it; unknown fields and
+wrong types anywhere are rejected.
 
 Evaluation is pure: it maps (policy, platform view) to a verdict whose
 ``violations`` list draws from {tpm-cert, pcr-mismatch, untrusted-file,
@@ -37,10 +38,20 @@ from typing import Dict, List, Optional, Tuple
 import yaml
 
 from .crypto import Certificate, certificate_valid, verify
+from .schema import Required, check_shape
 from .tpm import DYNAMIC_PCRS, STATIC_PCRS, Quote
 
 VALID_PCR_IDS = set(STATIC_PCRS) | set(DYNAMIC_PCRS)
 POLICY_ID_LEN = 16
+
+# each section is checked as parsing reaches it, so a broken trust anchor
+# is named before a mistake further down
+POLICY = {Required("chain"): str, Required("whitelist"): dict, "runtime": dict,
+          "location": list}
+WHITELIST = {Required("pcrs"): [{Required("id"): int, Required("sha256"): str}]}
+RUNTIME = {"certificate": str, "software": [{"name": str, "whitelist": {str: str}}]}
+LOCATION = [{Required("host"): str, Required("max_latency"): (int, float),
+             Required("chain"): str}]
 
 
 class PolicyParseError(Exception):
@@ -168,16 +179,15 @@ class PolicyVerdict:
 # --------------------------------------------------------------------------
 
 
-def _require_mapping(node, where):
-    if not isinstance(node, dict):
-        raise PolicyParseError(f"{where}: expected a mapping")
-    return node
-
-
-def _check_keys(node: dict, allowed, where):
-    unknown = set(node) - set(allowed)
-    if unknown:
-        raise PolicyParseError(f"{where}: unknown field(s) {sorted(unknown)}")
+def _digest(text: str, where: str) -> bytes:
+    """A sha256 digest written as 64 hex digits."""
+    try:
+        digest = bytes.fromhex(text)
+    except ValueError:
+        raise PolicyParseError(f"{where}: {text!r} is not hex") from None
+    if len(digest) != 32:
+        raise PolicyParseError(f"{where}: a sha256 digest is 32 bytes")
+    return digest
 
 
 def parse_policy(doc_or_text) -> Policy:
@@ -189,86 +199,46 @@ def parse_policy(doc_or_text) -> Policy:
             raise PolicyParseError(str(exc)) from exc
     else:
         doc = doc_or_text
-    doc = _require_mapping(doc, "policy")
-    _check_keys(doc, {"chain", "whitelist", "runtime", "location"}, "policy")
+    check_shape(doc, POLICY, "policy", PolicyParseError)
+    chain = tuple(pem_decode_all(doc["chain"], "chain"))
 
-    if "chain" not in doc:
-        raise PolicyParseError("policy: missing required field chain")
-    chain = tuple(pem_decode_all(str(doc["chain"]), "chain"))
-
-    wl = _require_mapping(doc.get("whitelist"), "whitelist")
-    _check_keys(wl, {"pcrs"}, "whitelist")
-    pcr_nodes = wl.get("pcrs")
-    if not isinstance(pcr_nodes, list) or not pcr_nodes:
+    check_shape(doc["whitelist"], WHITELIST, "whitelist", PolicyParseError)
+    if not doc["whitelist"]["pcrs"]:
         raise PolicyParseError("whitelist.pcrs: need at least one PCR entry")
     entries = []
     seen_ids = set()
-    for i, node in enumerate(pcr_nodes):
+    for i, node in enumerate(doc["whitelist"]["pcrs"]):
         where = f"whitelist.pcrs[{i}]"
-        node = _require_mapping(node, where)
-        _check_keys(node, {"id", "sha256"}, where)
-        try:
-            idx = int(node["id"])
-        except (KeyError, TypeError, ValueError):
-            raise PolicyParseError(f"{where}: id must be an integer")
+        idx = node["id"]
         if idx not in VALID_PCR_IDS:
             raise PolicyParseError(f"{where}: pcr {idx} outside 0..15 and 17..19")
         if idx in seen_ids:
             raise PolicyParseError(f"{where}: duplicate pcr id {idx}")
         seen_ids.add(idx)
-        try:
-            value = bytes.fromhex(str(node["sha256"]))
-        except (KeyError, ValueError):
-            raise PolicyParseError(f"{where}: sha256 must be hex")
-        if len(value) != 32:
-            raise PolicyParseError(f"{where}: sha256 must encode 32 bytes")
-        entries.append(PcrEntry(idx, value))
+        entries.append(PcrEntry(idx, _digest(node["sha256"], f"{where}.sha256")))
 
     runtime_cert = None
     software: List[SoftwareList] = []
-    if "runtime" in doc:
-        rt = _require_mapping(doc["runtime"], "runtime")
-        _check_keys(rt, {"certificate", "software"}, "runtime")
-        if "certificate" in rt:
-            certs = pem_decode_all(str(rt["certificate"]), "runtime.certificate")
-            if len(certs) != 1:
-                raise PolicyParseError("runtime.certificate: exactly one key expected")
-            runtime_cert = certs[0]
-        for i, node in enumerate(rt.get("software", []) or []):
-            where = f"runtime.software[{i}]"
-            node = _require_mapping(node, where)
-            _check_keys(node, {"name", "whitelist"}, where)
-            name = str(node.get("name", f"list-{i}"))
-            pairs = []
-            for h, p in _require_mapping(node.get("whitelist", {}), f"{where}.whitelist").items():
-                try:
-                    digest = bytes.fromhex(str(h))
-                except ValueError:
-                    raise PolicyParseError(f"{where}.whitelist: key {h!r} is not hex")
-                if len(digest) != 32:
-                    raise PolicyParseError(f"{where}.whitelist: hash must be 32 bytes")
-                pairs.append((digest, str(p)))
-            software.append(SoftwareList(name, tuple(pairs)))
+    rt = doc.get("runtime", {})
+    check_shape(rt, RUNTIME, "runtime", PolicyParseError)
+    if "certificate" in rt:
+        certs = pem_decode_all(rt["certificate"], "runtime.certificate")
+        if len(certs) != 1:
+            raise PolicyParseError("runtime.certificate: exactly one key expected")
+        runtime_cert = certs[0]
+    for i, node in enumerate(rt.get("software", [])):
+        where = f"runtime.software[{i}].whitelist"
+        pairs = tuple((_digest(h, where), p) for h, p in node.get("whitelist", {}).items())
+        software.append(SoftwareList(node.get("name", f"list-{i}"), pairs))
 
     location: List[LocationRule] = []
-    if "location" in doc:
-        nodes = doc["location"]
-        if not isinstance(nodes, list):
-            raise PolicyParseError("location: expected a list")
-        for i, node in enumerate(nodes):
-            where = f"location[{i}]"
-            node = _require_mapping(node, where)
-            _check_keys(node, {"host", "max_latency", "chain"}, where)
-            if "host" not in node:
-                raise PolicyParseError(f"{where}: missing host")
-            try:
-                max_latency = float(node["max_latency"])
-            except (KeyError, TypeError, ValueError):
-                raise PolicyParseError(f"{where}: max_latency must be a number")
-            if max_latency <= 0:
-                raise PolicyParseError(f"{where}: max_latency must be positive")
-            chain_keys = tuple(pem_decode_all(str(node.get("chain", "")), f"{where}.chain"))
-            location.append(LocationRule(str(node["host"]), max_latency, chain_keys))
+    check_shape(doc.get("location", []), LOCATION, "location", PolicyParseError)
+    for i, node in enumerate(doc.get("location", [])):
+        where = f"location[{i}]"
+        if node["max_latency"] <= 0:
+            raise PolicyParseError(f"{where}: max_latency must be positive")
+        chain_keys = tuple(pem_decode_all(node["chain"], f"{where}.chain"))
+        location.append(LocationRule(node["host"], float(node["max_latency"]), chain_keys))
 
     return Policy(
         tpm_ca_chain=chain,

@@ -14,11 +14,10 @@ Schema (all durations in virtual milliseconds)::
     machines:
       - id: m0
         dc: dc1                  # default dc1
-        kernel: golden           # golden | an images key
-        initramfs: golden
         agent:                   # omit for agentless machines
           obfuscate: true        # default true
           static_whitelist: [0]  # default [0]
+      - id: m1                   # an agentless machine
     network:                     # optional; single-DC fleets can skip it
       links:
         - {between: [dc1, dc1], base_ms: 0.3, jitter_ms: 0.2}
@@ -32,6 +31,9 @@ Schema (all durations in virtual milliseconds)::
         chain: ...
     script:
       - {at: 0, action: boot, machine: m0}          # hook: false skips init
+      - {at: 10, action: boot, machine: m1, hook: false,
+         kernel: kernel-rootkit, initramfs: initramfs}  # images keys;
+                                 # the default is the golden image
       - {at: 50, action: establish, machine: m0}
       - {at: 60, action: deploy-policy, machine: m0, policy: golden}
       - {at: 70, action: verify, machine: m0, policy: golden}
@@ -44,13 +46,14 @@ Schema (all durations in virtual milliseconds)::
     poll: {period_ms: 1000, rounds: 5, miss_threshold: 3, targets: [m0]}
     modelcheck: {variant: plain, machines: 2, tpms: 2, depth: 5}
 
-Actions and polls are merged on the timeline; equal timestamps run script
-actions first, in file order.  Every random draw flows from one seeded
-generator, which is what makes reports reproducible.
+Unknown keys and wrong types are errors: ``SCENARIO`` and ``STEPS`` below
+declare the shape, one step shape per action.  Actions and polls are merged
+on the timeline; equal timestamps run script actions first, in file order.
+Every random draw flows from one seeded generator, which is what makes
+reports reproducible.
 """
 
 import json
-import logging
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -69,6 +72,7 @@ from .crypto import (
     sign,
 )
 from .machine import (
+    BootError,
     DirectTpmChannel,
     Machine,
     RelayTpmChannel,
@@ -86,9 +90,8 @@ from .netsim import (
     VirtualClock,
 )
 from .policy import PcrEntry, Policy, render_policy
-from .tpm import TpmState, extend_digest
-
-logger = logging.getLogger(__name__)
+from .schema import Required, check_shape
+from .tpm import TpmError, TpmState, extend_digest
 
 AGENT_BIN = SoftwareImage("attest-agent", b"attest-agent-bin-2.3")
 
@@ -99,50 +102,54 @@ GOLDEN_STACK = {
     "initramfs": b"initramfs-agent-1.0",
 }
 
-_ACTIONS = frozenset(
-    {"boot", "reboot", "establish", "deploy-policy", "verify", "load-file",
-     "copy-disk", "relay", "extend-pcr"}
-)
+_NUMBER = (int, float)
+
+SCENARIO = {
+    "name": str,
+    "images": {str: str},
+    "machines": [{Required("id"): str, "dc": str,
+                  "agent": {"obfuscate": bool, "static_whitelist": [int]}}],
+    "network": {
+        "links": [{Required("between"): [str], "base_ms": _NUMBER, "jitter_ms": _NUMBER}],
+        "adversary": {"added_delay_ms": _NUMBER, "can_drop": bool, "can_modify": bool,
+                      "relay_targets": [str]},
+    },
+    "beacons": [{Required("endpoint"): str, "dc": str}],
+    "policies": {str: str},
+    "script": [dict],  # each step has the shape STEPS gives its action
+    "poll": {"period_ms": _NUMBER, "rounds": int, "miss_threshold": int, "targets": [str]},
+    "modelcheck": {"variant": {"plain", "obfuscated"}, "machines": int, "tpms": int,
+                   "depth": int},
+}
+
+_AT = {Required("at"): _NUMBER, Required("action"): str}
+_ON = {**_AT, Required("machine"): str}
+STEPS = {
+    "boot": {**_ON, "kernel": str, "initramfs": str, "hook": bool},
+    "reboot": _ON,
+    "establish": _ON,
+    "deploy-policy": {**_ON, Required("policy"): str},
+    "verify": {**_ON, Required("policy"): str},
+    "load-file": {**_ON, Required("path"): str, "content": str, "signed": bool},
+    "copy-disk": {**_AT, Required("from"): str, Required("to"): str},
+    "relay": {**_ON, "target": (str, type(None))},  # null restores the direct channel
+    "extend-pcr": {**_ON, Required("pcr"): int, "value": str},
+}
 
 
 class ScenarioError(Exception):
     """The scenario file does not parse or references missing pieces."""
 
 
-def _require(mapping, key, owner: str):
-    """``mapping[key]``, or a :class:`ScenarioError` naming the missing key."""
-    try:
-        return mapping[key]
-    except (KeyError, TypeError):
-        raise ScenarioError(f"{owner} has no {key!r}") from None
-
-
-def _section(mapping, key, kind, owner: str, default=None):
-    """``mapping[key]`` checked to be a ``kind`` (dict or list); ``default``,
-    or an empty ``kind``, when the key is absent or null."""
-    value = mapping.get(key)
-    if value is None:
-        return kind() if default is None else default
-    if not isinstance(value, kind):
-        expected = "mapping" if kind is dict else "list"
-        raise ScenarioError(f"{owner} {key!r} must be a {expected}")
-    return value
-
-
-def _number(mapping, key, kind, owner: str, default=None):
-    """``mapping[key]`` checked to be a ``kind`` (``int``, or ``float``, which
-    takes an integer too); ``default`` when the key is absent or null, and a
-    :class:`ScenarioError` then if there is no default."""
-    value = mapping.get(key)
-    if value is None:
-        if default is None:
-            raise ScenarioError(f"{owner} has no {key!r}")
-        return default
-    accepted = (int, float) if kind is float else int
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        expected = "a number" if kind is float else "an integer"
-        raise ScenarioError(f"{owner} {key!r} must be {expected}")
-    return kind(value)
+def validate(doc) -> None:
+    """Raise :class:`ScenarioError` unless ``doc`` has the declared shape."""
+    check_shape(doc, SCENARIO, "scenario", ScenarioError)
+    for index, step in enumerate(doc.get("script", [])):
+        where = f"scenario.script[{index}]"
+        action = step.get("action")
+        if not isinstance(action, str) or action not in STEPS:
+            raise ScenarioError(f"{where}: unknown action {action!r}")
+        check_shape(step, STEPS[action], where, ScenarioError)
 
 
 # --------------------------------------------------------------------------
@@ -211,6 +218,12 @@ class _Fleet:
         except KeyError:
             raise ScenarioError(f"unknown machine {machine_id!r}")
 
+    def image(self, name) -> SoftwareImage:
+        try:
+            return self.images[name]
+        except KeyError:
+            raise ScenarioError(f"unknown image {name!r}")
+
     def agent(self, machine_id) -> Agent:
         try:
             return self.agents[machine_id]
@@ -235,33 +248,31 @@ def _golden_policy(fleet: _Fleet) -> str:
 
 def _build_network(spec: dict, machines: List[dict]) -> NetworkModel:
     links = {}
-    for entry in _section(spec, "links", list, "network"):
-        try:
-            a, b = entry["between"]
-        except (KeyError, ValueError, TypeError):
+    for entry in spec.get("links", []):
+        if len(entry["between"]) != 2:
             raise ScenarioError(f"network link needs 'between: [dcA, dcB]': {entry!r}")
-        links[(a, b)] = LatencyModel(
-            base_ms=_number(entry, "base_ms", float, "network link", 1.0),
-            jitter_ms=_number(entry, "jitter_ms", float, "network link", 0.0),
+        links[tuple(entry["between"])] = LatencyModel(
+            base_ms=float(entry.get("base_ms", 1.0)),
+            jitter_ms=float(entry.get("jitter_ms", 0.0)),
         )
     adv = None
     if "adversary" in spec:
-        a = _section(spec, "adversary", dict, "network")
+        a = spec["adversary"]
         adv = AdversaryModel(
-            added_delay_ms=_number(a, "added_delay_ms", float, "adversary", 0.0),
-            can_drop=bool(a.get("can_drop", False)),
-            can_modify=bool(a.get("can_modify", False)),
-            relay_targets=tuple(_section(a, "relay_targets", list, "adversary")),
+            added_delay_ms=float(a.get("added_delay_ms", 0.0)),
+            can_drop=a.get("can_drop", False),
+            can_modify=a.get("can_modify", False),
+            relay_targets=tuple(a.get("relay_targets", [])),
         )
-    placement = {}
-    net = NetworkModel(links, placement, adv)
+    net = NetworkModel(links, {}, adv)
     for m in machines:
-        net.place(f"agent-{_require(m, 'id', 'machine entry')}", m.get("dc", "dc1"))
+        net.place(f"agent-{m['id']}", m.get("dc", "dc1"))
     net.place("controller", machines[0].get("dc", "dc1") if machines else "dc1")
     return net
 
 
 def build_fleet(doc: dict, seed: int) -> _Fleet:
+    validate(doc)
     rng = Rng(seed)
     clock = VirtualClock()
     platform_ca = generate_keypair(rng.child("platform-ca"))
@@ -275,10 +286,10 @@ def build_fleet(doc: dict, seed: int) -> _Fleet:
         "kernel": SoftwareImage("kernel", GOLDEN_STACK["kernel"]),
         "initramfs": SoftwareImage("initramfs", GOLDEN_STACK["initramfs"]),
     }
-    for name, content in _section(doc, "images", dict, "scenario").items():
+    for name, content in doc.get("images", {}).items():
         if name in images:
             raise ScenarioError(f"image name {name!r} shadows a golden image")
-        images[name] = SoftwareImage(name, str(content).encode())
+        images[name] = SoftwareImage(name, content.encode())
 
     golden = {k: images[k].measurement for k in GOLDEN_STACK}
     golden_statics = {0: extend_digest(ZERO_DIGEST, images["uefi"].measurement)}
@@ -288,17 +299,15 @@ def build_fleet(doc: dict, seed: int) -> _Fleet:
         19: extend_digest(ZERO_DIGEST, images["initramfs"].measurement),
     }
 
-    machine_specs = _section(doc, "machines", list, "scenario")
+    machine_specs = doc.get("machines", [])
     if not machine_specs:
         raise ScenarioError("scenario defines no machines")
 
-    net = None
-    if "network" in doc:
-        net = _build_network(_section(doc, "network", dict, "scenario"), machine_specs)
+    net = _build_network(doc["network"], machine_specs) if "network" in doc else None
 
     beacons: Dict[str, BeaconService] = {}
-    for b in _section(doc, "beacons", list, "scenario"):
-        endpoint = _require(b, "endpoint", "beacon entry")
+    for b in doc.get("beacons", []):
+        endpoint = b["endpoint"]
         pair = generate_keypair(rng.child(f"beacon-{endpoint}"))
         cert = issue_certificate(platform_ca, pair.public, "beacon")
         beacons[endpoint] = BeaconService(endpoint, pair, cert, VirtualClock())
@@ -309,7 +318,7 @@ def build_fleet(doc: dict, seed: int) -> _Fleet:
     agents: Dict[str, Agent] = {}
     apis: Dict[str, AgentApi] = {}
     for spec in machine_specs:
-        mid = _require(spec, "id", "machine entry")
+        mid = spec["id"]
         if mid in machines:
             raise ScenarioError(f"duplicate machine id {mid!r}")
         mrng = rng.child(f"machine-{mid}")
@@ -317,17 +326,15 @@ def build_fleet(doc: dict, seed: int) -> _Fleet:
         machine = Machine(mid, tpm, platform_ca.public, mrng, dc=spec.get("dc", "dc1"))
         machine.set_golden(golden)
         machines[mid] = machine
-        if spec.get("agent") is not None:
-            agent_spec = _section(spec, "agent", dict, f"machine {mid!r}")
+        if "agent" in spec:
             agent = Agent(
                 machine,
                 AGENT_BIN,
                 rng.child(f"agent-{mid}"),
                 golden_statics,
                 golden_dynamics,
-                static_whitelist=tuple(_section(agent_spec, "static_whitelist", list,
-                                                f"machine {mid!r} agent", [0])),
-                obfuscate=bool(agent_spec.get("obfuscate", True)),
+                static_whitelist=tuple(spec["agent"].get("static_whitelist", [0])),
+                obfuscate=spec["agent"].get("obfuscate", True),
                 clock=clock,
             )
             if net is not None:
@@ -349,11 +356,8 @@ def build_fleet(doc: dict, seed: int) -> _Fleet:
         net=net,
         beacons=beacons,
     )
-    for name, body in _section(doc, "policies", dict, "scenario").items():
-        if body == "builtin:golden":
-            fleet.policies[name] = _golden_policy(fleet)
-        else:
-            fleet.policies[name] = str(body)
+    for name, body in doc.get("policies", {}).items():
+        fleet.policies[name] = _golden_policy(fleet) if body == "builtin:golden" else body
     return fleet
 
 
@@ -384,21 +388,22 @@ class _Runner:
 
     # each action handler returns nothing; effects land in the timelines
 
-    def run(self, step: dict) -> None:
-        action = step.get("action")
-        if action not in _ACTIONS:
-            raise ScenarioError(f"unknown action {action!r}")
-        getattr(self, "act_" + action.replace("-", "_"))(step)
+    def run(self, index: int, step: dict) -> None:
+        action = step["action"]
+        try:
+            getattr(self, "act_" + action.replace("-", "_"))(step)
+        except (BootError, ima.ImaFormatError, TpmError) as exc:
+            raise ScenarioError(f"scenario.script[{index}] {action}: {exc}") from None
 
     def act_boot(self, step: dict) -> None:
         fleet = self.fleet
-        mid = _require(step, "machine", "boot step")
+        mid = step["machine"]
         machine = fleet.machine(mid)
         hook = None
         if step.get("hook", True) and mid in fleet.agents:
             hook = fleet.agents[mid].initialization_hook
-        kernel = _require(fleet.images, step.get("kernel", "kernel"), "images")
-        initramfs = _require(fleet.images, step.get("initramfs", "initramfs"), "images")
+        kernel = fleet.image(step.get("kernel", "kernel"))
+        initramfs = fleet.image(step.get("initramfs", "initramfs"))
         outcome = boot(machine, fleet.images["uefi"], fleet.images["tboot"],
                        kernel, initramfs, hook)
         self.note(mid, "boot",
@@ -406,12 +411,12 @@ class _Runner:
                    "hook": hook is not None})
 
     def act_reboot(self, step: dict) -> None:
-        mid = _require(step, "machine", "reboot step")
+        mid = step["machine"]
         reboot_machine(self.fleet.machine(mid))
         self.note(mid, "reboot", {})
 
     def act_establish(self, step: dict) -> None:
-        mid = _require(step, "machine", "establish step")
+        mid = step["machine"]
         agent = self.fleet.agent(mid)
         if self.fleet.machine(mid).state != "runtime":
             verdict = {"trusted": False, "failed_condition": None,
@@ -428,8 +433,8 @@ class _Runner:
 
     def act_deploy_policy(self, step: dict) -> None:
         fleet = self.fleet
-        mid = _require(step, "machine", "deploy-policy step")
-        name = _require(step, "policy", "deploy-policy step")
+        mid = step["machine"]
+        name = step["policy"]
         if name not in fleet.policies:
             raise ScenarioError(f"unknown policy {name!r}")
         resp = fleet.api(mid).handle("POST", "/policy", fleet.policies[name])
@@ -440,8 +445,8 @@ class _Runner:
 
     def act_verify(self, step: dict) -> None:
         fleet = self.fleet
-        mid = _require(step, "machine", "verify step")
-        name = _require(step, "policy", "verify step")
+        mid = step["machine"]
+        name = step["policy"]
         policy_id = fleet.deployed.get((mid, name))
         if policy_id is None:
             raise ScenarioError(f"policy {name!r} was never deployed to {mid}")
@@ -454,10 +459,10 @@ class _Runner:
 
     def act_load_file(self, step: dict) -> None:
         fleet = self.fleet
-        mid = _require(step, "machine", "load-file step")
-        path = _require(step, "path", "load-file step")
+        mid = step["machine"]
+        path = step["path"]
         machine = fleet.machine(mid)
-        content = str(step.get("content", "")).encode()
+        content = step.get("content", "").encode()
         signature = None
         if step.get("signed", False):
             signature = sign(sha256(content), fleet.platform_ca)
@@ -465,8 +470,8 @@ class _Runner:
         self.note(mid, "load-file", {"path": path, "loaded": loaded})
 
     def act_copy_disk(self, step: dict) -> None:
-        src_id = _require(step, "from", "copy-disk step")
-        dst_id = _require(step, "to", "copy-disk step")
+        src_id = step["from"]
+        dst_id = step["to"]
         src = self.fleet.machine(src_id)
         self.fleet.machine(dst_id).restore_disk(src.snapshot_disk())
         self.note(dst_id, "copy-disk", {"from": src_id})
@@ -477,7 +482,7 @@ class _Runner:
         ``target: null`` hands the driver back (direct channel again).
         """
         fleet = self.fleet
-        mid = _require(step, "machine", "relay step")
+        mid = step["machine"]
         agent = fleet.agent(mid)
         target_id = step.get("target")
         if target_id is None:
@@ -494,10 +499,10 @@ class _Runner:
         self.note(mid, "relay", {"target": target_id})
 
     def act_extend_pcr(self, step: dict) -> None:
-        mid = _require(step, "machine", "extend-pcr step")
+        mid = step["machine"]
         machine = self.fleet.machine(mid)
-        pcr = _number(step, "pcr", int, "extend-pcr step")
-        value = sha256(str(step.get("value", "")).encode())
+        pcr = step["pcr"]
+        value = sha256(step.get("value", "").encode())
         machine.tpm.pcr_extend(pcr, value, locality=0)
         self.note(mid, "extend-pcr", {"pcr": pcr})
 
@@ -510,20 +515,16 @@ class _Runner:
 def load_scenario(path: str) -> dict:
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            return yaml.safe_load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}")
     except yaml.YAMLError as exc:
         raise ScenarioError(f"scenario is not valid yaml: {exc}")
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario root must be a mapping")
-    return doc
 
 
 def run_scenario(path: str, seed: int = 0) -> ScenarioResult:
     """Execute one scenario file; deterministic for a given (file, seed)."""
-    doc = load_scenario(path)
-    return run_scenario_doc(doc, seed)
+    return run_scenario_doc(load_scenario(path), seed)
 
 
 def run_scenario_doc(doc: dict, seed: int = 0) -> ScenarioResult:
@@ -537,10 +538,8 @@ def _controller(fleet: _Fleet, targets,
     controller = Controller(clock=fleet.clock, miss_threshold=miss_threshold,
                             net=fleet.net)
     for mid in targets:
-        if mid not in fleet.apis:
-            raise ScenarioError(f"poll target {mid!r} has no agent")
         endpoint = f"agent-{mid}" if fleet.net is not None else None
-        controller.register(mid, fleet.apis[mid], endpoint)
+        controller.register(mid, fleet.api(mid), endpoint)
     return controller
 
 
@@ -557,40 +556,35 @@ def execute_scenario(doc: dict, seed: int = 0):
     fleet = build_fleet(doc, seed)
     runner = _Runner(fleet)
 
-    steps = []
-    for index, step in enumerate(_section(doc, "script", list, "scenario")):
-        try:
-            at = float(step["at"])
-        except (KeyError, TypeError, ValueError):
-            raise ScenarioError(f"script step {index} needs a numeric 'at'")
-        steps.append((at, 0, index, step))
+    steps = [(float(step["at"]), 0, index, step)
+             for index, step in enumerate(doc.get("script", []))]
 
-    poll_spec = _section(doc, "poll", dict, "scenario")
+    poll_spec = doc.get("poll", {})
     controller = None
     poll_rng = fleet.rng.child("poll-nonces")
     if poll_spec:
         controller = _controller(
             fleet,
-            _section(poll_spec, "targets", list, "poll", sorted(fleet.agents)),
-            _number(poll_spec, "miss_threshold", int, "poll", DEFAULT_MISS_THRESHOLD),
+            poll_spec.get("targets", sorted(fleet.agents)),
+            poll_spec.get("miss_threshold", DEFAULT_MISS_THRESHOLD),
         )
-        period = _number(poll_spec, "period_ms", float, "poll", 1000.0)
-        rounds = _number(poll_spec, "rounds", int, "poll", 5)
+        period = float(poll_spec.get("period_ms", 1000.0))
+        rounds = poll_spec.get("rounds", 5)
         if period <= 0 or rounds < 0:
             raise ScenarioError("poll period must be positive, rounds >= 0")
         for k in range(1, rounds + 1):
             steps.append((period * k, 1, k, {"action": "_poll"}))
 
     steps.sort(key=lambda s: (s[0], s[1], s[2]))
-    for at, _tier, _index, step in steps:
+    for at, _tier, index, step in steps:
         if at > fleet.clock.now_ms:
             fleet.clock.advance(at - fleet.clock.now_ms)
-        if step.get("action") == "_poll":
+        if step["action"] == "_poll":
             # a poll round picks up freshly deployed policies first
             _sync_policies(fleet, controller)
             controller.poll_round(poll_rng)
         else:
-            runner.run(step)
+            runner.run(index, step)
 
     # machines whose agent latched a compromise after establishment
     for mid, agent in fleet.agents.items():
@@ -599,22 +593,17 @@ def execute_scenario(doc: dict, seed: int = 0):
 
     explorer = None
     if "modelcheck" in doc:
-        spec = _section(doc, "modelcheck", dict, "scenario")
-        variant = spec.get("variant", "plain")
-        if variant not in ("plain", "obfuscated"):
-            raise ScenarioError(
-                f"modelcheck 'variant' must be 'plain' or 'obfuscated', not {variant!r}"
-            )
+        spec = doc["modelcheck"]
         config = CheckConfig(
-            machines=_number(spec, "machines", int, "modelcheck", 2),
-            tpms=_number(spec, "tpms", int, "modelcheck", 2),
-            derivation_depth=_number(spec, "depth", int, "modelcheck", 5),
-            obfuscate=variant == "obfuscated",
+            machines=spec.get("machines", 2),
+            tpms=spec.get("tpms", 2),
+            derivation_depth=spec.get("depth", 5),
+            obfuscate=spec.get("variant", "plain") == "obfuscated",
         )
         explorer = check(config).to_dict()
 
     result = ScenarioResult(
-        name=str(doc.get("name", "unnamed")),
+        name=doc.get("name", "unnamed"),
         seed=seed,
         timelines=runner.timelines,
         alerts=list(controller.alerts) if controller else [],

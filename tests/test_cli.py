@@ -1,12 +1,19 @@
 """Command-line surface: subcommands, exit codes, artifact files."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from attestsim.cli import main
 
@@ -96,19 +103,45 @@ def test_run_missing_file_exits_three(capsys):
     "machines: [{id: m0}]\npoll: {period_ms: [1]}\n",
     "machines: [{id: m0}]\nnetwork: {links: [{between: [dc1, dc1], base_ms: [1]}]}\n",
     "machines: [{id: m0}]\nscript: [{at: 0, action: extend-pcr, machine: m0, pcr: [1]}]\n",
+    "machines: [{id: m0, agent: {obfuscate: \"false\"}}]\n",
+    "machines: [{id: m0, dc: [1], agent: {}}]\nnetwork: {links: []}\npoll: {rounds: 1}\n",
+    "machines: [{id: [m0]}]\n",
+    "machines: [{id: m0}]\nnetwork: {links: [{between: [1, [2]]}]}\n",
+    "machines: [{id: m0, agent: {}}, {id: m1}]\n"
+    "script: [{at: 0, action: relay, machine: m0, target: [m1]}]\n",
+    "machines: [{id: m0, agent: {}}]\npoll: {targets: [[m0]]}\n",
+    "machines: [{id: m0}]\nscript: [{at: 0, action: boot, machine: m0},\n"
+    "  {at: 1, action: load-file, machine: m0, path: 5}]\n",
 ], ids=["step-without-machine", "unknown-image", "machine-without-id",
         "beacon-without-endpoint", "links-not-a-list", "machines-not-a-list",
         "static-whitelist-not-a-list", "script-not-a-list", "images-not-a-mapping",
         "policies-not-a-mapping", "poll-not-a-mapping",
         "modelcheck-machines-not-an-integer", "modelcheck-unknown-variant",
         "poll-rounds-not-an-integer", "poll-period-not-a-number",
-        "link-base-ms-not-a-number", "extend-pcr-register-not-an-integer"])
+        "link-base-ms-not-a-number", "extend-pcr-register-not-an-integer",
+        "obfuscate-not-a-boolean", "machine-dc-not-a-string", "machine-id-not-a-string",
+        "link-dcs-not-strings", "relay-target-not-a-string", "poll-target-not-a-string",
+        "load-file-path-not-a-string"])
 def test_run_schema_errors_exit_three_without_traceback(tmp_path, document):
     scenario = tmp_path / "bad.yaml"
     scenario.write_text(document)
+    _assert_clean_error("run", str(scenario))
+
+
+def test_deploy_policy_wrong_type_exits_three_without_traceback(tmp_path):
+    from attestsim.scenario import build_fleet, load_scenario
+
+    golden = build_fleet(load_scenario(honest()), 0).policies["golden"]
+    policy = tmp_path / "policy.yaml"
+    policy.write_text(golden + "runtime: {software: 5}\n")
+    _assert_clean_error("deploy-policy", honest(), "--machine", "m0",
+                        "--policy-file", str(policy))
+
+
+def _assert_clean_error(*argv):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "attestsim", "run", str(scenario)],
+    proc = subprocess.run([sys.executable, "-m", "attestsim", *argv],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -240,3 +273,104 @@ def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 3
+
+
+# --------------------------------------------------------------------------
+# exit-code contract under one random change to a valid input
+# --------------------------------------------------------------------------
+
+
+def _fuzz_bases():
+    """(command, document) pairs that exit cleanly: every shipped scenario
+    under ``run`` and ``poll``, and a policy with every section under
+    ``deploy-policy``."""
+    from attestsim.policy import pem_encode
+    from attestsim.scenario import build_fleet, load_scenario
+
+    bases = []
+    for path in sorted(SCENARIOS.glob("*.yaml")):
+        doc = load_scenario(str(path))
+        bases += [("run", doc), ("poll", doc)]
+    fleet = build_fleet(load_scenario(honest()), 0)
+    policy = yaml.safe_load(fleet.policies["golden"])
+    policy["runtime"] = {
+        "certificate": pem_encode(fleet.platform_ca.public),
+        "software": [{"name": "base", "whitelist": {"ab" * 32: "/usr/bin/tool"}}],
+    }
+    policy["location"] = [{"host": "beacon-dc1", "max_latency": 2.0,
+                           "chain": pem_encode(fleet.platform_ca.public)}]
+    return bases + [("deploy-policy", policy)]
+
+
+FUZZ_BASES = _fuzz_bases()
+# integers stay within -2..4 so no change asks for unbounded explorer or poll work
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 4),
+                    st.sampled_from([-1.5, 0.5, 2.5]), st.text("ab0/- ", max_size=4))
+VALUES = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=2), st.dictionaries(st.text("ab", max_size=2), inner, max_size=2)),
+    max_leaves=4)
+
+
+def _containers(value):
+    """Every mapping, and every non-empty list, inside ``value``."""
+    if isinstance(value, dict) or value:
+        yield value
+    for child in (value.values() if isinstance(value, dict) else value):
+        if isinstance(child, (dict, list)):
+            yield from _containers(child)
+
+
+@st.composite
+def one_change(draw):
+    """A base document with one value replaced, one key deleted or one
+    unknown key added, anywhere in it."""
+    command, base = draw(st.sampled_from(FUZZ_BASES))
+    doc = copy.deepcopy(base)
+    node = draw(st.sampled_from(list(_containers(doc))))
+    if isinstance(node, list):
+        node[draw(st.integers(0, len(node) - 1))] = draw(VALUES)
+        return command, doc
+    change = draw(st.sampled_from(("replace", "delete", "add") if node else ("add",)))
+    if change == "add":
+        node["zz-unknown"] = draw(VALUES)
+    elif change == "delete":
+        del node[draw(st.sampled_from(list(node)))]
+    else:
+        node[draw(st.sampled_from(list(node)))] = draw(VALUES)
+    return command, doc
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(one_change())
+@example(("run", yaml.safe_load("machines: [{id: m0, dc: [1], agent: {}}]\n"
+                               "network: {links: []}\npoll: {rounds: 1}\n")))
+@example(("run", yaml.safe_load("machines: [{id: [m0]}]\n")))
+@example(("run", yaml.safe_load("machines: [{id: m0}]\n"
+                               "network: {links: [{between: [1, [2]]}]}\n")))
+@example(("run", yaml.safe_load("machines: [{id: m0, agent: {}}, {id: m1}]\n"
+                               "script: [{at: 0, action: relay, machine: m0, target: [m1]}]\n")))
+@example(("poll", yaml.safe_load("machines: [{id: m0, agent: {}}]\npoll: {targets: [[m0]]}\n")))
+@example(("run", yaml.safe_load("machines: [{id: m0}]\n"
+                               "script: [{at: 0, action: boot, machine: m0},"
+                               " {at: 1, action: load-file, machine: m0, path: 5}]\n")))
+@example(("run", yaml.safe_load("machines: [{id: m0}]\n"
+                               "script: [{at: 0, action: boot, machine: m0},"
+                               " {at: 1, action: boot, machine: m0}]\n")))
+@example(("deploy-policy", {**FUZZ_BASES[-1][1], "runtime": {"software": 5}}))
+def test_one_change_to_a_valid_input_exits_cleanly(case):
+    command, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        argv = {
+            "run": ["run", str(path)],
+            "poll": ["poll", str(path), "--rounds", "1"],
+            "deploy-policy": ["deploy-policy", honest(), "--machine", "m0",
+                              "--policy-file", str(path)],
+        }[command]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3)
+    if code == 3:
+        assert err.getvalue().startswith("attestsim: error:")

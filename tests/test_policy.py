@@ -103,6 +103,23 @@ def test_invariant_violations_are_named(mutator, needle):
         parse_policy(doc)
 
 
+@pytest.mark.parametrize("mutator,needle", [
+    pytest.param(lambda d: d["whitelist"]["pcrs"][0].update(id=True),
+                 r"pcrs\[0\]\.id: expected integer, not boolean", id="pcr-id-true"),
+    pytest.param(lambda d: d["whitelist"]["pcrs"][0].update(id=0.9),
+                 r"pcrs\[0\]\.id: expected integer, not number", id="pcr-id-a-float"),
+    pytest.param(lambda d: d["location"][0].update(host=[1]),
+                 r"location\[0\]\.host: expected string, not list", id="host-a-list"),
+])
+def test_wrong_types_are_rejected_not_coerced(mutator, needle):
+    import yaml
+
+    doc = yaml.safe_load(fixture_policy_text())
+    mutator(doc)
+    with pytest.raises(PolicyParseError, match=needle):
+        parse_policy(doc)
+
+
 def test_bad_pem_is_rejected():
     with pytest.raises(PolicyParseError, match="PEM"):
         parse_policy("chain: not-a-pem\nwhitelist:\n  pcrs:\n    - id: 0\n"

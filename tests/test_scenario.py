@@ -1,10 +1,12 @@
 """Scenario runner: the shipped scripts, determinism, schema validation."""
 
+import textwrap
 from pathlib import Path
 
 import pytest
+import yaml
 
-from attestsim import ima
+from attestsim import ima, scenario
 from attestsim.crypto import ZERO_DIGEST
 from attestsim.scenario import (
     ScenarioError,
@@ -202,6 +204,40 @@ def test_scenario_validation_errors(mutate, message):
 ])
 def test_scenario_step_validation_errors(mutate, message):
     _assert_rejected(mutate, message)
+
+
+@pytest.mark.parametrize("step,message", [
+    pytest.param({"at": 5, "action": "load-file", "machine": "m1", "path": "/x"},
+                 r"script\[1\] load-file: files load only at OS runtime",
+                 id="load-file-before-boot"),
+    pytest.param({"at": 5, "action": "boot", "machine": "m0"},
+                 r"script\[1\] boot: machine is already powered", id="boot-when-powered"),
+    pytest.param({"at": 5, "action": "load-file", "machine": "m0", "path": "/a b"},
+                 r"script\[1\] load-file: paths with whitespace", id="path-with-a-space"),
+    pytest.param({"at": 5, "action": "extend-pcr", "machine": "m0", "pcr": 99},
+                 r"script\[1\] extend-pcr: pcr 99 does not exist", id="pcr-that-does-not-exist"),
+])
+def test_script_state_errors_name_the_step(step, message):
+    _assert_rejected(lambda d: d["script"].append(step), message)
+
+
+def test_machine_level_kernel_is_an_unknown_key():
+    doc = {
+        "images": {"kernel-rootkit": "kernel-5.15-rootkit"},
+        "machines": [{"id": "m0", "agent": {}, "kernel": "kernel-rootkit"}],
+        "script": [{"at": 0, "action": "boot", "machine": "m0"},
+                   {"at": 10, "action": "establish", "machine": "m0"}],
+    }
+    with pytest.raises(ScenarioError, match=r"machines\[0\]: unknown key 'kernel'"):
+        run_scenario_doc(doc, seed=0)
+
+
+def test_docstring_example_has_the_declared_shape():
+    block = scenario.__doc__.split("::\n", 1)[1].split("\n\n", 1)[0]
+    example = yaml.safe_load(textwrap.dedent(block))
+    scenario.validate(example)
+    assert set(example) == set(scenario.SCENARIO)
+    assert {step["action"] for step in example["script"]} == set(scenario.STEPS)
 
 
 def _assert_rejected(mutate, message):

@@ -26,6 +26,14 @@ variant exists so the regression can be demonstrated end to end.
 The :class:`Agent` wraps both phases plus the serving loop: periodic
 refresh with compromise latching, policy deployment/evaluation, and a
 small HTTP-shaped facade (:class:`AgentApi`).
+
+Runtime work is differential at both ends.  Each refresh folds only the
+new suffix of the measurement log (:func:`ima.read_new_events`), and each
+policy keeps an appraisal cursor: how many folded events it has appraised
+and the ``untrusted-file`` violations found in them.  A verdict appraises
+only the events since that policy's last verdict, so a poll over an
+unchanged log re-verifies no file signature.  Entering runtime again
+resets the events and every cursor.
 """
 
 from __future__ import annotations
@@ -58,6 +66,7 @@ from .policy import (
     PolicyRegistry,
     PolicyParseError,
     UnknownPolicyId,
+    Violation,
     evaluate,
     parse_policy,
 )
@@ -440,6 +449,8 @@ class Agent:
         self._pcr_values: Dict[int, bytes] = {}
         self._ima_cache = ima.ImaCacheState()
         self._events: List[Tuple[bytes, str, Optional[bytes]]] = []
+        # policy id -> (events appraised, untrusted-file violations among them)
+        self._appraised: Dict[str, Tuple[int, Tuple[Violation, ...]]] = {}
         self._compromised: Optional[str] = None  # log-tampered | pcr-changed | rebooted
         self._stale = False
         self._last_refresh_ms: Optional[float] = None
@@ -486,6 +497,7 @@ class Agent:
         self._pcr_values = dict(report.pcr_values)
         self._ima_cache = ima.ImaCacheState()
         self._events = []
+        self._appraised = {}
         self._compromised = None
         self._stale = False
         self._last_refresh_ms = self.clock.now_ms
@@ -608,7 +620,8 @@ class Agent:
 
         Raises :class:`UntrustedPlatform` once the platform itself is gone
         (PCR drift or reboot); a tampered log keeps answering, carrying the
-        violation in the verdict.
+        violation in the verdict.  Only events folded since this policy's
+        last verdict are appraised; earlier file violations are carried over.
         """
         if not self.serving:
             raise UntrustedPlatform("agent is not serving")
@@ -617,18 +630,22 @@ class Agent:
             raise UntrustedPlatform(self._compromised)
         self.refresh(nonce=nonce)  # raises if this round uncovers pcr drift
         config = self._config
+        done, earlier = self._appraised.get(policy_id, (0, ()))
         view = PlatformView(
             quote=self._quote,
             pcr_values=dict(self._pcr_values),
             ek_cert=config.ek_cert,
             nonce=nonce,
-            ima_events=tuple(self._events),
+            ima_events=tuple(self._events[done:]),
+            earlier_violations=earlier,
             static_original=dict(config.originals),
             static_obfuscated=dict(config.obfuscated),
             log_tampered=self._compromised == "log-tampered",
             location_estimates=self._measure_locations(policy),
         )
         verdict = evaluate(policy, view)
+        self._appraised[policy_id] = (len(self._events), tuple(
+            v for v in verdict.violations if v.kind == "untrusted-file"))
         return {"policy_id": policy_id, **verdict.to_dict()}
 
     def health(self) -> dict:

@@ -9,8 +9,9 @@ hash additionally carries a distributor signature).  The template hash is
 the digest of the canonical event encoding; extending PCR 10 with each
 template hash in order yields the aggregate that a quote certifies.
 
-Verification is differential: the verifier keeps (bytes_read, running
-digest, seen event hashes) and on each round folds only the new suffix of
+The machine writes the log append-only: each measurement adds its one
+line to the log on disk.  Verification is differential: the verifier keeps
+(bytes_read, running digest) and on each round folds only the new suffix of
 the log until the running digest equals the quoted PCR-10 value.  Reaching
 the end of the log without hitting that value means log and register
 diverged, which is treated as tampering and is terminal for the platform.
@@ -111,16 +112,13 @@ def parse_line(raw: bytes) -> ImaEvent:
 
 
 class ImaLog:
-    """Append-only in-memory log plus its ASCII serialization."""
+    """Append-only in-memory log; each event's line is :meth:`ImaEvent.encode_line`."""
 
     def __init__(self):
         self.events: List[ImaEvent] = []
 
     def append(self, event: ImaEvent) -> None:
         self.events.append(event)
-
-    def to_bytes(self) -> bytes:
-        return b"".join(e.encode_line() + b"\n" for e in self.events)
 
 
 def measure_file(log: ImaLog, tpm: TpmState, path: str, content: bytes,

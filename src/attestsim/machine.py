@@ -121,11 +121,13 @@ class Machine:
 
         Returns (event, loaded).  A denied file is still measured, exactly
         like an appraisal-enforcing kernel logs the attempt before refusing.
+        The event's line is appended to the log on disk as it stands; the
+        log is never rewritten, so an edit made there stays.
         """
         if self.state != "runtime":
             raise BootError("files load only at OS runtime")
         event = ima.measure_file(self.ima_log, self.tpm, path, content, signature)
-        self.disk["ima/log"] = self.ima_log.to_bytes()
+        self.disk["ima/log"] = self.disk.get("ima/log", b"") + event.encode_line() + b"\n"
         loaded = True
         if self.ima_enforcing and self.ima_cert is not None:
             loaded = ima.appraise(path, content, signature, self.ima_cert)

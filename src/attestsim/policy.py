@@ -291,6 +291,13 @@ class PlatformView:
     initialization, and the current quote value must equal the sealed
     obfuscated value.  Dynamic whitelist values are matched directly
     against the quote.
+
+    ``ima_events`` are the log events still to appraise under this policy,
+    and ``earlier_violations`` the ``untrusted-file`` violations that an
+    earlier evaluation under the same policy found in the events before
+    them.  A serving agent keeps that appraisal cursor per policy and passes
+    only the suffix it has not appraised yet; every event since boot with
+    no earlier violations is the full evaluation.
     """
 
     quote: Quote
@@ -298,6 +305,7 @@ class PlatformView:
     ek_cert: Certificate
     nonce: bytes
     ima_events: Tuple[Tuple[bytes, str, Optional[bytes]], ...]
+    earlier_violations: Tuple[Violation, ...] = ()
     static_original: Dict[int, bytes] = field(default_factory=dict)
     static_obfuscated: Dict[int, bytes] = field(default_factory=dict)
     log_tampered: bool = False
@@ -305,6 +313,12 @@ class PlatformView:
 
 
 def evaluate(policy: Policy, view: PlatformView) -> PolicyVerdict:
+    """Map (policy, view) to a verdict.
+
+    File violations come in log order: the view's earlier ones first, then
+    those of ``ima_events``, so appraising a log in pieces gives the same
+    verdict as appraising it whole.
+    """
     violations: List[Violation] = []
 
     if view.quote.nonce != view.nonce or not view.quote.verify_signature():
@@ -335,6 +349,7 @@ def evaluate(policy: Policy, view: PlatformView) -> PolicyVerdict:
     if view.log_tampered:
         violations.append(Violation("log-tampered", "measurement log diverged from pcr-10"))
 
+    violations.extend(view.earlier_violations)
     if policy.runtime_cert is not None or policy.software:
         whitelisted = policy.whitelisted_hashes()
         for file_hash, path, signature in view.ima_events:

@@ -1,11 +1,13 @@
 """One walker that checks an input document against a shape of plain data.
 
 A shape is a type or a tuple of types (``bool`` passes only where it is
-named, never as ``int`` or ``float``); ``[shape]``, a list of that shape;
-``{key: shape}``, a mapping with no other keys, whose :class:`Required` keys
-must be present (``{str: shape}`` takes any string key); or a ``set`` of
-literals, one of which the value must be.
+named, never as ``int`` or ``float``, and a ``float`` must be finite);
+``[shape]``, a list of that shape; ``{key: shape}``, a mapping with no other
+keys, whose :class:`Required` keys must be present (``{str: shape}`` takes
+any string key); or a ``set`` of literals, one of which the value must be.
 """
+
+import math
 
 _NAMES = {dict: "mapping", list: "list", str: "string", int: "integer", float: "number",
           bool: "boolean", type(None): "null"}
@@ -41,3 +43,5 @@ def check_shape(value, shape, where: str, error) -> None:
             expected = " or ".join(_NAMES[k] for k in kinds)
             raise error(f"{where}: expected {expected}, not "
                         f"{_NAMES.get(type(value), type(value).__name__)}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{where}: expected a finite number, not {value}")

@@ -1,10 +1,14 @@
 """Two-phase agent: initialization, trust conditions, serving loop, API."""
 
+from dataclasses import replace
+from unittest import mock
+
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attestsim import crypto
 from attestsim.agent import (
     CONDITION_DYNAMIC,
     CONDITION_REBOOT,
@@ -31,7 +35,7 @@ from attestsim.machine import (
     run_enclave,
 )
 from attestsim.netsim import BeaconService, LatencyModel, NetworkModel
-from attestsim.policy import pem_encode
+from attestsim.policy import evaluate, pem_encode
 from attestsim.tpm import IMA_PCR, TpmError, TpmState, extend_digest
 
 AGENT_BIN = SoftwareImage("attest-agent", b"attest-agent-bin-2.3")
@@ -563,6 +567,125 @@ def test_log_tamper_latches_and_keeps_answering():
     assert verdict["compliant"] is False
     assert "log-tampered" in [v["kind"] for v in verdict["violations"]]
     assert agent.health()["status"] == "compromised"
+
+
+def test_log_on_disk_is_appended_and_an_edit_stays():
+    w, m, agent = serving_agent()
+    for i in range(5):
+        m.load_file(f"/usr/bin/t{i}", b"tool %d" % i)
+    assert m.disk["ima/log"] == b"".join(e.encode_line() + b"\n" for e in m.ima_log.events)
+    # an edit the agent has not folded yet must survive the next load
+    log = bytearray(m.disk["ima/log"])
+    log[-10] ^= 0x01
+    m.disk["ima/log"] = bytes(log)
+    m.load_file("/usr/bin/after", b"after")
+    assert m.disk["ima/log"].startswith(bytes(log))
+    agent.refresh(force=True)
+    assert agent.compromised == "log-tampered"
+
+
+# --------------------------------------------------------------------------
+# incremental appraisal: each policy appraises only events new to it
+# --------------------------------------------------------------------------
+
+KNOWN = b"whitelisted tool"
+VENDOR = generate_keypair(Rng(93))
+FOREIGN = generate_keypair(Rng(94))
+
+
+def _file_load(kind, i):
+    """(path, content, signature) of a file of one of four kinds."""
+    content = b"file %d of kind %d" % (i, kind)
+    if kind == 0:
+        return f"/opt/known{i}", KNOWN, None
+    if kind == 1:
+        return f"/opt/signed{i}", content, sign(sha256(content), VENDOR)
+    if kind == 2:
+        return f"/opt/forged{i}", content, sign(sha256(content), FOREIGN)
+    return f"/tmp/rogue{i}", content, None
+
+
+def _runtime_policies(w):
+    """A policy with a runtime certificate, and one without whose PCR 17
+    entry is wrong, so each of its verdicts also carries a pcr-mismatch."""
+    entries = [(0, w.golden_statics[0])] + sorted(w.golden_dynamics.items())
+    software = [{"name": "ops", "whitelist": {sha256(KNOWN).hex(): "/opt/known"}}]
+    wrong = [(i, ZERO_DIGEST if i == 17 else v) for i, v in entries]
+    return (policy_text(w, entries, runtime_cert=VENDOR.public, software=software),
+            policy_text(w, wrong, software=software))
+
+
+STEPS = st.one_of(
+    st.tuples(st.just("load"), st.integers(0, 3)),
+    st.tuples(st.just("deploy"), st.integers(0, 1)),
+    st.tuples(st.just("verify"), st.just(0)),
+    st.tuples(st.just("reenter"), st.just(0)),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(steps=st.lists(STEPS, min_size=4, max_size=30))
+def test_incremental_verdicts_equal_full_evaluation(steps):
+    """Every incremental verdict equals evaluating every event from scratch."""
+    w, m, agent = serving_agent()
+    texts = _runtime_policies(w)
+    views = []
+
+    def recording(policy, view):
+        views.append(view)
+        return evaluate(policy, view)
+
+    pids = []
+    nonces = Rng(95)
+
+    def verify_each():
+        for pid in pids:
+            verdict = agent.verify_policy(pid, nonces.bytes(32))
+            every = tuple((e.file_hash, e.path, e.signature) for e in m.ima_log.events)
+            full = replace(views[-1], ima_events=every, earlier_violations=())
+            assert verdict == {"policy_id": pid,
+                               **evaluate(agent.registry.get(pid), full).to_dict()}
+
+    with mock.patch("attestsim.agent.evaluate", recording):
+        for i, (action, arg) in enumerate(steps):
+            if action == "load":
+                m.load_file(*_file_load(arg, i))
+            elif action == "deploy":
+                pids.append(agent.deploy_policy(texts[arg]))
+            elif action == "reenter":
+                assert agent.enter_runtime().trusted
+            else:
+                verify_each()
+        verify_each()
+
+
+def test_unchanged_log_is_appraised_once_per_policy(monkeypatch):
+    w, m, agent = serving_agent()
+    for i in range(40):
+        m.load_file(*_file_load(1 if i % 10 == 0 else 0, i))
+    verifies = []
+    appraised = []
+
+    def counting_verify(signature, message, public):
+        verifies.append(message)
+        return crypto.verify(signature, message, public)
+
+    def recording(policy, view):
+        appraised.append(len(view.ima_events))
+        return evaluate(policy, view)
+
+    monkeypatch.setattr("attestsim.policy.verify", counting_verify)
+    monkeypatch.setattr("attestsim.agent.evaluate", recording)
+    pid = agent.deploy_policy(_runtime_policies(w)[0])
+    nonces = Rng(96)
+    for _ in range(10):
+        assert agent.verify_policy(pid, nonces.bytes(32))["compliant"] is True
+    assert len(verifies) == 4
+    assert appraised == [40] + [0] * 9
+    for i in range(40, 45):
+        m.load_file(*_file_load(1, i))
+    assert agent.verify_policy(pid, nonces.bytes(32))["compliant"] is True
+    assert appraised[-1] == 5 and len(verifies) == 9
 
 
 def test_reboot_under_running_agent_is_locked_out():

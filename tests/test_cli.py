@@ -112,6 +112,8 @@ def test_run_missing_file_exits_three(capsys):
     "machines: [{id: m0, agent: {}}]\npoll: {targets: [[m0]]}\n",
     "machines: [{id: m0}]\nscript: [{at: 0, action: boot, machine: m0},\n"
     "  {at: 1, action: load-file, machine: m0, path: 5}]\n",
+    "machines: [{id: m0, agent: {}}]\npoll: {period_ms: .nan, rounds: 2}\n",
+    "machines: [{id: m0}]\nscript: [{at: .inf, action: boot, machine: m0}]\n",
 ], ids=["step-without-machine", "unknown-image", "machine-without-id",
         "beacon-without-endpoint", "links-not-a-list", "machines-not-a-list",
         "static-whitelist-not-a-list", "script-not-a-list", "images-not-a-mapping",
@@ -121,7 +123,7 @@ def test_run_missing_file_exits_three(capsys):
         "link-base-ms-not-a-number", "extend-pcr-register-not-an-integer",
         "obfuscate-not-a-boolean", "machine-dc-not-a-string", "machine-id-not-a-string",
         "link-dcs-not-strings", "relay-target-not-a-string", "poll-target-not-a-string",
-        "load-file-path-not-a-string"])
+        "load-file-path-not-a-string", "poll-period-nan", "step-at-inf"])
 def test_run_schema_errors_exit_three_without_traceback(tmp_path, document):
     scenario = tmp_path / "bad.yaml"
     scenario.write_text(document)

@@ -118,6 +118,10 @@ def test_appraise_signature_logic():
 # differential verification
 # --------------------------------------------------------------------------
 
+def log_bytes(log):
+    return b"".join(e.encode_line() + b"\n" for e in log.events)
+
+
 def grow_log(n, seed=4):
     tpm, rng = scratch_tpm(seed)
     log = ImaLog()
@@ -128,9 +132,9 @@ def grow_log(n, seed=4):
 
 def test_one_pass_verification():
     log, tpm = grow_log(30)
-    events, cache = read_new_events(log.to_bytes(), ImaCacheState(), tpm.read_pcr(IMA_PCR))
+    events, cache = read_new_events(log_bytes(log), ImaCacheState(), tpm.read_pcr(IMA_PCR))
     assert len(events) == 30
-    assert cache.bytes_read == len(log.to_bytes())
+    assert cache.bytes_read == len(log_bytes(log))
     assert cache.running_digest == tpm.read_pcr(IMA_PCR)
 
 
@@ -142,11 +146,11 @@ def test_incremental_equals_batch():
     for batch in range(5):
         for i in range(7):
             measure_file(log, tpm, f"/opt/b{batch}-{i}", rng.bytes(12))
-        events, cache = read_new_events(log.to_bytes(), cache, tpm.read_pcr(IMA_PCR))
+        events, cache = read_new_events(log_bytes(log), cache, tpm.read_pcr(IMA_PCR))
         all_events.extend(events)
 
     batch_events, batch_cache = read_new_events(
-        log.to_bytes(), ImaCacheState(), tpm.read_pcr(IMA_PCR)
+        log_bytes(log), ImaCacheState(), tpm.read_pcr(IMA_PCR)
     )
     assert [e.template_hash for e in all_events] == [e.template_hash for e in batch_events]
     assert (cache.bytes_read, cache.running_digest) == (
@@ -156,8 +160,8 @@ def test_incremental_equals_batch():
 
 def test_no_new_events_is_idempotent():
     log, tpm = grow_log(5)
-    _, cache = read_new_events(log.to_bytes(), ImaCacheState(), tpm.read_pcr(IMA_PCR))
-    again, cache2 = read_new_events(log.to_bytes(), cache, tpm.read_pcr(IMA_PCR))
+    _, cache = read_new_events(log_bytes(log), ImaCacheState(), tpm.read_pcr(IMA_PCR))
+    again, cache2 = read_new_events(log_bytes(log), cache, tpm.read_pcr(IMA_PCR))
     assert again == [] and cache2 == cache
 
 
@@ -168,10 +172,10 @@ def test_empty_log_with_zero_register():
 
 def test_partial_trailing_line_is_not_tampering():
     log, tpm = grow_log(4)
-    partially_written = log.to_bytes() + b"10 deadbeef ima-ng"   # no newline yet
+    partially_written = log_bytes(log) + b"10 deadbeef ima-ng"   # no newline yet
     events, cache = read_new_events(partially_written, ImaCacheState(), tpm.read_pcr(IMA_PCR))
     assert len(events) == 4
-    assert cache.bytes_read == len(log.to_bytes())
+    assert cache.bytes_read == len(log_bytes(log))
 
 
 def test_log_ending_before_match_is_tampering():
@@ -183,7 +187,7 @@ def test_log_ending_before_match_is_tampering():
 
 def test_flipped_byte_is_tampering():
     log, tpm = grow_log(8)
-    raw = bytearray(log.to_bytes())
+    raw = bytearray(log_bytes(log))
     raw[len(raw) // 2] ^= 0x01
     with pytest.raises(TamperDetected):
         read_new_events(bytes(raw), ImaCacheState(), tpm.read_pcr(IMA_PCR))
@@ -210,7 +214,7 @@ def test_any_chunking_matches_one_pass(boundaries):
         for i in range(done, cut):
             measure_file(log, tpm, f"/srv/h{i}", rng.bytes(10))
         done = cut
-        events, cache = read_new_events(log.to_bytes(), cache, tpm.read_pcr(IMA_PCR))
+        events, cache = read_new_events(log_bytes(log), cache, tpm.read_pcr(IMA_PCR))
         read += len(events)
     assert read == 30
     assert cache.running_digest == tpm.read_pcr(IMA_PCR)
@@ -231,14 +235,14 @@ def test_manifest_is_deterministic_and_fractionally_signed():
 def test_rendered_fixture_matches_real_measurement_path():
     # dual route: render_fixture_log vs driving a real TPM through measure_file
     manifest = generate_boot_manifest(seed=12, count=50)
-    log_bytes, final_digest = render_fixture_log(manifest)
+    rendered, final_digest = render_fixture_log(manifest)
 
     tpm, _ = scratch_tpm(13)
     log = ImaLog()
     for entry in manifest:
         measure_file(log, tpm, entry.path, entry.content, entry.signature)
-    assert log.to_bytes() == log_bytes
+    assert log_bytes(log) == rendered
     assert tpm.read_pcr(IMA_PCR) == final_digest
 
-    events, cache = read_new_events(log_bytes, ImaCacheState(), final_digest)
+    events, cache = read_new_events(rendered, ImaCacheState(), final_digest)
     assert len(events) == 50

@@ -120,6 +120,13 @@ def test_wrong_types_are_rejected_not_coerced(mutator, needle):
         parse_policy(doc)
 
 
+@pytest.mark.parametrize("value", [".nan", ".inf"])
+def test_non_finite_max_latency_is_rejected(value):
+    with pytest.raises(PolicyParseError,
+                       match=r"location\[0\]\.max_latency: expected a finite number"):
+        parse_policy(fixture_policy_text(max_latency=value))
+
+
 def test_bad_pem_is_rejected():
     with pytest.raises(PolicyParseError, match="PEM"):
         parse_policy("chain: not-a-pem\nwhitelist:\n  pcrs:\n    - id: 0\n"

@@ -23,9 +23,12 @@ stored.  With ``obfuscate=False`` the scheme degrades to comparing raw
 static values, which a relay to a well-booted host satisfies — that
 variant exists so the regression can be demonstrated end to end.
 
-The :class:`Agent` wraps both phases plus the serving loop: periodic
-refresh with compromise latching, policy deployment/evaluation, and a
-small HTTP-shaped facade (:class:`AgentApi`).
+The :class:`Agent` wraps both phases plus the serving loop: policy
+deployment/evaluation with compromise latching, and a small HTTP-shaped
+facade (:class:`AgentApi`).  Each verdict refreshes the platform under its
+round nonce: a fresh quote checked for c2-c4 by the same function that
+establishes trust, so the runtime and the establishment decision cannot
+drift apart.
 
 Runtime work is differential at both ends.  Each refresh folds only the
 new suffix of the measurement log (:func:`ima.read_new_events`), and each
@@ -57,7 +60,6 @@ from .netsim import (
     BeaconError,
     BeaconService,
     NetworkModel,
-    VirtualClock,
     measure_proximity,
 )
 from .policy import (
@@ -85,7 +87,6 @@ from .tpm import (
 logger = logging.getLogger(__name__)
 
 CONFIG_DISK_KEY = "agent/config.sealed"
-DEFAULT_CACHE_PERIOD_MS = 500.0
 
 CONDITION_UNSEAL = "c1-unseal"
 CONDITION_DYNAMIC = "c2-dynamic-pcr"
@@ -305,6 +306,42 @@ class TrustReport:
     pcr_values: Dict[int, bytes] = field(default_factory=dict)
 
 
+def _failed_condition(
+    config: SealedConfig,
+    quote: Quote,
+    values: Dict[int, bytes],
+    golden_statics: Dict[int, bytes],
+    golden_dynamics: Dict[int, bytes],
+    obfuscate: bool,
+) -> Optional[Tuple[str, str]]:
+    """The first failing c2/c3/c4 condition and its detail, or ``None``.
+
+    Takes a quote that already verified for internal consistency; c1 (the
+    sealed baseline opens) is the caller's.
+    """
+    for idx in sorted(config.dynamics):
+        sealed = config.dynamics[idx]
+        if not (sealed == golden_dynamics.get(idx) == values.get(idx)):
+            return (CONDITION_DYNAMIC,
+                    f"dynamic pcr {idx} disagrees across sealed/golden/quoted values")
+
+    if quote.aik_pub != config.aik_pub:
+        return CONDITION_STATIC, "quote signed by a key other than the initialized one"
+    for idx in sorted(config.originals):
+        if config.originals[idx] != golden_statics.get(idx):
+            return (CONDITION_STATIC,
+                    f"sealed baseline for static pcr {idx} is not the golden value")
+        expected = config.obfuscated[idx] if obfuscate else config.originals[idx]
+        if values.get(idx) != expected:
+            return CONDITION_STATIC, f"static pcr {idx} does not show the expected value"
+
+    if quote.reboot_counter != config.reboot_counter:
+        return (CONDITION_REBOOT,
+                f"tpm rebooted {quote.reboot_counter - config.reboot_counter} time(s)"
+                " since initialization")
+    return None
+
+
 def establish_trust(
     ctx: EnclaveContext,
     channel,
@@ -339,59 +376,11 @@ def establish_trust(
             False, CONDITION_DYNAMIC, "quote failed verification", config
         )
 
-    for idx in sorted(config.dynamics):
-        sealed = config.dynamics[idx]
-        if not (sealed == golden_dynamics.get(idx) == values.get(idx)):
-            return TrustReport(
-                False,
-                CONDITION_DYNAMIC,
-                f"dynamic pcr {idx} disagrees across sealed/golden/quoted values",
-                config,
-                quote,
-                values,
-            )
-
-    if quote.aik_pub != config.aik_pub:
-        return TrustReport(
-            False,
-            CONDITION_STATIC,
-            "quote signed by a key other than the initialized one",
-            config,
-            quote,
-            values,
-        )
-    for idx in sorted(config.originals):
-        if config.originals[idx] != golden_statics.get(idx):
-            return TrustReport(
-                False,
-                CONDITION_STATIC,
-                f"sealed baseline for static pcr {idx} is not the golden value",
-                config,
-                quote,
-                values,
-            )
-        expected = config.obfuscated[idx] if obfuscate else config.originals[idx]
-        if values.get(idx) != expected:
-            return TrustReport(
-                False,
-                CONDITION_STATIC,
-                f"static pcr {idx} does not show the expected value",
-                config,
-                quote,
-                values,
-            )
-
-    if quote.reboot_counter != config.reboot_counter:
-        return TrustReport(
-            False,
-            CONDITION_REBOOT,
-            f"tpm rebooted {quote.reboot_counter - config.reboot_counter} time(s)"
-            " since initialization",
-            config,
-            quote,
-            values,
-        )
-
+    failed = _failed_condition(
+        config, quote, values, golden_statics, golden_dynamics, obfuscate
+    )
+    if failed is not None:
+        return TrustReport(False, *failed, config, quote, values)
     return TrustReport(True, None, "", config, quote, values)
 
 
@@ -413,7 +402,7 @@ class Agent:
     One instance is bound to one machine and one agent binary.  The boot
     pipeline calls :meth:`initialization_hook`; once the OS is up,
     :meth:`enter_runtime` re-establishes trust and the controller drives
-    :meth:`refresh` / the :class:`AgentApi` endpoints.
+    the :class:`AgentApi` endpoints; each verdict calls :meth:`refresh`.
     """
 
     def __init__(
@@ -425,8 +414,6 @@ class Agent:
         golden_dynamics: Dict[int, bytes],
         static_whitelist: Sequence[int] = (0,),
         obfuscate: bool = True,
-        clock: Optional[VirtualClock] = None,
-        cache_period_ms: float = DEFAULT_CACHE_PERIOD_MS,
         channel_factory=None,
     ):
         self.machine = machine
@@ -436,13 +423,10 @@ class Agent:
         self.golden_dynamics = dict(golden_dynamics)
         self.static_whitelist = tuple(sorted(set(static_whitelist)))
         self.obfuscate = obfuscate
-        self.clock = clock or VirtualClock()
-        self.cache_period_ms = cache_period_ms
         self.channel_factory = channel_factory or DirectTpmChannel
         self.registry = PolicyRegistry()
         self.network: Optional[NetworkAttachment] = None
 
-        self._ctx: Optional[EnclaveContext] = None
         self._channel = None
         self._config: Optional[SealedConfig] = None
         self._quote: Optional[Quote] = None
@@ -453,7 +437,6 @@ class Agent:
         self._appraised: Dict[str, Tuple[int, Tuple[Violation, ...]]] = {}
         self._compromised: Optional[str] = None  # log-tampered | pcr-changed | rebooted
         self._stale = False
-        self._last_refresh_ms: Optional[float] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -490,7 +473,6 @@ class Agent:
                 report.detail,
             )
             return report
-        self._ctx = ctx
         self._channel = channel
         self._config = report.config
         self._quote = report.quote
@@ -500,7 +482,6 @@ class Agent:
         self._appraised = {}
         self._compromised = None
         self._stale = False
-        self._last_refresh_ms = self.clock.now_ms
         self._fold_log(report.pcr_values[IMA_PCR])
         return report
 
@@ -528,26 +509,18 @@ class Agent:
         self._events.extend((e.file_hash, e.path, e.signature) for e in fresh)
         return True
 
-    def refresh(self, nonce: Optional[bytes] = None, force: bool = False) -> None:
-        """Re-quote and re-check the platform, latching any compromise.
+    def refresh(self, nonce: bytes) -> None:
+        """Re-quote the platform under ``nonce`` and re-check c2-c4,
+        latching any compromise.
 
-        Without an explicit nonce the cached state is served until the
-        cache period lapses.  A TPM failure leaves the last snapshot in
-        place marked stale; the next evaluation reports stale-quote.
+        A failed check latches ``rebooted`` if the reboot counter moved and
+        ``pcr-changed`` otherwise.  A TPM failure leaves the last snapshot
+        in place marked stale; the next evaluation reports stale-quote.
         """
         if not self.serving:
             raise UntrustedPlatform("agent is not serving")
         if self._compromised in ("pcr-changed", "rebooted"):
             raise UntrustedPlatform(self._compromised)
-        now = self.clock.now_ms
-        if (
-            nonce is None
-            and not force
-            and self._last_refresh_ms is not None
-            and now - self._last_refresh_ms < self.cache_period_ms
-        ):
-            return
-        nonce = nonce if nonce is not None else self.rng.bytes(NONCE_LEN)
         config = self._config
         selection = _selection(config.originals, config.dynamics)
         try:
@@ -564,20 +537,12 @@ class Agent:
         self._stale = False
         self._quote = quote
         self._pcr_values = dict(values)
-        self._last_refresh_ms = now
 
-        if quote.reboot_counter != config.reboot_counter:
-            self._compromised = "rebooted"
-            raise UntrustedPlatform("rebooted")
-        statics_ok = quote.aik_pub == config.aik_pub and all(
-            values.get(i) == config.obfuscated[i] for i in config.obfuscated
-        )
-        dynamics_ok = all(
-            values.get(i) == config.dynamics[i] for i in config.dynamics
-        )
-        if not (statics_ok and dynamics_ok):
-            self._compromised = "pcr-changed"
-            raise UntrustedPlatform("pcr-changed")
+        if _failed_condition(config, quote, values, self.golden_statics,
+                             self.golden_dynamics, self.obfuscate) is not None:
+            moved = quote.reboot_counter != config.reboot_counter
+            self._compromised = "rebooted" if moved else "pcr-changed"
+            raise UntrustedPlatform(self._compromised)
 
         if self._compromised != "log-tampered":
             self._fold_log(values[IMA_PCR])

@@ -23,7 +23,6 @@ from .tpm import NONCE_LEN
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_POLL_PERIOD_MS = 1000.0
 DEFAULT_MISS_THRESHOLD = 3
 
 

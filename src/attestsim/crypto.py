@@ -27,7 +27,6 @@ ZERO_DIGEST = b"\x00" * DIGEST_LEN
 ONES_DIGEST = b"\xff" * DIGEST_LEN
 
 KEY_LEN = 32
-SIGNATURE_LEN = 64
 _SEAL_NONCE_LEN = 12
 
 

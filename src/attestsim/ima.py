@@ -111,29 +111,18 @@ def parse_line(raw: bytes) -> ImaEvent:
     return ImaEvent(pcr_index, t_hash, name, file_hash, path, signature)
 
 
-class ImaLog:
-    """Append-only in-memory log; each event's line is :meth:`ImaEvent.encode_line`."""
-
-    def __init__(self):
-        self.events: List[ImaEvent] = []
-
-    def append(self, event: ImaEvent) -> None:
-        self.events.append(event)
-
-
-def measure_file(log: ImaLog, tpm: TpmState, path: str, content: bytes,
+def measure_file(tpm: TpmState, path: str, content: bytes,
                  signature: Optional[bytes] = None) -> ImaEvent:
-    """Measure a file: extend PCR 10, then append the event (extend-first,
-    so every complete log prefix matches some past register state)."""
+    """Measure a file: extend PCR 10 and return the event for the log
+    (extend-first, so every complete log prefix matches some past register
+    state)."""
     if " " in path or "\n" in path:
         raise ImaFormatError("paths with whitespace are not representable")
     file_hash = sha256(content)
     name = TEMPLATE_SIG if signature is not None else TEMPLATE_NG
     t_hash = template_hash(name, file_hash, path, signature)
     tpm.pcr_extend(IMA_PCR, t_hash, locality=0)
-    event = ImaEvent(IMA_PCR, t_hash, name, file_hash, path, signature)
-    log.append(event)
-    return event
+    return ImaEvent(IMA_PCR, t_hash, name, file_hash, path, signature)
 
 
 def appraise(path: str, content: bytes, signature: Optional[bytes],

@@ -90,7 +90,6 @@ class Machine:
         self.current_locality = 0
         self.booted_measurements: Optional[Dict[str, bytes]] = None
         self.golden_measurements: Optional[Dict[str, bytes]] = None
-        self.ima_log = ima.ImaLog()
         self.ima_enforcing = True
         self.ima_cert: Optional[bytes] = None
 
@@ -126,7 +125,7 @@ class Machine:
         """
         if self.state != "runtime":
             raise BootError("files load only at OS runtime")
-        event = ima.measure_file(self.ima_log, self.tpm, path, content, signature)
+        event = ima.measure_file(self.tpm, path, content, signature)
         self.disk["ima/log"] = self.disk.get("ima/log", b"") + event.encode_line() + b"\n"
         loaded = True
         if self.ima_enforcing and self.ima_cert is not None:
@@ -181,7 +180,6 @@ def boot(
     )
 
     machine.booted_measurements = dict(outcome.measurements)
-    machine.ima_log = ima.ImaLog()
     machine.disk["ima/log"] = b""
 
     # initramfs phase

@@ -88,8 +88,6 @@ def junk_term(tpm_id: int) -> Term:
 
 # -- processes --------------------------------------------------------------
 
-PHASES = ("created", "booted", "init_q0", "init_extend", "sealed", "done", "halted")
-
 
 class TpmProc(NamedTuple):
     tpm_id: int
@@ -101,7 +99,7 @@ class TpmProc(NamedTuple):
 class MachineProc(NamedTuple):
     machine_id: int
     attached_tpm: int
-    phase: str = "created"
+    phase: str = "created"  # booted | init_q0 | init_extend | sealed | done | halted
     image: Optional[str] = None
     driver_malicious: bool = False
     bound_tpm: Optional[int] = None

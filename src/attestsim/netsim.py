@@ -171,10 +171,8 @@ def trimmed_mean(samples: List[float], trim_fraction: float) -> float:
 
 @dataclass(frozen=True)
 class ProximityEstimate:
-    beacon: str
     samples_ms: Tuple[float, ...]
     trimmed_mean_ms: float
-    trim_fraction: float
 
 
 def measure_proximity(
@@ -219,8 +217,6 @@ def measure_proximity(
 
     samples = [b - a for a, b in zip(timestamps, timestamps[1:])]
     return ProximityEstimate(
-        beacon=beacon.endpoint,
         samples_ms=tuple(samples),
         trimmed_mean_ms=trimmed_mean(samples, trim_fraction),
-        trim_fraction=trim_fraction,
     )

@@ -335,7 +335,6 @@ def build_fleet(doc: dict, seed: int) -> _Fleet:
                 golden_dynamics,
                 static_whitelist=tuple(spec["agent"].get("static_whitelist", [0])),
                 obfuscate=spec["agent"].get("obfuscate", True),
-                clock=clock,
             )
             if net is not None:
                 agent.attach_network(net, beacons, f"agent-{mid}")

@@ -284,9 +284,10 @@ def test_criterion_7_policy_roundtrip_over_the_agent_api():
     api = fleet.apis["m0"]
     machine = fleet.machines["m0"]
     rng = Rng(515)
+    loaded = []  # every event measured since boot
 
     def policy_text(extra_whitelist=()):
-        known = {e.file_hash.hex(): e.path for e in machine.ima_log.events}
+        known = {e.file_hash.hex(): e.path for e in loaded}
         known.update(extra_whitelist)
         entries = sorted({**fleet.golden_statics, **fleet.golden_dynamics}.items())
         return yaml.safe_dump({
@@ -311,7 +312,7 @@ def test_criterion_7_policy_roundtrip_over_the_agent_api():
     assert first.body["compliant"] is True
 
     rogue = b"unsigned-diagnostic-tool-v1"
-    machine.load_file("/opt/diag", rogue)
+    loaded.append(machine.load_file("/opt/diag", rogue)[0])
     flagged = verify(policy_id)
     assert flagged.status == 200
     assert flagged.body["compliant"] is False

@@ -34,7 +34,7 @@ from attestsim.machine import (
     reboot_machine,
     run_enclave,
 )
-from attestsim.netsim import BeaconService, LatencyModel, NetworkModel
+from attestsim.netsim import BeaconService, LatencyModel, NetworkModel, VirtualClock
 from attestsim.policy import evaluate, pem_encode
 from attestsim.tpm import IMA_PCR, TpmError, TpmState, extend_digest
 
@@ -556,12 +556,12 @@ def test_log_tamper_latches_and_keeps_answering():
     w, m, agent = serving_agent()
     pid = agent.deploy_policy(golden_policy(w))
     m.load_file("/usr/bin/a", b"aaa")
-    agent.refresh(force=True)
+    agent.refresh(Rng(97).bytes(32))
     log = bytearray(m.disk["ima/log"])
     log[10] ^= 0x01
     m.disk["ima/log"] = bytes(log) + b"x 41414141 ima-ng 42424242 /oops\n"
     m.tpm.pcr_extend(IMA_PCR, sha256(b"hidden load"), locality=0)
-    agent.refresh(force=True)
+    agent.refresh(Rng(98).bytes(32))
     assert agent.compromised == "log-tampered"
     verdict = agent.verify_policy(pid, Rng(58).bytes(32))
     assert verdict["compliant"] is False
@@ -571,16 +571,15 @@ def test_log_tamper_latches_and_keeps_answering():
 
 def test_log_on_disk_is_appended_and_an_edit_stays():
     w, m, agent = serving_agent()
-    for i in range(5):
-        m.load_file(f"/usr/bin/t{i}", b"tool %d" % i)
-    assert m.disk["ima/log"] == b"".join(e.encode_line() + b"\n" for e in m.ima_log.events)
+    events = [m.load_file(f"/usr/bin/t{i}", b"tool %d" % i)[0] for i in range(5)]
+    assert m.disk["ima/log"] == b"".join(e.encode_line() + b"\n" for e in events)
     # an edit the agent has not folded yet must survive the next load
     log = bytearray(m.disk["ima/log"])
     log[-10] ^= 0x01
     m.disk["ima/log"] = bytes(log)
     m.load_file("/usr/bin/after", b"after")
     assert m.disk["ima/log"].startswith(bytes(log))
-    agent.refresh(force=True)
+    agent.refresh(Rng(99).bytes(32))
     assert agent.compromised == "log-tampered"
 
 
@@ -636,12 +635,13 @@ def test_incremental_verdicts_equal_full_evaluation(steps):
         return evaluate(policy, view)
 
     pids = []
+    loaded = []
     nonces = Rng(95)
 
     def verify_each():
         for pid in pids:
             verdict = agent.verify_policy(pid, nonces.bytes(32))
-            every = tuple((e.file_hash, e.path, e.signature) for e in m.ima_log.events)
+            every = tuple((e.file_hash, e.path, e.signature) for e in loaded)
             full = replace(views[-1], ima_events=every, earlier_violations=())
             assert verdict == {"policy_id": pid,
                                **evaluate(agent.registry.get(pid), full).to_dict()}
@@ -649,7 +649,7 @@ def test_incremental_verdicts_equal_full_evaluation(steps):
     with mock.patch("attestsim.agent.evaluate", recording):
         for i, (action, arg) in enumerate(steps):
             if action == "load":
-                m.load_file(*_file_load(arg, i))
+                loaded.append(m.load_file(*_file_load(arg, i))[0])
             elif action == "deploy":
                 pids.append(agent.deploy_policy(texts[arg]))
             elif action == "reenter":
@@ -688,13 +688,16 @@ def test_unchanged_log_is_appraised_once_per_policy(monkeypatch):
     assert appraised[-1] == 5 and len(verifies) == 9
 
 
-def test_reboot_under_running_agent_is_locked_out():
-    w, m, agent = serving_agent(whitelist=())
+@pytest.mark.parametrize("whitelist", [(), (0,)], ids=["plain-statics", "obfuscated-static"])
+def test_reboot_under_running_agent_is_locked_out(whitelist):
+    """A reboot latches ``rebooted`` even when it also wipes the obfuscated
+    static, which on its own would latch ``pcr-changed``."""
+    w, m, agent = serving_agent(whitelist=whitelist)
     pid = agent.deploy_policy(golden_policy(w))
     reboot_machine(m)
     w.boot(m)
     with pytest.raises(UntrustedPlatform):
-        agent.refresh(force=True)
+        agent.refresh(Rng(100).bytes(32))
     assert agent.compromised == "rebooted"
     api = AgentApi(agent)
     resp = api.handle("GET", f"/policy/{pid}?nonce={Rng(59).bytes(32).hex()}")
@@ -707,8 +710,25 @@ def test_static_drift_under_running_agent_is_locked_out():
     w, m, agent = serving_agent()
     m.tpm.pcr_extend(0, sha256(b"drift"), locality=0)
     with pytest.raises(UntrustedPlatform):
-        agent.refresh(force=True)
+        agent.refresh(Rng(101).bytes(32))
     assert agent.compromised == "pcr-changed"
+
+
+def test_runtime_relay_swap_under_running_agent_is_locked_out():
+    """The driver of a serving agent starts relaying to a golden-booted
+    host: its quotes verify and show golden values, but carry another key
+    and miss the obfuscated static, so the next refresh latches."""
+    w = World(n_machines=2)
+    m, oracle = w.machines
+    agent = w.agent_for(m)
+    w.boot(m, init_hook=agent.initialization_hook)
+    assert agent.enter_runtime().trusted
+    w.boot(oracle)
+    agent._channel = RelayTpmChannel(m, RemoteTpmSurface(oracle), w.rng.child("adv"))
+    with pytest.raises(UntrustedPlatform):
+        agent.refresh(Rng(102).bytes(32))
+    assert agent.compromised == "pcr-changed"
+    assert agent._quote.aik_pub not in m.tpm.aiks
 
 
 class FlakyChannel:
@@ -742,19 +762,9 @@ def test_unreachable_tpm_yields_stale_quote_verdict():
     assert verdict["compliant"] is True
 
 
-def test_cached_refresh_respects_period():
-    w, m, agent = serving_agent()
-    first = agent._quote
-    agent.refresh()  # inside the cache window: serves the cached state
-    assert agent._quote is first
-    agent.clock.advance(agent.cache_period_ms + 1)
-    agent.refresh()
-    assert agent._quote is not first
-
-
 def test_location_rule_measured_through_attached_network():
     w, m, agent = serving_agent()
-    clock = agent.clock
+    clock = VirtualClock()
     brng = Rng(71)
     authority = generate_keypair(brng)
     bkp = generate_keypair(brng)

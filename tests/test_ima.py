@@ -8,7 +8,6 @@ from attestsim.crypto import ZERO_DIGEST, Rng, generate_keypair, sha256, sign
 from attestsim.ima import (
     ImaCacheState,
     ImaFormatError,
-    ImaLog,
     TamperDetected,
     aggregate,
     appraise,
@@ -34,9 +33,8 @@ def scratch_tpm(seed=1):
 def test_event_line_roundtrip_ng_and_sig():
     tpm, rng = scratch_tpm()
     signer = generate_keypair(rng)
-    log = ImaLog()
-    e1 = measure_file(log, tpm, "/usr/bin/tool", b"binary-bytes")
-    e2 = measure_file(log, tpm, "/usr/bin/signed", b"other", sign(sha256(b"other"), signer))
+    e1 = measure_file(tpm, "/usr/bin/tool", b"binary-bytes")
+    e2 = measure_file(tpm, "/usr/bin/signed", b"other", sign(sha256(b"other"), signer))
     for e in (e1, e2):
         assert parse_line(e.encode_line()) == e
     assert e1.template_name == "ima-ng" and e2.template_name == "ima-sig"
@@ -58,8 +56,7 @@ def test_uppercase_hex_is_not_canonical():
     # bytes.fromhex would accept "AB" == "ab"; the parser must not, or two
     # distinct byte streams could decode to the same verified digest
     tpm, _ = scratch_tpm()
-    log = ImaLog()
-    event = measure_file(log, tpm, "/usr/bin/tool", b"binary-bytes")
+    event = measure_file(tpm, "/usr/bin/tool", b"binary-bytes")
     line = event.encode_line()
     shouted = line.replace(event.file_hash.hex().encode(),
                            event.file_hash.hex().upper().encode())
@@ -78,7 +75,7 @@ def test_template_hash_binds_every_field():
 def test_whitespace_paths_are_rejected():
     tpm, _ = scratch_tpm()
     with pytest.raises(ImaFormatError):
-        measure_file(ImaLog(), tpm, "/has space", b"x")
+        measure_file(tpm, "/has space", b"x")
 
 
 # --------------------------------------------------------------------------
@@ -87,10 +84,10 @@ def test_whitespace_paths_are_rejected():
 
 def test_every_prefix_matches_register_at_that_point():
     tpm, rng = scratch_tpm(2)
-    log = ImaLog()
+    log = []
     for i in range(25):
-        measure_file(log, tpm, f"/bin/f{i}", rng.bytes(16))
-        prefix = [e.template_hash for e in log.events]
+        log.append(measure_file(tpm, f"/bin/f{i}", rng.bytes(16)))
+        prefix = [e.template_hash for e in log]
         assert aggregate(prefix) == tpm.read_pcr(IMA_PCR)
 
 
@@ -119,14 +116,12 @@ def test_appraise_signature_logic():
 # --------------------------------------------------------------------------
 
 def log_bytes(log):
-    return b"".join(e.encode_line() + b"\n" for e in log.events)
+    return b"".join(e.encode_line() + b"\n" for e in log)
 
 
 def grow_log(n, seed=4):
     tpm, rng = scratch_tpm(seed)
-    log = ImaLog()
-    for i in range(n):
-        measure_file(log, tpm, f"/lib/e{i}", rng.bytes(20))
+    log = [measure_file(tpm, f"/lib/e{i}", rng.bytes(20)) for i in range(n)]
     return log, tpm
 
 
@@ -140,12 +135,12 @@ def test_one_pass_verification():
 
 def test_incremental_equals_batch():
     tpm, rng = scratch_tpm(5)
-    log = ImaLog()
+    log = []
     cache = ImaCacheState()
     all_events = []
     for batch in range(5):
         for i in range(7):
-            measure_file(log, tpm, f"/opt/b{batch}-{i}", rng.bytes(12))
+            log.append(measure_file(tpm, f"/opt/b{batch}-{i}", rng.bytes(12)))
         events, cache = read_new_events(log_bytes(log), cache, tpm.read_pcr(IMA_PCR))
         all_events.extend(events)
 
@@ -180,7 +175,7 @@ def test_partial_trailing_line_is_not_tampering():
 
 def test_log_ending_before_match_is_tampering():
     log, tpm = grow_log(6)
-    truncated = b"".join(e.encode_line() + b"\n" for e in log.events[:5])
+    truncated = b"".join(e.encode_line() + b"\n" for e in log[:5])
     with pytest.raises(TamperDetected):
         read_new_events(truncated, ImaCacheState(), tpm.read_pcr(IMA_PCR))
 
@@ -195,7 +190,7 @@ def test_flipped_byte_is_tampering():
 
 def test_reordered_events_are_tampering():
     log, tpm = grow_log(5)
-    lines = [e.encode_line() + b"\n" for e in log.events]
+    lines = [e.encode_line() + b"\n" for e in log]
     swapped = b"".join([lines[0], lines[2], lines[1], lines[3], lines[4]])
     with pytest.raises(TamperDetected):
         read_new_events(swapped, ImaCacheState(), tpm.read_pcr(IMA_PCR))
@@ -205,14 +200,14 @@ def test_reordered_events_are_tampering():
 @given(boundaries=st.lists(st.integers(1, 29), min_size=1, max_size=4, unique=True))
 def test_any_chunking_matches_one_pass(boundaries):
     tpm, rng = scratch_tpm(6)
-    log = ImaLog()
+    log = []
     cuts = sorted(boundaries) + [30]
     cache = ImaCacheState()
     read = 0
     done = 0
     for cut in cuts:
         for i in range(done, cut):
-            measure_file(log, tpm, f"/srv/h{i}", rng.bytes(10))
+            log.append(measure_file(tpm, f"/srv/h{i}", rng.bytes(10)))
         done = cut
         events, cache = read_new_events(log_bytes(log), cache, tpm.read_pcr(IMA_PCR))
         read += len(events)
@@ -238,9 +233,8 @@ def test_rendered_fixture_matches_real_measurement_path():
     rendered, final_digest = render_fixture_log(manifest)
 
     tpm, _ = scratch_tpm(13)
-    log = ImaLog()
-    for entry in manifest:
-        measure_file(log, tpm, entry.path, entry.content, entry.signature)
+    log = [measure_file(tpm, entry.path, entry.content, entry.signature)
+           for entry in manifest]
     assert log_bytes(log) == rendered
     assert tpm.read_pcr(IMA_PCR) == final_digest
 

@@ -2,9 +2,14 @@
 
 Package ``__init__.py`` files re-export names and ``from __future__``
 imports switch on compiler features, so neither is scanned.
+
+Every module-level UPPER_CASE constant in ``src/`` is read somewhere under
+``src/``, ``tests/``, ``bench/`` or ``scripts/``, as a bare name or as an
+attribute; its own assignment and an import do not count as a read.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,3 +59,49 @@ def test_no_unused_imports():
             found += [f"{path.relative_to(ROOT)}:{line}: {name}"
                       for line, name in unused_imports(path.read_text())]
     assert found == []
+
+
+CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*$")
+
+
+def _reads(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def unread_constants(defining, reading):
+    """(path, line, name) for each module-level constant of a ``defining``
+    source (path -> text) that neither it nor any ``reading`` text reads."""
+    trees = {path: ast.parse(text) for path, text in defining.items()}
+    read = set()
+    for tree in [*trees.values(), *map(ast.parse, reading)]:
+        read.update(_reads(tree))
+    found = []
+    for path, tree in trees.items():
+        for stmt in tree.body:
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+            found += [(path, stmt.lineno, t.id) for t in targets
+                      if isinstance(t, ast.Name) and CONSTANT.match(t.id)
+                      and t.id not in read]
+    return sorted(found)
+
+
+def test_scanner_reports_an_unread_constant():
+    defining = {"m.py": "LIMIT = 1\nUNUSED: int = 2\nREAD_ELSEWHERE = 3\n"
+                        "lowercase = 4\nprint(LIMIT)\n"}
+    reading = ["from m import UNUSED\nimport m\nm.READ_ELSEWHERE\n"]
+    assert unread_constants(defining, reading) == [("m.py", 2, "UNUSED")]
+
+
+def test_every_constant_is_read():
+    def sources(folder):
+        return {str(p.relative_to(ROOT)): p.read_text()
+                for p in sorted((ROOT / folder).rglob("*.py"))}
+
+    reading = [text for folder in ("tests", "bench", "scripts")
+               for text in sources(folder).values()]
+    assert unread_constants(sources("src"), reading) == []

@@ -19,16 +19,18 @@ re-derives trust from four checks, reported in order of first failure:
 A quote relayed from another machine fails c3 in the obfuscated variant:
 the foreign TPM can show golden static values but not the obfuscated ones,
 and replaying the extend is impossible because the random mask was never
-stored.  With ``obfuscate=False`` the scheme degrades to comparing raw
-static values, which a relay to a well-booted host satisfies — that
-variant exists so the regression can be demonstrated end to end.
+stored.  With ``obfuscate=False`` initialization seals the raw static
+values as the obfuscated ones, so c3 compares raw values, which a relay
+to a well-booted host satisfies — that variant exists so the regression
+can be demonstrated end to end.
 
 The :class:`Agent` wraps both phases plus the serving loop: policy
 deployment/evaluation with compromise latching, and a small HTTP-shaped
 facade (:class:`AgentApi`).  Each verdict refreshes the platform under its
 round nonce: a fresh quote checked for c2-c4 by the same function that
 establishes trust, so the runtime and the establishment decision cannot
-drift apart.
+drift apart.  The agent alone verifies quotes; the policy evaluator gets
+the certified PCR values and whether this round's quote failed (``stale``).
 
 Runtime work is differential at both ends.  Each refresh folds only the
 new suffix of the measurement log (:func:`ima.read_new_events`), and each
@@ -312,12 +314,12 @@ def _failed_condition(
     values: Dict[int, bytes],
     golden_statics: Dict[int, bytes],
     golden_dynamics: Dict[int, bytes],
-    obfuscate: bool,
 ) -> Optional[Tuple[str, str]]:
     """The first failing c2/c3/c4 condition and its detail, or ``None``.
 
     Takes a quote that already verified for internal consistency; c1 (the
-    sealed baseline opens) is the caller's.
+    sealed baseline opens) is the caller's.  A plain initialization seals
+    the originals as the obfuscated values.
     """
     for idx in sorted(config.dynamics):
         sealed = config.dynamics[idx]
@@ -331,8 +333,7 @@ def _failed_condition(
         if config.originals[idx] != golden_statics.get(idx):
             return (CONDITION_STATIC,
                     f"sealed baseline for static pcr {idx} is not the golden value")
-        expected = config.obfuscated[idx] if obfuscate else config.originals[idx]
-        if values.get(idx) != expected:
+        if values.get(idx) != config.obfuscated[idx]:
             return CONDITION_STATIC, f"static pcr {idx} does not show the expected value"
 
     if quote.reboot_counter != config.reboot_counter:
@@ -348,7 +349,6 @@ def establish_trust(
     rng: Rng,
     golden_statics: Dict[int, bytes],
     golden_dynamics: Dict[int, bytes],
-    obfuscate: bool = True,
 ) -> TrustReport:
     """Runtime trust establishment against the sealed baseline.
 
@@ -376,9 +376,7 @@ def establish_trust(
             False, CONDITION_DYNAMIC, "quote failed verification", config
         )
 
-    failed = _failed_condition(
-        config, quote, values, golden_statics, golden_dynamics, obfuscate
-    )
+    failed = _failed_condition(config, quote, values, golden_statics, golden_dynamics)
     if failed is not None:
         return TrustReport(False, *failed, config, quote, values)
     return TrustReport(True, None, "", config, quote, values)
@@ -429,7 +427,6 @@ class Agent:
 
         self._channel = None
         self._config: Optional[SealedConfig] = None
-        self._quote: Optional[Quote] = None
         self._pcr_values: Dict[int, bytes] = {}
         self._ima_cache = ima.ImaCacheState()
         self._events: List[Tuple[bytes, str, Optional[bytes]]] = []
@@ -458,12 +455,7 @@ class Agent:
         ctx = run_enclave(self.machine, self.binary, "runtime")
         channel = self.channel_factory(self.machine)
         report = establish_trust(
-            ctx,
-            channel,
-            self.rng,
-            self.golden_statics,
-            self.golden_dynamics,
-            self.obfuscate,
+            ctx, channel, self.rng, self.golden_statics, self.golden_dynamics
         )
         if not report.trusted:
             logger.info(
@@ -475,7 +467,6 @@ class Agent:
             return report
         self._channel = channel
         self._config = report.config
-        self._quote = report.quote
         self._pcr_values = dict(report.pcr_values)
         self._ima_cache = ima.ImaCacheState()
         self._events = []
@@ -509,18 +500,23 @@ class Agent:
         self._events.extend((e.file_hash, e.path, e.signature) for e in fresh)
         return True
 
+    def _require_platform(self) -> None:
+        """Raise unless serving a platform not lost to PCR drift or a reboot."""
+        if not self.serving:
+            raise UntrustedPlatform("agent is not serving")
+        if self._compromised in ("pcr-changed", "rebooted"):
+            raise UntrustedPlatform(self._compromised)
+
     def refresh(self, nonce: bytes) -> None:
         """Re-quote the platform under ``nonce`` and re-check c2-c4,
         latching any compromise.
 
         A failed check latches ``rebooted`` if the reboot counter moved and
-        ``pcr-changed`` otherwise.  A TPM failure leaves the last snapshot
+        ``pcr-changed`` otherwise.  A quote that fails verification (a TPM
+        failure, a wrong nonce or a bad signature) leaves the last snapshot
         in place marked stale; the next evaluation reports stale-quote.
         """
-        if not self.serving:
-            raise UntrustedPlatform("agent is not serving")
-        if self._compromised in ("pcr-changed", "rebooted"):
-            raise UntrustedPlatform(self._compromised)
+        self._require_platform()
         config = self._config
         selection = _selection(config.originals, config.dynamics)
         try:
@@ -535,11 +531,10 @@ class Agent:
             self._stale = True
             return
         self._stale = False
-        self._quote = quote
         self._pcr_values = dict(values)
 
         if _failed_condition(config, quote, values, self.golden_statics,
-                             self.golden_dynamics, self.obfuscate) is not None:
+                             self.golden_dynamics) is not None:
             moved = quote.reboot_counter != config.reboot_counter
             self._compromised = "rebooted" if moved else "pcr-changed"
             raise UntrustedPlatform(self._compromised)
@@ -551,10 +546,7 @@ class Agent:
 
     def deploy_policy(self, document: str) -> str:
         """Parse and store a policy; returns its id."""
-        if not self.serving:
-            raise UntrustedPlatform("agent is not serving")
-        if self._compromised in ("pcr-changed", "rebooted"):
-            raise UntrustedPlatform(self._compromised)
+        self._require_platform()
         policy = parse_policy(document)
         policy_id = self.registry.insert(policy, self.rng)
         logger.info("policy %s deployed to %s", policy_id, self.machine.machine_id)
@@ -588,24 +580,21 @@ class Agent:
         violation in the verdict.  Only events folded since this policy's
         last verdict are appraised; earlier file violations are carried over.
         """
-        if not self.serving:
+        if not self.serving:  # outranks an unknown id; a lost platform does not
             raise UntrustedPlatform("agent is not serving")
         policy = self.registry.get(policy_id)
-        if self._compromised in ("pcr-changed", "rebooted"):
-            raise UntrustedPlatform(self._compromised)
-        self.refresh(nonce=nonce)  # raises if this round uncovers pcr drift
+        self.refresh(nonce)  # raises if the platform is gone, or goes this round
         config = self._config
         done, earlier = self._appraised.get(policy_id, (0, ()))
         view = PlatformView(
-            quote=self._quote,
             pcr_values=dict(self._pcr_values),
             ek_cert=config.ek_cert,
-            nonce=nonce,
             ima_events=tuple(self._events[done:]),
             earlier_violations=earlier,
             static_original=dict(config.originals),
             static_obfuscated=dict(config.obfuscated),
             log_tampered=self._compromised == "log-tampered",
+            stale=self._stale,
             location_estimates=self._measure_locations(policy),
         )
         verdict = evaluate(policy, view)

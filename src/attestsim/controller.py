@@ -12,7 +12,7 @@ long a quote, a single log-event read and a verification round take.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from typing import Dict, List, Optional
 
@@ -149,7 +149,6 @@ class _Target:
     policy_id: Optional[str] = None
     state: str = "ok"  # ok | violation | unreachable
     misses: int = 0
-    last_verdict: dict = field(default_factory=dict)
 
 
 # --------------------------------------------------------------------------
@@ -248,7 +247,6 @@ class Controller:
             return self._alert(machine_id, target, "unreachable", verdict)
 
         target.misses = 0
-        target.last_verdict = verdict
         if observed == "ok":
             if target.state == "ok":
                 return None

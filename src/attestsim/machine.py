@@ -87,11 +87,15 @@ class Machine:
         self._seal_root = rng.bytes(32)  # never leaves this module
         self.disk: Dict[str, bytes] = {}
         self.state = "off"  # off | initramfs | runtime
-        self.current_locality = 0
         self.booted_measurements: Optional[Dict[str, bytes]] = None
         self.golden_measurements: Optional[Dict[str, bytes]] = None
         self.ima_enforcing = True
         self.ima_cert: Optional[bytes] = None
+
+    @property
+    def current_locality(self) -> int:
+        """The locality the platform runs at, as the attached TPM sees it."""
+        return self.tpm.locality
 
     # -- disk --------------------------------------------------------------
 
@@ -169,7 +173,6 @@ def boot(
             return outcome
 
     # dynamic root of trust: locality 4 resets the dynamic bank
-    machine.current_locality = DRTM_LOCALITY
     tpm.locality = DRTM_LOCALITY
     tpm.drtm_launch_reset()
     tpm.pcr_extend(17, tboot.measurement, locality=DRTM_LOCALITY)
@@ -184,14 +187,12 @@ def boot(
 
     # initramfs phase
     machine.state = "initramfs"
-    machine.current_locality = INITRAMFS_LOCALITY
     tpm.locality = INITRAMFS_LOCALITY
     if init_hook is not None:
         try:
             init_hook(machine)
         except InitHookFailure as exc:
             machine.state = "off"
-            machine.current_locality = 0
             tpm.locality = 0
             machine.booted_measurements = None
             outcome.halted = True
@@ -200,7 +201,6 @@ def boot(
 
     # hand off to the OS
     machine.state = "runtime"
-    machine.current_locality = RUNTIME_LOCALITY
     tpm.locality = RUNTIME_LOCALITY
     return outcome
 
@@ -209,7 +209,6 @@ def reboot_machine(machine: Machine) -> None:
     """Power cycle; the disk persists, PCRs and locality reset."""
     machine.tpm.reboot()
     machine.state = "off"
-    machine.current_locality = 0
     machine.booted_measurements = None
 
 

@@ -89,7 +89,7 @@ from .netsim import (
     NetworkModel,
     VirtualClock,
 )
-from .policy import PcrEntry, Policy, render_policy
+from .policy import YAML_LOADER, PcrEntry, Policy, render_policy
 from .schema import Required, check_shape
 from .tpm import TpmError, TpmState, extend_digest
 
@@ -514,7 +514,7 @@ class _Runner:
 def load_scenario(path: str) -> dict:
     try:
         with open(path) as fh:
-            return yaml.safe_load(fh)
+            return yaml.load(fh, Loader=YAML_LOADER)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}")
     except yaml.YAMLError as exc:

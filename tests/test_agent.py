@@ -414,13 +414,18 @@ def test_conditions_check_in_order_c1_first():
 # --------------------------------------------------------------------------
 
 
-def _run_case(init_route, runtime_route):
-    """Drive init+establish with the given channel routes; returns
-    (report_or_none, attached_machine)."""
+ROOTKIT = SoftwareImage("kernel", b"kernel-5.15-rootkit")
+
+
+def _run_case(init_route, runtime_route, obfuscate=True, kernel=None):
+    """Drive init+establish on a victim booting ``kernel`` with the given
+    channel routes; returns (outcome, report_or_none, attached_machine).
+    The outcome is ``halted-at-init``, ``tpm-unreachable``, ``trusted`` or
+    the failed condition."""
     w = World(n_machines=3)
     m, golden_host, tampered_host = w.machines
     w.boot(golden_host)
-    w.boot(tampered_host, kernel=SoftwareImage("kernel", b"kernel-5.15-rootkit"))
+    w.boot(tampered_host, kernel=ROOTKIT)
     surfaces = {
         "relay-golden": RemoteTpmSurface(golden_host),
         "relay-tampered": RemoteTpmSurface(tampered_host),
@@ -431,27 +436,55 @@ def _run_case(init_route, runtime_route):
             return lambda mm: DirectTpmChannel(mm)
         return lambda mm: RelayTpmChannel(mm, surfaces[route], w.rng.child("adv"))
 
-    agent = w.agent_for(m, factory=factory(init_route))
-    out = w.boot(m, init_hook=agent.initialization_hook)
+    agent = w.agent_for(m, obfuscate=obfuscate, factory=factory(init_route))
+    out = w.boot(m, init_hook=agent.initialization_hook, kernel=kernel)
     if out.halted:
-        return None, m
+        return "halted-at-init", None, m
     agent.channel_factory = factory(runtime_route)
     try:
-        return agent.enter_runtime(), m
+        report = agent.enter_runtime()
     except TpmUnreachable:
-        return None, m
+        return "tpm-unreachable", None, m
+    return "trusted" if report.trusted else report.failed_condition, report, m
 
 
-@pytest.mark.parametrize("init_route", ["direct", "relay-golden", "relay-tampered"])
-@pytest.mark.parametrize("runtime_route", ["direct", "relay-golden", "relay-tampered"])
+ROUTES = ["direct", "relay-golden", "relay-tampered"]
+
+
+@pytest.mark.parametrize("init_route", ROUTES)
+@pytest.mark.parametrize("runtime_route", ROUTES)
 def test_cuckoo_soundness_grid(init_route, runtime_route):
     """Over every channel combination: trust is granted only to the honest
     pair, and a granted quote is always signed by the attached TPM."""
-    report, m = _run_case(init_route, runtime_route)
-    trusted = report is not None and report.trusted
+    outcome, report, m = _run_case(init_route, runtime_route)
+    trusted = outcome == "trusted"
     if trusted:
         assert report.quote.aik_pub in m.tpm.aiks
     assert trusted == (init_route == "direct" and runtime_route == "direct")
+
+
+# a rootkit victim over every (init route, runtime route): the plain scheme
+# trusts the bridge to the golden host, the obfuscated one trusts no cell
+TAMPERED_VICTIM_GRID = {
+    "plain": {
+        "direct": ["c2-dynamic-pcr", "c2-dynamic-pcr", "c2-dynamic-pcr"],
+        "relay-golden": ["tpm-unreachable", "trusted", "c2-dynamic-pcr"],
+        "relay-tampered": ["tpm-unreachable", "c2-dynamic-pcr", "c2-dynamic-pcr"],
+    },
+    "obfuscated": {
+        "direct": ["c2-dynamic-pcr", "c2-dynamic-pcr", "c2-dynamic-pcr"],
+        "relay-golden": ["halted-at-init"] * 3,
+        "relay-tampered": ["tpm-unreachable", "c2-dynamic-pcr", "c2-dynamic-pcr"],
+    },
+}
+
+
+@pytest.mark.parametrize("variant", ["plain", "obfuscated"])
+def test_tampered_victim_relay_grid(variant):
+    grid = {init: [_run_case(init, runtime, variant == "obfuscated", ROOTKIT)[0]
+                   for runtime in ROUTES]
+            for init in ROUTES}
+    assert grid == TAMPERED_VICTIM_GRID[variant]
 
 
 def test_plain_variant_lets_the_bridged_cuckoo_through():
@@ -493,6 +526,33 @@ def test_obfuscated_variant_kills_the_same_bridge_at_init():
 # --------------------------------------------------------------------------
 
 
+class FlakyChannel:
+    """Wraps a channel and records each quote it returns.  While ``fault``
+    is set, quotes fail (``down``), certify a nonce of the channel's own
+    instead of the round's (``ignores-nonce``) or carry a flipped signature
+    bit (``flipped-signature``)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.fault = None
+        self.quotes = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def quote(self, aik_pub, nonce, selection):
+        if self.fault == "down":
+            raise TpmError("device does not respond")
+        if self.fault == "ignores-nonce":
+            nonce = sha256(b"the channel's own nonce")
+        quote = self.inner.quote(aik_pub, nonce, selection)
+        if self.fault == "flipped-signature":
+            quote = replace(quote, signature=bytes([quote.signature[0] ^ 1])
+                            + quote.signature[1:])
+        self.quotes.append(quote)
+        return quote
+
+
 def serving_agent(w=None, **kw):
     w = w or World()
     (m,) = w.machines[:1]
@@ -505,6 +565,7 @@ def serving_agent(w=None, **kw):
 
 def test_deploy_and_verify_compliant_policy():
     w, m, agent = serving_agent()
+    tap = agent._channel = FlakyChannel(agent._channel)
     api = AgentApi(agent)
     resp = api.handle("POST", "/policy", golden_policy(w))
     assert resp.status == 200
@@ -515,7 +576,7 @@ def test_deploy_and_verify_compliant_policy():
     assert resp.status == 200
     assert resp.body["compliant"] is True
     assert resp.body["violations"] == []
-    assert agent._quote.nonce == nonce  # the round nonce reached the TPM
+    assert tap.quotes[-1].nonce == nonce  # the round nonce reached the TPM
 
 
 def test_unknown_file_raises_untrusted_file_violation():
@@ -704,6 +765,9 @@ def test_reboot_under_running_agent_is_locked_out(whitelist):
     assert resp.status == 403
     resp = api.handle("POST", "/policy", golden_policy(w))
     assert resp.status == 403
+    # a compromised agent still names an unknown policy id first
+    resp = api.handle("GET", f"/policy/{'00' * 16}?nonce={Rng(59).bytes(32).hex()}")
+    assert resp.status == 404
 
 
 def test_static_drift_under_running_agent_is_locked_out():
@@ -724,42 +788,38 @@ def test_runtime_relay_swap_under_running_agent_is_locked_out():
     w.boot(m, init_hook=agent.initialization_hook)
     assert agent.enter_runtime().trusted
     w.boot(oracle)
-    agent._channel = RelayTpmChannel(m, RemoteTpmSurface(oracle), w.rng.child("adv"))
+    tap = agent._channel = FlakyChannel(
+        RelayTpmChannel(m, RemoteTpmSurface(oracle), w.rng.child("adv")))
     with pytest.raises(UntrustedPlatform):
         agent.refresh(Rng(102).bytes(32))
     assert agent.compromised == "pcr-changed"
-    assert agent._quote.aik_pub not in m.tpm.aiks
+    assert tap.quotes[-1].aik_pub not in m.tpm.aiks
 
 
-class FlakyChannel:
-    """Wraps a channel; quotes fail while ``down`` is set."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.down = False
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-    def quote(self, aik_pub, nonce, selection):
-        if self.down:
-            raise TpmError("device does not respond")
-        return self.inner.quote(aik_pub, nonce, selection)
-
-
-def test_unreachable_tpm_yields_stale_quote_verdict():
+def _stale_round_then_recovery(fault):
     w, m, agent = serving_agent()
     pid = agent.deploy_policy(golden_policy(w))
     flaky = FlakyChannel(agent._channel)
     agent._channel = flaky
-    flaky.down = True
+    flaky.fault = fault
     verdict = agent.verify_policy(pid, Rng(60).bytes(32))
     assert verdict["compliant"] is False
-    assert "stale-quote" in [v["kind"] for v in verdict["violations"]]
+    assert verdict["violations"] == [
+        {"kind": "stale-quote", "detail": "quote does not bind the round nonce"}]
     assert agent.health()["status"] == "stale"
-    flaky.down = False
+    flaky.fault = None
     verdict = agent.verify_policy(pid, Rng(61).bytes(32))
     assert verdict["compliant"] is True
+    assert agent.health()["status"] == "ok"
+
+
+def test_unreachable_tpm_yields_stale_quote_verdict():
+    _stale_round_then_recovery("down")
+
+
+@pytest.mark.parametrize("fault", ["ignores-nonce", "flipped-signature"])
+def test_unverifiable_quote_yields_stale_quote_verdict(fault):
+    _stale_round_then_recovery(fault)
 
 
 def test_location_rule_measured_through_attached_network():
@@ -814,4 +874,7 @@ def test_agent_not_serving_before_runtime():
     w.boot(m, init_hook=agent.initialization_hook)
     api = AgentApi(agent)
     assert api.handle("POST", "/policy", golden_policy(w)).status == 403
+    # not serving is named before an unknown policy id
+    nonce = Rng(65).bytes(32).hex()
+    assert api.handle("GET", f"/policy/{'00' * 16}?nonce={nonce}").status == 403
     assert api.handle("GET", "/health").body["status"] == "not-serving"

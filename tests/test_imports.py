@@ -1,10 +1,10 @@
-"""Every imported name is used: an AST scan of ``src/``, ``tests/`` and ``scripts/``.
+"""Every imported name is used: an AST scan of ``src/`` and ``tests/``.
 
 Package ``__init__.py`` files re-export names and ``from __future__``
 imports switch on compiler features, so neither is scanned.
 
 Every module-level UPPER_CASE constant in ``src/`` is read somewhere under
-``src/``, ``tests/``, ``bench/`` or ``scripts/``, as a bare name or as an
+``src/``, ``tests/`` or ``bench/``, as a bare name or as an
 attribute; its own assignment and an import do not count as a read.
 """
 
@@ -52,7 +52,7 @@ def test_scanner_reports_an_unused_import():
 
 def test_no_unused_imports():
     found = []
-    for folder in ("src", "tests", "scripts"):
+    for folder in ("src", "tests"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             if path.name == "__init__.py":
                 continue
@@ -102,6 +102,6 @@ def test_every_constant_is_read():
         return {str(p.relative_to(ROOT)): p.read_text()
                 for p in sorted((ROOT / folder).rglob("*.py"))}
 
-    reading = [text for folder in ("tests", "bench", "scripts")
+    reading = [text for folder in ("tests", "bench")
                for text in sources(folder).values()]
     assert unread_constants(sources("src"), reading) == []

@@ -17,7 +17,7 @@ from attestsim.policy import (
     pem_encode,
     render_policy,
 )
-from attestsim.tpm import Quote, TpmState
+from attestsim.tpm import TpmState
 
 
 RNG = Rng(2024)
@@ -155,17 +155,12 @@ def test_render_parse_roundtrip():
 def make_view(**overrides):
     """A fully compliant view for the fixture policy."""
     tpm = TpmState("view-tpm", TPM_CA, RNG.child("view-tpm"))
-    aik = tpm.create_aik(RNG.child("view-aik"))
     rnd = sha256(b"round-rnd")
     obfuscated = {i: sha256(GOLDEN[i] + rnd) for i in (0, 3)}
     values = {0: obfuscated[0], 3: obfuscated[3], 18: GOLDEN[18], 19: GOLDEN[19]}
-    nonce = sha256(b"verifier-nonce")
-    quote = _quote_for(tpm, aik, values, nonce)
     defaults = dict(
-        quote=quote,
         pcr_values=values,
         ek_cert=tpm.ek_cert,
-        nonce=nonce,
         ima_events=((sha256(b"approved-tool"), "/usr/bin/approved", None),),
         static_original={0: GOLDEN[0], 3: GOLDEN[3]},
         static_obfuscated=obfuscated,
@@ -174,19 +169,6 @@ def make_view(**overrides):
     )
     defaults.update(overrides)
     return PlatformView(**defaults)
-
-
-def _quote_for(tpm, aik, values, nonce):
-    # fabricate a quote certifying exactly `values`
-    from attestsim.crypto import sign as _sign
-    from attestsim.tpm import composite_digest
-
-    sel = tuple(sorted(values))
-    digest = composite_digest([values[i] for i in sel])
-    tpm.clock += 1
-    payload = digest + nonce + tpm.reboot_counter.to_bytes(8, "big") + tpm.clock.to_bytes(8, "big")
-    return Quote(sel, digest, nonce, tpm.reboot_counter, tpm.clock,
-                 _sign(payload, tpm.aiks[aik]), aik)
 
 
 POLICY = parse_policy(fixture_policy_text())
@@ -219,9 +201,8 @@ def test_each_violation_kind_fires():
     v = evaluate(POLICY, make_view(location_estimates={"beacon-1": 5.0}))
     assert [x.kind for x in v.violations] == ["location"]
 
-    view = make_view()
-    v = evaluate(POLICY, make_view(nonce=sha256(b"other-nonce")))
-    assert "stale-quote" in [x.kind for x in v.violations]
+    v = evaluate(POLICY, make_view(stale=True))
+    assert [x.kind for x in v.violations] == ["stale-quote"]
 
 
 def test_ek_certificate_for_another_role_is_rejected():

@@ -37,8 +37,12 @@ new suffix of the measurement log (:func:`ima.read_new_events`), and each
 policy keeps an appraisal cursor: how many folded events it has appraised
 and the ``untrusted-file`` violations found in them.  A verdict appraises
 only the events since that policy's last verdict, so a poll over an
-unchanged log re-verifies no file signature.  Entering runtime again
-resets the events and every cursor.
+unchanged log re-verifies no file signature.  Beside the cursor each
+policy keeps the certificate decisions it anchors: whether the sealed EK
+certificate chains to its TPM CA keys, taken at its first verdict, and
+whether each location rule's beacon chains to the rule's keys, taken at
+the rule's first measurement since the network was attached.  Entering
+runtime again resets the events, every cursor and every decision.
 """
 
 from __future__ import annotations
@@ -62,9 +66,11 @@ from .netsim import (
     BeaconError,
     BeaconService,
     NetworkModel,
+    beacon_certified,
     measure_proximity,
 )
 from .policy import (
+    LocationRule,
     PlatformView,
     Policy,
     PolicyRegistry,
@@ -304,7 +310,6 @@ class TrustReport:
     failed_condition: Optional[str]
     detail: str = ""
     config: Optional[SealedConfig] = None
-    quote: Optional[Quote] = None
     pcr_values: Dict[int, bytes] = field(default_factory=dict)
 
 
@@ -378,8 +383,8 @@ def establish_trust(
 
     failed = _failed_condition(config, quote, values, golden_statics, golden_dynamics)
     if failed is not None:
-        return TrustReport(False, *failed, config, quote, values)
-    return TrustReport(True, None, "", config, quote, values)
+        return TrustReport(False, *failed, config, values)
+    return TrustReport(True, None, "", config, values)
 
 
 # --------------------------------------------------------------------------
@@ -392,6 +397,19 @@ class NetworkAttachment:
     net: NetworkModel
     beacons: Dict[str, BeaconService]
     endpoint: str
+
+
+@dataclass
+class PolicyState:
+    """What the agent has decided under one policy since entering runtime:
+    the appraisal cursor (``events`` folded events appraised, ``untrusted``
+    the ``untrusted-file`` violations among them) and the certificate
+    chains the policy anchors, each decided once."""
+
+    ek_certified: bool
+    events: int = 0
+    untrusted: Tuple[Violation, ...] = ()
+    beacons: Dict[LocationRule, bool] = field(default_factory=dict)
 
 
 class Agent:
@@ -430,8 +448,7 @@ class Agent:
         self._pcr_values: Dict[int, bytes] = {}
         self._ima_cache = ima.ImaCacheState()
         self._events: List[Tuple[bytes, str, Optional[bytes]]] = []
-        # policy id -> (events appraised, untrusted-file violations among them)
-        self._appraised: Dict[str, Tuple[int, Tuple[Violation, ...]]] = {}
+        self._appraised: Dict[str, PolicyState] = {}
         self._compromised: Optional[str] = None  # log-tampered | pcr-changed | rebooted
         self._stale = False
 
@@ -440,6 +457,8 @@ class Agent:
     def attach_network(self, net: NetworkModel, beacons: Dict[str, BeaconService],
                        endpoint: str) -> None:
         self.network = NetworkAttachment(net, dict(beacons), endpoint)
+        for state in self._appraised.values():
+            state.beacons.clear()
 
     def initialization_hook(self, machine: Machine) -> None:
         """Initramfs hook: run phase 1, abort the boot if it fails."""
@@ -552,21 +571,23 @@ class Agent:
         logger.info("policy %s deployed to %s", policy_id, self.machine.machine_id)
         return policy_id
 
-    def _measure_locations(self, policy: Policy) -> Dict[str, Optional[float]]:
+    def _measure_locations(self, policy: Policy,
+                           certified: Dict[LocationRule, bool]) -> Dict[str, Optional[float]]:
+        """Estimate each rule's beacon distance; ``certified`` keeps which
+        rules' beacons chain to the rule's keys."""
         estimates: Dict[str, Optional[float]] = {}
         for rule in policy.location:
             estimates[rule.host] = None
             att = self.network
             if att is None or rule.host not in att.beacons:
                 continue
+            beacon = att.beacons[rule.host]
+            if rule not in certified:
+                certified[rule] = beacon_certified(beacon, rule.beacon_chain)
+            if not certified[rule]:
+                continue
             try:
-                est = measure_proximity(
-                    att.net,
-                    self.rng,
-                    att.endpoint,
-                    att.beacons[rule.host],
-                    beacon_chain=rule.beacon_chain,
-                )
+                est = measure_proximity(att.net, self.rng, att.endpoint, beacon)
             except BeaconError:
                 continue
             estimates[rule.host] = est.trimmed_mean_ms
@@ -578,28 +599,32 @@ class Agent:
         Raises :class:`UntrustedPlatform` once the platform itself is gone
         (PCR drift or reboot); a tampered log keeps answering, carrying the
         violation in the verdict.  Only events folded since this policy's
-        last verdict are appraised; earlier file violations are carried over.
+        last verdict are appraised; earlier file violations and the
+        policy's certificate decisions are carried over.
         """
         if not self.serving:  # outranks an unknown id; a lost platform does not
             raise UntrustedPlatform("agent is not serving")
         policy = self.registry.get(policy_id)
         self.refresh(nonce)  # raises if the platform is gone, or goes this round
         config = self._config
-        done, earlier = self._appraised.get(policy_id, (0, ()))
+        state = self._appraised.get(policy_id)
+        if state is None:
+            state = self._appraised[policy_id] = PolicyState(
+                policy.certifies_ek(config.ek_cert))
         view = PlatformView(
             pcr_values=dict(self._pcr_values),
-            ek_cert=config.ek_cert,
-            ima_events=tuple(self._events[done:]),
-            earlier_violations=earlier,
+            ek_certified=state.ek_certified,
+            ima_events=tuple(self._events[state.events:]),
+            earlier_violations=state.untrusted,
             static_original=dict(config.originals),
             static_obfuscated=dict(config.obfuscated),
             log_tampered=self._compromised == "log-tampered",
             stale=self._stale,
-            location_estimates=self._measure_locations(policy),
+            location_estimates=self._measure_locations(policy, state.beacons),
         )
         verdict = evaluate(policy, view)
-        self._appraised[policy_id] = (len(self._events), tuple(
-            v for v in verdict.violations if v.kind == "untrusted-file"))
+        state.events = len(self._events)
+        state.untrusted = tuple(v for v in verdict.violations if v.kind == "untrusted-file")
         return {"policy_id": policy_id, **verdict.to_dict()}
 
     def health(self) -> dict:

@@ -6,20 +6,28 @@ path can add delay, drop, or modify traffic, but can never deliver faster
 than the honest base latency, which is the physical floor the proximity
 check leans on.
 
-Proximity to a beacon is estimated from n_samples + 1 back-to-back signed
+Proximity to a beacon is estimated from n_samples + 1 back-to-back
 timestamp requests: each sample is the difference between consecutive
 beacon timestamps, i.e. one full round trip, so a relay across a slower
 link inflates every sample.  The estimate is the trimmed mean of the
 samples.
+
+The beacon signs the transcript once, after Roughtime: it folds each
+response into a hash chain ``c_k = sha256(c_{k-1} || ts_k || echo_k)``
+that starts empty, and only the last response carries a signature, over
+``c_n``.  The beacon holds the chain of the transcript it is answering;
+no request carries a chain value, so a relay cannot have the beacon sign
+over timestamps it made up.  The agent recomputes the chain from what it
+received, so one verification covers every timestamp and echo.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from .crypto import Certificate, KeyPair, Rng, certificate_valid, sign, verify
+from .crypto import Certificate, KeyPair, Rng, certificate_valid, sha256, sign, verify
 
 DEFAULT_SAMPLES = 20
 DEFAULT_TRIM = 0.2
@@ -30,10 +38,6 @@ class BeaconError(Exception):
 
 
 class BeaconUnreachable(BeaconError):
-    pass
-
-
-class BeaconCertInvalid(BeaconError):
     pass
 
 
@@ -130,14 +134,20 @@ class NetworkModel:
 # --------------------------------------------------------------------------
 
 
+def transcript_link(chain: bytes, timestamp_ms: float, echo: bytes) -> bytes:
+    """Fold one response into a transcript chain; the first link folds
+    into the empty chain ``b""``."""
+    return sha256(chain + struct.pack(">d", timestamp_ms) + echo)
+
+
 @dataclass(frozen=True)
 class BeaconResponse:
+    """A timestamp and the echoed request token; the last response of a
+    transcript also carries the beacon's signature over the chain."""
+
     timestamp_ms: float
     echo: bytes
-    signature: bytes
-
-    def signed_payload(self) -> bytes:
-        return struct.pack(">d", self.timestamp_ms) + self.echo
+    signature: Optional[bytes] = None
 
 
 class BeaconService:
@@ -149,11 +159,24 @@ class BeaconService:
         self.keypair = keypair
         self.certificate = certificate
         self.clock = clock
+        self._chain = b""
 
-    def respond(self, echo: bytes) -> BeaconResponse:
+    def respond(self, echo: bytes, first: bool, last: bool) -> BeaconResponse:
+        """Timestamp ``echo`` as the next response of the transcript.
+
+        ``first`` opens a transcript on the empty chain.  Each response is
+        folded into the chain the beacon holds, and the ``last`` one is
+        signed over the folded chain.
+        """
         ts = self.clock.now_ms
-        payload = struct.pack(">d", ts) + echo
-        return BeaconResponse(ts, echo, sign(payload, self.keypair))
+        self._chain = transcript_link(b"" if first else self._chain, ts, echo)
+        return BeaconResponse(ts, echo, sign(self._chain, self.keypair) if last else None)
+
+
+def beacon_certified(beacon: BeaconService, chain: Tuple[bytes, ...]) -> bool:
+    """Whether the beacon's certificate is for the beacon role and chains to
+    one of the ``chain`` authority keys."""
+    return certificate_valid(beacon.certificate, chain, "beacon")
 
 
 def trimmed_mean(samples: List[float], trim_fraction: float) -> float:
@@ -182,38 +205,40 @@ def measure_proximity(
     beacon: BeaconService,
     n_samples: int = DEFAULT_SAMPLES,
     trim_fraction: float = DEFAULT_TRIM,
-    beacon_chain: Tuple[bytes, ...] = (),
 ) -> ProximityEstimate:
     """Estimate round-trip distance to a beacon from timestamp deltas.
 
-    Issues ``n_samples + 1`` back-to-back requests; sample k is
-    ``ts(k+1) - ts(k)`` which spans the return leg of request k plus the
-    outbound leg of request k+1, one full round trip.  Aborts if the
-    beacon certificate does not chain, is not for the ``beacon`` role, or
-    any response signature fails under the certified key.
+    Issues ``n_samples + 1`` back-to-back requests, each with a fresh token;
+    sample k is ``ts(k+1) - ts(k)`` which spans the return leg of request k
+    plus the outbound leg of request k+1, one full round trip.  Each echo
+    must match its token as it arrives.  The chain is then recomputed from
+    the received timestamps and echoes, and the last response's signature
+    must hold over it under the certified key; any altered, dropped or
+    reordered timestamp or echo fails that check.  Whether the certificate
+    chains is the caller's decision (:func:`beacon_certified`).
     """
     if n_samples < 4:
         raise ValueError("need at least 4 samples")
-    if not certificate_valid(beacon.certificate, beacon_chain, "beacon"):
-        raise BeaconCertInvalid(f"beacon {beacon.endpoint} certificate rejected")
 
     clock = beacon.clock
+    chain = b""
     timestamps: List[float] = []
     for k in range(n_samples + 1):
         token = rng.bytes(16)
         clock.advance(net.one_way_ms(agent_endpoint, beacon.endpoint, rng))
-        response = beacon.respond(token)
+        response = beacon.respond(token, first=k == 0, last=k == n_samples)
         clock.advance(net.one_way_ms(beacon.endpoint, agent_endpoint, rng))
-        if net.tampered(agent_endpoint, beacon.endpoint):
-            response = BeaconResponse(
-                response.timestamp_ms, response.echo,
-                bytes([response.signature[0] ^ 1]) + response.signature[1:],
-            )
-        if response.echo != token or not verify(
-            response.signature, response.signed_payload(), beacon.certificate.subject
-        ):
+        if net.tampered(agent_endpoint, beacon.endpoint):  # rewritten in transit
+            echo = bytes([response.echo[0] ^ 1]) + response.echo[1:]
+            response = replace(response, echo=echo)
+        if response.echo != token:
             raise BeaconSignatureInvalid(f"beacon {beacon.endpoint} response rejected")
+        chain = transcript_link(chain, response.timestamp_ms, response.echo)
         timestamps.append(response.timestamp_ms)
+    if response.signature is None or not verify(
+        response.signature, chain, beacon.certificate.subject
+    ):
+        raise BeaconSignatureInvalid(f"beacon {beacon.endpoint} transcript rejected")
 
     samples = [b - a for a, b in zip(timestamps, timestamps[1:])]
     return ProximityEstimate(

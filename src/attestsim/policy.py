@@ -27,8 +27,10 @@ wrong types anywhere are rejected.
 Evaluation is pure: it maps (policy, platform view) to a verdict whose
 ``violations`` list draws from {tpm-cert, pcr-mismatch, untrusted-file,
 log-tampered, location, stale-quote}; compliant means the list is empty.
-Freshness comes from the agent's checked quote: evaluation verifies no
-quote, only what depends on the policy.
+Freshness comes from the agent's checked quote, and whether the EK
+certificate chains to the policy's TPM CA keys (``Policy.certifies_ek``) is
+decided by the agent once per policy: evaluation verifies no quote and no
+certificate, only file signatures.
 """
 
 from __future__ import annotations
@@ -150,6 +152,11 @@ class Policy:
 
     def dynamic_entries(self) -> Dict[int, bytes]:
         return {e.index: e.value for e in self.pcr_whitelist if e.index in DYNAMIC_PCRS}
+
+    def certifies_ek(self, ek_cert: Certificate) -> bool:
+        """Whether ``ek_cert`` is a TPM EK certificate issued by one of this
+        policy's trusted manufacturer keys."""
+        return certificate_valid(ek_cert, self.tpm_ca_chain, "tpm-ek")
 
     def whitelisted_hashes(self) -> set:
         acc = set()
@@ -292,7 +299,9 @@ class PlatformView:
 
     Freshness comes from the agent's checked quote: ``pcr_values`` are
     those of the last quote that verified, and ``stale`` says that this
-    round's quote did not verify under the round nonce.
+    round's quote did not verify under the round nonce.  ``ek_certified``
+    is the policy's decision on the sealed EK certificate
+    (:meth:`Policy.certifies_ek`).
 
     Static whitelist values are matched through the obfuscation split: the
     policy's golden value must equal the value the agent sealed at
@@ -309,7 +318,7 @@ class PlatformView:
     """
 
     pcr_values: Dict[int, bytes]
-    ek_cert: Certificate
+    ek_certified: bool
     ima_events: Tuple[Tuple[bytes, str, Optional[bytes]], ...]
     earlier_violations: Tuple[Violation, ...] = ()
     static_original: Dict[int, bytes] = field(default_factory=dict)
@@ -331,7 +340,7 @@ def evaluate(policy: Policy, view: PlatformView) -> PolicyVerdict:
     if view.stale:
         violations.append(Violation("stale-quote", "quote does not bind the round nonce"))
 
-    if not certificate_valid(view.ek_cert, policy.tpm_ca_chain, "tpm-ek"):
+    if not view.ek_certified:
         violations.append(Violation("tpm-cert", "ek certificate does not chain to a trusted ca"))
 
     for index, golden in sorted(policy.dynamic_entries().items()):

@@ -43,6 +43,7 @@ from attestsim.netsim import (
     LatencyModel,
     NetworkModel,
     VirtualClock,
+    beacon_certified,
     measure_proximity,
 )
 from attestsim.policy import pem_encode
@@ -242,8 +243,9 @@ def test_criterion_6_relay_grid_never_passes_the_proximity_threshold():
         }
         return NetworkModel(links, placement, adversary)
 
-    honest = measure_proximity(network(1.0), rng, "agent", near,
-                               beacon_chain=(authority.public,))
+    assert beacon_certified(near, (authority.public,))
+    assert beacon_certified(far, (authority.public,))
+    honest = measure_proximity(network(1.0), rng, "agent", near)
     assert honest.trimmed_mean_ms <= max_latency_ms
 
     delays = [d * 0.5 for d in range(10)]
@@ -253,8 +255,7 @@ def test_criterion_6_relay_grid_never_passes_the_proximity_threshold():
         for jitter in jitters:
             adv = AdversaryModel(added_delay_ms=delay,
                                  relay_targets=("beacon-far",))
-            est = measure_proximity(network(jitter, adv), rng, "agent", far,
-                                    beacon_chain=(authority.public,))
+            est = measure_proximity(network(jitter, adv), rng, "agent", far)
             if est.trimmed_mean_ms <= max_latency_ms:
                 false_accepts += 1
     assert false_accepts == 0

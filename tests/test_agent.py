@@ -1,5 +1,6 @@
 """Two-phase agent: initialization, trust conditions, serving loop, API."""
 
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -23,7 +24,14 @@ from attestsim.agent import (
     agent_init,
     establish_trust,
 )
-from attestsim.crypto import ZERO_DIGEST, Rng, generate_keypair, sha256, sign
+from attestsim.crypto import (
+    ZERO_DIGEST,
+    Rng,
+    generate_keypair,
+    issue_certificate,
+    sha256,
+    sign,
+)
 from attestsim.machine import (
     DirectTpmChannel,
     Machine,
@@ -110,9 +118,51 @@ class CountingRng(Rng):
         return super().bytes(n)
 
 
-def policy_text(world, pcr_entries, runtime_cert=None, software=None, location=None):
+class FlakyChannel:
+    """Wraps a channel and records each quote it returns.  While ``fault``
+    is set, quotes fail (``down``), certify a nonce of the channel's own
+    instead of the round's (``ignores-nonce``) or carry a flipped signature
+    bit (``flipped-signature``)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.fault = None
+        self.quotes = []
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def quote(self, aik_pub, nonce, selection):
+        if self.fault == "down":
+            raise TpmError("device does not respond")
+        if self.fault == "ignores-nonce":
+            nonce = sha256(b"the channel's own nonce")
+        quote = self.inner.quote(aik_pub, nonce, selection)
+        if self.fault == "flipped-signature":
+            quote = replace(quote, signature=bytes([quote.signature[0] ^ 1])
+                            + quote.signature[1:])
+        self.quotes.append(quote)
+        return quote
+
+
+def record_quotes(agent):
+    """Record, from now on, every quote the agent's channels return."""
+    quotes = []
+    opens = agent.channel_factory
+
+    def factory(machine):
+        tap = FlakyChannel(opens(machine))
+        tap.quotes = quotes
+        return tap
+
+    agent.channel_factory = factory
+    return quotes
+
+
+def policy_text(world, pcr_entries, runtime_cert=None, software=None, location=None,
+                tpm_ca=None):
     doc = {
-        "chain": pem_encode(world.tpm_ca.public),
+        "chain": pem_encode((tpm_ca or world.tpm_ca).public),
         "whitelist": {"pcrs": [{"id": i, "sha256": v.hex()} for i, v in pcr_entries]},
     }
     if runtime_cert is not None or software:
@@ -296,9 +346,10 @@ def test_honest_machine_establishes_trust():
     agent = w.agent_for(m)
     out = w.boot(m, init_hook=agent.initialization_hook)
     assert not out.halted
+    quotes = record_quotes(agent)
     report = agent.enter_runtime()
     assert report.trusted and report.failed_condition is None
-    assert IMA_PCR in report.quote.selection
+    assert IMA_PCR in quotes[-1].selection
     assert agent.serving
 
 
@@ -351,10 +402,11 @@ def test_c3_runtime_relay_to_golden_host_is_caught():
     w.boot(oracle)
     surface = RemoteTpmSurface(oracle)
     agent.channel_factory = lambda mm: RelayTpmChannel(mm, surface, w.rng.child("adv"))
+    quotes = record_quotes(agent)
     report = agent.enter_runtime()
     assert not report.trusted
     assert report.failed_condition == CONDITION_STATIC
-    assert report.quote.aik_pub not in m.tpm.aiks
+    assert quotes[-1].aik_pub not in m.tpm.aiks
 
 
 def test_c3_static_drift_on_the_attached_tpm():
@@ -419,7 +471,7 @@ ROOTKIT = SoftwareImage("kernel", b"kernel-5.15-rootkit")
 
 def _run_case(init_route, runtime_route, obfuscate=True, kernel=None):
     """Drive init+establish on a victim booting ``kernel`` with the given
-    channel routes; returns (outcome, report_or_none, attached_machine).
+    channel routes; returns (outcome, runtime quotes, attached_machine).
     The outcome is ``halted-at-init``, ``tpm-unreachable``, ``trusted`` or
     the failed condition."""
     w = World(n_machines=3)
@@ -439,13 +491,14 @@ def _run_case(init_route, runtime_route, obfuscate=True, kernel=None):
     agent = w.agent_for(m, obfuscate=obfuscate, factory=factory(init_route))
     out = w.boot(m, init_hook=agent.initialization_hook, kernel=kernel)
     if out.halted:
-        return "halted-at-init", None, m
+        return "halted-at-init", [], m
     agent.channel_factory = factory(runtime_route)
+    quotes = record_quotes(agent)
     try:
         report = agent.enter_runtime()
     except TpmUnreachable:
-        return "tpm-unreachable", None, m
-    return "trusted" if report.trusted else report.failed_condition, report, m
+        return "tpm-unreachable", quotes, m
+    return "trusted" if report.trusted else report.failed_condition, quotes, m
 
 
 ROUTES = ["direct", "relay-golden", "relay-tampered"]
@@ -456,10 +509,10 @@ ROUTES = ["direct", "relay-golden", "relay-tampered"]
 def test_cuckoo_soundness_grid(init_route, runtime_route):
     """Over every channel combination: trust is granted only to the honest
     pair, and a granted quote is always signed by the attached TPM."""
-    outcome, report, m = _run_case(init_route, runtime_route)
+    outcome, quotes, m = _run_case(init_route, runtime_route)
     trusted = outcome == "trusted"
     if trusted:
-        assert report.quote.aik_pub in m.tpm.aiks
+        assert quotes[-1].aik_pub in m.tpm.aiks
     assert trusted == (init_route == "direct" and runtime_route == "direct")
 
 
@@ -501,11 +554,12 @@ def test_plain_variant_lets_the_bridged_cuckoo_through():
     rootkit = SoftwareImage("kernel", b"kernel-5.15-rootkit")
     out = w.boot(victim, init_hook=agent.initialization_hook, kernel=rootkit)
     assert not out.halted
+    quotes = record_quotes(agent)
     report = agent.enter_runtime()
 
     assert report.trusted                          # the verdict says healthy
     assert not victim.runs_golden_stack()          # the machine is not
-    assert report.quote.aik_pub not in victim.tpm.aiks  # the quote is a cuckoo egg
+    assert quotes[-1].aik_pub not in victim.tpm.aiks  # the quote is a cuckoo egg
 
 
 def test_obfuscated_variant_kills_the_same_bridge_at_init():
@@ -524,33 +578,6 @@ def test_obfuscated_variant_kills_the_same_bridge_at_init():
 # --------------------------------------------------------------------------
 # runtime serving: refresh, policies, api
 # --------------------------------------------------------------------------
-
-
-class FlakyChannel:
-    """Wraps a channel and records each quote it returns.  While ``fault``
-    is set, quotes fail (``down``), certify a nonce of the channel's own
-    instead of the round's (``ignores-nonce``) or carry a flipped signature
-    bit (``flipped-signature``)."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.fault = None
-        self.quotes = []
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-    def quote(self, aik_pub, nonce, selection):
-        if self.fault == "down":
-            raise TpmError("device does not respond")
-        if self.fault == "ignores-nonce":
-            nonce = sha256(b"the channel's own nonce")
-        quote = self.inner.quote(aik_pub, nonce, selection)
-        if self.fault == "flipped-signature":
-            quote = replace(quote, signature=bytes([quote.signature[0] ^ 1])
-                            + quote.signature[1:])
-        self.quotes.append(quote)
-        return quote
 
 
 def serving_agent(w=None, **kw):
@@ -822,34 +849,120 @@ def test_unverifiable_quote_yields_stale_quote_verdict(fault):
     _stale_round_then_recovery(fault)
 
 
-def test_location_rule_measured_through_attached_network():
-    w, m, agent = serving_agent()
-    clock = VirtualClock()
-    brng = Rng(71)
-    authority = generate_keypair(brng)
+def in_dc_beacon(seed=71, authority=None):
+    """A beacon beside machine m0: (network, beacon, the beacon's authority)."""
+    brng = Rng(seed)
+    authority = authority or generate_keypair(brng)
     bkp = generate_keypair(brng)
-    from attestsim.crypto import issue_certificate
-
     beacon = BeaconService(
-        "beacon-1", bkp, issue_certificate(authority, bkp.public, "beacon"), clock
+        "beacon-1", bkp, issue_certificate(authority, bkp.public, "beacon"), VirtualClock()
     )
     net = NetworkModel(
         {("dc1", "dc1"): LatencyModel(0.3, 0.2)}, {"m0": "dc1", "beacon-1": "dc1"}
     )
+    return net, beacon, authority
+
+
+def location_policy(w, authority, tpm_ca=None):
+    """The golden policy with a 2 ms rule for beacon-1 under ``authority``."""
     entries = [(0, w.golden_statics[0])] + sorted(w.golden_dynamics.items())
-    text = policy_text(
-        w,
-        entries,
-        location=[
-            {"host": "beacon-1", "max_latency": 2, "chain": pem_encode(authority.public)}
-        ],
-    )
-    pid = agent.deploy_policy(text)
+    rule = {"host": "beacon-1", "max_latency": 2, "chain": pem_encode(authority.public)}
+    return policy_text(w, entries, location=[rule], tpm_ca=tpm_ca)
+
+
+def test_location_rule_measured_through_attached_network():
+    w, m, agent = serving_agent()
+    net, beacon, authority = in_dc_beacon()
+    pid = agent.deploy_policy(location_policy(w, authority))
     verdict = agent.verify_policy(pid, Rng(62).bytes(32))  # no network attached yet
     assert "location" in [v["kind"] for v in verdict["violations"]]
     agent.attach_network(net, {"beacon-1": beacon}, "m0")
     verdict = agent.verify_policy(pid, Rng(63).bytes(32))
     assert verdict["compliant"] is True
+
+
+def test_verdict_crypto_budget(monkeypatch):
+    """After its first verdict, a serving agent with a location rule signs
+    and verifies at most twice per verdict: one beacon transcript and one
+    quote.  Calls are counted wherever a module bound ``sign``/``verify``."""
+    w, m, agent = serving_agent()
+    net, beacon, authority = in_dc_beacon()
+    agent.attach_network(net, {"beacon-1": beacon}, "m0")
+    pid = agent.deploy_policy(location_policy(w, authority))
+    nonces = Rng(67)
+    assert agent.verify_policy(pid, nonces.bytes(32))["compliant"] is True
+
+    calls = {"sign": 0, "verify": 0}
+    for name in calls:
+        original = getattr(crypto, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "attestsim" \
+                    and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    verdicts = 3
+    for _ in range(verdicts):
+        assert agent.verify_policy(pid, nonces.bytes(32))["compliant"] is True
+    assert 0 < calls["sign"] <= 2 * verdicts
+    assert 0 < calls["verify"] <= 2 * verdicts
+
+
+def test_certificates_decided_once_per_policy_and_serving_period(monkeypatch):
+    """The EK chain is decided once per (policy, enter_runtime), a rule's
+    beacon once per (policy, rule) until the network is attached again."""
+    w, m, agent = serving_agent()
+    net, beacon, authority = in_dc_beacon()
+    agent.attach_network(net, {"beacon-1": beacon}, "m0")
+    foreign_ca = generate_keypair(Rng(68))
+    trusted = agent.deploy_policy(location_policy(w, authority))
+    foreign = agent.deploy_policy(location_policy(w, authority, tpm_ca=foreign_ca))
+    decided = []
+
+    def recording(cert, roots, role):
+        decided.append(role)
+        return crypto.certificate_valid(cert, roots, role)
+
+    monkeypatch.setattr("attestsim.policy.certificate_valid", recording)
+    monkeypatch.setattr("attestsim.netsim.certificate_valid", recording)
+    nonces = Rng(69)
+
+    def verdicts(rounds):
+        kinds = []
+        for _ in range(rounds):
+            for pid in (trusted, foreign):
+                verdict = agent.verify_policy(pid, nonces.bytes(32))
+                kinds.append([v["kind"] for v in verdict["violations"]])
+        assert kinds == [[], ["tpm-cert"]] * rounds
+
+    verdicts(3)
+    assert sorted(decided) == ["beacon", "beacon", "tpm-ek", "tpm-ek"]
+    decided.clear()
+    agent.attach_network(net, {"beacon-1": beacon}, "m0")
+    verdicts(2)
+    assert decided == ["beacon", "beacon"]
+    decided.clear()
+    assert agent.enter_runtime().trusted
+    verdicts(2)
+    assert sorted(decided) == ["beacon", "beacon", "tpm-ek", "tpm-ek"]
+
+
+def test_beacon_attached_anew_is_certified_anew():
+    """A beacon certified by an authority the rule does not trust, attached
+    after a trusted one, is not measured: the earlier decision is gone."""
+    w, m, agent = serving_agent()
+    net, beacon, authority = in_dc_beacon()
+    agent.attach_network(net, {"beacon-1": beacon}, "m0")
+    pid = agent.deploy_policy(location_policy(w, authority))
+    assert agent.verify_policy(pid, Rng(70).bytes(32))["compliant"] is True
+    net, rogue, _ = in_dc_beacon(seed=72)
+    agent.attach_network(net, {"beacon-1": rogue}, "m0")
+    verdict = agent.verify_policy(pid, Rng(73).bytes(32))
+    assert verdict["violations"] == [
+        {"kind": "location", "detail": "beacon-1: unreachable"}]
 
 
 def test_api_error_paths():

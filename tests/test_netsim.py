@@ -1,18 +1,21 @@
 """Network, beacon and proximity-estimation tests."""
 
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from attestsim.crypto import Rng, generate_keypair, issue_certificate
 from attestsim.netsim import (
     AdversaryModel,
-    BeaconCertInvalid,
+    BeaconResponse,
     BeaconService,
     BeaconSignatureInvalid,
     BeaconUnreachable,
     LatencyModel,
     NetworkModel,
     VirtualClock,
+    beacon_certified,
     measure_proximity,
     trimmed_mean,
 )
@@ -111,10 +114,9 @@ def test_link_lookup_is_order_insensitive():
 def test_in_dc_estimate_passes_threshold():
     rng = Rng(11)
     clock = VirtualClock()
-    beacon, authority = make_beacon(rng, clock)
+    beacon, _ = make_beacon(rng, clock)
     net = two_dc_net()
-    est = measure_proximity(net, rng, "agent", beacon,
-                            beacon_chain=(authority.public,))
+    est = measure_proximity(net, rng, "agent", beacon)
     # per-leg latency in [0.3, 0.5] so a round trip sits in [0.6, 1.0]
     assert len(est.samples_ms) == 20
     assert 0.6 <= est.trimmed_mean_ms <= 1.0
@@ -124,10 +126,9 @@ def test_in_dc_estimate_passes_threshold():
 def test_cross_dc_estimate_always_fails_threshold():
     rng = Rng(12)
     clock = VirtualClock()
-    beacon, authority = make_beacon(rng, clock, endpoint="beacon-2")
+    beacon, _ = make_beacon(rng, clock, endpoint="beacon-2")
     net = two_dc_net()
-    est = measure_proximity(net, rng, "agent", beacon,
-                            beacon_chain=(authority.public,))
+    est = measure_proximity(net, rng, "agent", beacon)
     assert est.trimmed_mean_ms >= 10.0
     assert all(s >= 10.0 for s in est.samples_ms)
 
@@ -135,10 +136,9 @@ def test_cross_dc_estimate_always_fails_threshold():
 def test_samples_are_consecutive_timestamp_differences():
     rng = Rng(13)
     clock = VirtualClock()
-    beacon, authority = make_beacon(rng, clock)
+    beacon, _ = make_beacon(rng, clock)
     net = two_dc_net()
-    est = measure_proximity(net, rng, "agent", beacon, n_samples=6,
-                            beacon_chain=(authority.public,))
+    est = measure_proximity(net, rng, "agent", beacon, n_samples=6)
     assert len(est.samples_ms) == 6
     # each sample is one round trip across the in-DC link
     assert all(0.6 <= s <= 1.0 for s in est.samples_ms)
@@ -147,20 +147,18 @@ def test_samples_are_consecutive_timestamp_differences():
 def test_minimum_sample_count_enforced():
     rng = Rng(14)
     clock = VirtualClock()
-    beacon, authority = make_beacon(rng, clock)
+    beacon, _ = make_beacon(rng, clock)
     with pytest.raises(ValueError):
-        measure_proximity(two_dc_net(), rng, "agent", beacon, n_samples=3,
-                          beacon_chain=(authority.public,))
+        measure_proximity(two_dc_net(), rng, "agent", beacon, n_samples=3)
 
 
 def test_untrusted_beacon_certificate_aborts():
     rng = Rng(15)
     clock = VirtualClock()
-    beacon, _ = make_beacon(rng, clock)
+    beacon, authority = make_beacon(rng, clock)
     rogue = generate_keypair(rng)
-    with pytest.raises(BeaconCertInvalid):
-        measure_proximity(two_dc_net(), rng, "agent", beacon,
-                          beacon_chain=(rogue.public,))
+    assert beacon_certified(beacon, (authority.public,))
+    assert not beacon_certified(beacon, (rogue.public,))
 
 
 def test_beacon_certificate_for_another_role_aborts():
@@ -170,9 +168,7 @@ def test_beacon_certificate_for_another_role_aborts():
     kp, authority = generate_keypair(rng), generate_keypair(rng)
     miscast = BeaconService("beacon-1", kp, issue_certificate(authority, kp.public, "ek"),
                             clock)
-    with pytest.raises(BeaconCertInvalid):
-        measure_proximity(two_dc_net(), rng, "agent", miscast,
-                          beacon_chain=(authority.public,))
+    assert not beacon_certified(miscast, (authority.public,))
 
 
 def test_rogue_beacon_with_a_borrowed_certificate_aborts():
@@ -182,9 +178,9 @@ def test_rogue_beacon_with_a_borrowed_certificate_aborts():
     clock = VirtualClock()
     honest, authority = make_beacon(rng, clock)
     rogue = BeaconService("beacon-1", generate_keypair(rng), honest.certificate, clock)
+    assert beacon_certified(rogue, (authority.public,))
     with pytest.raises(BeaconSignatureInvalid):
-        measure_proximity(two_dc_net(), rng, "agent", rogue,
-                          beacon_chain=(authority.public,))
+        measure_proximity(two_dc_net(), rng, "agent", rogue)
 
 
 # --------------------------------------------------------------------------
@@ -195,11 +191,10 @@ def test_rogue_beacon_with_a_borrowed_certificate_aborts():
 def test_adversarial_delay_inflates_estimate():
     rng = Rng(16)
     clock = VirtualClock()
-    beacon, authority = make_beacon(rng, clock)
+    beacon, _ = make_beacon(rng, clock)
     adv = AdversaryModel(added_delay_ms=4.0)
     net = two_dc_net(adversary=adv)
-    est = measure_proximity(net, rng, "agent", beacon,
-                            beacon_chain=(authority.public,))
+    est = measure_proximity(net, rng, "agent", beacon)
     # 4 ms added to each leg: round trips land in [8.6, 9.0]
     assert est.trimmed_mean_ms >= 8.6
     assert est.trimmed_mean_ms > 2.0
@@ -209,42 +204,38 @@ def test_adversary_cannot_beat_honest_floor():
     """Added delay is clamped at zero: relays only ever slow traffic down."""
     rng = Rng(17)
     clock = VirtualClock()
-    beacon, authority = make_beacon(rng, clock)
+    beacon, _ = make_beacon(rng, clock)
     adv = AdversaryModel(added_delay_ms=-50.0)
     net = two_dc_net(adversary=adv)
-    est = measure_proximity(net, rng, "agent", beacon,
-                            beacon_chain=(authority.public,))
+    est = measure_proximity(net, rng, "agent", beacon)
     assert est.trimmed_mean_ms >= 0.6
 
 
 def test_dropping_adversary_makes_beacon_unreachable():
     rng = Rng(18)
     clock = VirtualClock()
-    beacon, authority = make_beacon(rng, clock)
+    beacon, _ = make_beacon(rng, clock)
     net = two_dc_net(adversary=AdversaryModel(can_drop=True))
     with pytest.raises(BeaconUnreachable):
-        measure_proximity(net, rng, "agent", beacon,
-                          beacon_chain=(authority.public,))
+        measure_proximity(net, rng, "agent", beacon)
 
 
 def test_modifying_adversary_breaks_signature():
     rng = Rng(19)
     clock = VirtualClock()
-    beacon, authority = make_beacon(rng, clock)
+    beacon, _ = make_beacon(rng, clock)
     net = two_dc_net(adversary=AdversaryModel(can_modify=True))
     with pytest.raises(BeaconSignatureInvalid):
-        measure_proximity(net, rng, "agent", beacon,
-                          beacon_chain=(authority.public,))
+        measure_proximity(net, rng, "agent", beacon)
 
 
 def test_targeted_adversary_leaves_other_paths_alone():
     rng = Rng(20)
     clock = VirtualClock()
-    beacon, authority = make_beacon(rng, clock)
+    beacon, _ = make_beacon(rng, clock)
     adv = AdversaryModel(added_delay_ms=9.0, relay_targets=("beacon-2",))
     net = two_dc_net(adversary=adv)
-    est = measure_proximity(net, rng, "agent", beacon,
-                            beacon_chain=(authority.public,))
+    est = measure_proximity(net, rng, "agent", beacon)
     assert est.trimmed_mean_ms <= 1.0
 
 
@@ -254,8 +245,136 @@ def test_delay_grid_never_lowers_estimate():
     for delay in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0):
         rng = Rng(21)
         clock = VirtualClock()
-        beacon, authority = make_beacon(rng, clock)
+        beacon, _ = make_beacon(rng, clock)
         net = two_dc_net(adversary=AdversaryModel(added_delay_ms=delay))
-        est = measure_proximity(net, rng, "agent", beacon,
-                                beacon_chain=(authority.public,))
+        est = measure_proximity(net, rng, "agent", beacon)
         assert est.trimmed_mean_ms >= 0.6 + 2 * delay - 1e-9
+
+
+# --------------------------------------------------------------------------
+# transcript tampering: one signature covers every timestamp and echo
+# --------------------------------------------------------------------------
+
+MID = 10  # a middle response of the default 21
+
+
+class Relay:
+    """On-path relay in front of a beacon: request ``k`` and its answer pass
+    through ``forward(beacon, k, token, first, last)``, which may change
+    either or answer itself."""
+
+    def __init__(self, beacon, forward):
+        self.beacon = beacon
+        self.forward = forward
+        self.endpoint = beacon.endpoint
+        self.clock = beacon.clock
+        self.certificate = beacon.certificate
+        self.requests = 0
+
+    def respond(self, echo, first, last):
+        self.requests += 1
+        return self.forward(self.beacon, self.requests - 1, echo, first, last)
+
+
+def in_dc_beacon():
+    return make_beacon(Rng(41), VirtualClock())[0]
+
+
+def relayed(forward, beacon=None):
+    """Measure ``beacon`` (a fresh in-DC one by default) through a relay;
+    every call draws the same tokens and latencies."""
+    relay = Relay(beacon or in_dc_beacon(), forward)
+    return measure_proximity(two_dc_net(), Rng(40), "agent", relay)
+
+
+def recording(into):
+    """A relay that forwards honestly and keeps each answer in ``into``."""
+    def forward(beacon, k, token, first, last):
+        into.append(beacon.respond(token, first, last))
+        return into[-1]
+    return forward
+
+
+def test_honest_relay_leaves_the_estimate_alone():
+    direct = measure_proximity(two_dc_net(), Rng(40), "agent", in_dc_beacon())
+    assert relayed(recording([])) == direct
+
+
+def test_changed_middle_timestamp_aborts():
+    def forward(beacon, k, token, first, last):
+        response = beacon.respond(token, first, last)
+        if k == MID:
+            response = replace(response, timestamp_ms=response.timestamp_ms - 0.2)
+        return response
+
+    with pytest.raises(BeaconSignatureInvalid):
+        relayed(forward)
+
+
+def test_changed_middle_echo_aborts():
+    # the beacon answers a token of the relay's; the agent gets its own echo back
+    def forward(beacon, k, token, first, last):
+        if k == MID:
+            return replace(beacon.respond(bytes(16), first, last), echo=token)
+        return beacon.respond(token, first, last)
+
+    with pytest.raises(BeaconSignatureInvalid):
+        relayed(forward)
+
+
+def test_dropped_response_aborts():
+    # the beacon answers request MID twice; the relay drops the first answer
+    def forward(beacon, k, token, first, last):
+        if k == MID:
+            beacon.respond(token, first, last)
+        return beacon.respond(token, first, last)
+
+    with pytest.raises(BeaconSignatureInvalid):
+        relayed(forward)
+
+
+def test_swapped_responses_abort():
+    # a genuine transcript for the tokens every call draws, replayed with two
+    # responses' timestamps in each other's place; each echo still matches
+    beacon = in_dc_beacon()
+    genuine = []
+    relayed(recording(genuine), beacon)
+    a, b = genuine[MID], genuine[MID + 1]
+    served = list(genuine)
+    served[MID] = replace(a, timestamp_ms=b.timestamp_ms)
+    served[MID + 1] = replace(b, timestamp_ms=a.timestamp_ms)
+    with pytest.raises(BeaconSignatureInvalid):
+        relayed(lambda beacon, k, *request: served[k], beacon)
+
+
+def test_forged_timestamps_around_a_genuine_signed_last_response_abort():
+    # the relay timestamps every request itself and sends only the last one
+    # on, which the beacon answers and signs as a transcript of its own
+    def forward(beacon, k, token, first, last):
+        if last:
+            return beacon.respond(token, first=True, last=True)
+        return BeaconResponse(beacon.clock.now_ms, token)
+
+    with pytest.raises(BeaconSignatureInvalid):
+        relayed(forward)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32),
+    n_samples=st.integers(4, 30),
+    jitter=st.floats(0.0, 5.0),
+    trim=st.floats(0.0, 0.45),
+)
+def test_estimate_is_the_trimmed_mean_of_timestamp_deltas(seed, n_samples, jitter, trim):
+    rng = Rng(seed)
+    beacon, _ = make_beacon(rng, VirtualClock())
+    net = NetworkModel({("dc-east", "dc-east"): LatencyModel(0.3, jitter)},
+                       {"agent": "dc-east", "beacon-1": "dc-east"})
+    answers = []
+    est = measure_proximity(net, rng, "agent", Relay(beacon, recording(answers)),
+                            n_samples=n_samples, trim_fraction=trim)
+    ts = [r.timestamp_ms for r in answers]
+    assert len(est.samples_ms) == n_samples == len(ts) - 1
+    assert est.samples_ms == tuple(b - a for a, b in zip(ts, ts[1:]))
+    assert est.trimmed_mean_ms == trimmed_mean(list(est.samples_ms), trim)

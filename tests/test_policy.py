@@ -152,15 +152,17 @@ def test_render_parse_roundtrip():
 # evaluation
 # --------------------------------------------------------------------------
 
+VIEW_TPM = TpmState("view-tpm", TPM_CA, RNG.child("view-tpm"))
+
+
 def make_view(**overrides):
     """A fully compliant view for the fixture policy."""
-    tpm = TpmState("view-tpm", TPM_CA, RNG.child("view-tpm"))
     rnd = sha256(b"round-rnd")
     obfuscated = {i: sha256(GOLDEN[i] + rnd) for i in (0, 3)}
     values = {0: obfuscated[0], 3: obfuscated[3], 18: GOLDEN[18], 19: GOLDEN[19]}
     defaults = dict(
         pcr_values=values,
-        ek_cert=tpm.ek_cert,
+        ek_certified=POLICY.certifies_ek(VIEW_TPM.ek_cert),
         ima_events=((sha256(b"approved-tool"), "/usr/bin/approved", None),),
         static_original={0: GOLDEN[0], 3: GOLDEN[3]},
         static_obfuscated=obfuscated,
@@ -183,7 +185,7 @@ def test_each_violation_kind_fires():
     rogue_ca = generate_keypair(Rng(555))
     rogue_tpm = TpmState("rogue", rogue_ca, Rng(556))
 
-    v = evaluate(POLICY, make_view(ek_cert=rogue_tpm.ek_cert))
+    v = evaluate(POLICY, make_view(ek_certified=POLICY.certifies_ek(rogue_tpm.ek_cert)))
     assert [x.kind for x in v.violations] == ["tpm-cert"]
 
     view = make_view()
@@ -207,9 +209,8 @@ def test_each_violation_kind_fires():
 
 def test_ek_certificate_for_another_role_is_rejected():
     # signed by the trusted tpm ca, but for the beacon role
-    view = make_view()
-    miscast = issue_certificate(TPM_CA, view.ek_cert.subject, "beacon")
-    v = evaluate(POLICY, make_view(ek_cert=miscast))
+    miscast = issue_certificate(TPM_CA, VIEW_TPM.ek_cert.subject, "beacon")
+    v = evaluate(POLICY, make_view(ek_certified=POLICY.certifies_ek(miscast)))
     assert [x.kind for x in v.violations] == ["tpm-cert"]
 
 

@@ -91,6 +91,7 @@ from .tpm import (
     extend_digest,
     make_credential,
 )
+from .trust import BASELINE, OBFUSCATED, disagreeing, static_split
 
 logger = logging.getLogger(__name__)
 
@@ -100,6 +101,11 @@ CONDITION_UNSEAL = "c1-unseal"
 CONDITION_DYNAMIC = "c2-dynamic-pcr"
 CONDITION_STATIC = "c3-obfuscated-static-pcr"
 CONDITION_REBOOT = "c4-reboot-counter"
+
+_STATIC_DETAIL = {
+    BASELINE: "sealed baseline for static pcr {} is not the golden value",
+    OBFUSCATED: "static pcr {} does not show the expected value",
+}
 
 
 class AgentError(Exception):
@@ -261,18 +267,17 @@ def agent_init(
         quote1, values1, ok = _checked_quote(channel, aik_pub, nonce1, selection)
         if not ok:
             raise InitFailure("quote-invalid", "post-obfuscation quote failed verification")
-        for idx in whitelist:
-            expected = extend_digest(originals[idx], bytes(mask))
-            if values1[idx] != expected:
-                raise InitFailure(
-                    "obfuscation-mismatch",
-                    f"pcr {idx} did not take the obfuscation extend",
-                )
-        for idx in DYNAMIC_PCRS:
-            if values1[idx] != values0[idx]:
-                raise InitFailure(
-                    "obfuscation-mismatch", f"dynamic pcr {idx} moved during obfuscation"
-                )
+        expected = {i: extend_digest(originals[i], bytes(mask)) for i in whitelist}
+        missed = disagreeing(whitelist, expected, values1)
+        if missed:
+            raise InitFailure(
+                "obfuscation-mismatch", f"pcr {missed[0]} did not take the obfuscation extend"
+            )
+        moved = disagreeing(DYNAMIC_PCRS, values0, values1)
+        if moved:
+            raise InitFailure(
+                "obfuscation-mismatch", f"dynamic pcr {moved[0]} moved during obfuscation"
+            )
         for i in range(len(mask)):  # discard the mask for good
             mask[i] = 0
         obfuscated = {i: values1[i] for i in whitelist}
@@ -323,23 +328,23 @@ def _failed_condition(
     """The first failing c2/c3/c4 condition and its detail, or ``None``.
 
     Takes a quote that already verified for internal consistency; c1 (the
-    sealed baseline opens) is the caller's.  A plain initialization seals
-    the originals as the obfuscated values.
+    sealed baseline opens) is the caller's.  c2 and the c3 split are the
+    shared rules of :mod:`.trust`; the key binding and the reboot counter
+    are checked here alone.  A plain initialization seals the originals as
+    the obfuscated values.
     """
-    for idx in sorted(config.dynamics):
-        sealed = config.dynamics[idx]
-        if not (sealed == golden_dynamics.get(idx) == values.get(idx)):
-            return (CONDITION_DYNAMIC,
-                    f"dynamic pcr {idx} disagrees across sealed/golden/quoted values")
+    moved = disagreeing(config.dynamics, config.dynamics, golden_dynamics, values)
+    if moved:
+        return (CONDITION_DYNAMIC,
+                f"dynamic pcr {moved[0]} disagrees across sealed/golden/quoted values")
 
     if quote.aik_pub != config.aik_pub:
         return CONDITION_STATIC, "quote signed by a key other than the initialized one"
-    for idx in sorted(config.originals):
-        if config.originals[idx] != golden_statics.get(idx):
-            return (CONDITION_STATIC,
-                    f"sealed baseline for static pcr {idx} is not the golden value")
-        if values.get(idx) != config.obfuscated[idx]:
-            return CONDITION_STATIC, f"static pcr {idx} does not show the expected value"
+    split = static_split(config.originals, golden_statics, config.originals,
+                         config.obfuscated, values)
+    if split:
+        idx, half = split[0]
+        return CONDITION_STATIC, _STATIC_DETAIL[half].format(idx)
 
     if quote.reboot_counter != config.reboot_counter:
         return (CONDITION_REBOOT,

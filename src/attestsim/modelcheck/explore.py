@@ -26,7 +26,6 @@ layers for invariant sweeps.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -89,9 +88,6 @@ class Verdict:
             "layers": self.layers,
             "counterexample": self.counterexample,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def event_str(event: Event) -> str:
@@ -169,9 +165,8 @@ def _layers(config: CheckConfig):
                 world = child.canonical_key()
                 if world in parents:
                     continue
-                world = world._replace(
-                    knowledge=known.setdefault(world.knowledge, world.knowledge)
-                )
+                world = World(world.machines, world.tpms,
+                              known.setdefault(world.knowledge, world.knowledge))
                 parents[world] = (parent, event)
                 if len(parents) > config.max_states:
                     raise StateBudgetExceeded(

@@ -27,10 +27,15 @@ can observe:
   software simply has no such service), or nowhere.
 * **q1** reads back: the bound register must show exactly
   ``h(pair(q0_value, mask))`` with dynamics unmoved, else initialization
-  aborts.  ``seal`` is the unobfuscated shortcut straight from q0.
-* **verify** is the runtime trust decision: dynamics must be golden and
-  agree with the sealed values, the sealed static baseline must be golden,
-  and the bound register must still show the sealed (obfuscated) value.
+  aborts.  Both are the agreement rule (:func:`attestsim.trust.disagreeing`)
+  that ``agent_init`` applies to its read-back.  ``seal`` is the
+  unobfuscated shortcut straight from q0.
+* **verify** is the runtime trust decision, through the rules that
+  ``agent._failed_condition`` calls: c2 is the agreement rule over the
+  sealed, golden and quoted dynamics, and c3 is the static split
+  (:func:`attestsim.trust.static_split`): the sealed static baseline must
+  be golden, and the bound register must still show the sealed
+  (obfuscated) value.  Each register is a one-entry mapping of its term.
 * **tpm-init** prepares a free chip once, before it can serve: the
   adversary may replay the public static chain (if derivable within the
   depth bound) or load junk.  Free chips never show a golden *dynamic*
@@ -39,7 +44,11 @@ can observe:
 
 Reboots are outside the model: an episode runs within one power cycle, so
 the unseal and reboot-counter conditions hold trivially and the checked
-property concentrates on the quote-routing conditions.
+property concentrates on the quote-routing conditions.  Two checks exist
+on the agent side only, beside the shared rules.  The key binding (the
+quote is signed by the initialized key) is ``bound_tpm`` itself: q0 fixes
+the chip, and q1 and verify are forced onto it.  The reboot counter cannot
+move within one power cycle.
 """
 
 from __future__ import annotations
@@ -47,6 +56,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import FrozenSet, List, NamedTuple, Optional, Tuple
 
+from ..trust import disagreeing, static_split
 from .terms import Term, derivable, h, name, p, saturate
 
 # -- fixed vocabulary -------------------------------------------------------
@@ -148,25 +158,27 @@ def _saturated(knowledge: FrozenSet[Term]) -> FrozenSet[Term]:
 
 
 # -- transition helpers -----------------------------------------------------
+# worlds are built positionally: ``_replace`` is a keyword pass over every
+# field, and these three run for nearly every generated state
 
 
 def _with_machine(world: World, m: MachineProc) -> World:
     machines = list(world.machines)
     machines[m.machine_id] = m
-    return world._replace(machines=tuple(machines))
+    return World(tuple(machines), world.tpms, world.knowledge)
 
 
 def _with_tpm(world: World, t: TpmProc) -> World:
     tpms = list(world.tpms)
     tpms[t.tpm_id] = t
-    return world._replace(tpms=tuple(tpms))
+    return World(world.machines, tuple(tpms), world.knowledge)
 
 
 def _leak(world: World, *terms: Term) -> World:
     missing = [t for t in terms if t not in world.knowledge]
     if not missing:
         return world
-    return world._replace(knowledge=world.knowledge | set(missing))
+    return World(world.machines, world.tpms, world.knowledge | set(missing))
 
 
 def _host_accepts_extends(world: World, tpm_id: int) -> bool:
@@ -299,9 +311,10 @@ def _q1(world: World, m: MachineProc) -> World:
     if m.driver_malicious:
         world = _leak(world, tpm.spcr, tpm.dpcr)
     expected = h(p(m.q0_spcr, rnd_term(m.machine_id)))
-    if tpm.spcr == expected and tpm.dpcr == m.q0_dpcr:
-        return _with_machine(world, m._replace(phase="sealed", sealed_obf=tpm.spcr))
-    return _with_machine(world, m._replace(phase="halted"))
+    if (disagreeing((0,), {0: expected}, {0: tpm.spcr})
+            or disagreeing((0,), {0: m.q0_dpcr}, {0: tpm.dpcr})):
+        return _with_machine(world, m._replace(phase="halted"))
+    return _with_machine(world, m._replace(phase="sealed", sealed_obf=tpm.spcr))
 
 
 def _seal(world: World, m: MachineProc) -> World:
@@ -312,8 +325,9 @@ def _verify(world: World, m: MachineProc) -> World:
     tpm = world.tpms[m.bound_tpm]
     if m.driver_malicious:
         world = _leak(world, tpm.spcr, tpm.dpcr)
-    c2 = m.q0_dpcr == DPCR_G == tpm.dpcr
-    c3 = m.q0_spcr == SPCR_G and tpm.spcr == m.sealed_obf
+    c2 = not disagreeing((0,), {0: m.q0_dpcr}, {0: DPCR_G}, {0: tpm.dpcr})
+    c3 = not static_split((0,), {0: SPCR_G}, {0: m.q0_spcr}, {0: m.sealed_obf},
+                          {0: tpm.spcr})
     return _with_machine(world, m._replace(phase="done", trusted=c2 and c3))
 
 

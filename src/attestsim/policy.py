@@ -37,13 +37,15 @@ from __future__ import annotations
 
 import base64
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import yaml
 
 from .crypto import Certificate, certificate_valid, verify
 from .schema import Required, check_shape
 from .tpm import DYNAMIC_PCRS, STATIC_PCRS
+from .trust import BASELINE, OBFUSCATED, disagreeing, static_split
 
 VALID_PCR_IDS = set(STATIC_PCRS) | set(DYNAMIC_PCRS)
 POLICY_ID_LEN = 16
@@ -58,6 +60,11 @@ WHITELIST = {Required("pcrs"): [{Required("id"): int, Required("sha256"): str}]}
 RUNTIME = {"certificate": str, "software": [{"name": str, "whitelist": {str: str}}]}
 LOCATION = [{Required("host"): str, Required("max_latency"): (int, float),
              Required("chain"): str}]
+
+_STATIC_DETAIL = {
+    BASELINE: "static pcr {} baseline differs from whitelist",
+    OBFUSCATED: "static pcr {} lost its obfuscated value",
+}
 
 
 class PolicyParseError(Exception):
@@ -128,9 +135,6 @@ class SoftwareList:
     name: str
     hashes: Tuple[Tuple[bytes, str], ...]  # (file hash, recorded path)
 
-    def hash_set(self) -> set:
-        return {h for h, _ in self.hashes}
-
 
 @dataclass(frozen=True)
 class LocationRule:
@@ -158,11 +162,10 @@ class Policy:
         policy's trusted manufacturer keys."""
         return certificate_valid(ek_cert, self.tpm_ca_chain, "tpm-ek")
 
-    def whitelisted_hashes(self) -> set:
-        acc = set()
-        for lst in self.software:
-            acc |= lst.hash_set()
-        return acc
+    @cached_property
+    def whitelisted_hashes(self) -> FrozenSet[bytes]:
+        """Every software whitelist hash, built once per policy."""
+        return frozenset(h for lst in self.software for h, _ in lst.hashes)
 
 
 @dataclass(frozen=True)
@@ -303,11 +306,11 @@ class PlatformView:
     is the policy's decision on the sealed EK certificate
     (:meth:`Policy.certifies_ek`).
 
-    Static whitelist values are matched through the obfuscation split: the
-    policy's golden value must equal the value the agent sealed at
-    initialization, and the current quote value must equal the sealed
-    obfuscated value.  Dynamic whitelist values are matched directly
-    against the quote.
+    Static whitelist values are matched through the obfuscation split
+    (:func:`.trust.static_split`): the policy's golden value must equal the
+    value the agent sealed at initialization, and the current quote value
+    must equal the sealed obfuscated value.  Dynamic whitelist values are
+    matched directly against the quote (:func:`.trust.disagreeing`).
 
     ``ima_events`` are the log events still to appraise under this policy,
     and ``earlier_violations`` the ``untrusted-file`` violations that an
@@ -343,31 +346,22 @@ def evaluate(policy: Policy, view: PlatformView) -> PolicyVerdict:
     if not view.ek_certified:
         violations.append(Violation("tpm-cert", "ek certificate does not chain to a trusted ca"))
 
-    for index, golden in sorted(policy.dynamic_entries().items()):
-        got = view.pcr_values.get(index)
-        if got != golden:
-            violations.append(
-                Violation("pcr-mismatch", f"dynamic pcr {index} differs from whitelist")
-            )
-    for index, golden in sorted(policy.static_entries().items()):
-        sealed = view.static_original.get(index)
-        obfuscated = view.static_obfuscated.get(index)
-        got = view.pcr_values.get(index)
-        if sealed != golden:
-            violations.append(
-                Violation("pcr-mismatch", f"static pcr {index} baseline differs from whitelist")
-            )
-        elif got is None or got != obfuscated:
-            violations.append(
-                Violation("pcr-mismatch", f"static pcr {index} lost its obfuscated value")
-            )
+    dynamics = policy.dynamic_entries()
+    for index in disagreeing(dynamics, dynamics, view.pcr_values):
+        violations.append(
+            Violation("pcr-mismatch", f"dynamic pcr {index} differs from whitelist")
+        )
+    statics = policy.static_entries()
+    for index, half in static_split(statics, statics, view.static_original,
+                                    view.static_obfuscated, view.pcr_values):
+        violations.append(Violation("pcr-mismatch", _STATIC_DETAIL[half].format(index)))
 
     if view.log_tampered:
         violations.append(Violation("log-tampered", "measurement log diverged from pcr-10"))
 
     violations.extend(view.earlier_violations)
     if policy.runtime_cert is not None or policy.software:
-        whitelisted = policy.whitelisted_hashes()
+        whitelisted = policy.whitelisted_hashes
         for file_hash, path, signature in view.ima_events:
             if file_hash in whitelisted:
                 continue

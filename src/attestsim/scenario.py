@@ -53,7 +53,6 @@ Every random draw flows from one seeded generator, which is what makes
 reports reproducible.
 """
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -175,9 +174,6 @@ class ScenarioResult:
             "verdicts": self.verdicts,
             "explorer": self.explorer,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     @property
     def all_compliant(self) -> bool:

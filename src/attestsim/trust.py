@@ -1,0 +1,43 @@
+"""The register rules of trust establishment, stated once.
+
+The agent (``agent._failed_condition`` and ``agent_init``), the policy
+evaluator (``policy.evaluate``) and the symbolic model (``world._q1`` and
+``world._verify``) decide c2, c3 and the obfuscation read-back through
+these two functions.  Both compare values for equality only, so they take
+mappings from register index to an opaque value: digests on the agent,
+whitelist digests in the policy, terms in one-entry mappings in the model.
+Each caller adds only what the others cannot see (the agent's key binding
+and reboot counter) and words the findings its own way.
+
+Both rules return lists, never a bare index: register 0 is falsy.
+"""
+
+from typing import Iterable, List, Mapping, Tuple
+
+BASELINE = "baseline"
+OBFUSCATED = "obfuscated"
+
+
+def disagreeing(indices: Iterable, *banks: Mapping) -> List:
+    """The indices, in sorted order, whose value is not the same in every
+    bank.  A missing value never agrees, not even with another missing one."""
+    return [i for i in sorted(indices)
+            if any(i not in bank for bank in banks)
+            or any(bank[i] != banks[0][i] for bank in banks[1:])]
+
+
+def static_split(indices: Iterable, golden: Mapping, original: Mapping,
+                 obfuscated: Mapping, quoted: Mapping) -> List[Tuple[object, str]]:
+    """``(index, half)`` for each failing static register, in sorted order.
+
+    ``half`` is :data:`BASELINE` when the sealed original is not the golden
+    value, and otherwise :data:`OBFUSCATED` when the quote does not show the
+    sealed obfuscated value.
+    """
+    found = []
+    for i in sorted(indices):
+        if disagreeing((i,), golden, original):
+            found.append((i, BASELINE))
+        elif disagreeing((i,), obfuscated, quoted):
+            found.append((i, OBFUSCATED))
+    return found

@@ -419,6 +419,20 @@ def test_c3_static_drift_on_the_attached_tpm():
     assert report.failed_condition == CONDITION_STATIC
 
 
+def test_c3_sealed_baseline_other_than_golden():
+    # the platform measured and sealed a static value the fleet does not
+    # expect; the quote still shows what was sealed as obfuscated
+    w = World()
+    (m,) = w.machines
+    agent = w.agent_for(m)
+    w.boot(m, init_hook=agent.initialization_hook)
+    ctx = run_enclave(m, AGENT_BIN, "runtime")
+    golden = {0: sha256(b"another launch configuration")}
+    report = establish_trust(ctx, DirectTpmChannel(m), Rng(79), golden, w.golden_dynamics)
+    assert (report.failed_condition, report.detail) == (
+        CONDITION_STATIC, "sealed baseline for static pcr 0 is not the golden value")
+
+
 def test_c4_reboot_without_reinitialization():
     # dynamics-only whitelist: statics carry no obfuscation, so the reboot
     # counter is the condition that catches the power cycle

@@ -6,6 +6,11 @@ imports switch on compiler features, so neither is scanned.
 Every module-level UPPER_CASE constant in ``src/`` is read somewhere under
 ``src/``, ``tests/`` or ``bench/``, as a bare name or as an
 attribute; its own assignment and an import do not count as a read.
+
+The register rules (``attestsim/trust.py``) import nothing from the
+package, and the symbolic model (``attestsim/modelcheck/``) imports
+nothing from it but those rules: the model shares the decision of trust
+with the agent and none of its crypto, TPM or agent code.
 """
 
 import ast
@@ -105,3 +110,49 @@ def test_every_constant_is_read():
     reading = [text for folder in ("tests", "bench")
                for text in sources(folder).values()]
     assert unread_constants(sources("src"), reading) == []
+
+
+def package_imports(source: str, package: str):
+    """The ``attestsim`` modules that ``source``, a module of the dotted
+    ``package``, imports, with relative imports resolved."""
+    parts = package.split(".")
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = parts[:len(parts) - node.level + 1] if node.level else []
+            if node.module:
+                names = [".".join(base + [node.module])]
+            else:
+                names = [".".join(base + [a.name]) for a in node.names]
+        else:
+            continue
+        found.update(n for n in names if n.split(".")[0] == "attestsim")
+    return found
+
+
+def test_scanner_resolves_relative_imports():
+    source = ("import os\nfrom ..trust import rule\nfrom .terms import h\n"
+              "from . import world\nimport attestsim.crypto\n")
+    assert package_imports(source, "attestsim.modelcheck") == {
+        "attestsim.trust", "attestsim.modelcheck.terms", "attestsim.modelcheck.world",
+        "attestsim.crypto"}
+
+
+SRC = ROOT / "src" / "attestsim"
+
+
+def test_trust_rules_import_nothing_from_the_package():
+    assert package_imports((SRC / "trust.py").read_text(), "attestsim") == set()
+
+
+def test_the_model_imports_only_the_trust_rules_from_the_package():
+    found = []
+    for path in sorted((SRC / "modelcheck").glob("*.py")):
+        found += [f"{path.name}: {module}"
+                  for module in sorted(package_imports(path.read_text(),
+                                                       "attestsim.modelcheck"))
+                  if module != "attestsim.trust"
+                  and not module.startswith("attestsim.modelcheck")]
+    assert found == []

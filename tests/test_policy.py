@@ -240,6 +240,15 @@ def test_unsigned_static_pcr_drift_detected():
     assert "pcr-mismatch" in [x.kind for x in v.violations]
 
 
+def test_static_baseline_other_than_golden_detected():
+    # the quote still shows the sealed obfuscated value
+    view = make_view()
+    other = {**view.static_original, 0: sha256(b"other firmware")}
+    v = evaluate(POLICY, make_view(static_original=other))
+    assert [(x.kind, x.detail) for x in v.violations] == [
+        ("pcr-mismatch", "static pcr 0 baseline differs from whitelist")]
+
+
 def test_evaluation_is_pure():
     view = make_view()
     assert evaluate(POLICY, view) == evaluate(POLICY, view)

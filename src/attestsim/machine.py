@@ -15,21 +15,20 @@ binary measurement and a per-machine sealing root, so sealed data binds to
 TPM channels model the driver between agent and chip.  A
 :class:`DirectTpmChannel` talks to the attached TPM at the machine's
 current locality.  A :class:`RelayTpmChannel` is a malicious driver that
-forwards traffic to another machine's network surface; that surface serves
-reads for anyone (quotes are public attestations) but accepts extends only
-when its host is *not* running the integrity-enforced golden stack, because
-the golden software simply offers no remote-extend service.
+forwards traffic to another host's TPM; its docstring states what that
+host serves.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from . import ima
 from .crypto import Rng, sha256
-from .tpm import DRTM_LOCALITY, Quote, TpmState
+from .tpm import DRTM_LOCALITY, Quote, TpmError, TpmState
+from .trust import disagreeing
 
 logger = logging.getLogger(__name__)
 
@@ -62,11 +61,10 @@ class SoftwareImage:
         return sha256(self.content)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BootOutcome:
     halted: bool
     reason: Optional[str]
-    measurements: Dict[str, bytes] = field(default_factory=dict)
 
 
 class Machine:
@@ -78,17 +76,13 @@ class Machine:
         tpm: TpmState,
         platform_ca_pub: bytes,
         rng: Rng,
-        dc: str = "dc1",
     ):
         self.machine_id = machine_id
         self.tpm = tpm
         self.platform_ca_pub = platform_ca_pub
-        self.dc = dc
         self._seal_root = rng.bytes(32)  # never leaves this module
         self.disk: Dict[str, bytes] = {}
         self.state = "off"  # off | initramfs | runtime
-        self.booted_measurements: Optional[Dict[str, bytes]] = None
-        self.golden_measurements: Optional[Dict[str, bytes]] = None
         self.ima_enforcing = True
         self.ima_cert: Optional[bytes] = None
 
@@ -104,18 +98,6 @@ class Machine:
 
     def restore_disk(self, snapshot: Dict[str, bytes]) -> None:
         self.disk = dict(snapshot)
-
-    # -- integrity enforcement --------------------------------------------
-
-    def set_golden(self, measurements: Dict[str, bytes]) -> None:
-        """Record the expected golden boot measurements for this fleet."""
-        self.golden_measurements = dict(measurements)
-
-    def runs_golden_stack(self) -> bool:
-        """True iff the machine booted exactly the golden image set."""
-        if self.booted_measurements is None or self.golden_measurements is None:
-            return False
-        return self.booted_measurements == self.golden_measurements
 
     # -- runtime file loading (IMA hook) ----------------------------------
 
@@ -155,22 +137,18 @@ def boot(
     if machine.state != "off":
         raise BootError("machine is already powered")
 
-    outcome = BootOutcome(halted=False, reason=None)
     tpm = machine.tpm
 
     # firmware measures itself before anything runs
     tpm.pcr_extend(0, uefi.measurement, locality=0)
-    outcome.measurements["uefi"] = uefi.measurement
 
     for img in (uefi, tboot):
         ok = img.signature is not None and verify(
             img.signature, img.content, machine.platform_ca_pub
         )
         if not ok:
-            outcome.halted = True
-            outcome.reason = "uefi-signature-invalid"
             logger.info("boot halt on %s: bad signature for %s", machine.machine_id, img.name)
-            return outcome
+            return BootOutcome(halted=True, reason="uefi-signature-invalid")
 
     # dynamic root of trust: locality 4 resets the dynamic bank
     tpm.locality = DRTM_LOCALITY
@@ -178,11 +156,6 @@ def boot(
     tpm.pcr_extend(17, tboot.measurement, locality=DRTM_LOCALITY)
     tpm.pcr_extend(18, kernel.measurement, locality=DRTM_LOCALITY)
     tpm.pcr_extend(19, initramfs.measurement, locality=DRTM_LOCALITY)
-    outcome.measurements.update(
-        tboot=tboot.measurement, kernel=kernel.measurement, initramfs=initramfs.measurement
-    )
-
-    machine.booted_measurements = dict(outcome.measurements)
     machine.disk["ima/log"] = b""
 
     # initramfs phase
@@ -194,22 +167,18 @@ def boot(
         except InitHookFailure as exc:
             machine.state = "off"
             tpm.locality = 0
-            machine.booted_measurements = None
-            outcome.halted = True
-            outcome.reason = f"init-hook: {exc}"
-            return outcome
+            return BootOutcome(halted=True, reason=f"init-hook: {exc}")
 
     # hand off to the OS
     machine.state = "runtime"
     tpm.locality = RUNTIME_LOCALITY
-    return outcome
+    return BootOutcome(halted=False, reason=None)
 
 
 def reboot_machine(machine: Machine) -> None:
     """Power cycle; the disk persists, PCRs and locality reset."""
     machine.tpm.reboot()
     machine.state = "off"
-    machine.booted_measurements = None
 
 
 # --------------------------------------------------------------------------
@@ -270,77 +239,59 @@ class DirectTpmChannel:
         self.machine.tpm.pcr_extend(index, value, self.machine.current_locality)
 
 
-class RemoteTpmSurface:
-    """What another host exposes over the network about its TPM.
-
-    Reads, quotes and credential activation are served unconditionally
-    (they are ordinary attestation traffic).  Extend requests are honored
-    only when the host is *not* running the enforced golden stack: golden
-    software has no remote-extend service, so the adversary can only obtain
-    one by booting the host with tampered software, which in turn shows up
-    in that host's dynamic PCRs.
-    """
-
-    def __init__(self, machine: Machine):
-        self.machine = machine
-        self._served_aik: Optional[bytes] = None
-
-    @property
-    def tpm(self) -> TpmState:
-        return self.machine.tpm
-
-    def resident_aik(self, rng: Rng) -> bytes:
-        if self._served_aik is None:
-            self._served_aik = self.tpm.create_aik(rng)
-        return self._served_aik
-
-    def accepts_extends(self) -> bool:
-        return not self.machine.runs_golden_stack()
-
-    def pcr_extend(self, index: int, value: bytes) -> bool:
-        if not self.accepts_extends():
-            return False
-        # a cooperating daemon runs at OS runtime, i.e. locality 0
-        self.tpm.pcr_extend(index, value, RUNTIME_LOCALITY)
-        return True
-
-
 class RelayTpmChannel:
     """Malicious driver relaying the agent's TPM traffic to a remote host.
 
-    Reads and quotes come from the remote TPM.  A quote request names an
-    AIK handle: if that key is resident on the remote TPM it signs (handles
-    are just data to forward), otherwise the relay substitutes the remote
-    TPM's own resident attestation key — the remote host signs with what it
-    has.  Extend commands are forwarded when the remote surface accepts
-    them and silently swallowed otherwise, which is the best a relay can do.
+    Every relayed call goes through one guard: a host that is not at OS
+    runtime (never booted, halted at init, powered off) answers nothing,
+    and the call raises :class:`TpmError`.  A running host serves reads,
+    quotes and credential activation, which are ordinary attestation
+    traffic.  A quote request names an AIK handle: if that key is resident
+    on the remote TPM it signs (handles are just data to forward),
+    otherwise the relay substitutes the remote TPM's own resident
+    attestation key.  An extend is forwarded, at the OS runtime's locality
+    0, only when the host's dynamic registers disagree with
+    ``golden_dynamics`` (the c2 agreement rule): golden software offers no
+    remote-extend service, so the adversary gets one only by booting the
+    host with tampered software, which shows in those registers.
+    Otherwise the extend is swallowed, which is the best a relay can do.
     """
 
-    def __init__(self, local: Machine, surface: RemoteTpmSurface, rng: Rng):
-        self.local = local
-        self.surface = surface
+    def __init__(self, host: Machine, golden_dynamics: Dict[int, bytes], rng: Rng):
+        self.host = host
+        self.golden_dynamics = dict(golden_dynamics)
         self._rng = rng
+        self._resident_aik: Optional[bytes] = None
+
+    def _tpm(self) -> TpmState:
+        if self.host.state != "runtime":
+            raise TpmError(f"host {self.host.machine_id} is not at os runtime")
+        return self.host.tpm
 
     def create_aik(self, rng: Rng) -> bytes:
-        return self.surface.tpm.create_aik(rng)
+        return self._tpm().create_aik(rng)
 
     def ek_certificate(self):
-        return self.surface.tpm.ek_cert
+        return self._tpm().ek_cert
 
     def activate_credential(self, aik_pub: bytes, challenge: bytes) -> bytes:
-        return self.surface.tpm.activate_credential(aik_pub, challenge)
+        return self._tpm().activate_credential(aik_pub, challenge)
 
     def quote(self, aik_pub: bytes, nonce: bytes, selection) -> Quote:
-        if aik_pub in self.surface.tpm.aiks:
-            serving = aik_pub
-        else:
-            serving = self.surface.resident_aik(self._rng)
-        return self.surface.tpm.quote(serving, nonce, selection)
+        tpm = self._tpm()
+        if aik_pub not in tpm.aiks:
+            if self._resident_aik is None:
+                self._resident_aik = tpm.create_aik(self._rng)
+            aik_pub = self._resident_aik
+        return tpm.quote(aik_pub, nonce, selection)
 
     def read_pcr(self, index: int) -> bytes:
-        return self.surface.tpm.read_pcr(index)
+        return self._tpm().read_pcr(index)
 
     def pcr_extend(self, index: int, value: bytes) -> None:
-        forwarded = self.surface.pcr_extend(index, value)
-        if not forwarded:
+        tpm = self._tpm()
+        launched = {i: tpm.read_pcr(i) for i in self.golden_dynamics}
+        if disagreeing(self.golden_dynamics, self.golden_dynamics, launched):
+            tpm.pcr_extend(index, value, RUNTIME_LOCALITY)
+        else:
             logger.debug("relay dropped extend of pcr %d", index)

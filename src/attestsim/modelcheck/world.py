@@ -24,7 +24,9 @@ can observe:
   malicious driver leaks the mask to the adversary and chooses where the
   extend lands: the attached chip, the bound chip (only if its host
   accepts remote extends, which golden-booted hosts never do — their
-  software simply has no such service), or nowhere.
+  software simply has no such service), or nowhere.  A host that is
+  created or halted serves neither reads nor extends.  The concrete twin
+  of these routing rules is ``machine.RelayTpmChannel``.
 * **q1** reads back: the bound register must show exactly
   ``h(pair(q0_value, mask))`` with dynamics unmoved, else initialization
   aborts.  Both are the agreement rule (:func:`attestsim.trust.disagreeing`)

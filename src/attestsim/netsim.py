@@ -94,7 +94,9 @@ class NetworkModel:
         placement: Dict[str, str],
         adversary: Optional[AdversaryModel] = None,
     ):
-        self._links = {tuple(sorted(k)): v for k, v in links.items()}
+        self._links: Dict[Tuple[str, str], LatencyModel] = {}
+        for (a, b), latency in links.items():  # a later orientation wins
+            self._links[a, b] = self._links[b, a] = latency
         self._placement = dict(placement)
         self.adversary = adversary
 
@@ -108,11 +110,12 @@ class NetworkModel:
             raise BeaconUnreachable(f"endpoint {endpoint!r} is not on the network")
 
     def link(self, src: str, dst: str) -> LatencyModel:
-        key = tuple(sorted((self.dc_of(src), self.dc_of(dst))))
+        pair = (self.dc_of(src), self.dc_of(dst))
         try:
-            return self._links[key]
+            return self._links[pair]
         except KeyError:
-            raise BeaconUnreachable(f"no route between {key[0]} and {key[1]}")
+            a, b = sorted(pair)
+            raise BeaconUnreachable(f"no route between {a} and {b}")
 
     def one_way_ms(self, src: str, dst: str, rng: Rng) -> float:
         """Latency of one message leg; raises on an adversarial drop."""

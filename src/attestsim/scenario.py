@@ -75,7 +75,6 @@ from .machine import (
     DirectTpmChannel,
     Machine,
     RelayTpmChannel,
-    RemoteTpmSurface,
     SoftwareImage,
     boot,
     reboot_machine,
@@ -287,7 +286,6 @@ def build_fleet(doc: dict, seed: int) -> _Fleet:
             raise ScenarioError(f"image name {name!r} shadows a golden image")
         images[name] = SoftwareImage(name, content.encode())
 
-    golden = {k: images[k].measurement for k in GOLDEN_STACK}
     golden_statics = {0: extend_digest(ZERO_DIGEST, images["uefi"].measurement)}
     golden_dynamics = {
         17: extend_digest(ZERO_DIGEST, images["tboot"].measurement),
@@ -319,8 +317,7 @@ def build_fleet(doc: dict, seed: int) -> _Fleet:
             raise ScenarioError(f"duplicate machine id {mid!r}")
         mrng = rng.child(f"machine-{mid}")
         tpm = TpmState(f"tpm-{mid}", tpm_ca, mrng)
-        machine = Machine(mid, tpm, platform_ca.public, mrng, dc=spec.get("dc", "dc1"))
-        machine.set_golden(golden)
+        machine = Machine(mid, tpm, platform_ca.public, mrng)
         machines[mid] = machine
         if "agent" in spec:
             agent = Agent(
@@ -486,11 +483,8 @@ class _Runner:
             return
         target = fleet.machine(target_id)
         relay_rng = fleet.rng.child(f"relay-{mid}-{target_id}")
-
-        def factory(machine, _target=target, _rng=relay_rng):
-            return RelayTpmChannel(machine, RemoteTpmSurface(_target), _rng)
-
-        agent.channel_factory = factory
+        agent.channel_factory = lambda _machine: RelayTpmChannel(
+            target, fleet.golden_dynamics, relay_rng)
         self.note(mid, "relay", {"target": target_id})
 
     def act_extend_pcr(self, step: dict) -> None:

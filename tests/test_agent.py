@@ -34,9 +34,9 @@ from attestsim.crypto import (
 )
 from attestsim.machine import (
     DirectTpmChannel,
+    InitHookFailure,
     Machine,
     RelayTpmChannel,
-    RemoteTpmSurface,
     SoftwareImage,
     boot,
     reboot_machine,
@@ -67,14 +67,11 @@ class World:
             "kernel": SoftwareImage("kernel", b"kernel-5.15-golden"),
             "initramfs": SoftwareImage("initramfs", b"initramfs-agent-1.0"),
         }
-        golden = {k: v.measurement for k, v in self.images.items()}
         self.machines = []
         for i in range(n_machines):
             mrng = rng.child(f"machine-{i}")
             tpm = TpmState(f"tpm-{i}", self.tpm_ca, mrng)
-            m = Machine(f"m{i}", tpm, self.platform_ca.public, mrng)
-            m.set_golden(golden)
-            self.machines.append(m)
+            self.machines.append(Machine(f"m{i}", tpm, self.platform_ca.public, mrng))
 
         img = self.images
         self.golden_statics = {0: extend_digest(ZERO_DIGEST, img["uefi"].measurement)}
@@ -290,7 +287,7 @@ def test_init_via_relay_to_golden_host_hits_obfuscation_mismatch():
     victim, oracle = w.machines
     w.boot(oracle)  # golden, agentless: refuses remote extends
     w.boot(victim)
-    relay = RelayTpmChannel(victim, RemoteTpmSurface(oracle), w.rng.child("adv"))
+    relay = RelayTpmChannel(oracle, w.golden_dynamics, w.rng.child("adv"))
     ctx = run_enclave(victim, AGENT_BIN, "init")
     with pytest.raises(InitFailure) as err:
         agent_init(ctx, relay, Rng(2), (0,))
@@ -303,7 +300,7 @@ def test_init_via_relay_to_tampered_host_seals_foreign_values():
     rootkit = SoftwareImage("kernel", b"kernel-5.15-rootkit")
     w.boot(host, kernel=rootkit)  # tampered: accepts remote extends
     w.boot(victim)
-    relay = RelayTpmChannel(victim, RemoteTpmSurface(host), w.rng.child("adv"))
+    relay = RelayTpmChannel(host, w.golden_dynamics, w.rng.child("adv"))
     ctx = run_enclave(victim, AGENT_BIN, "init")
     config = agent_init(ctx, relay, Rng(3), (0,))
     assert config.dynamics[18] != w.golden_dynamics[18]
@@ -400,8 +397,8 @@ def test_c3_runtime_relay_to_golden_host_is_caught():
     agent = w.agent_for(m)
     w.boot(m, init_hook=agent.initialization_hook)
     w.boot(oracle)
-    surface = RemoteTpmSurface(oracle)
-    agent.channel_factory = lambda mm: RelayTpmChannel(mm, surface, w.rng.child("adv"))
+    relay = RelayTpmChannel(oracle, w.golden_dynamics, w.rng.child("adv"))
+    agent.channel_factory = lambda mm: relay
     quotes = record_quotes(agent)
     report = agent.enter_runtime()
     assert not report.trusted
@@ -483,24 +480,31 @@ def test_conditions_check_in_order_c1_first():
 ROOTKIT = SoftwareImage("kernel", b"kernel-5.15-rootkit")
 
 
+def _halt(machine):
+    raise InitHookFailure("halted by test")
+
+
 def _run_case(init_route, runtime_route, obfuscate=True, kernel=None):
     """Drive init+establish on a victim booting ``kernel`` with the given
     channel routes; returns (outcome, runtime quotes, attached_machine).
     The outcome is ``halted-at-init``, ``tpm-unreachable``, ``trusted`` or
     the failed condition."""
-    w = World(n_machines=3)
-    m, golden_host, tampered_host = w.machines
+    w = World(n_machines=4)
+    m, golden_host, tampered_host, halted_host = w.machines
     w.boot(golden_host)
     w.boot(tampered_host, kernel=ROOTKIT)
-    surfaces = {
-        "relay-golden": RemoteTpmSurface(golden_host),
-        "relay-tampered": RemoteTpmSurface(tampered_host),
+    assert w.boot(halted_host, init_hook=_halt).halted  # off, golden registers kept
+    relays = {
+        route: RelayTpmChannel(host, w.golden_dynamics, w.rng.child("adv"))
+        for route, host in [("relay-golden", golden_host),
+                            ("relay-tampered", tampered_host),
+                            ("relay-halted", halted_host)]
     }
 
     def factory(route):
         if route == "direct":
-            return lambda mm: DirectTpmChannel(mm)
-        return lambda mm: RelayTpmChannel(mm, surfaces[route], w.rng.child("adv"))
+            return DirectTpmChannel
+        return lambda mm: relays[route]
 
     agent = w.agent_for(m, obfuscate=obfuscate, factory=factory(init_route))
     out = w.boot(m, init_hook=agent.initialization_hook, kernel=kernel)
@@ -515,7 +519,7 @@ def _run_case(init_route, runtime_route, obfuscate=True, kernel=None):
     return "trusted" if report.trusted else report.failed_condition, quotes, m
 
 
-ROUTES = ["direct", "relay-golden", "relay-tampered"]
+ROUTES = ["direct", "relay-golden", "relay-tampered", "relay-halted"]
 
 
 @pytest.mark.parametrize("init_route", ROUTES)
@@ -531,17 +535,22 @@ def test_cuckoo_soundness_grid(init_route, runtime_route):
 
 
 # a rootkit victim over every (init route, runtime route): the plain scheme
-# trusts the bridge to the golden host, the obfuscated one trusts no cell
+# trusts the bridge to the golden host, the obfuscated one trusts no cell; a
+# halted host keeps its golden registers but answers no relayed call
 TAMPERED_VICTIM_GRID = {
     "plain": {
-        "direct": ["c2-dynamic-pcr", "c2-dynamic-pcr", "c2-dynamic-pcr"],
-        "relay-golden": ["tpm-unreachable", "trusted", "c2-dynamic-pcr"],
-        "relay-tampered": ["tpm-unreachable", "c2-dynamic-pcr", "c2-dynamic-pcr"],
+        "direct": ["c2-dynamic-pcr", "c2-dynamic-pcr", "c2-dynamic-pcr", "tpm-unreachable"],
+        "relay-golden": ["tpm-unreachable", "trusted", "c2-dynamic-pcr", "tpm-unreachable"],
+        "relay-tampered": ["tpm-unreachable", "c2-dynamic-pcr", "c2-dynamic-pcr",
+                           "tpm-unreachable"],
+        "relay-halted": ["halted-at-init"] * 4,
     },
     "obfuscated": {
-        "direct": ["c2-dynamic-pcr", "c2-dynamic-pcr", "c2-dynamic-pcr"],
-        "relay-golden": ["halted-at-init"] * 3,
-        "relay-tampered": ["tpm-unreachable", "c2-dynamic-pcr", "c2-dynamic-pcr"],
+        "direct": ["c2-dynamic-pcr", "c2-dynamic-pcr", "c2-dynamic-pcr", "tpm-unreachable"],
+        "relay-golden": ["halted-at-init"] * 4,
+        "relay-tampered": ["tpm-unreachable", "c2-dynamic-pcr", "c2-dynamic-pcr",
+                           "tpm-unreachable"],
+        "relay-halted": ["halted-at-init"] * 4,
     },
 }
 
@@ -560,9 +569,8 @@ def test_plain_variant_lets_the_bridged_cuckoo_through():
     w = World(n_machines=2)
     victim, oracle = w.machines
     w.boot(oracle)  # the healthy host whose TPM answers everything
-    surface = RemoteTpmSurface(oracle)
-    relay_rng = w.rng.child("adv")
-    factory = lambda mm: RelayTpmChannel(mm, surface, relay_rng)
+    relay = RelayTpmChannel(oracle, w.golden_dynamics, w.rng.child("adv"))
+    factory = lambda mm: relay
 
     agent = w.agent_for(victim, obfuscate=False, factory=factory)
     rootkit = SoftwareImage("kernel", b"kernel-5.15-rootkit")
@@ -572,7 +580,7 @@ def test_plain_variant_lets_the_bridged_cuckoo_through():
     report = agent.enter_runtime()
 
     assert report.trusted                          # the verdict says healthy
-    assert not victim.runs_golden_stack()          # the machine is not
+    assert victim.tpm.read_pcr(18) != w.golden_dynamics[18]  # the machine is not
     assert quotes[-1].aik_pub not in victim.tpm.aiks  # the quote is a cuckoo egg
 
 
@@ -580,8 +588,8 @@ def test_obfuscated_variant_kills_the_same_bridge_at_init():
     w = World(n_machines=2)
     victim, oracle = w.machines
     w.boot(oracle)
-    surface = RemoteTpmSurface(oracle)
-    factory = lambda mm: RelayTpmChannel(mm, surface, w.rng.child("adv"))
+    relay = RelayTpmChannel(oracle, w.golden_dynamics, w.rng.child("adv"))
+    factory = lambda mm: relay
     agent = w.agent_for(victim, obfuscate=True, factory=factory)
     rootkit = SoftwareImage("kernel", b"kernel-5.15-rootkit")
     out = w.boot(victim, init_hook=agent.initialization_hook, kernel=rootkit)
@@ -830,7 +838,7 @@ def test_runtime_relay_swap_under_running_agent_is_locked_out():
     assert agent.enter_runtime().trusted
     w.boot(oracle)
     tap = agent._channel = FlakyChannel(
-        RelayTpmChannel(m, RemoteTpmSurface(oracle), w.rng.child("adv")))
+        RelayTpmChannel(oracle, w.golden_dynamics, w.rng.child("adv")))
     with pytest.raises(UntrustedPlatform):
         agent.refresh(Rng(102).bytes(32))
     assert agent.compromised == "pcr-changed"

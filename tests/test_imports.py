@@ -7,6 +7,9 @@ Every module-level UPPER_CASE constant in ``src/`` is read somewhere under
 ``src/``, ``tests/`` or ``bench/``, as a bare name or as an
 attribute; its own assignment and an import do not count as a read.
 
+Every ``self.<attr>`` that a class in ``src/`` stores is read as an
+attribute somewhere under ``src/``, ``tests/`` or ``bench/``.
+
 The register rules (``attestsim/trust.py``) import nothing from the
 package, and the symbolic model (``attestsim/modelcheck/``) imports
 nothing from it but those rules: the model shares the decision of trust
@@ -102,14 +105,56 @@ def test_scanner_reports_an_unread_constant():
     assert unread_constants(defining, reading) == [("m.py", 2, "UNUSED")]
 
 
-def test_every_constant_is_read():
-    def sources(folder):
-        return {str(p.relative_to(ROOT)): p.read_text()
-                for p in sorted((ROOT / folder).rglob("*.py"))}
+def sources(folder):
+    """Path -> text of every module under ``folder``."""
+    return {str(p.relative_to(ROOT)): p.read_text()
+            for p in sorted((ROOT / folder).rglob("*.py"))}
 
+
+def test_every_constant_is_read():
     reading = [text for folder in ("tests", "bench")
                for text in sources(folder).values()]
     assert unread_constants(sources("src"), reading) == []
+
+
+def write_only_attributes(defining, reading):
+    """(path, class, attribute) for each ``self.<attr>`` that a method of a
+    ``defining`` source (path -> text) stores and that no ``.attr`` load in
+    it or in any ``reading`` text reads."""
+    trees = {path: ast.parse(text) for path, text in defining.items()}
+    read = {node.attr for tree in [*trees.values(), *map(ast.parse, reading)]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    found = set()
+    for path, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                found.update((path, cls.name, node.attr) for node in ast.walk(method)
+                             if isinstance(node, ast.Attribute)
+                             and isinstance(node.ctx, ast.Store)
+                             and isinstance(node.value, ast.Name)
+                             and node.value.id == "self" and node.attr not in read)
+    return sorted(found)
+
+
+def test_scanner_reports_a_write_only_attribute():
+    defining = {"m.py": "class A:\n    def __init__(self, x):\n        self.kept = x\n"
+                        "        self.lost: int = x\n        self.bumped = 0\n"
+                        "        self.mine = 1\n\n    def bump(self):\n"
+                        "        self.bumped += self.mine\n"}
+    reading = ["a.kept\n"]
+    assert write_only_attributes(defining, reading) == [("m.py", "A", "bumped"),
+                                                        ("m.py", "A", "lost")]
+
+
+def test_every_stored_attribute_is_read():
+    reading = [text for folder in ("tests", "bench")
+               for text in sources(folder).values()]
+    assert write_only_attributes(sources("src"), reading) == []
 
 
 def package_imports(source: str, package: str):

@@ -10,13 +10,13 @@ from attestsim.machine import (
     InitHookFailure,
     Machine,
     RelayTpmChannel,
-    RemoteTpmSurface,
     SoftwareImage,
     boot,
     reboot_machine,
     run_enclave,
 )
-from attestsim.tpm import LocalityViolation, TpmState
+from attestsim.modelcheck import world as model
+from attestsim.tpm import LocalityViolation, TpmError, TpmState
 
 
 def build_world(seed=1, n_machines=1):
@@ -33,14 +33,11 @@ def build_world(seed=1, n_machines=1):
         "kernel": SoftwareImage("kernel", b"kernel-5.15-golden"),
         "initramfs": SoftwareImage("initramfs", b"initramfs-agent-1.0"),
     }
-    golden = {k: v.measurement for k, v in images.items()}
     machines = []
     for i in range(n_machines):
         mrng = rng.child(f"machine-{i}")
         tpm = TpmState(f"tpm-{i}", tpm_ca, mrng)
-        m = Machine(f"m{i}", tpm, platform_ca.public, mrng)
-        m.set_golden(golden)
-        machines.append(m)
+        machines.append(Machine(f"m{i}", tpm, platform_ca.public, mrng))
     return machines, images, platform_ca, tpm_ca, rng
 
 
@@ -94,7 +91,6 @@ def test_different_kernel_changes_only_pcr18():
     assert a.tpm.read_pcr(17) == b.tpm.read_pcr(17)
     assert a.tpm.read_pcr(18) != b.tpm.read_pcr(18)
     assert a.tpm.read_pcr(19) == b.tpm.read_pcr(19)
-    assert not b.runs_golden_stack() and a.runs_golden_stack()
 
 
 def test_init_hook_runs_at_locality_two_and_can_abort():
@@ -190,26 +186,82 @@ def test_direct_channel_speaks_to_attached_tpm():
     assert ch.read_pcr(5) == sha256(before + sha256(b"v"))
 
 
-def test_golden_host_surface_refuses_remote_extends():
-    (a, b), img, *_ = build_world(n_machines=2)
-    boot(b, img["uefi"], img["tboot"], img["kernel"], img["initramfs"])  # golden
-    surface = RemoteTpmSurface(b)
-    assert not surface.accepts_extends()
-    before = b.tpm.read_pcr(0)
-    assert surface.pcr_extend(0, sha256(b"x")) is False
-    assert b.tpm.read_pcr(0) == before
+def golden_dynamics(img):
+    return {pcr: chain(ZERO_DIGEST, [img[name].measurement])
+            for pcr, name in ((17, "tboot"), (18, "kernel"), (19, "initramfs"))}
 
 
-def test_tampered_host_surface_accepts_static_extends_only():
-    (a, b), img, *_ = build_world(n_machines=2)
-    evil = SoftwareImage("kernel", b"kernel-rootkit")
-    boot(b, img["uefi"], img["tboot"], evil, img["initramfs"])
-    surface = RemoteTpmSurface(b)
-    assert surface.accepts_extends()
-    assert surface.pcr_extend(0, sha256(b"x")) is True
-    # the cooperating daemon still runs at locality 0: dynamics stay sealed
-    with pytest.raises(LocalityViolation):
-        surface.pcr_extend(17, sha256(b"x"))
+def _boot_golden(m, img):
+    boot(m, img["uefi"], img["tboot"], img["kernel"], img["initramfs"])
+
+
+def _boot_rootkit(m, img):
+    boot(m, img["uefi"], img["tboot"], SoftwareImage("kernel", b"kernel-rootkit"),
+         img["initramfs"])
+
+
+def _halt_at_init(m, img):
+    def failing(machine):
+        raise InitHookFailure("no trust")
+
+    boot(m, img["uefi"], img["tboot"], img["kernel"], img["initramfs"], init_hook=failing)
+
+
+def _reboot(m, img):
+    _boot_golden(m, img)
+    reboot_machine(m)
+
+
+def _model_host(phase, image=None):
+    """The model's world with host m1 in ``phase``, booted with ``image``."""
+    world = model.build_world(2, 2)
+    host = world.machines[1]._replace(phase=phase, image=image)
+    return model._with_machine(world, host)
+
+
+# host state -> (how the host gets there, relay serves reads, relay forwards
+# extends, the model's world with the host in the matching phase).  A reboot
+# has no model twin: an episode of the model is one power cycle.
+RELAY_HOST_STATES = {
+    "never-booted": (lambda m, img: None, False, False, _model_host("created")),
+    "golden-runtime": (_boot_golden, True, False, _model_host("booted", "golden")),
+    "rootkit-runtime": (_boot_rootkit, True, True,
+                        _model_host("booted", "malicious-kernel")),
+    "halted-at-init": (_halt_at_init, False, False, _model_host("halted", "golden")),
+    "rebooted": (_reboot, False, False, None),
+}
+
+
+def _served(call):
+    try:
+        call()
+    except TpmError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("state", list(RELAY_HOST_STATES))
+def test_relay_serves_only_a_running_host(state):
+    prepare, reads, extends, twin = RELAY_HOST_STATES[state]
+    (_, host), img, *_ = build_world(n_machines=2)
+    prepare(host, img)
+    rng = Rng(71)
+    relay = RelayTpmChannel(host, golden_dynamics(img), rng.child("adv"))
+    calls = [lambda: relay.read_pcr(0), relay.ek_certificate,
+             lambda: relay.quote(rng.bytes(32), rng.bytes(32), [0])]
+    assert [_served(call) for call in calls] == [reads] * len(calls)
+
+    before = host.tpm.read_pcr(0)
+    assert _served(lambda: relay.pcr_extend(0, sha256(b"x"))) == reads
+    assert (host.tpm.read_pcr(0) != before) == extends
+    if extends:
+        # the cooperating daemon runs at OS runtime, locality 0: dynamics stay sealed
+        with pytest.raises(LocalityViolation):
+            relay.pcr_extend(17, sha256(b"x"))
+
+    if twin is not None:
+        assert (1 in model._readable_tpms(twin, twin.machines[0])) == reads
+        assert model._host_accepts_extends(twin, 1) == extends
 
 
 def test_relay_channel_serves_remote_quotes_under_remote_key():
@@ -217,7 +269,7 @@ def test_relay_channel_serves_remote_quotes_under_remote_key():
     boot(local, img["uefi"], img["tboot"], img["kernel"], img["initramfs"])
     boot(remote, img["uefi"], img["tboot"], img["kernel"], img["initramfs"])
     rng = Rng(70)
-    relay = RelayTpmChannel(local, RemoteTpmSurface(remote), rng.child("adv"))
+    relay = RelayTpmChannel(remote, golden_dynamics(img), rng.child("adv"))
 
     # agent asks for a quote under a key the remote never saw: the relay
     # answers with the remote TPM's own resident AIK

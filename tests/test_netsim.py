@@ -104,6 +104,14 @@ def test_link_lookup_is_order_insensitive():
     assert net.link("roamer", "agent").base_ms == 5.0
     with pytest.raises(BeaconUnreachable):
         net.one_way_ms("agent", "ghost", rng)
+    # a pair listed in both orientations takes the later entry either way
+    net = NetworkModel({("dc-west", "dc-east"): LatencyModel(5.0),
+                        ("dc-east", "dc-west"): LatencyModel(7.0)},
+                       {"agent": "dc-east", "roamer": "dc-west", "ghost": "dc-north"})
+    assert net.link("agent", "roamer").base_ms == 7.0
+    assert net.link("roamer", "agent").base_ms == 7.0
+    with pytest.raises(BeaconUnreachable, match="no route between dc-east and dc-north"):
+        net.link("ghost", "agent")
 
 
 # --------------------------------------------------------------------------

@@ -55,6 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import ima
 from .crypto import Certificate, Rng, UnsealError, seal, unseal
 from .machine import (
+    LOG_DISK_KEY,
     DirectTpmChannel,
     EnclaveContext,
     InitHookFailure,
@@ -84,6 +85,7 @@ from .tpm import (
     DYNAMIC_PCRS,
     IMA_PCR,
     NONCE_LEN,
+    STATIC_PCRS,
     ActivationError,
     Quote,
     TpmError,
@@ -238,7 +240,7 @@ def agent_init(
             " obfuscated, or the log could never be re-verified"
         )
     for idx in whitelist:
-        if not 0 <= idx <= 15:
+        if idx not in STATIC_PCRS:
             raise ValueError(f"obfuscation whitelist accepts static pcrs only, got {idx}")
 
     aik_pub = channel.create_aik(rng)
@@ -452,7 +454,7 @@ class Agent:
         self._config: Optional[SealedConfig] = None
         self._pcr_values: Dict[int, bytes] = {}
         self._ima_cache = ima.ImaCacheState()
-        self._events: List[Tuple[bytes, str, Optional[bytes]]] = []
+        self._events: List[ima.ImaEvent] = []
         self._appraised: Dict[str, PolicyState] = {}
         self._compromised: Optional[str] = None  # log-tampered | pcr-changed | rebooted
         self._stale = False
@@ -510,9 +512,9 @@ class Agent:
 
     # -- refresh -----------------------------------------------------------
 
-    def _fold_log(self, certified_pcr10: bytes) -> bool:
+    def _fold_log(self, certified_pcr10: bytes) -> None:
         """Differential log verification; latches log tampering."""
-        log_data = self.machine.disk.get("ima/log", b"")
+        log_data = self.machine.disk.get(LOG_DISK_KEY, b"")
         try:
             fresh, self._ima_cache = ima.read_new_events(
                 log_data, self._ima_cache, certified_pcr10
@@ -520,9 +522,8 @@ class Agent:
         except ima.TamperDetected as exc:
             logger.warning("log verification failed on %s: %s", self.machine.machine_id, exc)
             self._compromised = "log-tampered"
-            return False
-        self._events.extend((e.file_hash, e.path, e.signature) for e in fresh)
-        return True
+            return
+        self._events.extend(fresh)
 
     def _require_platform(self) -> None:
         """Raise unless serving a platform not lost to PCR drift or a reboot."""

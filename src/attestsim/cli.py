@@ -11,6 +11,7 @@ import json
 import sys
 from typing import List, Optional, Tuple
 
+from . import ima
 from .controller import (
     ControllerError,
     VulnerabilityWindowParams,
@@ -25,7 +26,6 @@ from .scenario import (
     _controller,
     _sync_policies,
     execute_scenario,
-    generate_ima_log,
     load_scenario,
     run_scenario,
 )
@@ -196,7 +196,8 @@ def cmd_vwindow(args) -> Tuple[int, dict, List[str]]:
 def cmd_gen_ima_log(args) -> Tuple[int, dict, List[str]]:
     if args.events < 1:
         raise ControllerError("--events must be >= 1")
-    log_bytes, aggregate = generate_ima_log(args.seed, args.events)
+    log_bytes, aggregate = ima.render_fixture_log(
+        ima.generate_boot_manifest(args.seed, args.events))
     report = {
         "events": args.events,
         "seed": args.seed,

@@ -4,10 +4,12 @@ The log is ASCII, one event per line:
 
     <pcr> <hex template_hash> <template_name> <hex file_hash> <path> [<hex sig>]
 
-with template_name either ``ima-ng`` (unsigned) or ``ima-sig`` (the file
-hash additionally carries a distributor signature).  The template hash is
-the digest of the canonical event encoding; extending PCR 10 with each
-template hash in order yields the aggregate that a quote certifies.
+with template_name ``ima-sig`` when the file hash carries a distributor
+signature and ``ima-ng`` otherwise.  The template hash is the digest of the
+canonical event encoding; extending PCR 10 with each template hash in order
+yields the aggregate that a quote certifies.  One :class:`ImaEvent`, built
+by :func:`file_event`, goes from the measurement to the policy.  The kernel
+appraises nothing: :func:`attestsim.policy.evaluate` alone judges files.
 
 The machine writes the log append-only: each measurement adds its one
 line to the log on disk.  Verification is differential: the verifier keeps
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .crypto import DIGEST_LEN, ZERO_DIGEST, KeyPair, Rng, sha256, sign, verify
+from .crypto import DIGEST_LEN, ZERO_DIGEST, Rng, generate_keypair, sha256, sign
 from .tpm import IMA_PCR, TpmState, extend_digest
 
 TEMPLATE_NG = "ima-ng"
@@ -41,12 +43,17 @@ class TamperDetected(Exception):
 
 @dataclass(frozen=True)
 class ImaEvent:
+    """One log event, as measured, logged, parsed back and appraised."""
+
     pcr_index: int
     template_hash: bytes
-    template_name: str
     file_hash: bytes
     path: str
     signature: Optional[bytes] = None
+
+    @property
+    def template_name(self) -> str:
+        return TEMPLATE_NG if self.signature is None else TEMPLATE_SIG
 
     def encode_line(self) -> bytes:
         parts = [
@@ -56,8 +63,8 @@ class ImaEvent:
             self.file_hash.hex(),
             self.path,
         ]
-        if self.template_name == TEMPLATE_SIG:
-            parts.append((self.signature or b"").hex())
+        if self.signature is not None:
+            parts.append(self.signature.hex())
         return " ".join(parts).encode("ascii")
 
 
@@ -88,6 +95,9 @@ def parse_line(raw: bytes) -> ImaEvent:
         raise ImaFormatError(f"expected 5 or 6 fields, got {len(fields)}")
     try:
         pcr_index = int(fields[0])
+        if fields[0] != str(pcr_index):
+            # int() also reads "010", "+10" and "1_0" as 10
+            raise ImaFormatError("pcr field must be canonical decimal")
         t_hash = _strict_hex(fields[1])
         file_hash = _strict_hex(fields[3])
     except ValueError as exc:
@@ -108,7 +118,17 @@ def parse_line(raw: bytes) -> ImaEvent:
         raise ImaFormatError("hash fields must be 32 bytes")
     if t_hash != template_hash(name, file_hash, path, signature):
         raise ImaFormatError("template hash does not match event fields")
-    return ImaEvent(pcr_index, t_hash, name, file_hash, path, signature)
+    return ImaEvent(pcr_index, t_hash, file_hash, path, signature)
+
+
+def file_event(path: str, content: bytes, signature: Optional[bytes]) -> ImaEvent:
+    """The PCR-10 event that measuring ``content`` at ``path`` logs."""
+    if " " in path or "\n" in path:
+        raise ImaFormatError("paths with whitespace are not representable")
+    file_hash = sha256(content)
+    name = TEMPLATE_SIG if signature is not None else TEMPLATE_NG
+    t_hash = template_hash(name, file_hash, path, signature)
+    return ImaEvent(IMA_PCR, t_hash, file_hash, path, signature)
 
 
 def measure_file(tpm: TpmState, path: str, content: bytes,
@@ -116,21 +136,9 @@ def measure_file(tpm: TpmState, path: str, content: bytes,
     """Measure a file: extend PCR 10 and return the event for the log
     (extend-first, so every complete log prefix matches some past register
     state)."""
-    if " " in path or "\n" in path:
-        raise ImaFormatError("paths with whitespace are not representable")
-    file_hash = sha256(content)
-    name = TEMPLATE_SIG if signature is not None else TEMPLATE_NG
-    t_hash = template_hash(name, file_hash, path, signature)
-    tpm.pcr_extend(IMA_PCR, t_hash, locality=0)
-    return ImaEvent(IMA_PCR, t_hash, name, file_hash, path, signature)
-
-
-def appraise(path: str, content: bytes, signature: Optional[bytes],
-             cert_pub: bytes) -> bool:
-    """Allow iff the signature over the file hash verifies under the cert."""
-    if signature is None:
-        return False
-    return verify(signature, sha256(content), cert_pub)
+    event = file_event(path, content, signature)
+    tpm.pcr_extend(IMA_PCR, event.template_hash, locality=0)
+    return event
 
 
 def aggregate(template_hashes, start: bytes = ZERO_DIGEST) -> bytes:
@@ -192,6 +200,7 @@ def read_new_events(log_data: bytes, cache: ImaCacheState,
 # fixture generation
 # --------------------------------------------------------------------------
 
+SIGNED_FRACTION = 0.1
 _PATH_STEMS = (
     "/usr/bin", "/usr/sbin", "/usr/lib64", "/lib/modules", "/etc/systemd",
     "/opt/stack", "/usr/libexec", "/var/lib/agents",
@@ -205,21 +214,17 @@ class ManifestEntry:
     signature: Optional[bytes]
 
 
-def generate_boot_manifest(seed: int, count: int, signed_fraction: float = 0.1,
-                           signer: Optional[KeyPair] = None) -> List[ManifestEntry]:
-    """Deterministic pseudo boot file set; roughly ``signed_fraction`` of the
-    entries carry an ima-sig style distributor signature."""
+def generate_boot_manifest(seed: int, count: int) -> List[ManifestEntry]:
+    """Deterministic pseudo boot file set; roughly ``SIGNED_FRACTION`` of the
+    entries carry an ima-sig style signature by a seeded fixture signer."""
     rng = Rng(seed)
-    if signer is None:
-        from .crypto import generate_keypair
-
-        signer = generate_keypair(rng.child("fixture-signer"))
+    signer = generate_keypair(rng.child("fixture-signer"))
     entries = []
     for i in range(count):
         stem = _PATH_STEMS[rng.randint(0, len(_PATH_STEMS) - 1)]
         path = f"{stem}/f{i:05d}-{rng.bytes(4).hex()}"
         content = rng.bytes(rng.randint(24, 96))
-        signed = rng.uniform(0.0, 1.0) < signed_fraction
+        signed = rng.uniform(0.0, 1.0) < SIGNED_FRACTION
         signature = sign(sha256(content), signer) if signed else None
         entries.append(ManifestEntry(path, content, signature))
     return entries
@@ -227,13 +232,6 @@ def generate_boot_manifest(seed: int, count: int, signed_fraction: float = 0.1,
 
 def render_fixture_log(manifest) -> Tuple[bytes, bytes]:
     """Materialize a manifest as (log bytes, final aggregate digest)."""
-    running = ZERO_DIGEST
-    lines = []
-    for entry in manifest:
-        file_hash = sha256(entry.content)
-        name = TEMPLATE_SIG if entry.signature is not None else TEMPLATE_NG
-        t_hash = template_hash(name, file_hash, entry.path, entry.signature)
-        event = ImaEvent(IMA_PCR, t_hash, name, file_hash, entry.path, entry.signature)
-        lines.append(event.encode_line() + b"\n")
-        running = extend_digest(running, t_hash)
-    return b"".join(lines), running
+    events = [file_event(e.path, e.content, e.signature) for e in manifest]
+    return (b"".join(e.encode_line() + b"\n" for e in events),
+            aggregate(e.template_hash for e in events))

@@ -8,6 +8,10 @@ kernel and initramfs measurements land in PCRs 17/18/19.  The initramfs
 hook (agent initialization) runs at locality 2; the OS runtime afterwards
 sits at locality 0.
 
+At OS runtime :meth:`Machine.load_file` measures each file into PCR 10 and
+the log.  The kernel appraises nothing and refuses no file; whether a file
+is trusted is decided only by :func:`attestsim.policy.evaluate`.
+
 Enclaves are modeled just deeply enough for sealing: a context carries the
 binary measurement and a per-machine sealing root, so sealed data binds to
 (machine, enclave binary) and nothing else.
@@ -34,6 +38,7 @@ logger = logging.getLogger(__name__)
 
 INITRAMFS_LOCALITY = 2
 RUNTIME_LOCALITY = 0
+LOG_DISK_KEY = "ima/log"  # where the measurement log lives on a machine's disk
 
 
 class BootError(Exception):
@@ -83,8 +88,6 @@ class Machine:
         self._seal_root = rng.bytes(32)  # never leaves this module
         self.disk: Dict[str, bytes] = {}
         self.state = "off"  # off | initramfs | runtime
-        self.ima_enforcing = True
-        self.ima_cert: Optional[bytes] = None
 
     @property
     def current_locality(self) -> int:
@@ -101,22 +104,18 @@ class Machine:
 
     # -- runtime file loading (IMA hook) ----------------------------------
 
-    def load_file(self, path: str, content: bytes, signature: Optional[bytes] = None):
-        """OS loader: measure first (log + PCR), then appraise if enforcing.
-
-        Returns (event, loaded).  A denied file is still measured, exactly
-        like an appraisal-enforcing kernel logs the attempt before refusing.
-        The event's line is appended to the log on disk as it stands; the
-        log is never rewritten, so an edit made there stays.
+    def load_file(self, path: str, content: bytes,
+                  signature: Optional[bytes] = None) -> ima.ImaEvent:
+        """OS loader: measure the file (PCR 10 first, then the log) and
+        return its event.  The line is appended to the log on disk as it
+        stands; the log is never rewritten, so an edit made there stays.
         """
         if self.state != "runtime":
             raise BootError("files load only at OS runtime")
         event = ima.measure_file(self.tpm, path, content, signature)
-        self.disk["ima/log"] = self.disk.get("ima/log", b"") + event.encode_line() + b"\n"
-        loaded = True
-        if self.ima_enforcing and self.ima_cert is not None:
-            loaded = ima.appraise(path, content, signature, self.ima_cert)
-        return event, loaded
+        self.disk[LOG_DISK_KEY] = (self.disk.get(LOG_DISK_KEY, b"")
+                                   + event.encode_line() + b"\n")
+        return event
 
 
 def boot(
@@ -156,7 +155,7 @@ def boot(
     tpm.pcr_extend(17, tboot.measurement, locality=DRTM_LOCALITY)
     tpm.pcr_extend(18, kernel.measurement, locality=DRTM_LOCALITY)
     tpm.pcr_extend(19, initramfs.measurement, locality=DRTM_LOCALITY)
-    machine.disk["ima/log"] = b""
+    machine.disk[LOG_DISK_KEY] = b""
 
     # initramfs phase
     machine.state = "initramfs"

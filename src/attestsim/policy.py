@@ -31,6 +31,10 @@ Freshness comes from the agent's checked quote, and whether the EK
 certificate chains to the policy's TPM CA keys (``Policy.certifies_ek``) is
 decided by the agent once per policy: evaluation verifies no quote and no
 certificate, only file signatures.
+
+``evaluate`` is the one appraisal rule: the kernel appraises nothing, so
+only here is a logged file trusted, by a whitelisted hash or a signature
+under the runtime certificate.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 import yaml
 
 from .crypto import Certificate, certificate_valid, verify
+from .ima import ImaEvent
 from .schema import Required, check_shape
 from .tpm import DYNAMIC_PCRS, STATIC_PCRS
 from .trust import BASELINE, OBFUSCATED, disagreeing, static_split
@@ -322,7 +327,7 @@ class PlatformView:
 
     pcr_values: Dict[int, bytes]
     ek_certified: bool
-    ima_events: Tuple[Tuple[bytes, str, Optional[bytes]], ...]
+    ima_events: Tuple[ImaEvent, ...]
     earlier_violations: Tuple[Violation, ...] = ()
     static_original: Dict[int, bytes] = field(default_factory=dict)
     static_obfuscated: Dict[int, bytes] = field(default_factory=dict)
@@ -362,17 +367,17 @@ def evaluate(policy: Policy, view: PlatformView) -> PolicyVerdict:
     violations.extend(view.earlier_violations)
     if policy.runtime_cert is not None or policy.software:
         whitelisted = policy.whitelisted_hashes
-        for file_hash, path, signature in view.ima_events:
-            if file_hash in whitelisted:
+        for event in view.ima_events:
+            if event.file_hash in whitelisted:
                 continue
             if (
                 policy.runtime_cert is not None
-                and signature is not None
-                and verify(signature, file_hash, policy.runtime_cert)
+                and event.signature is not None
+                and verify(event.signature, event.file_hash, policy.runtime_cert)
             ):
                 continue
             violations.append(
-                Violation("untrusted-file", f"{path} is neither whitelisted nor signed")
+                Violation("untrusted-file", f"{event.path} is neither whitelisted nor signed")
             )
 
     if policy.location:

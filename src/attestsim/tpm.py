@@ -71,39 +71,19 @@ def extend_digest(current: bytes, value: bytes) -> bytes:
     return sha256(current + value)
 
 
-class PcrBank:
-    """The two PCR banks; dynamic registers hold an all-ones sentinel until
-    the first DRTM launch of the current power cycle."""
+def _power_on_pcrs() -> Dict[int, bytes]:
+    """Register values at power-on: statics zero, dynamics an all-ones
+    sentinel until the first DRTM launch of the power cycle."""
+    return {**dict.fromkeys(STATIC_PCRS, ZERO_DIGEST),
+            **dict.fromkeys(DYNAMIC_PCRS, ONES_DIGEST)}
 
-    def __init__(self):
-        self._static: Dict[int, bytes] = {i: ZERO_DIGEST for i in STATIC_PCRS}
-        self._dynamic: Dict[int, bytes] = {i: ONES_DIGEST for i in DYNAMIC_PCRS}
 
-    def read(self, index: int) -> bytes:
-        if index in self._static:
-            return self._static[index]
-        if index in self._dynamic:
-            return self._dynamic[index]
-        raise InvalidPcrIndex(f"pcr {index} does not exist")
-
-    def extend(self, index: int, value: bytes) -> bytes:
-        if len(value) != DIGEST_LEN:
-            raise TpmError("extend value must be a 32-byte digest")
-        bank = self._static if index in self._static else self._dynamic
-        if index not in bank:
-            raise InvalidPcrIndex(f"pcr {index} does not exist")
-        bank[index] = extend_digest(bank[index], value)
-        return bank[index]
-
-    def reset_dynamic(self) -> None:
-        for i in DYNAMIC_PCRS:
-            self._dynamic[i] = ZERO_DIGEST
-
-    def power_cycle(self) -> None:
-        for i in STATIC_PCRS:
-            self._static[i] = ZERO_DIGEST
-        for i in DYNAMIC_PCRS:
-            self._dynamic[i] = ONES_DIGEST
+def quote_payload(pcr_digest: bytes, nonce: bytes, reboot_counter: int,
+                  clock: int) -> bytes:
+    """What a quote signature covers: (pcr_digest || nonce || reboot_counter
+    || clock), the counters as 8-byte big-endian ints."""
+    return (pcr_digest + nonce + reboot_counter.to_bytes(8, "big")
+            + clock.to_bytes(8, "big"))
 
 
 @dataclass(frozen=True)
@@ -111,8 +91,7 @@ class Quote:
     """Signed attestation of selected PCRs.
 
     ``pcr_digest`` is the hash of the concatenated selected PCR values in
-    selection order; the signature covers (pcr_digest || nonce ||
-    reboot_counter || clock) with the counters as 8-byte big-endian ints.
+    selection order; the signature covers :func:`quote_payload`.
     """
 
     selection: Tuple[int, ...]
@@ -123,16 +102,10 @@ class Quote:
     signature: bytes
     aik_pub: bytes
 
-    def signed_payload(self) -> bytes:
-        return (
-            self.pcr_digest
-            + self.nonce
-            + self.reboot_counter.to_bytes(8, "big")
-            + self.clock.to_bytes(8, "big")
-        )
-
     def verify_signature(self) -> bool:
-        return verify(self.signature, self.signed_payload(), self.aik_pub)
+        payload = quote_payload(self.pcr_digest, self.nonce, self.reboot_counter,
+                                self.clock)
+        return verify(self.signature, payload, self.aik_pub)
 
 
 def composite_digest(values: Sequence[bytes]) -> bytes:
@@ -144,7 +117,7 @@ class TpmState:
 
     def __init__(self, tpm_id: str, manufacturer: KeyPair, rng: Rng):
         self.tpm_id = tpm_id
-        self.pcrs = PcrBank()
+        self._pcrs = _power_on_pcrs()
         self.ek = generate_keypair(rng)
         self.ek_cert: Certificate = issue_certificate(manufacturer, self.ek.public, "tpm-ek")
         self.aiks: Dict[bytes, KeyPair] = {}
@@ -154,24 +127,28 @@ class TpmState:
 
     # -- pcr operations ----------------------------------------------------
 
-    def pcr_extend(self, index: int, value: bytes, locality: int) -> bytes:
+    def pcr_extend(self, index: int, value: bytes, locality: int) -> None:
         """Extend a PCR.  Static registers accept any locality; dynamic
         registers require locality >= 2 (the DRTM-launched environment)."""
         if index in DYNAMIC_PCRS and locality < DYNAMIC_EXTEND_LOCALITY:
             raise LocalityViolation(
                 f"dynamic pcr {index} extend needs locality >= {DYNAMIC_EXTEND_LOCALITY}"
             )
-        return self.pcrs.extend(index, value)
+        if len(value) != DIGEST_LEN:
+            raise TpmError("extend value must be a 32-byte digest")
+        self._pcrs[index] = extend_digest(self.read_pcr(index), value)
 
     def read_pcr(self, index: int) -> bytes:
-        return self.pcrs.read(index)
+        if index not in self._pcrs:
+            raise InvalidPcrIndex(f"pcr {index} does not exist")
+        return self._pcrs[index]
 
     def drtm_launch_reset(self) -> None:
         """Reset dynamic PCRs to zero; only the DRTM instruction (modeled as
         the platform raising locality to 4) may do this."""
         if self.locality != DRTM_LOCALITY:
             raise LocalityViolation("dynamic reset requires locality 4")
-        self.pcrs.reset_dynamic()
+        self._pcrs.update(dict.fromkeys(DYNAMIC_PCRS, ZERO_DIGEST))
 
     # -- keys and quotes ---------------------------------------------------
 
@@ -202,12 +179,7 @@ class TpmState:
         values = [self.read_pcr(i) for i in sel]  # validates every index
         self.clock += 1
         digest = composite_digest(values)
-        payload = (
-            digest
-            + nonce
-            + self.reboot_counter.to_bytes(8, "big")
-            + self.clock.to_bytes(8, "big")
-        )
+        payload = quote_payload(digest, nonce, self.reboot_counter, self.clock)
         signature = sign(payload, self.aiks[aik_pub])
         return Quote(
             selection=sel,
@@ -224,7 +196,7 @@ class TpmState:
     def reboot(self) -> None:
         """Power cycle: statics to zero, dynamics to the sentinel, counter up."""
         self.reboot_counter += 1
-        self.pcrs.power_cycle()
+        self._pcrs = _power_on_pcrs()
         self.locality = 0
 
 

@@ -47,7 +47,7 @@ from attestsim.netsim import (
     measure_proximity,
 )
 from attestsim.policy import pem_encode
-from attestsim.scenario import execute_scenario, generate_ima_log, run_scenario
+from attestsim.scenario import execute_scenario, run_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -184,7 +184,7 @@ def test_criterion_4_attack_scenarios_cover_all_four_conditions():
 
 
 def test_criterion_5_every_bit_flip_in_the_log_is_detected():
-    log, certified = generate_ima_log(seed=1234, events=1800)
+    log, certified = ima.render_fixture_log(ima.generate_boot_manifest(1234, 1800))
 
     # clean one-pass read succeeds and yields all events
     events, cache = ima.read_new_events(log, ImaCacheState(), certified)
@@ -318,7 +318,7 @@ def test_criterion_7_policy_roundtrip_over_the_agent_api():
     assert first.body["compliant"] is True
 
     rogue = b"unsigned-diagnostic-tool-v1"
-    loaded.append(machine.load_file("/opt/diag", rogue)[0])
+    loaded.append(machine.load_file("/opt/diag", rogue))
     flagged = verify(policy_id)
     assert flagged.status == 200
     assert flagged.body["compliant"] is False

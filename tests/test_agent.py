@@ -681,7 +681,7 @@ def test_log_tamper_latches_and_keeps_answering():
 
 def test_log_on_disk_is_appended_and_an_edit_stays():
     w, m, agent = serving_agent()
-    events = [m.load_file(f"/usr/bin/t{i}", b"tool %d" % i)[0] for i in range(5)]
+    events = [m.load_file(f"/usr/bin/t{i}", b"tool %d" % i) for i in range(5)]
     assert m.disk["ima/log"] == b"".join(e.encode_line() + b"\n" for e in events)
     # an edit the agent has not folded yet must survive the next load
     log = bytearray(m.disk["ima/log"])
@@ -751,15 +751,14 @@ def test_incremental_verdicts_equal_full_evaluation(steps):
     def verify_each():
         for pid in pids:
             verdict = agent.verify_policy(pid, nonces.bytes(32))
-            every = tuple((e.file_hash, e.path, e.signature) for e in loaded)
-            full = replace(views[-1], ima_events=every, earlier_violations=())
+            full = replace(views[-1], ima_events=tuple(loaded), earlier_violations=())
             assert verdict == {"policy_id": pid,
                                **evaluate(agent.registry.get(pid), full).to_dict()}
 
     with mock.patch("attestsim.agent.evaluate", recording):
         for i, (action, arg) in enumerate(steps):
             if action == "load":
-                loaded.append(m.load_file(*_file_load(arg, i))[0])
+                loaded.append(m.load_file(*_file_load(arg, i)))
             elif action == "deploy":
                 pids.append(agent.deploy_policy(texts[arg]))
             elif action == "reenter":

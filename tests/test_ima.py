@@ -10,7 +10,6 @@ from attestsim.ima import (
     ImaFormatError,
     TamperDetected,
     aggregate,
-    appraise,
     generate_boot_manifest,
     measure_file,
     parse_line,
@@ -40,7 +39,20 @@ def test_event_line_roundtrip_ng_and_sig():
     assert e1.template_name == "ima-ng" and e2.template_name == "ima-sig"
 
 
+# a valid ima-ng event line without its leading "10"
+AFTER_PCR = b" " + b" ".join([
+    template_hash("ima-ng", sha256(b"x"), "/x", None).hex().encode(),
+    b"ima-ng", sha256(b"x").hex().encode(), b"/x"])
+
+
+def test_pcr_rejection_cases_differ_from_a_valid_line_only_in_the_pcr():
+    assert parse_line(b"10" + AFTER_PCR).pcr_index == IMA_PCR
+
+
 @pytest.mark.parametrize("line", [
+    b"010" + AFTER_PCR,                                           # pcr, leading zero
+    b"+10" + AFTER_PCR,                                           # pcr, sign
+    b"1_0" + AFTER_PCR,                                           # pcr, underscore
     b"10 zzzz ima-ng " + b"00" * 32 + b" /x",                     # bad hex
     b"10 " + b"00" * 32 + b" ima-odd " + b"00" * 32 + b" /x",     # unknown template
     b"10 " + b"00" * 32 + b" ima-ng " + b"00" * 32,               # missing path
@@ -94,21 +106,6 @@ def test_every_prefix_matches_register_at_that_point():
 def test_aggregate_from_custom_start():
     h1, h2 = sha256(b"a"), sha256(b"b")
     assert aggregate([h2], start=aggregate([h1])) == aggregate([h1, h2])
-
-
-# --------------------------------------------------------------------------
-# appraisal
-# --------------------------------------------------------------------------
-
-def test_appraise_signature_logic():
-    rng = Rng(3)
-    signer, rogue = generate_keypair(rng), generate_keypair(rng)
-    content = b"payload"
-    good = sign(sha256(content), signer)
-    assert appraise("/f", content, good, signer.public)
-    assert not appraise("/f", content, None, signer.public)
-    assert not appraise("/f", content, good, rogue.public)
-    assert not appraise("/f", b"tampered", good, signer.public)
 
 
 # --------------------------------------------------------------------------
@@ -220,8 +217,8 @@ def test_any_chunking_matches_one_pass(boundaries):
 # --------------------------------------------------------------------------
 
 def test_manifest_is_deterministic_and_fractionally_signed():
-    m1 = generate_boot_manifest(seed=11, count=400, signed_fraction=0.1)
-    m2 = generate_boot_manifest(seed=11, count=400, signed_fraction=0.1)
+    m1 = generate_boot_manifest(seed=11, count=400)
+    m2 = generate_boot_manifest(seed=11, count=400)
     assert m1 == m2
     signed = sum(1 for e in m1 if e.signature is not None)
     assert 20 <= signed <= 60   # ~10% of 400

@@ -8,7 +8,9 @@ Every module-level UPPER_CASE constant in ``src/`` is read somewhere under
 attribute; its own assignment and an import do not count as a read.
 
 Every ``self.<attr>`` that a class in ``src/`` stores is read as an
-attribute somewhere under ``src/``, ``tests/`` or ``bench/``.
+attribute somewhere under ``src/``, ``tests/`` or ``bench/``.  One that an
+``__init__`` sets to a literal is stored again somewhere under those
+folders; otherwise it is a knob that nothing turns.
 
 The register rules (``attestsim/trust.py``) import nothing from the
 package, and the symbolic model (``attestsim/modelcheck/``) imports
@@ -155,6 +157,51 @@ def test_every_stored_attribute_is_read():
     reading = [text for folder in ("tests", "bench")
                for text in sources(folder).values()]
     assert write_only_attributes(sources("src"), reading) == []
+
+
+def constant_attributes(defining, reading):
+    """(path, class, attribute) for each ``self.<attr>`` that an ``__init__``
+    of a ``defining`` source (path -> text) sets to a literal and that no
+    other assignment (plain, augmented or annotated) in it or in any
+    ``reading`` text stores again."""
+    trees = {path: ast.parse(text) for path, text in defining.items()}
+    initial = {}  # the literal store node -> (path, class, attribute)
+    for path, tree in trees.items():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for init in cls.body:
+                if not (isinstance(init, ast.FunctionDef) and init.name == "__init__"):
+                    continue
+                for stmt in ast.walk(init):
+                    if not (isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                            and isinstance(stmt.value, ast.Constant)):
+                        continue
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                    initial.update({t: (path, cls.name, t.attr) for t in targets
+                                    if isinstance(t, ast.Attribute)
+                                    and isinstance(t.value, ast.Name)
+                                    and t.value.id == "self"})
+    stored = {node.attr for tree in [*trees.values(), *map(ast.parse, reading)]
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and node not in initial}
+    return sorted(found for found in initial.values() if found[2] not in stored)
+
+
+def test_scanner_reports_a_constant_attribute():
+    defining = {"m.py": "class A:\n    def __init__(self):\n        self.fixed = True\n"
+                        "        self.unset: int = None\n        self.count = 0\n"
+                        "        self.moved = None\n        self.level = 1\n"
+                        "        self.made = []\n\n    def bump(self):\n"
+                        "        self.count += 1\n"}
+    reading = ["a.moved = 2\nb.level: int = 3\n"]
+    assert constant_attributes(defining, reading) == [("m.py", "A", "fixed"),
+                                                      ("m.py", "A", "unset")]
+
+
+def test_no_attribute_keeps_its_initial_literal():
+    reading = [text for folder in ("tests", "bench")
+               for text in sources(folder).values()]
+    assert constant_attributes(sources("src"), reading) == []
 
 
 def package_imports(source: str, package: str):

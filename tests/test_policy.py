@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attestsim.crypto import Rng, generate_keypair, issue_certificate, sha256, sign
+from attestsim.ima import file_event
 from attestsim.policy import (
     PlatformView,
     Policy,
@@ -163,7 +164,7 @@ def make_view(**overrides):
     defaults = dict(
         pcr_values=values,
         ek_certified=POLICY.certifies_ek(VIEW_TPM.ek_cert),
-        ima_events=((sha256(b"approved-tool"), "/usr/bin/approved", None),),
+        ima_events=(file_event("/usr/bin/approved", b"approved-tool", None),),
         static_original={0: GOLDEN[0], 3: GOLDEN[3]},
         static_obfuscated=obfuscated,
         log_tampered=False,
@@ -194,7 +195,7 @@ def test_each_violation_kind_fires():
     assert "pcr-mismatch" in [x.kind for x in v.violations]
 
     v = evaluate(POLICY, make_view(
-        ima_events=((sha256(b"malware"), "/tmp/dropper", None),)))
+        ima_events=(file_event("/tmp/dropper", b"malware", None),)))
     assert [x.kind for x in v.violations] == ["untrusted-file"]
 
     v = evaluate(POLICY, make_view(log_tampered=True))
@@ -226,9 +227,9 @@ def test_unreachable_beacon_is_location_violation():
 
 
 def test_signed_file_passes_without_whitelist():
-    content_hash = sha256(b"vendor-tool")
-    sig = sign(content_hash, IMA_SIGNER)
-    v = evaluate(POLICY, make_view(ima_events=((content_hash, "/usr/bin/vendor", sig),)))
+    sig = sign(sha256(b"vendor-tool"), IMA_SIGNER)
+    event = file_event("/usr/bin/vendor", b"vendor-tool", sig)
+    v = evaluate(POLICY, make_view(ima_events=(event,)))
     assert v.compliant
 
 

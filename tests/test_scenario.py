@@ -1,18 +1,20 @@
 """Scenario runner: the shipped scripts, determinism, schema validation."""
 
+import hashlib
 import json
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 import yaml
 
 from attestsim import ima, scenario
-from attestsim.crypto import ZERO_DIGEST
+from attestsim.crypto import ZERO_DIGEST, sha256
+from attestsim.policy import SoftwareList, parse_policy, render_policy
 from attestsim.scenario import (
     ScenarioError,
     build_fleet,
-    generate_ima_log,
     run_scenario,
     run_scenario_doc,
 )
@@ -146,6 +148,44 @@ def test_load_file_lands_in_the_timeline_and_stays_compliant():
     assert verify["verdict"]["compliant"] is True  # golden policy has no
     # software rules, so an unknown binary only has to keep the log sound
     assert result.all_compliant
+
+
+def _load_file_doc(seed):
+    """Three loads under a policy that whitelists the unsigned tool and
+    trusts the platform CA's signatures, so only the rogue file fails."""
+    doc = _one_machine_doc()
+    doc["script"] = doc["script"][:2] + [
+        {"at": 20, "action": "load-file", "machine": "m0",
+         "path": "/usr/bin/tool", "content": "tool-v1"},
+        {"at": 25, "action": "load-file", "machine": "m0",
+         "path": "/usr/bin/vendor", "content": "vendor-v2", "signed": True},
+        {"at": 30, "action": "load-file", "machine": "m0",
+         "path": "/tmp/dropper", "content": "evil"},
+        {"at": 40, "action": "deploy-policy", "machine": "m0", "policy": "files"},
+        {"at": 50, "action": "verify", "machine": "m0", "policy": "files"},
+    ]
+    doc["poll"] = {"period_ms": 1000, "rounds": 3, "targets": ["m0"]}
+    fleet = build_fleet(doc, seed)
+    golden = parse_policy(fleet.policies["golden"])
+    tool = SoftwareList("base-os", ((sha256(b"tool-v1"), "/usr/bin/tool"),))
+    doc["policies"]["files"] = render_policy(replace(
+        golden, runtime_cert=fleet.platform_ca.public, software=(tool,)))
+    return doc
+
+
+@pytest.mark.parametrize("seed,digest", [
+    (0, "8fb9c1e99e7e174505139a0fe05df44a8900e1929b53a42657f426fd83c689fd"),
+    (1, "0d19c9d01489740cf8faa940441896e5f6944cbbe82a560903d58da17c608e7d"),
+])
+def test_load_file_report_bytes_are_pinned(seed, digest):
+    result = run_scenario_doc(_load_file_doc(seed), seed)
+    verify = next(e for e in result.timelines["m0"] if e["event"] == "verify")
+    assert verify["verdict"]["violations"] == [
+        {"kind": "untrusted-file",
+         "detail": "/tmp/dropper is neither whitelisted nor signed"}]
+    assert [e["loaded"] for e in result.timelines["m0"]
+            if e["event"] == "load-file"] == [True, True, True]
+    assert hashlib.sha256(report_bytes(result).encode()).hexdigest() == digest
 
 
 def test_relay_null_restores_the_direct_channel():
@@ -314,10 +354,10 @@ def test_golden_policy_covers_static_and_dynamic_banks():
 
 
 def test_generated_log_is_deterministic_and_sound():
-    log1, agg1 = generate_ima_log(seed=11, events=40)
-    log2, agg2 = generate_ima_log(seed=11, events=40)
+    log1, agg1 = ima.render_fixture_log(ima.generate_boot_manifest(11, 40))
+    log2, agg2 = ima.render_fixture_log(ima.generate_boot_manifest(11, 40))
     assert log1 == log2 and agg1 == agg2
-    log3, _ = generate_ima_log(seed=12, events=40)
+    log3, _ = ima.render_fixture_log(ima.generate_boot_manifest(12, 40))
     assert log3 != log1
 
     lines = [l for l in log1.split(b"\n") if l]

@@ -674,7 +674,10 @@ class AgentApi:
     def handle(self, method: str, path: str, body: str = "") -> ApiResponse:
         from urllib.parse import parse_qs, urlsplit
 
-        parts = urlsplit(path)
+        try:
+            parts = urlsplit(path)
+        except ValueError as exc:  # e.g. an unclosed IPv6 host
+            return ApiResponse(400, {"error": f"malformed path: {exc}"})
         segments = [s for s in parts.path.split("/") if s]
         query = {k: v[-1] for k, v in parse_qs(parts.query).items()}
 

@@ -111,6 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------
 
 
+def _write(path: str, data) -> None:
+    """Write one artifact, text or bytes; ``main`` maps an OSError to exit 3."""
+    with open(path, "wb" if isinstance(data, bytes) else "w") as fh:
+        fh.write(data)
+
+
 def _scenario_text(result: ScenarioResult) -> List[str]:
     lines = [f"scenario {result.name} (seed {result.seed})"]
     for machine, verdict in sorted(result.verdicts.items()):
@@ -152,12 +158,9 @@ def cmd_modelcheck(args) -> Tuple[int, dict, List[str]]:
     verdict = check(config)
     report = verdict.to_dict()
     if args.emit_trace:
-        with open(args.emit_trace, "w") as fh:
-            json.dump(
-                {"property_holds": verdict.property_holds,
-                 "counterexample": verdict.counterexample},
-                fh, indent=2, sort_keys=True,
-            )
+        _write(args.emit_trace, json.dumps({"property_holds": verdict.property_holds,
+                                            "counterexample": verdict.counterexample},
+                                           indent=2, sort_keys=True))
     lines = [
         f"variant {config.variant}: machines={config.machines} "
         f"tpms={config.tpms} depth={config.derivation_depth}",
@@ -207,8 +210,7 @@ def cmd_gen_ima_log(args) -> Tuple[int, dict, List[str]]:
     lines = [f"{args.events} events, {len(log_bytes)} bytes, "
              f"aggregate {aggregate.hex()}"]
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(log_bytes)
+        _write(args.out, log_bytes)
         lines.append(f"log written to {args.out}")
     else:
         sys.stdout.write(log_bytes.decode())
@@ -291,6 +293,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, report, lines = _HANDLERS[args.command](args)
+        # --out always receives the canonical compact report; gen-ima-log is
+        # the one exception, where it receives the log itself
+        if args.out and args.command != "gen-ima-log":
+            _write(args.out, json.dumps(report, sort_keys=True,
+                                        separators=(",", ":")) + "\n")
     except (ScenarioError, ControllerError, StateBudgetExceeded, ValueError, OSError) as exc:
         print(f"attestsim: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -300,13 +307,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         for line in lines:
             print(line)
-
-    # --out always receives the canonical compact report; gen-ima-log is
-    # the one exception, where it receives the log itself
-    if args.out and args.command != "gen-ima-log":
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(report, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
     return code
 
 

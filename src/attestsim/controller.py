@@ -24,6 +24,7 @@ from .tpm import NONCE_LEN
 logger = logging.getLogger(__name__)
 
 DEFAULT_MISS_THRESHOLD = 3
+CONTROLLER_ENDPOINT = "controller"  # where the controller sits on the network
 
 
 class ControllerError(Exception):
@@ -35,13 +36,15 @@ class ControllerError(Exception):
 # --------------------------------------------------------------------------
 
 _UNIT_US = {"s": 1_000_000, "ms": 1_000, "us": 1, "µs": 1}
+MAX_DURATION_US = 2 ** 53  # every float derived from a duration stays finite
 
 
 def parse_duration(text: str) -> int:
     """Parse ``"155ms"``-style durations into integer microseconds.
 
     Accepted units: ``s``, ``ms``, ``us`` (or ``µs``).  Decimal values are
-    fine as long as they land on a whole microsecond (``"0.5ms"`` -> 500).
+    fine as long as they land on a whole microsecond (``"0.5ms"`` -> 500)
+    and stay within :data:`MAX_DURATION_US` either way from zero.
     """
     raw = text.strip().lower()
     for unit in ("ms", "us", "µs", "s"):
@@ -56,6 +59,8 @@ def parse_duration(text: str) -> int:
         raise ControllerError(f"cannot parse duration {text!r}")
     if value != value.to_integral_value():
         raise ControllerError(f"duration {text!r} is finer than a microsecond")
+    if abs(value) > MAX_DURATION_US:
+        raise ControllerError(f"duration {text!r} exceeds {MAX_DURATION_US} us")
     return int(value)
 
 
@@ -167,17 +172,15 @@ class Controller:
 
     def __init__(
         self,
-        clock: Optional[VirtualClock] = None,
+        clock: VirtualClock,
         miss_threshold: int = DEFAULT_MISS_THRESHOLD,
         net: Optional[NetworkModel] = None,
-        endpoint: str = "controller",
     ):
         if miss_threshold < 1:
             raise ControllerError("miss_threshold must be >= 1")
-        self.clock = clock or VirtualClock()
+        self.clock = clock
         self.miss_threshold = miss_threshold
         self.net = net
-        self.endpoint = endpoint
         self.alerts: List[Alert] = []
         self._targets: Dict[str, _Target] = {}
 
@@ -209,8 +212,8 @@ class Controller:
         if self.net is None or target.endpoint is None:
             return True
         try:
-            self.net.one_way_ms(self.endpoint, target.endpoint, rng)
-            self.net.one_way_ms(target.endpoint, self.endpoint, rng)
+            self.net.one_way_ms(CONTROLLER_ENDPOINT, target.endpoint, rng)
+            self.net.one_way_ms(target.endpoint, CONTROLLER_ENDPOINT, rng)
         except BeaconUnreachable:
             return False
         return True

@@ -125,6 +125,8 @@ def file_event(path: str, content: bytes, signature: Optional[bytes]) -> ImaEven
     """The PCR-10 event that measuring ``content`` at ``path`` logs."""
     if " " in path or "\n" in path:
         raise ImaFormatError("paths with whitespace are not representable")
+    if signature == b"":
+        raise ImaFormatError("an empty signature is not representable")
     file_hash = sha256(content)
     name = TEMPLATE_SIG if signature is not None else TEMPLATE_NG
     t_hash = template_hash(name, file_hash, path, signature)

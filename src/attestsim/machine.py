@@ -32,7 +32,7 @@ from typing import Callable, Dict, Optional
 from . import ima
 from .crypto import Rng, sha256
 from .tpm import DRTM_LOCALITY, Quote, TpmError, TpmState
-from .trust import disagreeing
+from .trust import forwards_extends
 
 logger = logging.getLogger(__name__)
 
@@ -249,11 +249,9 @@ class RelayTpmChannel:
     on the remote TPM it signs (handles are just data to forward),
     otherwise the relay substitutes the remote TPM's own resident
     attestation key.  An extend is forwarded, at the OS runtime's locality
-    0, only when the host's dynamic registers disagree with
-    ``golden_dynamics`` (the c2 agreement rule): golden software offers no
-    remote-extend service, so the adversary gets one only by booting the
-    host with tampered software, which shows in those registers.
-    Otherwise the extend is swallowed, which is the best a relay can do.
+    0, only when :func:`attestsim.trust.forwards_extends` holds for the
+    host's dynamic registers against ``golden_dynamics``.  Otherwise the
+    extend is swallowed, which is the best a relay can do.
     """
 
     def __init__(self, host: Machine, golden_dynamics: Dict[int, bytes], rng: Rng):
@@ -290,7 +288,7 @@ class RelayTpmChannel:
     def pcr_extend(self, index: int, value: bytes) -> None:
         tpm = self._tpm()
         launched = {i: tpm.read_pcr(i) for i in self.golden_dynamics}
-        if disagreeing(self.golden_dynamics, self.golden_dynamics, launched):
+        if forwards_extends(self.golden_dynamics, launched):
             tpm.pcr_extend(index, value, RUNTIME_LOCALITY)
         else:
             logger.debug("relay dropped extend of pcr %d", index)

@@ -12,12 +12,11 @@ Entry points: :func:`attestsim.modelcheck.explore.check` and the
 ``modelcheck`` CLI subcommand.
 """
 
-from .explore import CheckConfig, StateBudgetExceeded, Verdict, check, replay
+from .explore import CheckConfig, StateBudgetExceeded, Verdict, check
 
 __all__ = [
     "CheckConfig",
     "StateBudgetExceeded",
     "Verdict",
     "check",
-    "replay",
 ]

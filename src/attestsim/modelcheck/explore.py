@@ -108,21 +108,21 @@ def _world_summary(world: World, violation: Tuple[int, int, int]) -> dict:
     return {
         "machines": [
             {
-                "id": m.machine_id,
+                "id": i,
                 "phase": m.phase,
                 "image": m.image,
                 "bound_tpm": m.bound_tpm,
                 "trusted": m.trusted,
             }
-            for m in world.machines
+            for i, m in enumerate(world.machines)
         ],
         "tpms": [
             {
-                "id": t.tpm_id,
-                "spcr_is_golden": t.spcr == SPCR_G,
-                "dpcr_is_golden": t.dpcr == DPCR_G,
+                "id": t,
+                "spcr_is_golden": tpm.spcr == SPCR_G,
+                "dpcr_is_golden": tpm.dpcr == DPCR_G,
             }
-            for t in world.tpms
+            for t, tpm in enumerate(world.tpms)
         ],
         "spcr_is_golden": quote_tpm.spcr == SPCR_G,
         "dpcr_is_golden": quote_tpm.dpcr == DPCR_G,
@@ -213,26 +213,6 @@ def _trace(parents, world: World) -> List[Event]:
         world = parent
     events.reverse()
     return events
-
-
-def replay(config: CheckConfig, events: List) -> World:
-    """Re-execute a counterexample event list from the initial world.
-
-    Accepts events as tuples or JSON-decoded lists; raises ``ValueError``
-    if any step is not enabled where the trace claims it is.
-    """
-    world = build_world(config.machines, config.tpms)
-    for raw in events:
-        event = tuple(raw)
-        for candidate, child in successors(
-            world, config.obfuscate, config.derivation_depth
-        ):
-            if candidate == event:
-                world = child
-                break
-        else:
-            raise ValueError(f"event {event_str(event)} is not enabled at this state")
-    return world
 
 
 def enumerate_reachable(config: CheckConfig):

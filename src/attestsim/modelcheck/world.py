@@ -4,9 +4,13 @@ One world is a frozen snapshot of every machine's protocol phase, every
 TPM's registers (as terms) and the adversary's knowledge set.  The records
 (:class:`World`, :class:`MachineProc`, :class:`TpmProc`) are ``NamedTuple``
 values: equal states are equal tuples with equal hashes, so a world serves
-as its own key in the explorer's seen-set.  Transitions
-follow the implementation's semantics, reduced to what the trust property
-can observe:
+as its own key in the explorer's seen-set.  Each record stores a fact once.
+A record's position is its identity: machine *i* is attached to TPM *i*,
+and the TPMs past the last machine are free chips.  What follows from
+stored facts is derived, not stored: whether a driver is malicious follows
+from the booted image, and whether a free chip is prepared follows from its
+static register (see **tpm-init**).  Transitions follow the
+implementation's semantics, reduced to what the trust property can observe:
 
 * **Boot** picks an image set per machine.  The firmware is
   signature-gated, so the static register always takes the golden value on
@@ -22,11 +26,13 @@ can observe:
   verify, so q1 and the runtime quote are forced to the same chip.
 * **obf** extends the static register with a fresh random mask.  A
   malicious driver leaks the mask to the adversary and chooses where the
-  extend lands: the attached chip, the bound chip (only if its host
-  accepts remote extends, which golden-booted hosts never do — their
-  software simply has no such service), or nowhere.  A host that is
-  created or halted serves neither reads nor extends.  The concrete twin
-  of these routing rules is ``machine.RelayTpmChannel``.
+  extend lands: the attached chip, the bound chip, or nowhere.  The bound
+  chip takes the extend only if its host is serving and forwards extends
+  by the relay's rule (:func:`attestsim.trust.forwards_extends`): its
+  dynamic register is not the golden one, since golden software has no
+  remote-extend service.  A host that is created or halted serves neither
+  reads nor extends.  The concrete twin of these routing rules is
+  ``machine.RelayTpmChannel``, which decides extends by the same rule.
 * **q1** reads back: the bound register must show exactly
   ``h(pair(q0_value, mask))`` with dynamics unmoved, else initialization
   aborts.  Both are the agreement rule (:func:`attestsim.trust.disagreeing`)
@@ -40,9 +46,11 @@ can observe:
   (obfuscated) value.  Each register is a one-entry mapping of its term.
 * **tpm-init** prepares a free chip once, before it can serve: the
   adversary may replay the public static chain (if derivable within the
-  depth bound) or load junk.  Free chips never show a golden *dynamic*
-  chain: that requires a locality-gated measured launch, and a chip
-  without a platform has no way to perform one.
+  depth bound) or load junk.  Either moves the static register off ``S0``
+  for good, and nothing else reaches a free chip's registers.  Free chips
+  never show a golden *dynamic* chain: that requires a locality-gated
+  measured launch, and a chip without a platform has no way to perform
+  one.
 
 Reboots are outside the model: an episode runs within one power cycle, so
 the unseal and reboot-counter conditions hold trivially and the checked
@@ -56,9 +64,9 @@ move within one power cycle.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
-from ..trust import disagreeing, static_split
+from ..trust import disagreeing, forwards_extends, static_split
 from .terms import Term, derivable, h, name, p, saturate
 
 # -- fixed vocabulary -------------------------------------------------------
@@ -90,35 +98,35 @@ _BOOT_STACKS = {
 }
 
 
-def rnd_term(machine_id: int) -> Term:
-    return name(f"rnd-m{machine_id}")
+def rnd_term(i: int) -> Term:
+    return name(f"rnd-m{i}")
 
 
-def junk_term(tpm_id: int) -> Term:
-    return name(f"junk-t{tpm_id}")
+def junk_term(t: int) -> Term:
+    return name(f"junk-t{t}")
 
 
 # -- processes --------------------------------------------------------------
 
 
 class TpmProc(NamedTuple):
-    tpm_id: int
     spcr: Term
     dpcr: Term
-    initialized: bool  # free chips flip this on their one-shot preparation
 
 
 class MachineProc(NamedTuple):
-    machine_id: int
-    attached_tpm: int
     phase: str = "created"  # booted | init_q0 | init_extend | sealed | done | halted
     image: Optional[str] = None
-    driver_malicious: bool = False
     bound_tpm: Optional[int] = None
     q0_spcr: Optional[Term] = None   # sealed original static value
     q0_dpcr: Optional[Term] = None   # sealed dynamic value
     sealed_obf: Optional[Term] = None
     trusted: Optional[bool] = None
+
+    @property
+    def driver_malicious(self) -> bool:
+        """A malicious stack hands the agent's TPM driver to the adversary."""
+        return self.image in ("malicious-initramfs", "malicious-kernel")
 
 
 class World(NamedTuple):
@@ -140,18 +148,11 @@ def build_world(n_machines: int, n_tpms: int) -> World:
         raise ValueError("need at least one machine")
     if n_tpms < n_machines:
         raise ValueError("every machine needs an attached tpm")
-    machines = tuple(
-        MachineProc(machine_id=i, attached_tpm=i) for i in range(n_machines)
-    )
-    tpms = tuple(
-        TpmProc(tpm_id=t, spcr=S0, dpcr=D0, initialized=t < n_machines)
-        for t in range(n_tpms)
-    )
     knowledge = frozenset(
         {S0, D0, UEFI_S, TBOOT_S, K_G, I_G, K_M, I_M}
         | {junk_term(t) for t in range(n_machines, n_tpms)}
     )
-    return World(machines, tpms, knowledge)
+    return World((MachineProc(),) * n_machines, (TpmProc(S0, D0),) * n_tpms, knowledge)
 
 
 @lru_cache(maxsize=4096)
@@ -164,15 +165,15 @@ def _saturated(knowledge: FrozenSet[Term]) -> FrozenSet[Term]:
 # field, and these three run for nearly every generated state
 
 
-def _with_machine(world: World, m: MachineProc) -> World:
+def _with_machine(world: World, i: int, m: MachineProc) -> World:
     machines = list(world.machines)
-    machines[m.machine_id] = m
+    machines[i] = m
     return World(tuple(machines), world.tpms, world.knowledge)
 
 
-def _with_tpm(world: World, t: TpmProc) -> World:
+def _with_tpm(world: World, t: int, tpm: TpmProc) -> World:
     tpms = list(world.tpms)
-    tpms[t.tpm_id] = t
+    tpms[t] = tpm
     return World(world.machines, tuple(tpms), world.knowledge)
 
 
@@ -183,27 +184,24 @@ def _leak(world: World, *terms: Term) -> World:
     return World(world.machines, world.tpms, world.knowledge | set(missing))
 
 
-def _host_accepts_extends(world: World, tpm_id: int) -> bool:
-    """Remote-extend physics: only a booted host running a non-golden image
-    exposes anything that will extend a PCR for the network (the golden
-    stack offers no remote-extend service); free chips are prepared before
-    the episode and serve reads only."""
-    for m in world.machines:
-        if m.attached_tpm == tpm_id:
-            return m.phase not in ("created", "halted") and m.image != "golden"
-    return False
+def _serving(m: MachineProc) -> bool:
+    return m.phase not in ("created", "halted")
 
 
-def _readable_tpms(world: World, machine: MachineProc) -> List[int]:
-    """TPMs a malicious driver can route reads to."""
-    ids = {machine.attached_tpm}
-    for m in world.machines:
-        if m.phase not in ("created", "halted"):
-            ids.add(m.attached_tpm)
-    for t in world.tpms:
-        if t.initialized and t.tpm_id >= len(world.machines):
-            ids.add(t.tpm_id)
-    return sorted(ids)
+def _host_accepts_extends(world: World, t: int) -> bool:
+    """Remote-extend physics: a serving host forwards an extend by the
+    relay's rule (:func:`attestsim.trust.forwards_extends`) on its dynamic
+    register; free chips are prepared before the episode and serve reads
+    only."""
+    return (t < len(world.machines) and _serving(world.machines[t])
+            and forwards_extends({0: DPCR_G}, {0: world.tpms[t].dpcr}))
+
+
+def _readable_tpms(world: World, i: int) -> Set[int]:
+    """TPMs a malicious driver on machine ``i`` can route reads to."""
+    free = range(len(world.machines), len(world.tpms))
+    return ({i} | {j for j, m in enumerate(world.machines) if _serving(m)}
+            | {t for t in free if world.tpms[t].spcr != S0})
 
 
 # -- successors -------------------------------------------------------------
@@ -213,124 +211,104 @@ def successors(world: World, obfuscate: bool, derivation_depth: int) -> List[Tup
     """All one-step moves, in a canonical deterministic order."""
     out: List[Tuple[Event, World]] = []
 
-    for m in world.machines:
+    for i, m in enumerate(world.machines):
         if m.phase == "created":
             for image in BOOT_MENU:
-                out.append((("boot", m.machine_id, image), _boot(world, m, image)))
+                out.append((("boot", i, image), _boot(world, i, image)))
         elif m.phase == "booted":
-            targets = (
-                _readable_tpms(world, m) if m.driver_malicious else [m.attached_tpm]
-            )
-            for t in targets:
-                out.append((("q0", m.machine_id, t), _q0(world, m, t)))
+            for t in _readable_tpms(world, i) if m.driver_malicious else (i,):
+                out.append((("q0", i, t), _q0(world, i, t)))
         elif m.phase == "init_q0":
             if obfuscate:
-                for route in _obf_routes(world, m):
-                    out.append((("obf", m.machine_id, route), _obf(world, m, route)))
+                for route in _obf_routes(world, i):
+                    out.append((("obf", i, route), _obf(world, i, route)))
             else:
-                out.append((("seal", m.machine_id), _seal(world, m)))
+                out.append((("seal", i), _seal(world, i)))
         elif m.phase == "init_extend":
-            out.append((("q1", m.machine_id), _q1(world, m)))
+            out.append((("q1", i), _q1(world, i)))
         elif m.phase == "sealed":
-            out.append((("verify", m.machine_id), _verify(world, m)))
+            out.append((("verify", i), _verify(world, i)))
 
-    n_machines = len(world.machines)
-    for t in world.tpms:
-        if t.initialized or t.tpm_id < n_machines:
+    for t in range(len(world.machines), len(world.tpms)):
+        tpm = world.tpms[t]
+        if tpm.spcr != S0:
             continue
-        sat = _saturated(world.knowledge)
-        if derivable(SPCR_G, sat, derivation_depth):
-            out.append(
-                (
-                    ("tpm-init", t.tpm_id, "golden"),
-                    _with_tpm(world, t._replace(spcr=SPCR_G, initialized=True)),
-                )
-            )
-        out.append(
-            (
-                ("tpm-init", t.tpm_id, "junk"),
-                _with_tpm(world, t._replace(spcr=junk_term(t.tpm_id), initialized=True)),
-            )
-        )
+        if derivable(SPCR_G, _saturated(world.knowledge), derivation_depth):
+            out.append((("tpm-init", t, "golden"),
+                        _with_tpm(world, t, TpmProc(SPCR_G, tpm.dpcr))))
+        out.append((("tpm-init", t, "junk"),
+                    _with_tpm(world, t, TpmProc(junk_term(t), tpm.dpcr))))
 
     out.sort(key=lambda pair: repr(pair[0]))
     return out
 
 
-def _boot(world: World, m: MachineProc, image: str) -> World:
+def _boot(world: World, i: int, image: str) -> World:
+    # a created machine carries nothing but its phase
     if image == "unsigned-uefi":
-        return _with_machine(world, m._replace(phase="halted", image=image))
+        return _with_machine(world, i, MachineProc("halted", image))
     kernel, initramfs = _BOOT_STACKS[image]
-    tpm = world.tpms[m.attached_tpm]
-    world = _with_tpm(
-        world,
-        tpm._replace(spcr=h(p(tpm.spcr, h(UEFI_S))), dpcr=dpcr_term(kernel, initramfs)),
-    )
-    return _with_machine(
-        world,
-        m._replace(
-            phase="booted",
-            image=image,
-            driver_malicious=image != "golden",
-        ),
-    )
+    tpm = world.tpms[i]
+    world = _with_tpm(world, i, TpmProc(h(p(tpm.spcr, h(UEFI_S))),
+                                        dpcr_term(kernel, initramfs)))
+    return _with_machine(world, i, MachineProc("booted", image))
 
 
-def _q0(world: World, m: MachineProc, t: int) -> World:
-    tpm = world.tpms[t]
+def _q0(world: World, i: int, t: int) -> World:
+    m, tpm = world.machines[i], world.tpms[t]
     if m.driver_malicious:
         world = _leak(world, tpm.spcr, tpm.dpcr)
-    return _with_machine(
-        world,
-        m._replace(phase="init_q0", bound_tpm=t, q0_spcr=tpm.spcr, q0_dpcr=tpm.dpcr),
-    )
+    return _with_machine(world, i, m._replace(phase="init_q0", bound_tpm=t,
+                                              q0_spcr=tpm.spcr, q0_dpcr=tpm.dpcr))
 
 
-def _obf_routes(world: World, m: MachineProc) -> List[str]:
+def _obf_routes(world: World, i: int) -> List[str]:
+    m = world.machines[i]
     if not m.driver_malicious:
         return ["local"]
-    routes = ["drop", "local"]
-    if m.bound_tpm != m.attached_tpm and _host_accepts_extends(world, m.bound_tpm):
-        routes.append("bound")
-    return sorted(routes)
+    if m.bound_tpm != i and _host_accepts_extends(world, m.bound_tpm):
+        return ["drop", "local", "bound"]
+    return ["drop", "local"]
 
 
-def _obf(world: World, m: MachineProc, route: str) -> World:
-    rnd = rnd_term(m.machine_id)
+def _obf(world: World, i: int, route: str) -> World:
+    m = world.machines[i]
+    rnd = rnd_term(i)
     if m.driver_malicious:
         world = _leak(world, rnd)  # the driver sees the mask in the clear
-    if route == "local":
-        target = world.tpms[m.attached_tpm]
-        world = _with_tpm(world, target._replace(spcr=h(p(target.spcr, rnd))))
-    elif route == "bound":
-        target = world.tpms[m.bound_tpm]
-        world = _with_tpm(world, target._replace(spcr=h(p(target.spcr, rnd))))
-    return _with_machine(world, m._replace(phase="init_extend"))
+    if route != "drop":
+        t = i if route == "local" else m.bound_tpm
+        target = world.tpms[t]
+        world = _with_tpm(world, t, TpmProc(h(p(target.spcr, rnd)), target.dpcr))
+    return _with_machine(world, i, m._replace(phase="init_extend"))
 
 
-def _q1(world: World, m: MachineProc) -> World:
+def _q1(world: World, i: int) -> World:
+    m = world.machines[i]
     tpm = world.tpms[m.bound_tpm]
     if m.driver_malicious:
         world = _leak(world, tpm.spcr, tpm.dpcr)
-    expected = h(p(m.q0_spcr, rnd_term(m.machine_id)))
+    expected = h(p(m.q0_spcr, rnd_term(i)))
     if (disagreeing((0,), {0: expected}, {0: tpm.spcr})
             or disagreeing((0,), {0: m.q0_dpcr}, {0: tpm.dpcr})):
-        return _with_machine(world, m._replace(phase="halted"))
-    return _with_machine(world, m._replace(phase="sealed", sealed_obf=tpm.spcr))
+        return _with_machine(world, i, m._replace(phase="halted"))
+    return _with_machine(world, i, m._replace(phase="sealed", sealed_obf=tpm.spcr))
 
 
-def _seal(world: World, m: MachineProc) -> World:
-    return _with_machine(world, m._replace(phase="sealed", sealed_obf=m.q0_spcr))
+def _seal(world: World, i: int) -> World:
+    m = world.machines[i]
+    return _with_machine(world, i, m._replace(phase="sealed", sealed_obf=m.q0_spcr))
 
 
-def _verify(world: World, m: MachineProc) -> World:
+def _verify(world: World, i: int) -> World:
+    m = world.machines[i]
     tpm = world.tpms[m.bound_tpm]
     if m.driver_malicious:
         world = _leak(world, tpm.spcr, tpm.dpcr)
     c2 = not disagreeing((0,), {0: m.q0_dpcr}, {0: DPCR_G}, {0: tpm.dpcr})
     c3 = not static_split((0,), {0: SPCR_G}, {0: m.q0_spcr}, {0: m.sealed_obf},
                           {0: tpm.spcr})
-    return _with_machine(world, m._replace(phase="done", trusted=c2 and c3))
+    return _with_machine(world, i, m._replace(phase="done", trusted=c2 and c3))
 
 
 # -- the property -----------------------------------------------------------
@@ -339,8 +317,5 @@ def _verify(world: World, m: MachineProc) -> World:
 def violations(world: World) -> List[Tuple[int, int, int]]:
     """Machines holding a trusted verdict whose quote TPM is not the
     attached one: (machine, x=quote tpm, y=attached tpm)."""
-    found = []
-    for m in world.machines:
-        if m.phase == "done" and m.trusted and m.bound_tpm != m.attached_tpm:
-            found.append((m.machine_id, m.bound_tpm, m.attached_tpm))
-    return found
+    return [(i, m.bound_tpm, i) for i, m in enumerate(world.machines)
+            if m.phase == "done" and m.trusted and m.bound_tpm != i]

@@ -48,8 +48,8 @@ class BeaconSignatureInvalid(BeaconError):
 class VirtualClock:
     """Monotone simulated time in milliseconds."""
 
-    def __init__(self, start_ms: float = 0.0):
-        self.now_ms = float(start_ms)
+    def __init__(self):
+        self.now_ms = 0.0
 
     def advance(self, delta_ms: float) -> float:
         if delta_ms < 0:

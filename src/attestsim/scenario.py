@@ -60,7 +60,7 @@ import yaml
 
 from . import ima
 from .agent import Agent, AgentApi, TpmUnreachable, TrustReport
-from .controller import DEFAULT_MISS_THRESHOLD, Alert, Controller
+from .controller import CONTROLLER_ENDPOINT, DEFAULT_MISS_THRESHOLD, Alert, Controller
 from .crypto import (
     ZERO_DIGEST,
     KeyPair,
@@ -262,7 +262,7 @@ def _build_network(spec: dict, machines: List[dict]) -> NetworkModel:
     net = NetworkModel(links, {}, adv)
     for m in machines:
         net.place(f"agent-{m['id']}", m.get("dc", "dc1"))
-    net.place("controller", machines[0].get("dc", "dc1") if machines else "dc1")
+    net.place(CONTROLLER_ENDPOINT, machines[0].get("dc", "dc1") if machines else "dc1")
     return net
 
 
@@ -316,7 +316,7 @@ def build_fleet(doc: dict, seed: int) -> _Fleet:
         if mid in machines:
             raise ScenarioError(f"duplicate machine id {mid!r}")
         mrng = rng.child(f"machine-{mid}")
-        tpm = TpmState(f"tpm-{mid}", tpm_ca, mrng)
+        tpm = TpmState(tpm_ca, mrng)
         machine = Machine(mid, tpm, platform_ca.public, mrng)
         machines[mid] = machine
         if "agent" in spec:

@@ -115,8 +115,7 @@ def composite_digest(values: Sequence[bytes]) -> bytes:
 class TpmState:
     """One simulated TPM chip."""
 
-    def __init__(self, tpm_id: str, manufacturer: KeyPair, rng: Rng):
-        self.tpm_id = tpm_id
+    def __init__(self, manufacturer: KeyPair, rng: Rng):
         self._pcrs = _power_on_pcrs()
         self.ek = generate_keypair(rng)
         self.ek_cert: Certificate = issue_certificate(manufacturer, self.ek.public, "tpm-ek")

@@ -3,13 +3,16 @@
 The agent (``agent._failed_condition`` and ``agent_init``), the policy
 evaluator (``policy.evaluate``) and the symbolic model (``world._q1`` and
 ``world._verify``) decide c2, c3 and the obfuscation read-back through
-these two functions.  Both compare values for equality only, so they take
-mappings from register index to an opaque value: digests on the agent,
+:func:`disagreeing` and :func:`static_split`.  The relay channel
+(``machine.RelayTpmChannel``) and the model (``world._host_accepts_extends``)
+decide whether a relayed extend lands through :func:`forwards_extends`.
+The rules compare values for equality only, so they take mappings from
+register index to an opaque value: digests on the agent and the relay,
 whitelist digests in the policy, terms in one-entry mappings in the model.
 Each caller adds only what the others cannot see (the agent's key binding
-and reboot counter) and words the findings its own way.
-
-Both rules return lists, never a bare index: register 0 is falsy.
+and reboot counter, whether a host serves at all) and words the findings
+its own way.  The condition rules return lists, never a bare index:
+register 0 is falsy.
 """
 
 from typing import Iterable, List, Mapping, Tuple
@@ -24,6 +27,13 @@ def disagreeing(indices: Iterable, *banks: Mapping) -> List:
     return [i for i in sorted(indices)
             if any(i not in bank for bank in banks)
             or any(bank[i] != banks[0][i] for bank in banks[1:])]
+
+
+def forwards_extends(golden_dynamics: Mapping, host_dynamics: Mapping) -> bool:
+    """Whether a serving host forwards a relayed extend to its TPM: only if
+    its dynamic registers disagree with the golden ones, since golden
+    software has no remote-extend service and tampered software shows there."""
+    return bool(disagreeing(golden_dynamics, golden_dynamics, host_dynamics))
 
 
 def static_split(indices: Iterable, golden: Mapping, original: Mapping,

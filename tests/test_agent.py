@@ -70,7 +70,7 @@ class World:
         self.machines = []
         for i in range(n_machines):
             mrng = rng.child(f"machine-{i}")
-            tpm = TpmState(f"tpm-{i}", self.tpm_ca, mrng)
+            tpm = TpmState(self.tpm_ca, mrng)
             self.machines.append(Machine(f"m{i}", tpm, self.platform_ca.public, mrng))
 
         img = self.images
@@ -997,6 +997,7 @@ def test_api_error_paths():
     assert api.handle("GET", f"/policy/{pid}?nonce=zz").status == 400
     assert api.handle("GET", f"/policy/{pid}?nonce=aabb").status == 400
     assert api.handle("GET", "/nothing").status == 404
+    assert api.handle("GET", "http://[::1").status == 400  # unclosed IPv6 host
     health = api.handle("GET", "/health")
     assert health.status == 200 and health.body["status"] == "ok"
 

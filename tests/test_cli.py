@@ -56,6 +56,14 @@ def test_vwindow_bad_duration_is_an_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("duration", ["1e999ms", "-1e999ms", "infms"])
+def test_vwindow_huge_duration_is_an_error(capsys, duration):
+    code = main(["vwindow", f"--trq={duration}", "--tre", "58us",
+                 "--tvp", "100ms", "--floor", "40us"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("attestsim: error:")
+
+
 def test_vwindow_missing_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["vwindow", "--trq", "155ms"])
@@ -148,6 +156,22 @@ def _assert_clean_error(*argv):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("attestsim: error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", honest(), "--out"],
+    ["modelcheck", "--out"],
+    ["modelcheck", "--emit-trace"],
+    ["vwindow", "--trq", "155ms", "--tre", "58us", "--tvp", "100ms",
+     "--floor", "40us", "--out"],
+    ["gen-ima-log", "--events", "3", "--out"],
+    ["deploy-policy", honest(), "--machine", "m0", "--policy", "golden", "--out"],
+    ["poll", honest(), "--rounds", "1", "--out"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in (argv[0], argv[-1])))
+def test_artifact_in_a_missing_directory_exits_three(tmp_path, capsys, argv):
+    code = main([*argv, str(tmp_path / "missing" / "artifact")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("attestsim: error:")
 
 
 def test_run_json_matches_library_report(capsys):

@@ -112,12 +112,14 @@ def test_report_carries_both_units():
     ("0.5ms", 500),
     (" 1 ms ", 1_000),
     ("0.000001s", 1),
+    ("9007199254740992us", 2 ** 53),
 ])
 def test_parse_duration(text, expected):
     assert parse_duration(text) == expected
 
 
-@pytest.mark.parametrize("text", ["155", "abcms", "", "0.0005ms", "ms"])
+@pytest.mark.parametrize("text", ["155", "abcms", "", "0.0005ms", "ms",
+                                  "9007199254740993us", "1e999ms", "-1e999ms", "infms"])
 def test_parse_duration_rejects(text):
     with pytest.raises(ControllerError):
         parse_duration(text)

@@ -22,7 +22,7 @@ from attestsim.tpm import IMA_PCR, TpmState
 
 def scratch_tpm(seed=1):
     rng = Rng(seed)
-    return TpmState("t", generate_keypair(rng), rng), rng
+    return TpmState(generate_keypair(rng), rng), rng
 
 
 # --------------------------------------------------------------------------
@@ -88,6 +88,15 @@ def test_whitespace_paths_are_rejected():
     tpm, _ = scratch_tpm()
     with pytest.raises(ImaFormatError):
         measure_file(tpm, "/has space", b"x")
+
+
+def test_empty_signature_is_rejected_before_the_extend():
+    # an ima-sig line with an empty signature field would not parse back
+    tpm, _ = scratch_tpm()
+    before = tpm.read_pcr(IMA_PCR)
+    with pytest.raises(ImaFormatError):
+        measure_file(tpm, "/x", b"c", b"")
+    assert tpm.read_pcr(IMA_PCR) == before
 
 
 # --------------------------------------------------------------------------

@@ -36,7 +36,7 @@ def build_world(seed=1, n_machines=1):
     machines = []
     for i in range(n_machines):
         mrng = rng.child(f"machine-{i}")
-        tpm = TpmState(f"tpm-{i}", tpm_ca, mrng)
+        tpm = TpmState(tpm_ca, mrng)
         machines.append(Machine(f"m{i}", tpm, platform_ca.public, mrng))
     return machines, images, platform_ca, tpm_ca, rng
 
@@ -213,10 +213,13 @@ def _reboot(m, img):
 
 
 def _model_host(phase, image=None):
-    """The model's world with host m1 in ``phase``, booted with ``image``."""
+    """The model's world with host m1 booted with ``image`` by the model's
+    own boot step (so its TPM holds that stack's registers), then in
+    ``phase``."""
     world = model.build_world(2, 2)
-    host = world.machines[1]._replace(phase=phase, image=image)
-    return model._with_machine(world, host)
+    if image is not None:
+        world = model._boot(world, 1, image)
+    return model._with_machine(world, 1, world.machines[1]._replace(phase=phase))
 
 
 # host state -> (how the host gets there, relay serves reads, relay forwards
@@ -260,7 +263,7 @@ def test_relay_serves_only_a_running_host(state):
             relay.pcr_extend(17, sha256(b"x"))
 
     if twin is not None:
-        assert (1 in model._readable_tpms(twin, twin.machines[0])) == reads
+        assert (1 in model._readable_tpms(twin, 0)) == reads
         assert model._host_accepts_extends(twin, 1) == extends
 
 

@@ -8,14 +8,15 @@ from attestsim.modelcheck import (
     CheckConfig,
     StateBudgetExceeded,
     check,
-    replay,
 )
 from attestsim.modelcheck.explore import enumerate_reachable, event_str
 from attestsim.modelcheck.terms import derivable, h, name, p, saturate
 from attestsim.modelcheck.world import (
     DPCR_G,
+    S0,
     SPCR_G,
     build_world,
+    junk_term,
     rnd_term,
     successors,
     violations,
@@ -54,7 +55,7 @@ def test_fresh_names_and_hash_preimages_stay_out_of_reach():
 def test_world_shape_and_validation():
     w = build_world(2, 3)
     assert len(w.machines) == 2 and len(w.tpms) == 3
-    assert not w.tpms[2].initialized  # the free chip awaits preparation
+    assert w.tpms[2].spcr == S0  # the free chip awaits preparation
     with pytest.raises(ValueError):
         build_world(0, 1)
     with pytest.raises(ValueError):
@@ -179,7 +180,7 @@ def test_free_tpm_cannot_stand_in_for_a_platform():
 
 
 # --------------------------------------------------------------------------
-# determinism and replay
+# determinism and rendering
 # --------------------------------------------------------------------------
 
 
@@ -188,21 +189,6 @@ def test_verdict_is_byte_identical_across_runs(obfuscate):
     cfg = CheckConfig(machines=2, tpms=2, derivation_depth=5, obfuscate=obfuscate)
     first = json.dumps(check(cfg).to_dict(), sort_keys=True, indent=2)
     assert json.dumps(check(cfg).to_dict(), sort_keys=True, indent=2) == first
-
-
-def test_replay_reproduces_the_violation():
-    cfg = CheckConfig(machines=2, tpms=2, derivation_depth=5)
-    v = check(cfg)
-    world = replay(cfg, v.counterexample["events"])
-    found = violations(world)
-    assert found == [(1, 0, 1)]
-    assert world.tpms[0].spcr == SPCR_G and world.tpms[0].dpcr == DPCR_G
-
-
-def test_replay_rejects_disabled_events():
-    cfg = CheckConfig(machines=1, tpms=1)
-    with pytest.raises(ValueError):
-        replay(cfg, [("verify", 0)])  # nothing is sealed yet
 
 
 def test_event_rendering():
@@ -222,8 +208,8 @@ def test_mask_secrecy_for_honest_drivers():
     cfg = CheckConfig(machines=2, tpms=2, derivation_depth=5, obfuscate=True)
     checked = 0
     for world in enumerate_reachable(cfg):
-        for m in world.machines:
-            if rnd_term(m.machine_id) in world.knowledge:
+        for i, m in enumerate(world.machines):
+            if rnd_term(i) in world.knowledge:
                 assert m.driver_malicious, world.canonical_key()
                 checked += 1
     assert checked > 0  # leaks do happen, only ever on malicious drivers
@@ -233,12 +219,31 @@ def test_trusted_verdicts_imply_golden_boot_when_obfuscated():
     cfg = CheckConfig(machines=2, tpms=2, derivation_depth=5, obfuscate=True)
     trusted_seen = 0
     for world in enumerate_reachable(cfg):
-        for m in world.machines:
+        for i, m in enumerate(world.machines):
             if m.phase == "done" and m.trusted:
                 trusted_seen += 1
                 assert m.image == "golden"
-                assert m.bound_tpm == m.attached_tpm
+                assert m.bound_tpm == i
     assert trusted_seen > 0
+
+
+@pytest.mark.parametrize("obfuscate", [False, True])
+def test_derived_facts_follow_from_stored_registers(obfuscate):
+    """What the records derive rather than store: a free chip's static
+    register is S0 until its one preparation, and after it golden or its
+    junk term; a serving host's dynamic register is golden exactly when it
+    booted the golden image, which the extend rule reads."""
+    cfg = CheckConfig(machines=2, tpms=3, derivation_depth=5, obfuscate=obfuscate)
+    prepared = serving = 0
+    for world in enumerate_reachable(cfg):
+        for t in range(len(world.machines), len(world.tpms)):
+            assert world.tpms[t].spcr in (S0, SPCR_G, junk_term(t)), world
+            prepared += world.tpms[t].spcr != S0
+        for i, m in enumerate(world.machines):
+            if m.phase not in ("created", "halted"):
+                serving += 1
+                assert (world.tpms[i].dpcr == DPCR_G) == (m.image == "golden"), world
+    assert prepared > 0 and serving > 0
 
 
 def test_enumeration_covers_exactly_the_checked_states():

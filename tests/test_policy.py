@@ -153,7 +153,7 @@ def test_render_parse_roundtrip():
 # evaluation
 # --------------------------------------------------------------------------
 
-VIEW_TPM = TpmState("view-tpm", TPM_CA, RNG.child("view-tpm"))
+VIEW_TPM = TpmState(TPM_CA, RNG.child("view-tpm"))
 
 
 def make_view(**overrides):
@@ -184,7 +184,7 @@ def test_compliant_view_passes():
 
 def test_each_violation_kind_fires():
     rogue_ca = generate_keypair(Rng(555))
-    rogue_tpm = TpmState("rogue", rogue_ca, Rng(556))
+    rogue_tpm = TpmState(rogue_ca, Rng(556))
 
     v = evaluate(POLICY, make_view(ek_certified=POLICY.certifies_ek(rogue_tpm.ek_cert)))
     assert [x.kind for x in v.violations] == ["tpm-cert"]

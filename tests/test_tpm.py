@@ -18,10 +18,10 @@ from attestsim.tpm import (
 )
 
 
-def fresh_tpm(seed=100, tpm_id="tpm-0"):
+def fresh_tpm(seed=100):
     rng = Rng(seed)
     ca = generate_keypair(rng)
-    return TpmState(tpm_id, ca, rng), ca, rng
+    return TpmState(ca, rng), ca, rng
 
 
 def chain(start, values):
@@ -121,8 +121,8 @@ def test_extend_only_replay_property(ops):
 # --------------------------------------------------------------------------
 
 def test_create_aik_is_fresh_per_call_and_per_tpm():
-    t1, _, rng1 = fresh_tpm(10, "tpm-a")
-    t2, _, rng2 = fresh_tpm(11, "tpm-b")
+    t1, _, rng1 = fresh_tpm(10)
+    t2, _, rng2 = fresh_tpm(11)
     a = t1.create_aik(rng1)
     b = t1.create_aik(rng1)
     c = t2.create_aik(rng2)
@@ -132,8 +132,8 @@ def test_create_aik_is_fresh_per_call_and_per_tpm():
 def test_activate_credential_binding():
     rng = Rng(20)
     ca = generate_keypair(rng)
-    tpm_a = TpmState("a", ca, rng)
-    tpm_b = TpmState("b", ca, rng)
+    tpm_a = TpmState(ca, rng)
+    tpm_b = TpmState(ca, rng)
     aik_a = tpm_a.create_aik(rng)
     secret = rng.bytes(32)
 
@@ -185,7 +185,7 @@ def test_quote_requires_resident_aik():
 def test_cross_tpm_quotes_never_verify_under_other_aik():
     rng = Rng(33)
     ca = generate_keypair(rng)
-    tpms = [TpmState(f"t{i}", ca, rng) for i in range(2)]
+    tpms = [TpmState(ca, rng) for _ in range(2)]
     aiks = [t.create_aik(rng) for t in tpms]
     nonce = rng.bytes(32)
     quotes = [t.quote(a, nonce, [0]) for t, a in zip(tpms, aiks)]

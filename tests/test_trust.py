@@ -1,6 +1,12 @@
 """The shared register rules, on plain values."""
 
-from attestsim.trust import BASELINE, OBFUSCATED, disagreeing, static_split
+from attestsim.trust import (
+    BASELINE,
+    OBFUSCATED,
+    disagreeing,
+    forwards_extends,
+    static_split,
+)
 
 
 def test_a_missing_value_never_agrees():
@@ -21,3 +27,10 @@ def test_static_split_names_the_baseline_before_the_obfuscated_value():
     assert static_split([0], golden, {0: "b"}, obfuscated, {0: "q"}) == [(0, BASELINE)]
     assert static_split([0], golden, {0: "g"}, obfuscated, {0: "q"}) == [(0, OBFUSCATED)]
     assert static_split([0], golden, {0: "g"}, obfuscated, {}) == [(0, OBFUSCATED)]
+
+
+def test_a_host_forwards_extends_unless_its_dynamics_are_golden():
+    golden = {17: "t", 18: "k"}
+    assert forwards_extends(golden, {17: "t", 18: "k"}) is False
+    assert forwards_extends(golden, {17: "t", 18: "rootkit"}) is True
+    assert forwards_extends(golden, {17: "t"}) is True

@@ -426,6 +426,8 @@ class Agent:
     pipeline calls :meth:`initialization_hook`; once the OS is up,
     :meth:`enter_runtime` re-establishes trust and the controller drives
     the :class:`AgentApi` endpoints; each verdict calls :meth:`refresh`.
+    Entering runtime ends the running session first, so a failed
+    establishment leaves the agent not serving until one succeeds.
     """
 
     def __init__(
@@ -477,7 +479,10 @@ class Agent:
             raise InitHookFailure(str(exc)) from exc
 
     def enter_runtime(self) -> TrustReport:
-        """Phase 2: establish trust and arm the serving state."""
+        """Phase 2: end the running session, establish trust and arm the
+        serving state again."""
+        self._channel = None
+        self._config = None
         ctx = run_enclave(self.machine, self.binary, "runtime")
         channel = self.channel_factory(self.machine)
         report = establish_trust(

@@ -9,6 +9,7 @@ bad usage alike.
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import List, Optional, Tuple
 
 from . import ima
@@ -19,16 +20,16 @@ from .controller import (
     parse_duration,
     vulnerability_window_report,
 )
-from .modelcheck import CheckConfig, StateBudgetExceeded, check
+from .modelcheck import StateBudgetExceeded, check
 from .scenario import (
     ScenarioError,
     ScenarioResult,
-    _controller,
-    _sync_policies,
+    check_config,
     execute_scenario,
     load_scenario,
     run_scenario,
 )
+from .tpm import NONCE_LEN
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -42,37 +43,34 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
+def build_parser() -> argparse.ArgumentParser:
+    seeded = argparse.ArgumentParser(add_help=False)  # for the randomised subcommands
+    seeded.add_argument("--seed", type=int, default=0,
                         help="master seed for all randomness (default 0)")
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="PATH",
                         help="write the run's artifact to this file")
     common.add_argument("--format", choices=("json", "text"), default="text",
                         help="stdout rendering (default text)")
-    return common
-
-
-def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
     parser = _Parser(prog="attestsim",
                      description="TPM-anchored attestation simulator")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
-    p = sub.add_parser("run", parents=[common],
+    p = sub.add_parser("run", parents=[seeded, common],
                        help="execute a scenario file")
     p.add_argument("scenario", help="path to a scenario yaml")
 
     p = sub.add_parser("modelcheck", parents=[common],
                        help="explore the protocol state space")
+    # an omitted bound is absent from the namespace: CheckConfig's default holds
     p.add_argument("--variant", choices=("plain", "obfuscated"),
-                   default="plain")
-    p.add_argument("--machines", type=int, default=2)
-    p.add_argument("--tpms", type=int, default=2)
-    p.add_argument("--depth", type=int, default=5,
+                   default=argparse.SUPPRESS)
+    p.add_argument("--machines", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--tpms", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--depth", type=int, default=argparse.SUPPRESS,
                    help="adversary derivation depth bound")
-    p.add_argument("--max-states", type=int, default=200_000)
+    p.add_argument("--max-states", type=int, default=argparse.SUPPRESS)
     p.add_argument("--emit-trace", metavar="PATH",
                    help="write the counterexample trace as json")
 
@@ -84,11 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--floor", required=True,
                    help="minimum file-open time, e.g. 40us")
 
-    p = sub.add_parser("gen-ima-log", parents=[common],
+    p = sub.add_parser("gen-ima-log", parents=[seeded, common],
                        help="emit a seeded synthetic measurement log")
     p.add_argument("--events", type=int, default=1800)
 
-    p = sub.add_parser("deploy-policy", parents=[common],
+    p = sub.add_parser("deploy-policy", parents=[seeded, common],
                        help="deploy a policy into a scenario's fleet")
     p.add_argument("scenario", help="path to a scenario yaml")
     p.add_argument("--machine", required=True)
@@ -97,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--policy",
                        help="a name from the scenario's policies block")
 
-    p = sub.add_parser("poll", parents=[common],
+    p = sub.add_parser("poll", parents=[seeded, common],
                        help="run a scenario, then keep polling its agents")
     p.add_argument("scenario", help="path to a scenario yaml")
     p.add_argument("--rounds", type=int, default=5)
@@ -117,6 +115,11 @@ def _write(path: str, data) -> None:
         fh.write(data)
 
 
+def _alert_lines(alerts) -> List[str]:
+    lines = [f"  alert {a.kind} {a.machine} at {a.timestamp_ms:g} ms" for a in alerts]
+    return lines or ["  alerts: none"]
+
+
 def _scenario_text(result: ScenarioResult) -> List[str]:
     lines = [f"scenario {result.name} (seed {result.seed})"]
     for machine, verdict in sorted(result.verdicts.items()):
@@ -128,12 +131,7 @@ def _scenario_text(result: ScenarioResult) -> List[str]:
         if verdict.get("compromised"):
             state += f", compromised: {verdict['compromised']}"
         lines.append(f"  {machine}: {state}")
-    for alert in result.alerts:
-        lines.append(
-            f"  alert {alert.kind} {alert.machine} at {alert.timestamp_ms:g} ms"
-        )
-    if not result.alerts:
-        lines.append("  alerts: none")
+    lines.extend(_alert_lines(result.alerts))
     if result.explorer is not None:
         holds = result.explorer["property_holds"]
         lines.append(f"  explorer: property {'holds' if holds else 'VIOLATED'}")
@@ -144,17 +142,11 @@ def _scenario_text(result: ScenarioResult) -> List[str]:
 def cmd_run(args) -> Tuple[int, dict, List[str]]:
     result = run_scenario(args.scenario, args.seed)
     code = EXIT_OK if result.all_compliant else EXIT_VIOLATION
-    return code, result.to_dict(), _scenario_text(result)
+    return code, asdict(result), _scenario_text(result)
 
 
 def cmd_modelcheck(args) -> Tuple[int, dict, List[str]]:
-    config = CheckConfig(
-        machines=args.machines,
-        tpms=args.tpms,
-        derivation_depth=args.depth,
-        obfuscate=args.variant == "obfuscated",
-        max_states=args.max_states,
-    )
+    config = check_config(vars(args))
     verdict = check(config)
     report = verdict.to_dict()
     if args.emit_trace:
@@ -219,7 +211,7 @@ def cmd_gen_ima_log(args) -> Tuple[int, dict, List[str]]:
 
 def cmd_deploy_policy(args) -> Tuple[int, dict, List[str]]:
     doc = load_scenario(args.scenario)
-    _result, fleet, _controller = execute_scenario(doc, args.seed)
+    _result, fleet, _ = execute_scenario(doc, args.seed)
     api = fleet.api(args.machine)
     if args.policy_file:
         with open(args.policy_file) as fh:  # main turns an OSError into exit 3
@@ -237,7 +229,7 @@ def cmd_deploy_policy(args) -> Tuple[int, dict, List[str]]:
         return EXIT_VIOLATION, report, [f"deploy refused: {resp.body.get('error')}"]
 
     policy_id = resp.body["policy_id"]
-    nonce = fleet.rng.child("cli-deploy-nonce").bytes(32)
+    nonce = fleet.rng.child("cli-deploy-nonce").bytes(NONCE_LEN)
     verdict = api.handle("GET", f"/policy/{policy_id}?nonce={nonce.hex()}")
     report = {"deployed": True, "policy_id": policy_id,
               "verdict": verdict.body}
@@ -259,23 +251,16 @@ def cmd_poll(args) -> Tuple[int, dict, List[str]]:
         raise ControllerError("--period must be positive")
     doc = load_scenario(args.scenario)
     _result, fleet, controller = execute_scenario(doc, args.seed)
-    if controller is None:
-        controller = _controller(fleet, sorted(fleet.agents))
-    _sync_policies(fleet, controller)
-
     rng = fleet.rng.child("cli-poll-nonces")
     for _ in range(args.rounds):
         fleet.clock.advance(period_ms)
-        controller.poll_round(rng)
+        fleet.poll(controller, rng)
 
-    alerts = [a.to_dict() for a in controller.alerts]
-    report = {"rounds": args.rounds, "period_ms": period_ms, "alerts": alerts}
-    lines = [f"{args.rounds} rounds at {period_ms:g} ms"]
-    for a in controller.alerts:
-        lines.append(f"  alert {a.kind} {a.machine} at {a.timestamp_ms:g} ms")
-    if not controller.alerts:
-        lines.append("  alerts: none")
-    bad = any(a.kind in ("violation", "unreachable") for a in controller.alerts)
+    alerts = controller.alerts
+    report = {"rounds": args.rounds, "period_ms": period_ms,
+              "alerts": [asdict(a) for a in alerts]}
+    lines = [f"{args.rounds} rounds at {period_ms:g} ms", *_alert_lines(alerts)]
+    bad = any(a.alarm for a in alerts)
     return (EXIT_VIOLATION if bad else EXIT_OK), report, lines
 
 

@@ -137,14 +137,10 @@ class Alert:
     timestamp_ms: float
     kind: str  # violation | unreachable | recovered
 
-    def to_dict(self) -> dict:
-        return {
-            "machine": self.machine,
-            "policy_id": self.policy_id,
-            "verdict": self.verdict,
-            "timestamp_ms": self.timestamp_ms,
-            "kind": self.kind,
-        }
+    @property
+    def alarm(self) -> bool:
+        """The machine went bad (a violation or unreachable), not back to ok."""
+        return self.kind in ("violation", "unreachable")
 
 
 @dataclass

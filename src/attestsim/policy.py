@@ -48,14 +48,12 @@ import yaml
 
 from .crypto import Certificate, certificate_valid, verify
 from .ima import ImaEvent
-from .schema import Required, check_shape
+from .schema import Required, check_shape, read_yaml
 from .tpm import DYNAMIC_PCRS, STATIC_PCRS
 from .trust import BASELINE, OBFUSCATED, disagreeing, static_split
 
 VALID_PCR_IDS = set(STATIC_PCRS) | set(DYNAMIC_PCRS)
 POLICY_ID_LEN = 16
-# the safe loader on libyaml's parser where the installed PyYAML has it
-YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # each section is checked as parsing reaches it, so a broken trust anchor
 # is named before a mistake further down
@@ -213,7 +211,7 @@ def parse_policy(doc_or_text) -> Policy:
     """Parse a policy from YAML text or an already-loaded mapping."""
     if isinstance(doc_or_text, (str, bytes)):
         try:
-            doc = yaml.load(doc_or_text, Loader=YAML_LOADER)
+            doc = read_yaml(doc_or_text)
         except yaml.YAMLError as exc:
             raise PolicyParseError(str(exc)) from exc
     else:

@@ -2,9 +2,10 @@
 
 A scenario file describes a small fleet and a script of timed actions on a
 shared virtual clock, and optionally a polling block and a symbolic-check
-block.  ``run_scenario`` executes it deterministically for a given seed and
-returns a :class:`ScenarioResult` whose JSON form is byte-identical across
-runs with the same (file, seed) pair.
+block.  :class:`Fleet` holds one running fleet and the record its script
+leaves.  ``run_scenario`` executes a file deterministically for a given seed
+and returns a :class:`ScenarioResult` whose JSON form is byte-identical
+across runs with the same (file, seed) pair.
 
 Schema (all durations in virtual milliseconds)::
 
@@ -53,7 +54,7 @@ Every random draw flows from one seeded generator, which is what makes
 reports reproducible.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import yaml
@@ -63,7 +64,6 @@ from .agent import Agent, AgentApi, TpmUnreachable, TrustReport
 from .controller import CONTROLLER_ENDPOINT, DEFAULT_MISS_THRESHOLD, Alert, Controller
 from .crypto import (
     ZERO_DIGEST,
-    KeyPair,
     Rng,
     generate_keypair,
     issue_certificate,
@@ -87,9 +87,9 @@ from .netsim import (
     NetworkModel,
     VirtualClock,
 )
-from .policy import YAML_LOADER, PcrEntry, Policy, render_policy
-from .schema import Required, check_shape
-from .tpm import TpmError, TpmState, extend_digest
+from .policy import PcrEntry, Policy, render_policy
+from .schema import MAX_DOCUMENT_CHARS, Required, check_shape, read_yaml
+from .tpm import NONCE_LEN, TpmError, TpmState, extend_digest
 
 AGENT_BIN = SoftwareImage("attest-agent", b"attest-agent-bin-2.3")
 
@@ -157,6 +157,8 @@ def validate(doc) -> None:
 
 @dataclass
 class ScenarioResult:
+    """One run's report; ``dataclasses.asdict`` gives its JSON form."""
+
     name: str
     seed: int
     timelines: Dict[str, List[dict]]
@@ -164,20 +166,10 @@ class ScenarioResult:
     verdicts: Dict[str, dict]
     explorer: Optional[dict] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "timelines": self.timelines,
-            "alerts": [a.to_dict() for a in self.alerts],
-            "verdicts": self.verdicts,
-            "explorer": self.explorer,
-        }
-
     @property
     def all_compliant(self) -> bool:
-        """No failed establishment, no machine left compromised, no alert."""
-        if any(a.kind in ("violation", "unreachable") for a in self.alerts):
+        """No failed establishment, no machine left compromised, no alarm."""
+        if any(a.alarm for a in self.alerts):
             return False
         for verdict in self.verdicts.values():
             if verdict.get("trusted") is False or verdict.get("compromised"):
@@ -186,51 +178,11 @@ class ScenarioResult:
 
 
 # --------------------------------------------------------------------------
-# fleet construction
+# the running fleet
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class _Fleet:
-    rng: Rng
-    clock: VirtualClock
-    images: Dict[str, SoftwareImage]
-    golden_statics: Dict[int, bytes]
-    golden_dynamics: Dict[int, bytes]
-    machines: Dict[str, Machine]
-    agents: Dict[str, Agent]
-    apis: Dict[str, AgentApi]
-    tpm_ca_pub: bytes
-    platform_ca: KeyPair
-    net: Optional[NetworkModel] = None
-    beacons: Dict[str, BeaconService] = field(default_factory=dict)
-    policies: Dict[str, str] = field(default_factory=dict)
-    deployed: Dict[tuple, str] = field(default_factory=dict)  # (machine, name) -> id
-
-    def machine(self, machine_id) -> Machine:
-        try:
-            return self.machines[machine_id]
-        except KeyError:
-            raise ScenarioError(f"unknown machine {machine_id!r}")
-
-    def image(self, name) -> SoftwareImage:
-        try:
-            return self.images[name]
-        except KeyError:
-            raise ScenarioError(f"unknown image {name!r}")
-
-    def agent(self, machine_id) -> Agent:
-        try:
-            return self.agents[machine_id]
-        except KeyError:
-            raise ScenarioError(f"machine {machine_id!r} has no agent")
-
-    def api(self, machine_id) -> AgentApi:
-        self.agent(machine_id)
-        return self.apis[machine_id]
-
-
-def _golden_policy(fleet: _Fleet) -> str:
+def _golden_policy(fleet: "Fleet") -> str:
     entries = sorted({**fleet.golden_statics, **fleet.golden_dynamics}.items())
     return render_policy(Policy(
         tpm_ca_chain=(fleet.tpm_ca_pub,),
@@ -262,123 +214,145 @@ def _build_network(spec: dict, machines: List[dict]) -> NetworkModel:
     net = NetworkModel(links, {}, adv)
     for m in machines:
         net.place(f"agent-{m['id']}", m.get("dc", "dc1"))
-    net.place(CONTROLLER_ENDPOINT, machines[0].get("dc", "dc1") if machines else "dc1")
+    net.place(CONTROLLER_ENDPOINT, machines[0].get("dc", "dc1"))
     return net
 
 
-def build_fleet(doc: dict, seed: int) -> _Fleet:
-    validate(doc)
-    rng = Rng(seed)
-    clock = VirtualClock()
-    platform_ca = generate_keypair(rng.child("platform-ca"))
-    tpm_ca = generate_keypair(rng.child("tpm-ca"))
+class Fleet:
+    """One running fleet, built from a validated scenario document, and the
+    record its script leaves.
 
-    images = {
-        "uefi": SoftwareImage("uefi", GOLDEN_STACK["uefi"],
-                              sign(GOLDEN_STACK["uefi"], platform_ca)),
-        "tboot": SoftwareImage("tboot", GOLDEN_STACK["tboot"],
-                               sign(GOLDEN_STACK["tboot"], platform_ca)),
-        "kernel": SoftwareImage("kernel", GOLDEN_STACK["kernel"]),
-        "initramfs": SoftwareImage("initramfs", GOLDEN_STACK["initramfs"]),
-    }
-    for name, content in doc.get("images", {}).items():
-        if name in images:
-            raise ScenarioError(f"image name {name!r} shadows a golden image")
-        images[name] = SoftwareImage(name, content.encode())
+    The ``act_*`` steps drive the fleet; their effects land in
+    ``timelines`` (per machine, in order) and ``verdicts`` (each machine's
+    last establishment).  :meth:`controller` and :meth:`poll` are the
+    polling surface for the scenario's poll block and ``attestsim poll``
+    alike.  Every random draw comes from a labelled child of ``rng``.
+    """
 
-    golden_statics = {0: extend_digest(ZERO_DIGEST, images["uefi"].measurement)}
-    golden_dynamics = {
-        17: extend_digest(ZERO_DIGEST, images["tboot"].measurement),
-        18: extend_digest(ZERO_DIGEST, images["kernel"].measurement),
-        19: extend_digest(ZERO_DIGEST, images["initramfs"].measurement),
-    }
+    def __init__(self, doc: dict, seed: int = 0):
+        validate(doc)
+        self.rng = rng = Rng(seed)
+        self.clock = VirtualClock()
+        self.platform_ca = platform_ca = generate_keypair(rng.child("platform-ca"))
+        tpm_ca = generate_keypair(rng.child("tpm-ca"))
+        self.tpm_ca_pub = tpm_ca.public
 
-    machine_specs = doc.get("machines", [])
-    if not machine_specs:
-        raise ScenarioError("scenario defines no machines")
+        self.images = images = {
+            "uefi": SoftwareImage("uefi", GOLDEN_STACK["uefi"],
+                                  sign(GOLDEN_STACK["uefi"], platform_ca)),
+            "tboot": SoftwareImage("tboot", GOLDEN_STACK["tboot"],
+                                   sign(GOLDEN_STACK["tboot"], platform_ca)),
+            "kernel": SoftwareImage("kernel", GOLDEN_STACK["kernel"]),
+            "initramfs": SoftwareImage("initramfs", GOLDEN_STACK["initramfs"]),
+        }
+        for name, content in doc.get("images", {}).items():
+            if name in images:
+                raise ScenarioError(f"image name {name!r} shadows a golden image")
+            images[name] = SoftwareImage(name, content.encode())
 
-    net = _build_network(doc["network"], machine_specs) if "network" in doc else None
+        self.golden_statics = {0: extend_digest(ZERO_DIGEST, images["uefi"].measurement)}
+        self.golden_dynamics = {
+            17: extend_digest(ZERO_DIGEST, images["tboot"].measurement),
+            18: extend_digest(ZERO_DIGEST, images["kernel"].measurement),
+            19: extend_digest(ZERO_DIGEST, images["initramfs"].measurement),
+        }
 
-    beacons: Dict[str, BeaconService] = {}
-    for b in doc.get("beacons", []):
-        endpoint = b["endpoint"]
-        pair = generate_keypair(rng.child(f"beacon-{endpoint}"))
-        cert = issue_certificate(platform_ca, pair.public, "beacon")
-        beacons[endpoint] = BeaconService(endpoint, pair, cert, VirtualClock())
-        if net is not None:
-            net.place(endpoint, b.get("dc", "dc1"))
+        machine_specs = doc.get("machines", [])
+        if not machine_specs:
+            raise ScenarioError("scenario defines no machines")
+        self.net = _build_network(doc["network"], machine_specs) if "network" in doc else None
 
-    machines: Dict[str, Machine] = {}
-    agents: Dict[str, Agent] = {}
-    apis: Dict[str, AgentApi] = {}
-    for spec in machine_specs:
-        mid = spec["id"]
-        if mid in machines:
-            raise ScenarioError(f"duplicate machine id {mid!r}")
-        mrng = rng.child(f"machine-{mid}")
-        tpm = TpmState(tpm_ca, mrng)
-        machine = Machine(mid, tpm, platform_ca.public, mrng)
-        machines[mid] = machine
-        if "agent" in spec:
-            agent = Agent(
-                machine,
-                AGENT_BIN,
-                rng.child(f"agent-{mid}"),
-                golden_statics,
-                golden_dynamics,
-                static_whitelist=tuple(spec["agent"].get("static_whitelist", [0])),
-                obfuscate=spec["agent"].get("obfuscate", True),
-            )
-            if net is not None:
-                agent.attach_network(net, beacons, f"agent-{mid}")
-            agents[mid] = agent
-            apis[mid] = AgentApi(agent)
+        self.beacons: Dict[str, BeaconService] = {}
+        for b in doc.get("beacons", []):
+            endpoint = b["endpoint"]
+            pair = generate_keypair(rng.child(f"beacon-{endpoint}"))
+            cert = issue_certificate(platform_ca, pair.public, "beacon")
+            self.beacons[endpoint] = BeaconService(endpoint, pair, cert, VirtualClock())
+            if self.net is not None:
+                self.net.place(endpoint, b.get("dc", "dc1"))
 
-    fleet = _Fleet(
-        rng=rng,
-        clock=clock,
-        images=images,
-        golden_statics=golden_statics,
-        golden_dynamics=golden_dynamics,
-        machines=machines,
-        agents=agents,
-        apis=apis,
-        tpm_ca_pub=tpm_ca.public,
-        platform_ca=platform_ca,
-        net=net,
-        beacons=beacons,
-    )
-    for name, body in doc.get("policies", {}).items():
-        fleet.policies[name] = _golden_policy(fleet) if body == "builtin:golden" else body
-    return fleet
+        self.machines: Dict[str, Machine] = {}
+        self.agents: Dict[str, Agent] = {}
+        self.apis: Dict[str, AgentApi] = {}
+        for spec in machine_specs:
+            mid = spec["id"]
+            if mid in self.machines:
+                raise ScenarioError(f"duplicate machine id {mid!r}")
+            mrng = rng.child(f"machine-{mid}")
+            machine = self.machines[mid] = Machine(mid, TpmState(tpm_ca, mrng),
+                                                   platform_ca.public, mrng)
+            if "agent" in spec:
+                agent = self.agents[mid] = Agent(
+                    machine,
+                    AGENT_BIN,
+                    rng.child(f"agent-{mid}"),
+                    self.golden_statics,
+                    self.golden_dynamics,
+                    static_whitelist=tuple(spec["agent"].get("static_whitelist", [0])),
+                    obfuscate=spec["agent"].get("obfuscate", True),
+                )
+                if self.net is not None:
+                    agent.attach_network(self.net, self.beacons, f"agent-{mid}")
+                self.apis[mid] = AgentApi(agent)
 
-
-# --------------------------------------------------------------------------
-# script execution
-# --------------------------------------------------------------------------
-
-
-def _report_dict(report: TrustReport) -> dict:
-    return {
-        "trusted": report.trusted,
-        "failed_condition": report.failed_condition,
-        "detail": report.detail,
-    }
-
-
-class _Runner:
-    def __init__(self, fleet: _Fleet):
-        self.fleet = fleet
-        self.timelines: Dict[str, List[dict]] = {m: [] for m in fleet.machines}
+        self.policies: Dict[str, str] = {
+            name: _golden_policy(self) if body == "builtin:golden" else body
+            for name, body in doc.get("policies", {}).items()
+        }
+        self.deployed: Dict[tuple, str] = {}  # (machine, policy name) -> policy id
+        self.timelines: Dict[str, List[dict]] = {m: [] for m in self.machines}
         self.verdicts: Dict[str, dict] = {}
-        self.verify_rng = fleet.rng.child("verify-nonces")
+        self.verify_rng = rng.child("verify-nonces")
+
+    def machine(self, machine_id) -> Machine:
+        try:
+            return self.machines[machine_id]
+        except KeyError:
+            raise ScenarioError(f"unknown machine {machine_id!r}")
+
+    def image(self, name) -> SoftwareImage:
+        try:
+            return self.images[name]
+        except KeyError:
+            raise ScenarioError(f"unknown image {name!r}")
+
+    def agent(self, machine_id) -> Agent:
+        try:
+            return self.agents[machine_id]
+        except KeyError:
+            raise ScenarioError(f"machine {machine_id!r} has no agent")
+
+    def api(self, machine_id) -> AgentApi:
+        self.agent(machine_id)
+        return self.apis[machine_id]
+
+    # -- polling -----------------------------------------------------------
+
+    def controller(self, targets=None,
+                   miss_threshold: int = DEFAULT_MISS_THRESHOLD) -> Controller:
+        """A controller polling ``targets`` (every agent when None) at their
+        ``agent-<id>`` endpoints."""
+        controller = Controller(clock=self.clock, miss_threshold=miss_threshold,
+                                net=self.net)
+        for mid in sorted(self.agents) if targets is None else targets:
+            endpoint = f"agent-{mid}" if self.net is not None else None
+            controller.register(mid, self.api(mid), endpoint)
+        return controller
+
+    def poll(self, controller: Controller, rng: Rng) -> None:
+        """Point each polled machine at the policies deployed to it so far,
+        then run one poll round."""
+        for (mid, _name), policy_id in self.deployed.items():
+            if mid in controller.targets():
+                controller.set_policy(mid, policy_id)
+        controller.poll_round(rng)
+
+    # -- script steps: each returns nothing; effects land in the timelines --
 
     def note(self, machine_id: str, event: str, detail: dict) -> None:
         self.timelines[machine_id].append(
-            {"t_ms": self.fleet.clock.now_ms, "event": event, **detail}
+            {"t_ms": self.clock.now_ms, "event": event, **detail}
         )
-
-    # each action handler returns nothing; effects land in the timelines
 
     def run(self, index: int, step: dict) -> None:
         action = step["action"]
@@ -388,15 +362,14 @@ class _Runner:
             raise ScenarioError(f"scenario.script[{index}] {action}: {exc}") from None
 
     def act_boot(self, step: dict) -> None:
-        fleet = self.fleet
         mid = step["machine"]
-        machine = fleet.machine(mid)
+        machine = self.machine(mid)
         hook = None
-        if step.get("hook", True) and mid in fleet.agents:
-            hook = fleet.agents[mid].initialization_hook
-        kernel = fleet.image(step.get("kernel", "kernel"))
-        initramfs = fleet.image(step.get("initramfs", "initramfs"))
-        outcome = boot(machine, fleet.images["uefi"], fleet.images["tboot"],
+        if step.get("hook", True) and mid in self.agents:
+            hook = self.agents[mid].initialization_hook
+        kernel = self.image(step.get("kernel", "kernel"))
+        initramfs = self.image(step.get("initramfs", "initramfs"))
+        outcome = boot(machine, self.images["uefi"], self.images["tboot"],
                        kernel, initramfs, hook)
         self.note(mid, "boot",
                   {"halted": outcome.halted, "reason": outcome.reason,
@@ -404,60 +377,54 @@ class _Runner:
 
     def act_reboot(self, step: dict) -> None:
         mid = step["machine"]
-        reboot_machine(self.fleet.machine(mid))
+        reboot_machine(self.machine(mid))
         self.note(mid, "reboot", {})
 
     def act_establish(self, step: dict) -> None:
         mid = step["machine"]
-        agent = self.fleet.agent(mid)
-        if self.fleet.machine(mid).state != "runtime":
-            verdict = {"trusted": False, "failed_condition": None,
-                       "detail": "machine is not at os runtime"}
+        agent = self.agent(mid)
+        if self.machine(mid).state != "runtime":
+            report = TrustReport(False, None, "machine is not at os runtime")
         else:
             try:
                 report = agent.enter_runtime()
-                verdict = _report_dict(report)
             except TpmUnreachable as exc:
-                verdict = {"trusted": False, "failed_condition": None,
-                           "detail": f"tpm unreachable: {exc}"}
-        self.verdicts[mid] = verdict
+                report = TrustReport(False, None, f"tpm unreachable: {exc}")
+        verdict = self.verdicts[mid] = {"trusted": report.trusted,
+                                        "failed_condition": report.failed_condition,
+                                        "detail": report.detail}
         self.note(mid, "establish", verdict)
 
     def act_deploy_policy(self, step: dict) -> None:
-        fleet = self.fleet
         mid = step["machine"]
         name = step["policy"]
-        if name not in fleet.policies:
+        if name not in self.policies:
             raise ScenarioError(f"unknown policy {name!r}")
-        resp = fleet.api(mid).handle("POST", "/policy", fleet.policies[name])
+        resp = self.api(mid).handle("POST", "/policy", self.policies[name])
         if resp.status == 200:
-            fleet.deployed[(mid, name)] = resp.body["policy_id"]
+            self.deployed[(mid, name)] = resp.body["policy_id"]
         self.note(mid, "deploy-policy",
                   {"policy": name, "status": resp.status, **resp.body})
 
     def act_verify(self, step: dict) -> None:
-        fleet = self.fleet
         mid = step["machine"]
         name = step["policy"]
-        policy_id = fleet.deployed.get((mid, name))
+        policy_id = self.deployed.get((mid, name))
         if policy_id is None:
             raise ScenarioError(f"policy {name!r} was never deployed to {mid}")
-        nonce = self.verify_rng.bytes(32)
-        resp = fleet.api(mid).handle(
-            "GET", f"/policy/{policy_id}?nonce={nonce.hex()}"
-        )
+        nonce = self.verify_rng.bytes(NONCE_LEN)
+        resp = self.api(mid).handle("GET", f"/policy/{policy_id}?nonce={nonce.hex()}")
         self.note(mid, "verify",
                   {"policy": name, "status": resp.status, "verdict": resp.body})
 
     def act_load_file(self, step: dict) -> None:
-        fleet = self.fleet
         mid = step["machine"]
         path = step["path"]
-        machine = fleet.machine(mid)
+        machine = self.machine(mid)
         content = step.get("content", "").encode()
         signature = None
         if step.get("signed", False):
-            signature = sign(sha256(content), fleet.platform_ca)
+            signature = sign(sha256(content), self.platform_ca)
         machine.load_file(path, content, signature)
         # the simulated kernel refuses no file; policies judge it later
         self.note(mid, "load-file", {"path": path, "loaded": True})
@@ -465,8 +432,8 @@ class _Runner:
     def act_copy_disk(self, step: dict) -> None:
         src_id = step["from"]
         dst_id = step["to"]
-        src = self.fleet.machine(src_id)
-        self.fleet.machine(dst_id).restore_disk(src.snapshot_disk())
+        src = self.machine(src_id)
+        self.machine(dst_id).restore_disk(src.snapshot_disk())
         self.note(dst_id, "copy-disk", {"from": src_id})
 
     def act_relay(self, step: dict) -> None:
@@ -474,23 +441,22 @@ class _Runner:
 
         ``target: null`` hands the driver back (direct channel again).
         """
-        fleet = self.fleet
         mid = step["machine"]
-        agent = fleet.agent(mid)
+        agent = self.agent(mid)
         target_id = step.get("target")
         if target_id is None:
             agent.channel_factory = DirectTpmChannel
             self.note(mid, "relay", {"target": None})
             return
-        target = fleet.machine(target_id)
-        relay_rng = fleet.rng.child(f"relay-{mid}-{target_id}")
+        target = self.machine(target_id)
+        relay_rng = self.rng.child(f"relay-{mid}-{target_id}")
         agent.channel_factory = lambda _machine: RelayTpmChannel(
-            target, fleet.golden_dynamics, relay_rng)
+            target, self.golden_dynamics, relay_rng)
         self.note(mid, "relay", {"target": target_id})
 
     def act_extend_pcr(self, step: dict) -> None:
         mid = step["machine"]
-        machine = self.fleet.machine(mid)
+        machine = self.machine(mid)
         pcr = step["pcr"]
         value = sha256(step.get("value", "").encode())
         machine.tpm.pcr_extend(pcr, value, locality=0)
@@ -505,7 +471,7 @@ class _Runner:
 def load_scenario(path: str) -> dict:
     try:
         with open(path) as fh:
-            return yaml.load(fh, Loader=YAML_LOADER)
+            return read_yaml(fh.read(MAX_DOCUMENT_CHARS + 1), path)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario: {exc}")
     except yaml.YAMLError as exc:
@@ -514,90 +480,61 @@ def load_scenario(path: str) -> dict:
 
 def run_scenario(path: str, seed: int = 0) -> ScenarioResult:
     """Execute one scenario file; deterministic for a given (file, seed)."""
-    return run_scenario_doc(load_scenario(path), seed)
+    return execute_scenario(load_scenario(path), seed)[0]
 
 
-def run_scenario_doc(doc: dict, seed: int = 0) -> ScenarioResult:
-    result, _fleet, _controller = execute_scenario(doc, seed)
-    return result
-
-
-def _controller(fleet: _Fleet, targets,
-                miss_threshold: int = DEFAULT_MISS_THRESHOLD) -> Controller:
-    """A controller polling ``targets`` at their ``agent-<id>`` endpoints."""
-    controller = Controller(clock=fleet.clock, miss_threshold=miss_threshold,
-                            net=fleet.net)
-    for mid in targets:
-        endpoint = f"agent-{mid}" if fleet.net is not None else None
-        controller.register(mid, fleet.api(mid), endpoint)
-    return controller
-
-
-def _sync_policies(fleet: _Fleet, controller: Controller) -> None:
-    """Point each polled machine at the policies deployed to it so far."""
-    for (mid, _name), policy_id in fleet.deployed.items():
-        if mid in controller.targets():
-            controller.set_policy(mid, policy_id)
+def check_config(spec: dict) -> CheckConfig:
+    """The explorer bounds a ``modelcheck`` block (or ``attestsim
+    modelcheck``) names: ``variant``, ``machines``, ``tpms``, ``depth`` and
+    ``max_states``; :class:`CheckConfig` supplies and checks the rest."""
+    names = {"machines": "machines", "tpms": "tpms", "depth": "derivation_depth",
+             "max_states": "max_states"}
+    return CheckConfig(obfuscate=spec.get("variant") == "obfuscated",
+                       **{names[key]: value for key, value in spec.items() if key in names})
 
 
 def execute_scenario(doc: dict, seed: int = 0):
-    """Like :func:`run_scenario_doc` but also returns the live fleet and
-    controller, so callers can keep interacting after the script ends."""
-    fleet = build_fleet(doc, seed)
-    runner = _Runner(fleet)
-
+    """Run a scenario document; returns ``(result, fleet, controller)``, the
+    live fleet and its controller (polling the ``poll`` block's targets, or
+    every agent) for callers that keep interacting after the script ends."""
+    fleet = Fleet(doc, seed)
     steps = [(float(step["at"]), 0, index, step)
              for index, step in enumerate(doc.get("script", []))]
 
     poll_spec = doc.get("poll", {})
-    controller = None
+    controller = fleet.controller(poll_spec.get("targets"),
+                                  poll_spec.get("miss_threshold", DEFAULT_MISS_THRESHOLD))
     poll_rng = fleet.rng.child("poll-nonces")
     if poll_spec:
-        controller = _controller(
-            fleet,
-            poll_spec.get("targets", sorted(fleet.agents)),
-            poll_spec.get("miss_threshold", DEFAULT_MISS_THRESHOLD),
-        )
         period = float(poll_spec.get("period_ms", 1000.0))
         rounds = poll_spec.get("rounds", 5)
         if period <= 0 or rounds < 0:
             raise ScenarioError("poll period must be positive, rounds >= 0")
-        for k in range(1, rounds + 1):
-            steps.append((period * k, 1, k, {"action": "_poll"}))
+        steps.extend((period * k, 1, k, None) for k in range(1, rounds + 1))
 
-    steps.sort(key=lambda s: (s[0], s[1], s[2]))
+    steps.sort(key=lambda s: s[:3])
     for at, _tier, index, step in steps:
         if at > fleet.clock.now_ms:
             fleet.clock.advance(at - fleet.clock.now_ms)
-        if step["action"] == "_poll":
-            # a poll round picks up freshly deployed policies first
-            _sync_policies(fleet, controller)
-            controller.poll_round(poll_rng)
+        if step is None:  # a poll round picks up freshly deployed policies first
+            fleet.poll(controller, poll_rng)
         else:
-            runner.run(index, step)
+            fleet.run(index, step)
 
     # machines whose agent latched a compromise after establishment
     for mid, agent in fleet.agents.items():
-        verdict = runner.verdicts.setdefault(mid, {})
-        verdict["compromised"] = agent.compromised
+        fleet.verdicts.setdefault(mid, {})["compromised"] = agent.compromised
 
     explorer = None
     if "modelcheck" in doc:
-        spec = doc["modelcheck"]
-        config = CheckConfig(
-            machines=spec.get("machines", 2),
-            tpms=spec.get("tpms", 2),
-            derivation_depth=spec.get("depth", 5),
-            obfuscate=spec.get("variant", "plain") == "obfuscated",
-        )
-        explorer = check(config).to_dict()
+        explorer = check(check_config(doc["modelcheck"])).to_dict()
 
     result = ScenarioResult(
         name=doc.get("name", "unnamed"),
         seed=seed,
-        timelines=runner.timelines,
-        alerts=list(controller.alerts) if controller else [],
-        verdicts=runner.verdicts,
+        timelines=fleet.timelines,
+        alerts=list(controller.alerts),
+        verdicts=fleet.verdicts,
         explorer=explorer,
     )
     return result, fleet, controller

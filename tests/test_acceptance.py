@@ -28,6 +28,7 @@ import json
 import random
 import re
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -58,7 +59,7 @@ def scenario_path(name: str) -> str:
 
 def report_bytes(result) -> str:
     """The report as ``attestsim run --out`` writes it."""
-    return json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
+    return json.dumps(asdict(result), sort_keys=True, separators=(",", ":"))
 
 
 # --------------------------------------------------------------------------

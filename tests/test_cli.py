@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,18 @@ def test_vwindow_missing_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["vwindow", "--trq", "155ms"])
     assert exc.value.code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["modelcheck", "--seed", "1"],
+    ["vwindow", "--trq", "155ms", "--tre", "58us", "--tvp", "100ms", "--floor", "40us",
+     "--seed", "3"],
+], ids=["modelcheck", "vwindow"])
+def test_seed_is_a_usage_error_where_nothing_is_drawn(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------
@@ -139,23 +152,59 @@ def test_run_schema_errors_exit_three_without_traceback(tmp_path, document):
 
 
 def test_deploy_policy_wrong_type_exits_three_without_traceback(tmp_path):
-    from attestsim.scenario import build_fleet, load_scenario
+    from attestsim.scenario import Fleet, load_scenario
 
-    golden = build_fleet(load_scenario(honest()), 0).policies["golden"]
+    golden = Fleet(load_scenario(honest()), 0).policies["golden"]
     policy = tmp_path / "policy.yaml"
     policy.write_text(golden + "runtime: {software: 5}\n")
     _assert_clean_error("deploy-policy", honest(), "--machine", "m0",
                         "--policy-file", str(policy))
 
 
-def _assert_clean_error(*argv):
+def _python(*argv):
+    """Run this checkout's package in a fresh interpreter, so a crash is an
+    exit code rather than the end of the test session."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "attestsim", *argv],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
+def _assert_clean_error(*argv):
+    proc = _python("-m", "attestsim", *argv)
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("attestsim: error:")
+
+
+# composing any of these overflowed the C stack of libyaml's composer (exit 139)
+DEEP_DOCUMENTS = {
+    "flow-sequences": "[" * 50_000 + "]" * 50_000,
+    "block-sequences": "- " * 50_000 + "x",
+    "flow-mappings": "{b: " * 50_000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_DOCUMENTS))
+def test_deep_nesting_exits_three(tmp_path, name):
+    document = tmp_path / "deep.yaml"
+    document.write_text(DEEP_DOCUMENTS[name])
+    _assert_clean_error("run", str(document))
+    _assert_clean_error("deploy-policy", honest(), "--machine", "m0",
+                        "--policy-file", str(document))
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_DOCUMENTS))
+def test_deep_nesting_is_a_bad_request(tmp_path, name):
+    document = tmp_path / "deep.yaml"
+    document.write_text(DEEP_DOCUMENTS[name])
+    proc = _python("-c", (
+        "import sys\n"
+        "from attestsim.scenario import execute_scenario, load_scenario\n"
+        "_, fleet, _ = execute_scenario(load_scenario(sys.argv[1]), 0)\n"
+        "response = fleet.apis['m0'].handle('POST', '/policy', open(sys.argv[2]).read())\n"
+        "print(response.status, response.body['error'])\n"), honest(), str(document))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "400 document nests deeper than 64 levels\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -180,7 +229,7 @@ def test_run_json_matches_library_report(capsys):
     code = main(["run", honest(), "--seed", "9", "--format", "json"])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
-    assert report == run_scenario(honest(), 9).to_dict()
+    assert report == asdict(run_scenario(honest(), 9))
 
 
 def test_run_out_files_are_byte_identical(tmp_path, capsys):
@@ -311,13 +360,13 @@ def _fuzz_bases():
     under ``run`` and ``poll``, and a policy with every section under
     ``deploy-policy``."""
     from attestsim.policy import pem_encode
-    from attestsim.scenario import build_fleet, load_scenario
+    from attestsim.scenario import Fleet, load_scenario
 
     bases = []
     for path in sorted(SCENARIOS.glob("*.yaml")):
         doc = load_scenario(str(path))
         bases += [("run", doc), ("poll", doc)]
-    fleet = build_fleet(load_scenario(honest()), 0)
+    fleet = Fleet(load_scenario(honest()), 0)
     policy = yaml.safe_load(fleet.policies["golden"])
     policy["runtime"] = {
         "certificate": pem_encode(fleet.platform_ca.public),

@@ -1,5 +1,7 @@
 """Controller: window math, duration parsing, edge-triggered alerting."""
 
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -240,7 +242,7 @@ def test_alert_serialization_roundtrip():
     ctl.register("m0", ScriptedApi([BAD]))
     ctl.set_policy("m0", "p2")
     (alert,) = ctl.poll_round(Rng(10))
-    d = alert.to_dict()
+    d = asdict(alert)
     assert d["kind"] == "violation" and d["machine"] == "m0"
     assert d["policy_id"] == "p2"
     assert d["timestamp_ms"] == 0.0

@@ -56,12 +56,17 @@ def test_world_shape_and_validation():
     w = build_world(2, 3)
     assert len(w.machines) == 2 and len(w.tpms) == 3
     assert w.tpms[2].spcr == S0  # the free chip awaits preparation
-    with pytest.raises(ValueError):
-        build_world(0, 1)
-    with pytest.raises(ValueError):
-        build_world(2, 1)
-    with pytest.raises(ValueError):
-        CheckConfig(machines=2, tpms=1)
+
+
+@pytest.mark.parametrize("bounds,message", [
+    ({"machines": 0}, "machines must be >= 1"),
+    ({"machines": 0, "tpms": 1}, "machines must be >= 1"),
+    ({"machines": 2, "tpms": 1}, "tpms must cover every machine"),
+    ({"derivation_depth": -1}, "derivation_depth must be >= 0"),
+])
+def test_check_config_refuses_bad_bounds(bounds, message):
+    with pytest.raises(ValueError, match=message):
+        CheckConfig(**bounds)
 
 
 def test_free_tpm_golden_static_is_depth_gated():

@@ -1,6 +1,7 @@
 """Policy schema, evaluation and registry."""
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from attestsim.policy import (
     pem_encode,
     render_policy,
 )
+from attestsim.schema import MAX_DEPTH, MAX_DOCUMENT_CHARS, read_yaml
 from attestsim.tpm import TpmState
 
 
@@ -142,6 +144,44 @@ def test_duplicate_pcr_ids_rejected():
     doc["whitelist"]["pcrs"].append({"id": 0, "sha256": "11" * 32})
     with pytest.raises(PolicyParseError, match="duplicate"):
         parse_policy(doc)
+
+
+def _depth(node) -> int:
+    depth = 0
+    while isinstance(node, (list, dict)) and node:
+        node = node[0] if isinstance(node, list) else next(iter(node.values()))
+        depth += 1
+    return depth
+
+
+def test_yaml_reader_refuses_deep_nesting_before_composing():
+    assert _depth(read_yaml("[" * MAX_DEPTH + "0" + "]" * MAX_DEPTH)) == MAX_DEPTH
+    for text in ("[" * 65 + "]" * 65, "- " * 65 + "x", "{b: " * 65 + "c" + "}" * 65,
+                 ("[" * 65 + "]" * 65).encode()):
+        with pytest.raises(yaml.YAMLError, match="nests deeper than 64 levels"):
+            read_yaml(text)
+    with pytest.raises(PolicyParseError, match="nests deeper than 64 levels"):
+        parse_policy("[" * 65 + "]" * 65)
+
+
+def test_yaml_reader_refuses_a_document_past_the_size_limit():
+    assert read_yaml("#" * MAX_DOCUMENT_CHARS) is None
+    with pytest.raises(PolicyParseError, match="longer than"):
+        parse_policy("#" * (MAX_DOCUMENT_CHARS + 1))
+
+
+def test_deepest_unscanned_document_composes():
+    """Below the opener limit only indentation nests: level k costs k
+    leading characters, so the deepest such document under the size limit
+    has about sqrt(2 * MAX_DOCUMENT_CHARS) levels, and it composes."""
+    def document(levels):  # the innermost mapping holds the most flow nesting allowed
+        return "".join(" " * k + "a:\n" for k in range(levels - 1)) + " " * (levels - 1) \
+            + "a: " + "[" * MAX_DEPTH + "0" + "]" * MAX_DEPTH + "\n"
+
+    levels = 1400
+    while len(document(levels + 1)) <= MAX_DOCUMENT_CHARS:
+        levels += 1
+    assert _depth(read_yaml(document(levels))) == levels + MAX_DEPTH
 
 
 def test_render_parse_roundtrip():

@@ -3,7 +3,7 @@
 import hashlib
 import json
 import textwrap
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -12,12 +12,7 @@ import yaml
 from attestsim import ima, scenario
 from attestsim.crypto import ZERO_DIGEST, sha256
 from attestsim.policy import SoftwareList, parse_policy, render_policy
-from attestsim.scenario import (
-    ScenarioError,
-    build_fleet,
-    run_scenario,
-    run_scenario_doc,
-)
+from attestsim.scenario import Fleet, ScenarioError, execute_scenario, run_scenario
 from attestsim.tpm import extend_digest
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -27,9 +22,13 @@ def run(name, seed=0):
     return run_scenario(str(SCENARIOS / f"{name}.yaml"), seed)
 
 
+def run_doc(doc, seed):
+    return execute_scenario(doc, seed)[0]
+
+
 def report_bytes(result):
     """The report as ``attestsim run --out`` writes it."""
-    return json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
+    return json.dumps(asdict(result), sort_keys=True, separators=(",", ":"))
 
 
 # --------------------------------------------------------------------------
@@ -123,7 +122,7 @@ def test_runtime_pcr_drift_is_caught_by_the_poll_loop():
          "value": "malicious rewrite"}
     )
     doc["poll"] = {"period_ms": 1000, "rounds": 3, "targets": ["m0"]}
-    result = run_scenario_doc(doc, seed=3)
+    result = run_doc(doc, seed=3)
     assert result.verdicts["m0"]["trusted"] is True  # establishment was clean
     assert result.verdicts["m0"]["compromised"] == "pcr-changed"
     kinds = [a.kind for a in result.alerts]
@@ -141,7 +140,7 @@ def test_load_file_lands_in_the_timeline_and_stays_compliant():
     doc["script"].append(
         {"at": 1500, "action": "verify", "machine": "m0", "policy": "golden"}
     )
-    result = run_scenario_doc(doc, seed=3)
+    result = run_doc(doc, seed=3)
     entry = next(e for e in result.timelines["m0"] if e["event"] == "load-file")
     assert entry["loaded"] is True
     verify = next(e for e in result.timelines["m0"] if e["event"] == "verify")
@@ -165,7 +164,7 @@ def _load_file_doc(seed):
         {"at": 50, "action": "verify", "machine": "m0", "policy": "files"},
     ]
     doc["poll"] = {"period_ms": 1000, "rounds": 3, "targets": ["m0"]}
-    fleet = build_fleet(doc, seed)
+    fleet = Fleet(doc, seed)
     golden = parse_policy(fleet.policies["golden"])
     tool = SoftwareList("base-os", ((sha256(b"tool-v1"), "/usr/bin/tool"),))
     doc["policies"]["files"] = render_policy(replace(
@@ -178,7 +177,7 @@ def _load_file_doc(seed):
     (1, "0d19c9d01489740cf8faa940441896e5f6944cbbe82a560903d58da17c608e7d"),
 ])
 def test_load_file_report_bytes_are_pinned(seed, digest):
-    result = run_scenario_doc(_load_file_doc(seed), seed)
+    result = run_doc(_load_file_doc(seed), seed)
     verify = next(e for e in result.timelines["m0"] if e["event"] == "verify")
     assert verify["verdict"]["violations"] == [
         {"kind": "untrusted-file",
@@ -200,7 +199,7 @@ def test_relay_null_restores_the_direct_channel():
             {"at": 20, "action": "establish", "machine": "m0"},
         ],
     }
-    result = run_scenario_doc(doc, seed=1)
+    result = run_doc(doc, seed=1)
     assert result.verdicts["m0"]["trusted"] is True
 
 
@@ -210,9 +209,55 @@ def test_establish_on_a_halted_machine_reports_cleanly():
         "machines": [{"id": "m0", "agent": {}}],
         "script": [{"at": 0, "action": "establish", "machine": "m0"}],
     }
-    result = run_scenario_doc(doc, seed=1)
+    result = run_doc(doc, seed=1)
     assert result.verdicts["m0"]["trusted"] is False
     assert "runtime" in result.verdicts["m0"]["detail"]
+
+
+def test_failed_relay_reestablishment_ends_serving():
+    """The second establishment runs over a relay to m1 and fails c3; the
+    session the first one started must not keep answering."""
+    doc = _one_machine_doc()
+    doc["machines"].append({"id": "m1"})
+    doc["script"] = [
+        {"at": 0, "action": "boot", "machine": "m0"},
+        {"at": 5, "action": "boot", "machine": "m1"},
+        {"at": 10, "action": "establish", "machine": "m0"},
+        {"at": 20, "action": "deploy-policy", "machine": "m0", "policy": "golden"},
+        {"at": 30, "action": "relay", "machine": "m0", "target": "m1"},
+        {"at": 40, "action": "establish", "machine": "m0"},
+        {"at": 60, "action": "verify", "machine": "m0", "policy": "golden"},
+    ]
+    doc["poll"] = {"period_ms": 1000, "rounds": 2, "targets": ["m0"]}
+    result = run_doc(doc, seed=0)
+    timeline = result.timelines["m0"]
+    assert [(e["trusted"], e["failed_condition"]) for e in timeline
+            if e["event"] == "establish"] == [(True, None),
+                                              (False, "c3-obfuscated-static-pcr")]
+    assert timeline[-1]["status"] == 403
+    assert timeline[-1]["verdict"] == {"error": "agent is not serving"}
+    assert [(a.kind, a.timestamp_ms) for a in result.alerts] == [("violation", 1000.0)]
+
+
+def test_failed_reboot_reestablishment_stops_health_reporting_ok():
+    """After a reboot without the agent hook the second establishment fails
+    c4; a controller polling health alone must see the agent stop serving."""
+    doc = {
+        "name": "re-establish-after-reboot",
+        "machines": [{"id": "m0", "agent": {"static_whitelist": []}}],
+        "script": [
+            {"at": 0, "action": "boot", "machine": "m0"},
+            {"at": 10, "action": "establish", "machine": "m0"},
+            {"at": 100, "action": "reboot", "machine": "m0"},
+            {"at": 200, "action": "boot", "machine": "m0", "hook": False},
+            {"at": 300, "action": "establish", "machine": "m0"},
+        ],
+        "poll": {"period_ms": 1000, "rounds": 2, "targets": ["m0"]},
+    }
+    result, fleet, _ = execute_scenario(doc, seed=0)
+    assert result.verdicts["m0"]["failed_condition"] == "c4-reboot-counter"
+    assert fleet.apis["m0"].handle("GET", "/health").body["status"] == "not-serving"
+    assert [(a.kind, a.timestamp_ms) for a in result.alerts] == [("violation", 1000.0)]
 
 
 # --------------------------------------------------------------------------
@@ -275,7 +320,7 @@ def test_machine_level_kernel_is_an_unknown_key():
                    {"at": 10, "action": "establish", "machine": "m0"}],
     }
     with pytest.raises(ScenarioError, match=r"machines\[0\]: unknown key 'kernel'"):
-        run_scenario_doc(doc, seed=0)
+        run_doc(doc, seed=0)
 
 
 def test_docstring_example_has_the_declared_shape():
@@ -294,7 +339,7 @@ def _assert_rejected(mutate, message):
     }
     mutate(doc)
     with pytest.raises(ScenarioError, match=message):
-        run_scenario_doc(doc, seed=0)
+        run_doc(doc, seed=0)
 
 
 def test_missing_file_and_bad_yaml_raise(tmp_path):
@@ -324,7 +369,7 @@ def test_network_and_beacons_are_placed():
         },
         "beacons": [{"endpoint": "beacon-dc2", "dc": "dc2"}],
     }
-    fleet = build_fleet(doc, seed=2)
+    fleet = Fleet(doc, seed=2)
     assert fleet.net is not None
     assert fleet.net.dc_of("agent-m0") == "dc2"
     assert fleet.net.dc_of("beacon-dc2") == "dc2"
@@ -336,7 +381,7 @@ def test_network_and_beacons_are_placed():
 def test_golden_policy_covers_static_and_dynamic_banks():
     import yaml
 
-    fleet = build_fleet(
+    fleet = Fleet(
         {"name": "p", "machines": [{"id": "m0", "agent": {}}],
          "policies": {"g": "builtin:golden"}},
         seed=4,

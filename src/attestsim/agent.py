@@ -41,15 +41,20 @@ unchanged log re-verifies no file signature.  Beside the cursor each
 policy keeps the certificate decisions it anchors: whether the sealed EK
 certificate chains to its TPM CA keys, taken at its first verdict, and
 whether each location rule's beacon chains to the rule's keys, taken at
-the rule's first measurement since the network was attached.  Entering
-runtime again resets the events, every cursor and every decision.
+the rule's first measurement since the network was attached.
+
+All of that runtime state is one :class:`Session`, which only a trusted
+establishment opens.  Entering runtime ends the running session before it
+establishes and refuses a machine that is not at OS runtime.  A session
+lives within one power cycle: once the machine leaves OS runtime or its
+TPM reboots, it latches ``rebooted`` for health, deployment and verdicts.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ima
@@ -110,11 +115,7 @@ _STATIC_DETAIL = {
 }
 
 
-class AgentError(Exception):
-    pass
-
-
-class InitFailure(AgentError):
+class InitFailure(Exception):
     """Phase-1 abort; ``reason`` is activation-failed, quote-invalid or
     obfuscation-mismatch."""
 
@@ -123,11 +124,7 @@ class InitFailure(AgentError):
         self.reason = reason
 
 
-class TpmUnreachable(AgentError):
-    pass
-
-
-class UntrustedPlatform(AgentError):
+class UntrustedPlatform(Exception):
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
@@ -144,28 +141,13 @@ class SealedConfig:
 
     aik_pub: bytes
     ek_cert: Certificate
-    clock: int
     reboot_counter: int
     originals: Dict[int, bytes]   # static pcr -> value before obfuscation
     obfuscated: Dict[int, bytes]  # static pcr -> value after obfuscation
     dynamics: Dict[int, bytes]    # dynamic pcr -> value at initialization
 
     def to_bytes(self) -> bytes:
-        doc = {
-            "aik_pub": self.aik_pub.hex(),
-            "ek_cert": {
-                "subject": self.ek_cert.subject.hex(),
-                "issuer": self.ek_cert.issuer.hex(),
-                "role": self.ek_cert.role,
-                "signature": self.ek_cert.signature.hex(),
-            },
-            "clock": self.clock,
-            "reboot_counter": self.reboot_counter,
-            "originals": {str(k): v.hex() for k, v in self.originals.items()},
-            "obfuscated": {str(k): v.hex() for k, v in self.obfuscated.items()},
-            "dynamics": {str(k): v.hex() for k, v in self.dynamics.items()},
-        }
-        return json.dumps(doc, sort_keys=True).encode()
+        return json.dumps(asdict(self), sort_keys=True, default=bytes.hex).encode()
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "SealedConfig":
@@ -173,17 +155,11 @@ class SealedConfig:
         cert = doc["ek_cert"]
         return cls(
             aik_pub=bytes.fromhex(doc["aik_pub"]),
-            ek_cert=Certificate(
-                subject=bytes.fromhex(cert["subject"]),
-                issuer=bytes.fromhex(cert["issuer"]),
-                role=cert["role"],
-                signature=bytes.fromhex(cert["signature"]),
-            ),
-            clock=int(doc["clock"]),
+            ek_cert=Certificate(bytes.fromhex(cert["subject"]), bytes.fromhex(cert["issuer"]),
+                                cert["role"], bytes.fromhex(cert["signature"])),
             reboot_counter=int(doc["reboot_counter"]),
-            originals={int(k): bytes.fromhex(v) for k, v in doc["originals"].items()},
-            obfuscated={int(k): bytes.fromhex(v) for k, v in doc["obfuscated"].items()},
-            dynamics={int(k): bytes.fromhex(v) for k, v in doc["dynamics"].items()},
+            **{bank: {int(k): bytes.fromhex(v) for k, v in doc[bank].items()}
+               for bank in ("originals", "obfuscated", "dynamics")},
         )
 
 
@@ -266,7 +242,7 @@ def agent_init(
         for idx in whitelist:
             channel.pcr_extend(idx, bytes(mask))
         nonce1 = rng.bytes(NONCE_LEN)
-        quote1, values1, ok = _checked_quote(channel, aik_pub, nonce1, selection)
+        _, values1, ok = _checked_quote(channel, aik_pub, nonce1, selection)
         if not ok:
             raise InitFailure("quote-invalid", "post-obfuscation quote failed verification")
         expected = {i: extend_digest(originals[i], bytes(mask)) for i in whitelist}
@@ -283,16 +259,13 @@ def agent_init(
         for i in range(len(mask)):  # discard the mask for good
             mask[i] = 0
         obfuscated = {i: values1[i] for i in whitelist}
-        closing = quote1
     else:
         obfuscated = dict(originals)
-        closing = quote0
 
     config = SealedConfig(
         aik_pub=aik_pub,
         ek_cert=ek_cert,
-        clock=closing.clock,
-        reboot_counter=closing.reboot_counter,
+        reboot_counter=quote0.reboot_counter,
         originals=originals,
         obfuscated=obfuscated,
         dynamics={i: values0[i] for i in DYNAMIC_PCRS},
@@ -381,7 +354,7 @@ def establish_trust(
     try:
         quote, values, ok = _checked_quote(channel, config.aik_pub, nonce, selection)
     except TpmError as exc:
-        raise TpmUnreachable(str(exc)) from exc
+        return TrustReport(False, None, f"tpm unreachable: {exc}")
     if not ok:
         # an unverifiable quote cannot certify the dynamic bank
         return TrustReport(
@@ -408,15 +381,30 @@ class NetworkAttachment:
 
 @dataclass
 class PolicyState:
-    """What the agent has decided under one policy since entering runtime:
-    the appraisal cursor (``events`` folded events appraised, ``untrusted``
-    the ``untrusted-file`` violations among them) and the certificate
-    chains the policy anchors, each decided once."""
+    """What the agent has decided under one policy in this session: the
+    appraisal cursor (``events`` folded events appraised, ``untrusted`` the
+    ``untrusted-file`` violations among them) and the certificate chains
+    the policy anchors, each decided once."""
 
     ek_certified: bool
     events: int = 0
     untrusted: Tuple[Violation, ...] = ()
     beacons: Dict[LocationRule, bool] = field(default_factory=dict)
+
+
+@dataclass
+class Session:
+    """The runtime state one trusted establishment opens."""
+
+    channel: object               # the channel trust was established over
+    config: SealedConfig
+    power_cycle: int              # the attached TPM's reboot counter at opening
+    pcr_values: Dict[int, bytes]  # the last certified values
+    ima_cache: ima.ImaCacheState = field(default_factory=ima.ImaCacheState)
+    events: List[ima.ImaEvent] = field(default_factory=list)  # folded so far
+    policies: Dict[str, PolicyState] = field(default_factory=dict)
+    compromised: Optional[str] = None  # log-tampered | pcr-changed | rebooted
+    stale: bool = False           # this round's quote failed verification
 
 
 class Agent:
@@ -426,8 +414,10 @@ class Agent:
     pipeline calls :meth:`initialization_hook`; once the OS is up,
     :meth:`enter_runtime` re-establishes trust and the controller drives
     the :class:`AgentApi` endpoints; each verdict calls :meth:`refresh`.
-    Entering runtime ends the running session first, so a failed
-    establishment leaves the agent not serving until one succeeds.
+    Each trusted establishment opens one :class:`Session`, and the agent
+    serves while it is open.  Entering runtime ends the running session
+    first and refuses a machine not at OS runtime; a session latches
+    ``rebooted`` once the machine leaves OS runtime or power-cycles.
     """
 
     def __init__(
@@ -451,23 +441,16 @@ class Agent:
         self.channel_factory = channel_factory or DirectTpmChannel
         self.registry = PolicyRegistry()
         self.network: Optional[NetworkAttachment] = None
-
-        self._channel = None
-        self._config: Optional[SealedConfig] = None
-        self._pcr_values: Dict[int, bytes] = {}
-        self._ima_cache = ima.ImaCacheState()
-        self._events: List[ima.ImaEvent] = []
-        self._appraised: Dict[str, PolicyState] = {}
-        self._compromised: Optional[str] = None  # log-tampered | pcr-changed | rebooted
-        self._stale = False
+        self._session: Optional[Session] = None
 
     # -- lifecycle ---------------------------------------------------------
 
     def attach_network(self, net: NetworkModel, beacons: Dict[str, BeaconService],
                        endpoint: str) -> None:
         self.network = NetworkAttachment(net, dict(beacons), endpoint)
-        for state in self._appraised.values():
-            state.beacons.clear()
+        if self._session is not None:
+            for state in self._session.policies.values():
+                state.beacons.clear()
 
     def initialization_hook(self, machine: Machine) -> None:
         """Initramfs hook: run phase 1, abort the boot if it fails."""
@@ -479,63 +462,69 @@ class Agent:
             raise InitHookFailure(str(exc)) from exc
 
     def enter_runtime(self) -> TrustReport:
-        """Phase 2: end the running session, establish trust and arm the
-        serving state again."""
-        self._channel = None
-        self._config = None
+        """Phase 2: end the running session, establish trust and, if it
+        holds, open a new session."""
+        self._session = None
+        if self.machine.state != "runtime":
+            return TrustReport(False, None, "machine is not at os runtime")
         ctx = run_enclave(self.machine, self.binary, "runtime")
         channel = self.channel_factory(self.machine)
         report = establish_trust(
             ctx, channel, self.rng, self.golden_statics, self.golden_dynamics
         )
         if not report.trusted:
-            logger.info(
-                "trust establishment failed on %s: %s (%s)",
-                self.machine.machine_id,
-                report.failed_condition,
-                report.detail,
-            )
+            logger.info("trust establishment failed on %s: %s (%s)",
+                        self.machine.machine_id, report.failed_condition, report.detail)
             return report
-        self._channel = channel
-        self._config = report.config
-        self._pcr_values = dict(report.pcr_values)
-        self._ima_cache = ima.ImaCacheState()
-        self._events = []
-        self._appraised = {}
-        self._compromised = None
-        self._stale = False
-        self._fold_log(report.pcr_values[IMA_PCR])
+        session = self._session = Session(channel, report.config,
+                                          self.machine.tpm.reboot_counter,
+                                          dict(report.pcr_values))
+        self._fold_log(session, report.pcr_values[IMA_PCR])
         return report
+
+    def _live_session(self) -> Optional[Session]:
+        """The open session, latched ``rebooted`` once the machine has left
+        OS runtime or power-cycled since it opened (``pcr-changed`` stays)."""
+        session = self._session
+        if session is not None and session.compromised != "pcr-changed" and (
+                self.machine.state != "runtime"
+                or self.machine.tpm.reboot_counter != session.power_cycle):
+            session.compromised = "rebooted"
+        return session
 
     @property
     def serving(self) -> bool:
-        return self._config is not None
+        return self._session is not None
 
     @property
     def compromised(self) -> Optional[str]:
-        return self._compromised
+        session = self._live_session()
+        return None if session is None else session.compromised
 
     # -- refresh -----------------------------------------------------------
 
-    def _fold_log(self, certified_pcr10: bytes) -> None:
+    def _fold_log(self, session: Session, certified_pcr10: bytes) -> None:
         """Differential log verification; latches log tampering."""
         log_data = self.machine.disk.get(LOG_DISK_KEY, b"")
         try:
-            fresh, self._ima_cache = ima.read_new_events(
-                log_data, self._ima_cache, certified_pcr10
+            fresh, session.ima_cache = ima.read_new_events(
+                log_data, session.ima_cache, certified_pcr10
             )
         except ima.TamperDetected as exc:
             logger.warning("log verification failed on %s: %s", self.machine.machine_id, exc)
-            self._compromised = "log-tampered"
+            session.compromised = "log-tampered"
             return
-        self._events.extend(fresh)
+        session.events.extend(fresh)
 
-    def _require_platform(self) -> None:
-        """Raise unless serving a platform not lost to PCR drift or a reboot."""
-        if not self.serving:
+    def _platform_session(self) -> Session:
+        """The open session; raises unless it serves a platform not lost to
+        PCR drift or a reboot."""
+        session = self._live_session()
+        if session is None:
             raise UntrustedPlatform("agent is not serving")
-        if self._compromised in ("pcr-changed", "rebooted"):
-            raise UntrustedPlatform(self._compromised)
+        if session.compromised in ("pcr-changed", "rebooted"):
+            raise UntrustedPlatform(session.compromised)
+        return session
 
     def refresh(self, nonce: bytes) -> None:
         """Re-quote the platform under ``nonce`` and re-check c2-c4,
@@ -546,37 +535,37 @@ class Agent:
         failure, a wrong nonce or a bad signature) leaves the last snapshot
         in place marked stale; the next evaluation reports stale-quote.
         """
-        self._require_platform()
-        config = self._config
+        session = self._platform_session()
+        config = session.config
         selection = _selection(config.originals, config.dynamics)
         try:
             quote, values, ok = _checked_quote(
-                self._channel, config.aik_pub, nonce, selection
+                session.channel, config.aik_pub, nonce, selection
             )
         except TpmError as exc:
             logger.warning("tpm unreachable on %s: %s", self.machine.machine_id, exc)
-            self._stale = True
+            session.stale = True
             return
         if not ok:
-            self._stale = True
+            session.stale = True
             return
-        self._stale = False
-        self._pcr_values = dict(values)
+        session.stale = False
+        session.pcr_values = dict(values)
 
         if _failed_condition(config, quote, values, self.golden_statics,
                              self.golden_dynamics) is not None:
             moved = quote.reboot_counter != config.reboot_counter
-            self._compromised = "rebooted" if moved else "pcr-changed"
-            raise UntrustedPlatform(self._compromised)
+            session.compromised = "rebooted" if moved else "pcr-changed"
+            raise UntrustedPlatform(session.compromised)
 
-        if self._compromised != "log-tampered":
-            self._fold_log(values[IMA_PCR])
+        if session.compromised != "log-tampered":
+            self._fold_log(session, values[IMA_PCR])
 
     # -- policies ----------------------------------------------------------
 
     def deploy_policy(self, document: str) -> str:
         """Parse and store a policy; returns its id."""
-        self._require_platform()
+        self._platform_session()
         policy = parse_policy(document)
         policy_id = self.registry.insert(policy, self.rng)
         logger.info("policy %s deployed to %s", policy_id, self.machine.machine_id)
@@ -613,43 +602,42 @@ class Agent:
         last verdict are appraised; earlier file violations and the
         policy's certificate decisions are carried over.
         """
-        if not self.serving:  # outranks an unknown id; a lost platform does not
+        session = self._session
+        if session is None:  # outranks an unknown id; a lost platform does not
             raise UntrustedPlatform("agent is not serving")
         policy = self.registry.get(policy_id)
         self.refresh(nonce)  # raises if the platform is gone, or goes this round
-        config = self._config
-        state = self._appraised.get(policy_id)
+        config = session.config
+        state = session.policies.get(policy_id)
         if state is None:
-            state = self._appraised[policy_id] = PolicyState(
+            state = session.policies[policy_id] = PolicyState(
                 policy.certifies_ek(config.ek_cert))
         view = PlatformView(
-            pcr_values=dict(self._pcr_values),
+            pcr_values=dict(session.pcr_values),
             ek_certified=state.ek_certified,
-            ima_events=tuple(self._events[state.events:]),
+            ima_events=tuple(session.events[state.events:]),
             earlier_violations=state.untrusted,
             static_original=dict(config.originals),
             static_obfuscated=dict(config.obfuscated),
-            log_tampered=self._compromised == "log-tampered",
-            stale=self._stale,
+            log_tampered=session.compromised == "log-tampered",
+            stale=session.stale,
             location_estimates=self._measure_locations(policy, state.beacons),
         )
         verdict = evaluate(policy, view)
-        state.events = len(self._events)
+        state.events = len(session.events)
         state.untrusted = tuple(v for v in verdict.violations if v.kind == "untrusted-file")
         return {"policy_id": policy_id, **verdict.to_dict()}
 
     def health(self) -> dict:
-        status = "ok"
-        if not self.serving:
-            status = "not-serving"
-        elif self._compromised is not None:
-            status = "compromised"
-        elif self._stale:
-            status = "stale"
+        session = self._live_session()
+        status, compromised = "not-serving", None
+        if session is not None:
+            compromised = session.compromised
+            status = "compromised" if compromised else "stale" if session.stale else "ok"
         return {
             "status": status,
             "machine": self.machine.machine_id,
-            "compromised": self._compromised,
+            "compromised": compromised,
             "policies": len(self.registry),
         }
 

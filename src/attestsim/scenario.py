@@ -60,7 +60,7 @@ from typing import Dict, List, Optional
 import yaml
 
 from . import ima
-from .agent import Agent, AgentApi, TpmUnreachable, TrustReport
+from .agent import Agent, AgentApi
 from .controller import CONTROLLER_ENDPOINT, DEFAULT_MISS_THRESHOLD, Alert, Controller
 from .crypto import (
     ZERO_DIGEST,
@@ -382,14 +382,7 @@ class Fleet:
 
     def act_establish(self, step: dict) -> None:
         mid = step["machine"]
-        agent = self.agent(mid)
-        if self.machine(mid).state != "runtime":
-            report = TrustReport(False, None, "machine is not at os runtime")
-        else:
-            try:
-                report = agent.enter_runtime()
-            except TpmUnreachable as exc:
-                report = TrustReport(False, None, f"tpm unreachable: {exc}")
+        report = self.agent(mid).enter_runtime()
         verdict = self.verdicts[mid] = {"trusted": report.trusted,
                                         "failed_condition": report.failed_condition,
                                         "detail": report.detail}

@@ -69,8 +69,10 @@ def read_yaml(text, name: Optional[str] = None):
     nesting scan runs only past a cheap count of ``_OPENERS``: with at most
     ``MAX_DEPTH`` of them, only indentation nests further, and level *k* of
     that costs *k* leading characters, so under the size limit it stays
-    below sqrt(2 * MAX_DOCUMENT_CHARS), about 1,450 levels, which composes
-    cleanly.  ``name`` marks errors the way a file's name does.
+    below sqrt(2 * MAX_DOCUMENT_CHARS), about 1,450 levels.  libyaml composes
+    that cleanly; the pure-Python composer recurses once per level and may
+    run out of stack, which is refused with ``yaml.YAMLError`` too.
+    ``name`` marks errors the way a file's name does.
     """
     if len(text) > MAX_DOCUMENT_CHARS:
         raise yaml.YAMLError(f"document is longer than {MAX_DOCUMENT_CHARS} characters")
@@ -92,4 +94,7 @@ def read_yaml(text, name: Optional[str] = None):
                     raise yaml.YAMLError(f"document nests deeper than {MAX_DEPTH} levels")
             elif isinstance(event, yaml.CollectionEndEvent):
                 depth -= 1
-    return yaml.load(source(), Loader=YAML_LOADER)
+    try:
+        return yaml.load(source(), Loader=YAML_LOADER)
+    except RecursionError:
+        raise yaml.YAMLError("document nests too deeply to compose") from None

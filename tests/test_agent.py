@@ -19,7 +19,6 @@ from attestsim.agent import (
     Agent,
     AgentApi,
     InitFailure,
-    TpmUnreachable,
     UntrustedPlatform,
     agent_init,
     establish_trust,
@@ -512,9 +511,8 @@ def _run_case(init_route, runtime_route, obfuscate=True, kernel=None):
         return "halted-at-init", [], m
     agent.channel_factory = factory(runtime_route)
     quotes = record_quotes(agent)
-    try:
-        report = agent.enter_runtime()
-    except TpmUnreachable:
+    report = agent.enter_runtime()
+    if report.detail.startswith("tpm unreachable"):
         return "tpm-unreachable", quotes, m
     return "trusted" if report.trusted else report.failed_condition, quotes, m
 
@@ -614,7 +612,7 @@ def serving_agent(w=None, **kw):
 
 def test_deploy_and_verify_compliant_policy():
     w, m, agent = serving_agent()
-    tap = agent._channel = FlakyChannel(agent._channel)
+    tap = agent._session.channel = FlakyChannel(agent._session.channel)
     api = AgentApi(agent)
     resp = api.handle("POST", "/policy", golden_policy(w))
     assert resp.status == 200
@@ -826,6 +824,32 @@ def test_static_drift_under_running_agent_is_locked_out():
     assert agent.compromised == "pcr-changed"
 
 
+def test_failed_reestablishment_drops_the_ended_sessions_latch():
+    """establish, drift, verify, establish: the second establishment fails
+    and the pcr-changed latch ends with the session it belonged to."""
+    w, m, agent = serving_agent()
+    pid = agent.deploy_policy(golden_policy(w))
+    m.tpm.pcr_extend(0, sha256(b"drift"), locality=0)
+    with pytest.raises(UntrustedPlatform, match="pcr-changed"):
+        agent.verify_policy(pid, Rng(103).bytes(32))
+    assert not agent.enter_runtime().trusted
+    assert agent.compromised is None
+    assert agent.health()["status"] == "not-serving"
+
+
+def test_reboot_ends_the_session_and_enter_runtime_refuses_a_powered_off_machine():
+    w, m, agent = serving_agent()
+    reboot_machine(m)
+    assert agent.compromised == "rebooted"
+    assert agent.health()["status"] == "compromised"
+    with pytest.raises(UntrustedPlatform, match="rebooted"):
+        agent.deploy_policy(golden_policy(w))
+    report = agent.enter_runtime()
+    assert (report.trusted, report.failed_condition, report.detail) == (
+        False, None, "machine is not at os runtime")
+    assert not agent.serving
+
+
 def test_runtime_relay_swap_under_running_agent_is_locked_out():
     """The driver of a serving agent starts relaying to a golden-booted
     host: its quotes verify and show golden values, but carry another key
@@ -836,7 +860,7 @@ def test_runtime_relay_swap_under_running_agent_is_locked_out():
     w.boot(m, init_hook=agent.initialization_hook)
     assert agent.enter_runtime().trusted
     w.boot(oracle)
-    tap = agent._channel = FlakyChannel(
+    tap = agent._session.channel = FlakyChannel(
         RelayTpmChannel(oracle, w.golden_dynamics, w.rng.child("adv")))
     with pytest.raises(UntrustedPlatform):
         agent.refresh(Rng(102).bytes(32))
@@ -847,8 +871,7 @@ def test_runtime_relay_swap_under_running_agent_is_locked_out():
 def _stale_round_then_recovery(fault):
     w, m, agent = serving_agent()
     pid = agent.deploy_policy(golden_policy(w))
-    flaky = FlakyChannel(agent._channel)
-    agent._channel = flaky
+    flaky = agent._session.channel = FlakyChannel(agent._session.channel)
     flaky.fault = fault
     verdict = agent.verify_policy(pid, Rng(60).bytes(32))
     assert verdict["compliant"] is False
@@ -1000,6 +1023,32 @@ def test_api_error_paths():
     assert api.handle("GET", "http://[::1").status == 400  # unclosed IPv6 host
     health = api.handle("GET", "/health")
     assert health.status == 200 and health.body["status"] == "ok"
+
+
+# "{pid}" stands for the deployed policy's id
+API_PATHS = st.one_of(
+    st.text(max_size=40),
+    st.sampled_from(["/health", "/policy", "/policy/", "//health//", "/policy/{pid}",
+                     "/policy/{pid}/x", "http://[::1", "/health?nonce=00"]),
+    st.builds("/policy/{}?{}={}".format,
+              st.sampled_from(["{pid}", "00" * 16]) | st.text(max_size=20),
+              st.sampled_from(["nonce", "nonce=1&nonce", "x"]),
+              st.text("0123456789abcdefABCDEF%&=+ ", max_size=70)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(method=st.sampled_from(["GET", "POST", "PUT", "get"]) | st.text(max_size=8),
+       path=API_PATHS,
+       body=st.text(max_size=80) | st.integers(0, 3000))
+def test_api_answers_every_request_below_500(method, path, body):
+    """An integer ``body`` cuts the deployed policy's text at that length."""
+    w, m, agent = serving_agent()
+    api, policy = AgentApi(agent), golden_policy(w)
+    pid = api.handle("POST", "/policy", policy).body["policy_id"]
+    if isinstance(body, int):
+        body = policy[:body]
+    assert api.handle(method, path.replace("{pid}", pid), body).status < 500
 
 
 def test_agent_not_serving_before_runtime():

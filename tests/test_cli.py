@@ -16,6 +16,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from attestsim import schema
 from attestsim.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -191,6 +192,14 @@ def test_deep_nesting_exits_three(tmp_path, name):
     _assert_clean_error("run", str(document))
     _assert_clean_error("deploy-policy", honest(), "--machine", "m0",
                         "--policy-file", str(document))
+
+
+def test_deep_indentation_exits_three_on_the_pure_python_loader(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(schema, "YAML_LOADER", yaml.SafeLoader)
+    document = tmp_path / "indented.yaml"
+    document.write_text("".join(" " * k + "a:\n" for k in range(1400)))
+    assert main(["run", str(document)]) == 3
+    assert "nests too deeply" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", sorted(DEEP_DOCUMENTS))
@@ -449,3 +458,72 @@ def test_one_change_to_a_valid_input_exits_cleanly(case):
     assert code in (0, 2, 3)
     if code == 3:
         assert err.getvalue().startswith("attestsim: error:")
+
+
+# --------------------------------------------------------------------------
+# exit-code contract over argv for every subcommand
+# --------------------------------------------------------------------------
+
+# every bound that could ask for minutes of explorer, log or poll work is
+# always given and kept small; "{tmp}" stands for a fresh temporary directory
+SMALL = st.sampled_from(["-1", "0", "1", "2"])
+SEEDS = st.sampled_from(["0", "1", "7", "-1", "x"])
+SCENARIO_ARGS = st.sampled_from(sorted(str(p) for p in SCENARIOS.glob("*.yaml"))
+                                + ["{tmp}/missing.yaml"])
+DURATIONS = st.sampled_from(["155ms", "58us", "100ms", "40us", "1s", "0s", "-5ms", "12",
+                             "ms", "1e400s"])
+# per subcommand: (flag, values, always given)
+SUBCOMMAND_OPTIONS = {
+    "run": [("--seed", SEEDS, False)],
+    "modelcheck": [("--variant", st.sampled_from(["plain", "obfuscated", "other"]), False),
+                   ("--machines", SMALL, False),
+                   ("--tpms", SMALL, False),
+                   ("--depth", SMALL, False),
+                   ("--max-states", st.sampled_from(["500", "200", "40", "0", "-1"]), True),
+                   ("--emit-trace", st.sampled_from(["{tmp}/trace.json",
+                                                     "{tmp}/no-dir/trace.json"]), False)],
+    "vwindow": [(flag, DURATIONS, True) for flag in ("--trq", "--tre", "--tvp", "--floor")],
+    "gen-ima-log": [("--seed", SEEDS, False),
+                    ("--events", st.sampled_from(["20", "1", "0", "-1", "x"]), True)],
+    "deploy-policy": [("--seed", SEEDS, False),
+                      ("--machine", st.sampled_from(["m0", "m1", "zz"]), True)],
+    "poll": [("--seed", SEEDS, False), ("--rounds", SMALL, True),
+             ("--period", DURATIONS, False)],
+}
+POLICY_SOURCES = st.one_of(
+    st.tuples(st.just("--policy"), st.sampled_from(["golden", "nope"])),
+    st.tuples(st.just("--policy-file"), st.sampled_from([honest(), "{tmp}/missing.yaml"])),
+)
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(SUBCOMMAND_OPTIONS)))
+    argv = [command]
+    if command in ("run", "deploy-policy", "poll"):
+        argv.append(draw(SCENARIO_ARGS))
+    if command == "deploy-policy":
+        argv += draw(POLICY_SOURCES)
+    for flag, values, given_always in SUBCOMMAND_OPTIONS[command]:
+        if given_always or draw(st.booleans()):
+            argv += [flag, draw(values)]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["json", "text", "xml"]))]
+    if draw(st.booleans()):
+        argv += ["--out", draw(st.sampled_from(["{tmp}/out", "{tmp}/no-dir/out"]))]
+    if draw(st.sampled_from([False] * 9 + [True])):  # now and then a stray token
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.text(max_size=6)))
+    return argv
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(argvs())
+def test_every_subcommand_exits_zero_two_or_three(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main([arg.replace("{tmp}", tmp) for arg in argv])
+            except SystemExit as exc:  # argparse: usage errors and --help
+                code = exc.code
+    assert code in (0, 2, 3), err.getvalue()

@@ -19,6 +19,7 @@ from attestsim.policy import (
     pem_encode,
     render_policy,
 )
+from attestsim import schema
 from attestsim.schema import MAX_DEPTH, MAX_DOCUMENT_CHARS, read_yaml
 from attestsim.tpm import TpmState
 
@@ -182,6 +183,18 @@ def test_deepest_unscanned_document_composes():
     while len(document(levels + 1)) <= MAX_DOCUMENT_CHARS:
         levels += 1
     assert _depth(read_yaml(document(levels))) == levels + MAX_DEPTH
+
+
+def test_pure_python_composer_refuses_deep_indentation(monkeypatch):
+    """Where PyYAML lacks libyaml, the pure-Python composer recurses once per
+    indentation level; running out of stack is a YAMLError, not a crash."""
+    monkeypatch.setattr(schema, "YAML_LOADER", yaml.SafeLoader)
+    document = "".join(" " * k + "a:\n" for k in range(1400))
+    assert len(document) <= MAX_DOCUMENT_CHARS
+    with pytest.raises(yaml.YAMLError, match="nests too deeply"):
+        read_yaml(document)
+    with pytest.raises(PolicyParseError, match="nests too deeply"):
+        parse_policy(document)
 
 
 def test_render_parse_roundtrip():

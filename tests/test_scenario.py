@@ -260,6 +260,33 @@ def test_failed_reboot_reestablishment_stops_health_reporting_ok():
     assert [(a.kind, a.timestamp_ms) for a in result.alerts] == [("violation", 1000.0)]
 
 
+@pytest.mark.parametrize("after_reboot", [
+    [],
+    [{"at": 200, "action": "boot", "machine": "m0", "hook": False}],
+])
+def test_reboot_under_a_serving_agent_latches_rebooted(after_reboot):
+    """A session lives within one power cycle: a reboot, with or without a
+    boot after it, latches ``rebooted`` and health-only polls alert."""
+    doc = {
+        "name": "reboot-under-serving-agent",
+        "machines": [{"id": "m0", "agent": {}}],
+        "script": [
+            {"at": 0, "action": "boot", "machine": "m0"},
+            {"at": 10, "action": "establish", "machine": "m0"},
+            {"at": 100, "action": "reboot", "machine": "m0"},
+            *after_reboot,
+        ],
+        "poll": {"period_ms": 1000, "rounds": 3, "targets": ["m0"]},
+    }
+    result, fleet, _ = execute_scenario(doc, seed=0)
+    assert result.verdicts["m0"] == {"trusted": True, "failed_condition": None,
+                                     "detail": "", "compromised": "rebooted"}
+    health = fleet.apis["m0"].handle("GET", "/health").body
+    assert (health["status"], health["compromised"]) == ("compromised", "rebooted")
+    assert [(a.kind, a.timestamp_ms) for a in result.alerts] == [("violation", 1000.0)]
+    assert not result.all_compliant
+
+
 # --------------------------------------------------------------------------
 # validation
 # --------------------------------------------------------------------------

@@ -79,9 +79,7 @@ from .policy import (
     LocationRule,
     PlatformView,
     Policy,
-    PolicyRegistry,
     PolicyParseError,
-    UnknownPolicyId,
     Violation,
     evaluate,
     parse_policy,
@@ -103,6 +101,7 @@ from .trust import BASELINE, OBFUSCATED, disagreeing, static_split
 logger = logging.getLogger(__name__)
 
 CONFIG_DISK_KEY = "agent/config.sealed"
+POLICY_ID_LEN = 16  # random bytes per deployed policy id
 
 CONDITION_UNSEAL = "c1-unseal"
 CONDITION_DYNAMIC = "c2-dynamic-pcr"
@@ -128,6 +127,10 @@ class UntrustedPlatform(Exception):
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
+
+
+class UnknownPolicyId(KeyError):
+    pass
 
 
 # --------------------------------------------------------------------------
@@ -439,7 +442,7 @@ class Agent:
         self.static_whitelist = tuple(sorted(set(static_whitelist)))
         self.obfuscate = obfuscate
         self.channel_factory = channel_factory or DirectTpmChannel
-        self.registry = PolicyRegistry()
+        self.policies: Dict[str, Policy] = {}  # deployed policies by hex id
         self.network: Optional[NetworkAttachment] = None
         self._session: Optional[Session] = None
 
@@ -491,10 +494,6 @@ class Agent:
                 or self.machine.tpm.reboot_counter != session.power_cycle):
             session.compromised = "rebooted"
         return session
-
-    @property
-    def serving(self) -> bool:
-        return self._session is not None
 
     @property
     def compromised(self) -> Optional[str]:
@@ -550,7 +549,7 @@ class Agent:
             session.stale = True
             return
         session.stale = False
-        session.pcr_values = dict(values)
+        session.pcr_values = values
 
         if _failed_condition(config, quote, values, self.golden_statics,
                              self.golden_dynamics) is not None:
@@ -567,17 +566,18 @@ class Agent:
         """Parse and store a policy; returns its id."""
         self._platform_session()
         policy = parse_policy(document)
-        policy_id = self.registry.insert(policy, self.rng)
+        policy_id = self.rng.bytes(POLICY_ID_LEN).hex()
+        self.policies[policy_id] = policy
         logger.info("policy %s deployed to %s", policy_id, self.machine.machine_id)
         return policy_id
 
-    def _measure_locations(self, policy: Policy,
-                           certified: Dict[LocationRule, bool]) -> Dict[str, Optional[float]]:
+    def _measure_locations(self, policy: Policy, certified: Dict[LocationRule, bool]
+                           ) -> Dict[LocationRule, Optional[float]]:
         """Estimate each rule's beacon distance; ``certified`` keeps which
         rules' beacons chain to the rule's keys."""
-        estimates: Dict[str, Optional[float]] = {}
+        estimates: Dict[LocationRule, Optional[float]] = {}
         for rule in policy.location:
-            estimates[rule.host] = None
+            estimates[rule] = None
             att = self.network
             if att is None or rule.host not in att.beacons:
                 continue
@@ -590,7 +590,7 @@ class Agent:
                 est = measure_proximity(att.net, self.rng, att.endpoint, beacon)
             except BeaconError:
                 continue
-            estimates[rule.host] = est.trimmed_mean_ms
+            estimates[rule] = est.trimmed_mean_ms
         return estimates
 
     def verify_policy(self, policy_id: str, nonce: bytes) -> dict:
@@ -605,7 +605,9 @@ class Agent:
         session = self._session
         if session is None:  # outranks an unknown id; a lost platform does not
             raise UntrustedPlatform("agent is not serving")
-        policy = self.registry.get(policy_id)
+        policy = self.policies.get(policy_id)
+        if policy is None:
+            raise UnknownPolicyId(policy_id)
         self.refresh(nonce)  # raises if the platform is gone, or goes this round
         config = session.config
         state = session.policies.get(policy_id)
@@ -613,12 +615,12 @@ class Agent:
             state = session.policies[policy_id] = PolicyState(
                 policy.certifies_ek(config.ek_cert))
         view = PlatformView(
-            pcr_values=dict(session.pcr_values),
+            pcr_values=session.pcr_values,
             ek_certified=state.ek_certified,
             ima_events=tuple(session.events[state.events:]),
             earlier_violations=state.untrusted,
-            static_original=dict(config.originals),
-            static_obfuscated=dict(config.obfuscated),
+            static_original=config.originals,
+            static_obfuscated=config.obfuscated,
             log_tampered=session.compromised == "log-tampered",
             stale=session.stale,
             location_estimates=self._measure_locations(policy, state.beacons),
@@ -638,7 +640,7 @@ class Agent:
             "status": status,
             "machine": self.machine.machine_id,
             "compromised": compromised,
-            "policies": len(self.registry),
+            "policies": len(self.policies),
         }
 
 

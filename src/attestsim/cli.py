@@ -15,10 +15,9 @@ from typing import List, Optional, Tuple
 from . import ima
 from .controller import (
     ControllerError,
-    VulnerabilityWindowParams,
     format_duration_ms,
     parse_duration,
-    vulnerability_window_report,
+    vulnerability_window,
 )
 from .modelcheck import StateBudgetExceeded, check
 from .scenario import (
@@ -173,13 +172,12 @@ def cmd_modelcheck(args) -> Tuple[int, dict, List[str]]:
 
 
 def cmd_vwindow(args) -> Tuple[int, dict, List[str]]:
-    params = VulnerabilityWindowParams(
+    report = vulnerability_window(
         t_rq_us=parse_duration(args.trq),
         t_re_us=parse_duration(args.tre),
         t_vp_us=parse_duration(args.tvp),
         file_open_floor_us=parse_duration(args.floor),
     )
-    report = vulnerability_window_report(params)
     lines = [
         f"n = {report['n']}",
         f"n*t_re = {format_duration_ms(report['n_t_re_us'])}",

@@ -69,50 +69,31 @@ def format_duration_ms(us: int) -> str:
     return f"{us / 1000:g} ms"
 
 
-@dataclass(frozen=True)
-class VulnerabilityWindowParams:
-    """Inputs of the blind-spot formula, all in integer microseconds.
+def vulnerability_window(t_rq_us: int, t_re_us: int, t_vp_us: int,
+                         file_open_floor_us: int) -> dict:
+    """The worst-case unmonitored interval and its log backlog, in integer
+    microseconds and in milliseconds.
 
     ``t_rq``: one full quote read; ``t_re``: one measurement-log event
     read; ``t_vp``: one verification round trip; ``file_open_floor``: the
     smallest time opening a file can take, which bounds how many events an
     attacker can slip in during one quote.
-    """
-
-    t_rq_us: int
-    t_re_us: int
-    t_vp_us: int
-    file_open_floor_us: int
-
-    def __post_init__(self):
-        for label in ("t_rq_us", "t_re_us", "file_open_floor_us"):
-            if getattr(self, label) <= 0:
-                raise ControllerError(f"{label} must be strictly positive")
-        # t_vp = 0 is admitted as the limit of an instantaneous verifier
-        if self.t_vp_us < 0:
-            raise ControllerError("t_vp_us must be non-negative")
-
-    @property
-    def n_events(self) -> int:
-        return self.t_rq_us // self.file_open_floor_us
-
-
-def vulnerability_window(params: VulnerabilityWindowParams) -> int:
-    """Worst-case unmonitored interval, in microseconds.
 
     t_vw = t_rq + 2 * (n * t_re + t_vp) with n = floor(t_rq / floor):
     while one quote is read, up to n files can be opened; catching up on
     their log entries plus a verify round happens on both sides of the
     quote.
     """
-    n = params.n_events
-    return params.t_rq_us + 2 * (n * params.t_re_us + params.t_vp_us)
-
-
-def vulnerability_window_report(params: VulnerabilityWindowParams) -> dict:
-    n = params.n_events
-    backlog_us = n * params.t_re_us
-    total_us = vulnerability_window(params)
+    for label, value in (("t_rq_us", t_rq_us), ("t_re_us", t_re_us),
+                         ("file_open_floor_us", file_open_floor_us)):
+        if value <= 0:
+            raise ControllerError(f"{label} must be strictly positive")
+    # t_vp = 0 is admitted as the limit of an instantaneous verifier
+    if t_vp_us < 0:
+        raise ControllerError("t_vp_us must be non-negative")
+    n = t_rq_us // file_open_floor_us
+    backlog_us = n * t_re_us
+    total_us = t_rq_us + 2 * (backlog_us + t_vp_us)
     return {
         "n": n,
         "n_t_re_us": backlog_us,
@@ -237,32 +218,23 @@ class Controller:
 
     def _record(self, machine_id: str, target: _Target, observed: str,
                 verdict: dict) -> Optional[Alert]:
-        """Fold one observation into the target state; alert on the edge."""
+        """Fold one observation into the target state; alert on the edge.
+
+        The ``miss_threshold``-th miss in a row observes ``unreachable``,
+        earlier misses observe nothing.  A state that does not change
+        raises nothing; a change alerts as ``recovered`` when it is back to
+        ``ok`` and as the new state otherwise.
+        """
         if observed == "miss":
             target.misses += 1
-            if target.misses < self.miss_threshold or target.state == "unreachable":
+            if target.misses < self.miss_threshold:
                 return None
-            target.state = "unreachable"
-            return self._alert(machine_id, target, "unreachable", verdict)
-
-        target.misses = 0
-        if observed == "ok":
-            if target.state == "ok":
-                return None
-            target.state = "ok"
-            return self._alert(machine_id, target, "recovered", verdict)
-        if target.state == "violation":
+            observed = "unreachable"
+        else:
+            target.misses = 0
+        if observed == target.state:
             return None
-        target.state = "violation"
-        return self._alert(machine_id, target, "violation", verdict)
-
-    def _alert(self, machine_id: str, target: _Target, kind: str,
-               verdict: dict) -> Alert:
+        target.state = observed
+        kind = "recovered" if observed == "ok" else observed
         logger.info("%s alert for %s at %.0f ms", kind, machine_id, self.clock.now_ms)
-        return Alert(
-            machine=machine_id,
-            policy_id=target.policy_id,
-            verdict=verdict,
-            timestamp_ms=self.clock.now_ms,
-            kind=kind,
-        )
+        return Alert(machine_id, target.policy_id, verdict, self.clock.now_ms, kind)

@@ -1,7 +1,11 @@
 """Virtual-time network, trusted beacons and proximity estimation.
 
-One virtual clock drives everything; message legs advance it by a latency
-draw from the link model (base + uniform jitter).  An adversary on the
+Time is virtual.  A message leg draws its latency from the link model
+(base + uniform jitter) in :meth:`NetworkModel.one_way_ms`, which advances
+no clock.  Each beacon stamps its responses from a :class:`VirtualClock`
+of its own, and a proximity measurement advances only that clock, by each
+leg it draws.  A fleet's script and controller run on another clock, and
+the controller's reachability legs advance none.  An adversary on the
 path can add delay, drop, or modify traffic, but can never deliver faster
 than the honest base latency, which is the physical floor the proximity
 check leans on.

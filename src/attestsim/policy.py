@@ -1,4 +1,4 @@
-"""Integrity policy: schema, parsing, evaluation, registry.
+"""Integrity policy: schema, parsing, evaluation.
 
 A policy document is a small YAML dialect::
 
@@ -22,7 +22,9 @@ A policy document is a small YAML dialect::
           -----BEGIN CERTIFICATE----- ...
 
 ``POLICY`` and the section shapes below declare it; unknown fields and
-wrong types anywhere are rejected.
+wrong types anywhere are rejected.  The PCR whitelist parses into two
+index -> digest banks, ``Policy.statics`` and ``Policy.dynamics``, the form
+the fleet, the agent and :mod:`.trust` hold registers in.
 
 Evaluation is pure: it maps (policy, platform view) to a verdict whose
 ``violations`` list draws from {tpm-cert, pcr-mismatch, untrusted-file,
@@ -52,9 +54,6 @@ from .schema import Required, check_shape, read_yaml
 from .tpm import DYNAMIC_PCRS, STATIC_PCRS
 from .trust import BASELINE, OBFUSCATED, disagreeing, static_split
 
-VALID_PCR_IDS = set(STATIC_PCRS) | set(DYNAMIC_PCRS)
-POLICY_ID_LEN = 16
-
 # each section is checked as parsing reaches it, so a broken trust anchor
 # is named before a mistake further down
 POLICY = {Required("chain"): str, Required("whitelist"): dict, "runtime": dict,
@@ -72,10 +71,6 @@ _STATIC_DETAIL = {
 
 class PolicyParseError(Exception):
     """Schema violation; the message names the offending field."""
-
-
-class UnknownPolicyId(KeyError):
-    pass
 
 
 # --------------------------------------------------------------------------
@@ -128,12 +123,6 @@ def pem_decode_all(text: str, where: str) -> List[bytes]:
 
 
 @dataclass(frozen=True)
-class PcrEntry:
-    index: int
-    value: bytes
-
-
-@dataclass(frozen=True)
 class SoftwareList:
     name: str
     hashes: Tuple[Tuple[bytes, str], ...]  # (file hash, recorded path)
@@ -149,16 +138,11 @@ class LocationRule:
 @dataclass(frozen=True)
 class Policy:
     tpm_ca_chain: Tuple[bytes, ...]
-    pcr_whitelist: Tuple[PcrEntry, ...]
+    statics: Dict[int, bytes]   # whitelisted static pcr -> golden digest
+    dynamics: Dict[int, bytes]  # whitelisted dynamic pcr -> golden digest
     runtime_cert: Optional[bytes]
     software: Tuple[SoftwareList, ...]
     location: Tuple[LocationRule, ...]
-
-    def static_entries(self) -> Dict[int, bytes]:
-        return {e.index: e.value for e in self.pcr_whitelist if e.index in STATIC_PCRS}
-
-    def dynamic_entries(self) -> Dict[int, bytes]:
-        return {e.index: e.value for e in self.pcr_whitelist if e.index in DYNAMIC_PCRS}
 
     def certifies_ek(self, ek_cert: Certificate) -> bool:
         """Whether ``ek_cert`` is a TPM EK certificate issued by one of this
@@ -179,8 +163,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class PolicyVerdict:
-    compliant: bool
     violations: Tuple[Violation, ...]
+
+    @property
+    def compliant(self) -> bool:
+        return not self.violations
 
     def to_dict(self) -> dict:
         return {
@@ -222,17 +209,17 @@ def parse_policy(doc_or_text) -> Policy:
     check_shape(doc["whitelist"], WHITELIST, "whitelist", PolicyParseError)
     if not doc["whitelist"]["pcrs"]:
         raise PolicyParseError("whitelist.pcrs: need at least one PCR entry")
-    entries = []
-    seen_ids = set()
+    statics: Dict[int, bytes] = {}
+    dynamics: Dict[int, bytes] = {}
     for i, node in enumerate(doc["whitelist"]["pcrs"]):
         where = f"whitelist.pcrs[{i}]"
         idx = node["id"]
-        if idx not in VALID_PCR_IDS:
+        bank = statics if idx in STATIC_PCRS else dynamics if idx in DYNAMIC_PCRS else None
+        if bank is None:
             raise PolicyParseError(f"{where}: pcr {idx} outside 0..15 and 17..19")
-        if idx in seen_ids:
+        if idx in bank:
             raise PolicyParseError(f"{where}: duplicate pcr id {idx}")
-        seen_ids.add(idx)
-        entries.append(PcrEntry(idx, _digest(node["sha256"], f"{where}.sha256")))
+        bank[idx] = _digest(node["sha256"], f"{where}.sha256")
 
     runtime_cert = None
     software: List[SoftwareList] = []
@@ -257,21 +244,14 @@ def parse_policy(doc_or_text) -> Policy:
         chain_keys = tuple(pem_decode_all(node["chain"], f"{where}.chain"))
         location.append(LocationRule(node["host"], float(node["max_latency"]), chain_keys))
 
-    return Policy(
-        tpm_ca_chain=chain,
-        pcr_whitelist=tuple(entries),
-        runtime_cert=runtime_cert,
-        software=tuple(software),
-        location=tuple(location),
-    )
+    return Policy(chain, statics, dynamics, runtime_cert, tuple(software), tuple(location))
 
 
 def render_policy(policy: Policy) -> str:
-    """Emit a policy as YAML in the canonical field order."""
+    """Emit a policy as YAML in the canonical field order, PCRs by index."""
     doc: dict = {"chain": "".join(pem_encode(k) for k in policy.tpm_ca_chain)}
-    doc["whitelist"] = {
-        "pcrs": [{"id": e.index, "sha256": e.value.hex()} for e in policy.pcr_whitelist]
-    }
+    pcrs = sorted({**policy.statics, **policy.dynamics}.items())
+    doc["whitelist"] = {"pcrs": [{"id": i, "sha256": v.hex()} for i, v in pcrs]}
     if policy.runtime_cert is not None or policy.software:
         rt: dict = {}
         if policy.runtime_cert is not None:
@@ -321,6 +301,10 @@ class PlatformView:
     them.  A serving agent keeps that appraisal cursor per policy and passes
     only the suffix it has not appraised yet; every event since boot with
     no earlier violations is the full evaluation.
+
+    ``location_estimates`` holds each location rule's measured beacon
+    distance in milliseconds, or ``None`` when the rule could not be
+    measured; a missing rule counts as unreachable.
     """
 
     pcr_values: Dict[int, bytes]
@@ -331,7 +315,7 @@ class PlatformView:
     static_obfuscated: Dict[int, bytes] = field(default_factory=dict)
     log_tampered: bool = False
     stale: bool = False
-    location_estimates: Dict[str, Optional[float]] = field(default_factory=dict)
+    location_estimates: Dict[LocationRule, Optional[float]] = field(default_factory=dict)
 
 
 def evaluate(policy: Policy, view: PlatformView) -> PolicyVerdict:
@@ -349,13 +333,11 @@ def evaluate(policy: Policy, view: PlatformView) -> PolicyVerdict:
     if not view.ek_certified:
         violations.append(Violation("tpm-cert", "ek certificate does not chain to a trusted ca"))
 
-    dynamics = policy.dynamic_entries()
-    for index in disagreeing(dynamics, dynamics, view.pcr_values):
+    for index in disagreeing(policy.dynamics, policy.dynamics, view.pcr_values):
         violations.append(
             Violation("pcr-mismatch", f"dynamic pcr {index} differs from whitelist")
         )
-    statics = policy.static_entries()
-    for index, half in static_split(statics, statics, view.static_original,
+    for index, half in static_split(policy.statics, policy.statics, view.static_original,
                                     view.static_obfuscated, view.pcr_values):
         violations.append(Violation("pcr-mismatch", _STATIC_DETAIL[half].format(index)))
 
@@ -382,7 +364,7 @@ def evaluate(policy: Policy, view: PlatformView) -> PolicyVerdict:
         close_enough = False
         details = []
         for rule in policy.location:
-            estimate = view.location_estimates.get(rule.host)
+            estimate = view.location_estimates.get(rule)
             if estimate is None:
                 details.append(f"{rule.host}: unreachable")
             elif estimate <= rule.max_latency_ms:
@@ -392,30 +374,4 @@ def evaluate(policy: Policy, view: PlatformView) -> PolicyVerdict:
         if not close_enough:
             violations.append(Violation("location", "; ".join(details) or "no beacon in reach"))
 
-    return PolicyVerdict(compliant=not violations, violations=tuple(violations))
-
-
-# --------------------------------------------------------------------------
-# registry
-# --------------------------------------------------------------------------
-
-
-class PolicyRegistry:
-    """In-memory policy store keyed by random 128-bit ids (hex strings)."""
-
-    def __init__(self):
-        self._policies: Dict[str, Policy] = {}
-
-    def insert(self, policy: Policy, rng) -> str:
-        policy_id = rng.bytes(POLICY_ID_LEN).hex()
-        self._policies[policy_id] = policy
-        return policy_id
-
-    def get(self, policy_id: str) -> Policy:
-        try:
-            return self._policies[policy_id]
-        except KeyError:
-            raise UnknownPolicyId(policy_id)
-
-    def __len__(self) -> int:
-        return len(self._policies)
+    return PolicyVerdict(tuple(violations))

@@ -87,7 +87,7 @@ from .netsim import (
     NetworkModel,
     VirtualClock,
 )
-from .policy import PcrEntry, Policy, render_policy
+from .policy import Policy, render_policy
 from .schema import MAX_DOCUMENT_CHARS, Required, check_shape, read_yaml
 from .tpm import NONCE_LEN, TpmError, TpmState, extend_digest
 
@@ -183,14 +183,8 @@ class ScenarioResult:
 
 
 def _golden_policy(fleet: "Fleet") -> str:
-    entries = sorted({**fleet.golden_statics, **fleet.golden_dynamics}.items())
-    return render_policy(Policy(
-        tpm_ca_chain=(fleet.tpm_ca_pub,),
-        pcr_whitelist=tuple(PcrEntry(i, v) for i, v in entries),
-        runtime_cert=None,
-        software=(),
-        location=(),
-    ))
+    return render_policy(Policy((fleet.tpm_ca_pub,), fleet.golden_statics,
+                                fleet.golden_dynamics, None, (), ()))
 
 
 def _build_network(spec: dict, machines: List[dict]) -> NetworkModel:

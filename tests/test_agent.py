@@ -19,6 +19,7 @@ from attestsim.agent import (
     Agent,
     AgentApi,
     InitFailure,
+    UnknownPolicyId,
     UntrustedPlatform,
     agent_init,
     establish_trust,
@@ -42,7 +43,7 @@ from attestsim.machine import (
     run_enclave,
 )
 from attestsim.netsim import BeaconService, LatencyModel, NetworkModel, VirtualClock
-from attestsim.policy import evaluate, pem_encode
+from attestsim.policy import evaluate, parse_policy, pem_encode
 from attestsim.tpm import IMA_PCR, TpmError, TpmState, extend_digest
 
 AGENT_BIN = SoftwareImage("attest-agent", b"attest-agent-bin-2.3")
@@ -346,7 +347,7 @@ def test_honest_machine_establishes_trust():
     report = agent.enter_runtime()
     assert report.trusted and report.failed_condition is None
     assert IMA_PCR in quotes[-1].selection
-    assert agent.serving
+    assert agent.health()["status"] == "ok"
 
 
 def test_c1_sealed_baseline_does_not_open_on_another_machine():
@@ -626,6 +627,16 @@ def test_deploy_and_verify_compliant_policy():
     assert tap.quotes[-1].nonce == nonce  # the round nonce reached the TPM
 
 
+def test_policy_ids_are_fresh_16_byte_hex():
+    w, m, agent = serving_agent()
+    a = agent.deploy_policy(golden_policy(w))
+    b = agent.deploy_policy(golden_policy(w))
+    assert a != b and len(bytes.fromhex(a)) == 16
+    assert agent.policies[a] == parse_policy(golden_policy(w))
+    with pytest.raises(UnknownPolicyId):
+        agent.verify_policy("00" * 16, Rng(76).bytes(32))
+
+
 def test_unknown_file_raises_untrusted_file_violation():
     w, m, agent = serving_agent()
     distributor = generate_keypair(Rng(91))
@@ -751,7 +762,7 @@ def test_incremental_verdicts_equal_full_evaluation(steps):
             verdict = agent.verify_policy(pid, nonces.bytes(32))
             full = replace(views[-1], ima_events=tuple(loaded), earlier_violations=())
             assert verdict == {"policy_id": pid,
-                               **evaluate(agent.registry.get(pid), full).to_dict()}
+                               **evaluate(agent.policies[pid], full).to_dict()}
 
     with mock.patch("attestsim.agent.evaluate", recording):
         for i, (action, arg) in enumerate(steps):
@@ -847,7 +858,7 @@ def test_reboot_ends_the_session_and_enter_runtime_refuses_a_powered_off_machine
     report = agent.enter_runtime()
     assert (report.trusted, report.failed_condition, report.detail) == (
         False, None, "machine is not at os runtime")
-    assert not agent.serving
+    assert agent.health()["status"] == "not-serving"
 
 
 def test_runtime_relay_swap_under_running_agent_is_locked_out():
@@ -907,11 +918,12 @@ def in_dc_beacon(seed=71, authority=None):
     return net, beacon, authority
 
 
-def location_policy(w, authority, tpm_ca=None):
-    """The golden policy with a 2 ms rule for beacon-1 under ``authority``."""
+def location_policy(w, *authorities, tpm_ca=None):
+    """The golden policy with a 2 ms rule for beacon-1 under each authority."""
     entries = [(0, w.golden_statics[0])] + sorted(w.golden_dynamics.items())
-    rule = {"host": "beacon-1", "max_latency": 2, "chain": pem_encode(authority.public)}
-    return policy_text(w, entries, location=[rule], tpm_ca=tpm_ca)
+    rules = [{"host": "beacon-1", "max_latency": 2, "chain": pem_encode(a.public)}
+             for a in authorities]
+    return policy_text(w, entries, location=rules, tpm_ca=tpm_ca)
 
 
 def test_location_rule_measured_through_attached_network():
@@ -923,6 +935,20 @@ def test_location_rule_measured_through_attached_network():
     agent.attach_network(net, {"beacon-1": beacon}, "m0")
     verdict = agent.verify_policy(pid, Rng(63).bytes(32))
     assert verdict["compliant"] is True
+
+
+@pytest.mark.parametrize("certified_first", [True, False])
+def test_two_rules_for_one_host_are_measured_apart(certified_first):
+    """A certified rule for beacon-1 holds on either side of a rule for the
+    same host under another chain: each rule keeps its own estimate."""
+    w, m, agent = serving_agent()
+    net, beacon, authority = in_dc_beacon()
+    agent.attach_network(net, {"beacon-1": beacon}, "m0")
+    other = generate_keypair(Rng(74))
+    authorities = (authority, other) if certified_first else (other, authority)
+    pid = agent.deploy_policy(location_policy(w, *authorities))
+    verdict = agent.verify_policy(pid, Rng(75).bytes(32))
+    assert (verdict["compliant"], verdict["violations"]) == (True, [])
 
 
 def test_verdict_crypto_budget(monkeypatch):

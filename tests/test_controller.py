@@ -3,18 +3,16 @@
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attestsim.agent import ApiResponse
 from attestsim.controller import (
     Controller,
     ControllerError,
-    VulnerabilityWindowParams,
     format_duration_ms,
     parse_duration,
     vulnerability_window,
-    vulnerability_window_report,
 )
 from attestsim.crypto import Rng
 from attestsim.netsim import (
@@ -43,10 +41,10 @@ def window_oracle(trq: int, tre: int, tvp: int, floor: int) -> tuple:
 
 
 def test_reference_point():
-    params = VulnerabilityWindowParams(155_000, 58, 100_000, 40)
-    assert params.n_events == 3875
+    report = vulnerability_window(155_000, 58, 100_000, 40)
+    assert report["n"] == 3875
     assert 3875 * 58 == 224_750  # 224.75 ms of log catch-up
-    assert vulnerability_window(params) == 804_500  # 804.5 ms
+    assert report["t_vw_us"] == 804_500  # 804.5 ms
 
 
 def test_reference_point_matches_oracle():
@@ -55,16 +53,14 @@ def test_reference_point_matches_oracle():
 
 
 def test_instantaneous_verifier_limit():
-    assert vulnerability_window(
-        VulnerabilityWindowParams(155_000, 58, 0, 40)
-    ) == 604_500
+    assert vulnerability_window(155_000, 58, 0, 40)["t_vw_us"] == 604_500
 
 
 def test_floor_equal_to_quote_time():
     # one file fits: window degenerates to t_rq + 2 (t_re + t_vp)
-    params = VulnerabilityWindowParams(500, 7, 30, 500)
-    assert params.n_events == 1
-    assert vulnerability_window(params) == 500 + 2 * (7 + 30)
+    report = vulnerability_window(500, 7, 30, 500)
+    assert report["n"] == 1
+    assert report["t_vw_us"] == 500 + 2 * (7 + 30)
 
 
 @given(
@@ -74,10 +70,10 @@ def test_floor_equal_to_quote_time():
     floor=st.integers(1, 10_000),
 )
 def test_window_equals_bruteforce_oracle(trq, tre, tvp, floor):
-    params = VulnerabilityWindowParams(trq, tre, tvp, floor)
+    report = vulnerability_window(trq, tre, tvp, floor)
     n, total = window_oracle(trq, tre, tvp, floor)
-    assert params.n_events == n
-    assert vulnerability_window(params) == total
+    assert report["n"] == n
+    assert report["t_vw_us"] == total
 
 
 @pytest.mark.parametrize("bad", [
@@ -88,13 +84,11 @@ def test_window_equals_bruteforce_oracle(trq, tre, tvp, floor):
 ])
 def test_invalid_window_params(bad):
     with pytest.raises(ControllerError):
-        VulnerabilityWindowParams(**bad)
+        vulnerability_window(**bad)
 
 
 def test_report_carries_both_units():
-    report = vulnerability_window_report(
-        VulnerabilityWindowParams(155_000, 58, 100_000, 40)
-    )
+    report = vulnerability_window(155_000, 58, 100_000, 40)
     assert report["n"] == 3875
     assert report["n_t_re_us"] == 224_750
     assert report["n_t_re_ms"] == pytest.approx(224.75)
@@ -219,6 +213,43 @@ def test_unreachable_after_miss_threshold_then_recovered():
     net.adversary = None              # the path heals
     recovered = ctl.poll_round(rng)
     assert [a.kind for a in recovered] == ["recovered"]
+
+
+OBSERVATIONS = st.sampled_from(["ok", "violation", "miss"])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rounds=st.lists(st.tuples(OBSERVATIONS, OBSERVATIONS), max_size=30),
+       threshold=st.integers(1, 4))
+def test_edge_rule_over_observation_sequences(rounds, threshold):
+    """Per machine, over any ok/violation/miss sequence: no two alerts in a
+    row share a kind, ``recovered`` follows only an alarm, and fewer than
+    ``miss_threshold`` misses in a row raise nothing."""
+    machines = ("m0", "m1")
+    net = NetworkModel(
+        {("dc1", "dc1"): LatencyModel(0.5, 0.1)},
+        {"controller": "dc1", **{f"agent-{m}": "dc1" for m in machines}},
+    )
+    ctl = make_controller(miss_threshold=threshold, net=net)
+    for i, mid in enumerate(machines):
+        answers = [OK if r[i] == "ok" else BAD for r in rounds if r[i] != "miss"]
+        ctl.register(mid, ScriptedApi(answers), endpoint=f"agent-{mid}")
+        ctl.set_policy(mid, "p")
+    rng = Rng(11)
+    run = dict.fromkeys(machines, 0)  # misses in a row, this round included
+    for observed in rounds:
+        down = tuple(f"agent-{m}" for m, o in zip(machines, observed) if o == "miss")
+        net.adversary = AdversaryModel(can_drop=True, relay_targets=down) if down else None
+        raised = {a.machine for a in ctl.poll_round(rng)}
+        for mid, o in zip(machines, observed):
+            run[mid] = run[mid] + 1 if o == "miss" else 0
+            if 0 < run[mid] < threshold:
+                assert mid not in raised
+    for mid in machines:
+        kinds = [a.kind for a in ctl.alerts if a.machine == mid]
+        assert all(a != b for a, b in zip(kinds, kinds[1:]))
+        for before, kind in zip([None] + kinds, kinds):
+            assert kind != "recovered" or before in ("violation", "unreachable")
 
 
 def test_round_orders_alerts_by_machine_id():

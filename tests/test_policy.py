@@ -1,4 +1,4 @@
-"""Policy schema, evaluation and registry."""
+"""Policy schema and evaluation."""
 
 import pytest
 import yaml
@@ -11,9 +11,7 @@ from attestsim.policy import (
     PlatformView,
     Policy,
     PolicyParseError,
-    PolicyRegistry,
     SoftwareList,
-    UnknownPolicyId,
     evaluate,
     parse_policy,
     pem_encode,
@@ -74,9 +72,9 @@ def _indent(pem, n=2):
 
 def test_fixture_parses_with_expected_shape():
     p = parse_policy(fixture_policy_text())
-    assert [e.index for e in p.pcr_whitelist] == [0, 3, 18, 19]
-    assert p.static_entries().keys() == {0, 3}
-    assert p.dynamic_entries().keys() == {18, 19}
+    assert [*p.statics, *p.dynamics] == [0, 3, 18, 19]
+    assert p.statics.keys() == {0, 3}
+    assert p.dynamics.keys() == {18, 19}
     assert p.tpm_ca_chain == (TPM_CA.public,)
     assert p.runtime_cert == IMA_SIGNER.public
     assert p.location[0].host == "beacon-1"
@@ -221,13 +219,14 @@ def make_view(**overrides):
         static_original={0: GOLDEN[0], 3: GOLDEN[3]},
         static_obfuscated=obfuscated,
         log_tampered=False,
-        location_estimates={"beacon-1": 0.8},
+        location_estimates={RULE: 0.8},
     )
     defaults.update(overrides)
     return PlatformView(**defaults)
 
 
 POLICY = parse_policy(fixture_policy_text())
+RULE = POLICY.location[0]  # the beacon-1 rule
 
 
 def test_compliant_view_passes():
@@ -254,7 +253,7 @@ def test_each_violation_kind_fires():
     v = evaluate(POLICY, make_view(log_tampered=True))
     assert [x.kind for x in v.violations] == ["log-tampered"]
 
-    v = evaluate(POLICY, make_view(location_estimates={"beacon-1": 5.0}))
+    v = evaluate(POLICY, make_view(location_estimates={RULE: 5.0}))
     assert [x.kind for x in v.violations] == ["location"]
 
     v = evaluate(POLICY, make_view(stale=True))
@@ -269,8 +268,8 @@ def test_ek_certificate_for_another_role_is_rejected():
 
 
 def test_latency_exactly_at_bound_passes():
-    assert evaluate(POLICY, make_view(location_estimates={"beacon-1": 2.0})).compliant
-    assert not evaluate(POLICY, make_view(location_estimates={"beacon-1": 2.001})).compliant
+    assert evaluate(POLICY, make_view(location_estimates={RULE: 2.0})).compliant
+    assert not evaluate(POLICY, make_view(location_estimates={RULE: 2.001})).compliant
 
 
 def test_unreachable_beacon_is_location_violation():
@@ -316,7 +315,8 @@ def test_whitelist_growth_is_monotone(extra):
     assert evaluate(POLICY, view).compliant
     bigger = Policy(
         tpm_ca_chain=POLICY.tpm_ca_chain,
-        pcr_whitelist=POLICY.pcr_whitelist,
+        statics=POLICY.statics,
+        dynamics=POLICY.dynamics,
         runtime_cert=POLICY.runtime_cert,
         software=POLICY.software + (
             SoftwareList("extra", tuple((h, f"/x/{i}") for i, h in enumerate(extra))),
@@ -324,18 +324,3 @@ def test_whitelist_growth_is_monotone(extra):
         location=POLICY.location,
     )
     assert evaluate(bigger, view).compliant
-
-
-# --------------------------------------------------------------------------
-# registry
-# --------------------------------------------------------------------------
-
-def test_registry_ids_are_fresh_16_byte_hex():
-    reg = PolicyRegistry()
-    rng = Rng(77)
-    a = reg.insert(POLICY, rng)
-    b = reg.insert(POLICY, rng)
-    assert a != b and len(bytes.fromhex(a)) == 16
-    assert reg.get(a) is POLICY
-    with pytest.raises(UnknownPolicyId):
-        reg.get("00" * 16)

@@ -3,15 +3,25 @@
 One generator, :func:`_layers`, drives every traversal.  It expands the
 frontier one layer at a time, keys each generated world exactly once, drops
 duplicates against the states already seen, and yields the new layer in
-discovery order together with the parent map.  A world is its own key: the
-records in :mod:`.world` are tuples, so the seen-set hashes and compares
-them structurally.
+discovery order.  A world's key is its packed int (:mod:`.world`), so the
+seen-set hashes and compares one int per state.  States are numbered in
+discovery order, and the search tree is two arrays over those numbers, a
+parent index and the event that reached the state, as in SPIN (Holzmann,
+*The Model Checker SPIN*, IEEE TSE 1997); a trace is read back by following
+the parent indices.
+
+Each traversal owns one :class:`~.world.Memo`, so the step tables that ask
+the trust rules live exactly as long as one :func:`check` or
+:func:`enumerate_reachable` run.  The term and record ids inside a key say
+only in which order their values were first interned in this process;
+they are hashed and compared for equality, never sorted, so no order below
+depends on them.
 
 Discovery order is what makes the output canonical.  A world's *trace* is
 its lexicographically smallest shortest event trace from the initial world,
 events compared by ``repr``.  Expanding a layer in trace order, each
 world's successors in ``repr(event)`` order, reaches every new world first
-through its trace, so the parent map records exactly that trace and the
+through its trace, so the parent array records exactly that trace and the
 next layer comes out in trace order as well (the induction is spelled out
 on :func:`_layers`).  The order, and so the verdict, depends only on the
 model and the bounds.
@@ -26,23 +36,22 @@ layers for invariant sweeps.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .terms import Term
 from .world import (
     DPCR_G,
+    MAX_TPMS,
     SPCR_G,
     Event,
+    Memo,
+    StateBudgetExceeded,
     World,
     build_world,
     successors,
     violations,
 )
-
-
-class StateBudgetExceeded(RuntimeError):
-    """The reachable graph outgrew ``max_states`` before an answer."""
 
 
 @dataclass(frozen=True)
@@ -58,6 +67,8 @@ class CheckConfig:
             raise ValueError("machines must be >= 1")
         if self.tpms < self.machines:
             raise ValueError("tpms must cover every machine")
+        if self.tpms > MAX_TPMS:
+            raise ValueError(f"tpms must be <= {MAX_TPMS}")
         if self.derivation_depth < 0:
             raise ValueError("derivation_depth must be >= 0")
 
@@ -130,13 +141,17 @@ def _world_summary(world: World, violation: Tuple[int, int, int]) -> dict:
     }
 
 
-def _layers(config: CheckConfig):
-    """Yield ``(layer, parents)`` for every non-empty BFS layer.
+def _layers(config: CheckConfig, parent: array, via: List[Event]):
+    """Yield every non-empty BFS layer as a list of canonical keys in
+    discovery order, starting with the initial world's alone.
 
-    A layer is a list of worlds in discovery order, starting with the
-    initial world alone; ``parents`` maps every world seen so far to its
-    ``(parent world, event)``.  Each world is keyed once, when it is
-    generated.
+    States are numbered in discovery order, so a layer is the last block of
+    numbers discovered when it is yielded.  State *n* was first reached from
+    state ``parent[n]`` by event ``via[n]``; the initial world's parent is
+    -1.  Each world is keyed once, when it is generated.  The seen-set and
+    the layers hold keys, plain ints that cost less to store than a
+    :class:`~.world.World`; a world is rebuilt from its key to be expanded.
+    One :class:`~.world.Memo` serves the traversal.
 
     Each layer is sorted by trace (module docstring).  Layer 0 is one
     world.  If layer *k* is sorted, its worlds are expanded in that order
@@ -145,47 +160,52 @@ def _layers(config: CheckConfig):
     A shortest trace of a world in layer *k + 1* is a shortest trace of a
     parent in layer *k*, all of length *k*, followed by one event; the
     smallest of them is therefore the first pair that reaches the world,
-    which is the one the parent map keeps.  Worlds are appended when first
-    reached, so layer *k + 1* is sorted by trace as well.
-
-    Equal knowledge sets of stored worlds share one frozenset, interned in
-    a dict that lives only as long as this traversal.
+    which is the one ``parent`` and ``via`` keep.  Worlds are appended when
+    first reached, so layer *k + 1* is sorted by trace as well.
     """
+    memo = Memo()
+    events: Dict[Event, Event] = {}  # equal events of stored states share one tuple
     initial = build_world(config.machines, config.tpms).canonical_key()
-    parents: Dict[World, Tuple[Optional[World], Optional[Event]]] = {initial: (None, None)}
-    known: Dict[FrozenSet[Term], FrozenSet[Term]] = {}
-    layer: List[World] = [initial]
+    seen = {initial}
+    parent.append(-1)
+    via.append(None)
+    layer: List[int] = [initial]
     depth = 0
     while layer:
-        yield layer, parents
+        yield layer
         depth += 1
-        found: List[World] = []
-        for parent in layer:
-            for event, child in successors(parent, config.obfuscate, config.derivation_depth):
-                world = child.canonical_key()
-                if world in parents:
+        found: List[int] = []
+        first = len(parent) - len(layer)
+        for n, key in enumerate(layer, first):
+            for event, child in successors(World(key), config.obfuscate,
+                                           config.derivation_depth, memo):
+                child_key = child.canonical_key()
+                if child_key in seen:
                     continue
-                world = World(world.machines, world.tpms,
-                              known.setdefault(world.knowledge, world.knowledge))
-                parents[world] = (parent, event)
-                if len(parents) > config.max_states:
+                seen.add(child_key)
+                parent.append(n)
+                via.append(events.setdefault(event, event))
+                if len(parent) > config.max_states:
                     raise StateBudgetExceeded(
                         f"more than {config.max_states} states at layer {depth}"
                     )
-                found.append(world)
+                found.append(child_key)
         layer = found
 
 
 def check(config: CheckConfig) -> Verdict:
     """Explore exhaustively; return the verdict with a minimal witness."""
-    for depth, (layer, parents) in enumerate(_layers(config)):
-        for world in layer:
+    parent, via = array("i"), []
+    for depth, layer in enumerate(_layers(config, parent, via)):
+        first = len(parent) - len(layer)
+        for n, key in enumerate(layer, first):
+            world = World(key)
             found = violations(world)
             if found:
-                trace = _trace(parents, world)
+                trace = _trace(parent, via, n)
                 return Verdict(
                     property_holds=False,
-                    states_explored=len(parents),
+                    states_explored=len(parent),
                     layers=depth,
                     config=config,
                     counterexample={
@@ -197,25 +217,22 @@ def check(config: CheckConfig) -> Verdict:
     # ``layers`` counts expansions; the last layer was expanded into nothing
     return Verdict(
         property_holds=True,
-        states_explored=len(parents),
+        states_explored=len(parent),
         layers=depth + 1,
         config=config,
     )
 
 
-def _trace(parents, world: World) -> List[Event]:
+def _trace(parent: array, via: List[Event], n: int) -> List[Event]:
     events: List[Event] = []
-    while True:
-        parent, event = parents[world]
-        if parent is None:
-            break
-        events.append(event)
-        world = parent
+    while parent[n] >= 0:
+        events.append(via[n])
+        n = parent[n]
     events.reverse()
     return events
 
 
 def enumerate_reachable(config: CheckConfig):
     """Yield every reachable world once, layer by layer (for invariant sweeps)."""
-    for layer, _parents in _layers(config):
-        yield from layer
+    for layer in _layers(config, array("i"), []):
+        yield from map(World, layer)

@@ -1,10 +1,20 @@
-"""Symbolic message terms and a bounded derivation engine.
+"""Symbolic message terms, hash-consed, and a bounded derivation engine.
 
-Terms are nested tuples with a leading tag:
+A term is a small int: its id in one intern table.  :func:`node` gives it
+back as a tag tuple whose children are ids:
 
 * ``('n', label)``    an atomic name (nonce, key, constant)
 * ``('h', t)``        a hash of ``t``
 * ``('p', a, b)``     a pair
+
+The constructors :func:`name`, :func:`h` and :func:`p` intern their node,
+so equal terms are the same id and a term hashes and compares as one int
+(hash-consing, after Filliâtre and Conchon, *Type-Safe Modular
+Hash-Consing*, ML Workshop 2006).  The table lives as long as the process
+and only grows; it holds the model's vocabulary, a few dozen terms at the
+bounds the explorer runs.  An id says when its term was first built and
+nothing else, so no order the explorer produces may depend on one: ids
+are compared for equality and used as keys, never sorted.
 
 ``saturate`` closes a knowledge set under decomposition (pairs split).
 ``derivable`` additionally allows bounded *composition*: an adversary may
@@ -14,36 +24,58 @@ Hashing is one-way, so knowing ``h(t)`` never yields ``t``.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Tuple
 
-Term = Tuple  # nested tag-tuples; atoms are ('n', label)
+Term = int  # an id in the intern table
+
+
+class Interner:
+    """Hash-consing: each distinct value gets the next small int, for good."""
+
+    def __init__(self):
+        self.values: List = []
+        self._ids: Dict[Hashable, int] = {}
+
+    def __call__(self, value: Hashable) -> int:
+        i = self._ids.get(value)
+        if i is None:
+            i = self._ids[value] = len(self.values)
+            self.values.append(value)
+        return i
+
+
+_terms = Interner()
+_nodes = _terms.values
 
 
 def name(label: str) -> Term:
-    return ("n", label)
+    return _terms(("n", label))
 
 
 def h(t: Term) -> Term:
-    return ("h", t)
+    return _terms(("h", t))
 
 
 def p(a: Term, b: Term) -> Term:
-    return ("p", a, b)
+    return _terms(("p", a, b))
+
+
+def node(t: Term) -> Tuple:
+    """The term as ``(tag, *children)``, children as ids (a name's is its label)."""
+    return _nodes[t]
 
 
 def saturate(knowledge: Iterable[Term]) -> FrozenSet[Term]:
     """Close ``knowledge`` under decomposition to a fixpoint."""
     known = set(knowledge)
-    changed = True
-    while changed:
-        changed = False
-        for t in list(known):
-            if t[0] != "p":
-                continue
-            for f in (t[1], t[2]):
+    pending = list(known)
+    while pending:
+        tag, *children = _nodes[pending.pop()]
+        if tag == "p":
+            for f in children:
                 if f not in known:
                     known.add(f)
-                    changed = True
+                    pending.append(f)
     return frozenset(known)
 
 
@@ -54,13 +86,8 @@ def derivable(term: Term, saturated: FrozenSet[Term], depth: int) -> bool:
         return True
     if depth <= 0:
         return False
-    tag = term[0]
+    tag, *children = _nodes[term]
     if tag == "n":
         return False  # fresh names cannot be invented
-    if tag == "h":
-        return derivable(term[1], saturated, depth - 1)
-    # a pair needs both components
-    return derivable(term[1], saturated, depth - 1) and derivable(
-        term[2], saturated, depth - 1
-    )
-
+    # a hash needs its argument, a pair both components
+    return all(derivable(c, saturated, depth - 1) for c in children)

@@ -2,21 +2,33 @@
 
 One world is a frozen snapshot of every machine's protocol phase, every
 TPM's registers (as terms) and the adversary's knowledge set.  The records
-(:class:`World`, :class:`MachineProc`, :class:`TpmProc`) are ``NamedTuple``
-values: equal states are equal tuples with equal hashes, so a world serves
-as its own key in the explorer's seen-set.  Each record stores a fact once.
-A record's position is its identity: machine *i* is attached to TPM *i*,
-and the TPMs past the last machine are free chips.  What follows from
-stored facts is derived, not stored: whether a driver is malicious follows
-from the booted image, and whether a free chip is prepared follows from its
-static register (see **tpm-init**).  Transitions follow the
-implementation's semantics, reduced to what the trust property can observe:
+:class:`MachineProc` and :class:`TpmProc` are ``NamedTuple`` values built
+positionally.  A :class:`World` packs them into one int, so a world hashes
+and compares in one step and costs a few dozen bytes to store:
+
+* from the low end, 16-bit slots hold the machine count, the TPM count,
+  then one record id per machine and one per TPM;
+* above the slots, the knowledge is a bitmask: bit *t* is set when the
+  adversary knows term *t* (terms are ids, :mod:`.terms`).
+
+Records are hash-consed into process-wide tables, as terms are, so a
+record id names one record for the life of the process, and
+``World.machines``, ``World.tpms`` and ``World.knowledge`` decode any world
+at any time.  Each record stores a fact once.  A record's position is its
+identity: machine *i* is attached to TPM *i*, and the TPMs past the last
+machine are free chips.  What follows from stored facts is derived, not
+stored: whether a driver is malicious follows from the booted image, and
+whether a free chip is prepared follows from its static register (see
+**tpm-init**).  Transitions follow the implementation's semantics, reduced
+to what the trust property can observe:
 
 * **Boot** picks an image set per machine.  The firmware is
   signature-gated, so the static register always takes the golden value on
   a successful boot and an unsigned firmware halts the machine.  The
   dynamic register takes the hash chain of the booted stack, so any
-  malicious component shows up there.  A malicious stack also means the
+  malicious component shows up there.  Nothing reaches a chip before its
+  machine boots (see **obf** and **tpm-init**), so each image's registers
+  are fixed once, in ``_BOOTED``.  A malicious stack also means the
   agent's TPM *driver* is adversary-controlled from then on.
 * **q0** is the agent's first quote: the driver picks the serving TPM.  An
   honest driver only ever reaches the attached chip; a malicious one may
@@ -59,15 +71,26 @@ on the agent side only, beside the shared rules.  The key binding (the
 quote is signed by the initialized key) is ``bound_tpm`` itself: q0 fixes
 the chip, and q1 and verify are forced onto it.  The reboot counter cannot
 move within one power cycle.
+
+A :class:`Memo` holds the steps of one traversal.  Each table maps the
+ids a step reads (a machine's record, a chip's record, the knowledge) to
+what it writes: the q1 read-back, the verify outcome, the extend rule, the
+tpm-init derivation and each event's sort key among them.  A miss asks the
+shared rule itself, so a table never restates a rule; it only remembers
+what the rule answered.  Tables live for one ``check`` or
+``enumerate_reachable`` run and are dropped with it, so a rule changed
+between runs is asked afresh.  Ids are looked up and compared, never
+ordered: the successor order comes from ``repr(event)``, where no id
+appears.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import FrozenSet, List, NamedTuple, Optional, Set, Tuple
+import struct
+from typing import Callable, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..trust import disagreeing, forwards_extends, static_split
-from .terms import Term, derivable, h, name, p, saturate
+from .terms import Interner, Term, derivable, h, name, p, saturate
 
 # -- fixed vocabulary -------------------------------------------------------
 
@@ -106,6 +129,11 @@ def junk_term(t: int) -> Term:
     return name(f"junk-t{t}")
 
 
+class StateBudgetExceeded(RuntimeError):
+    """The reachable graph outgrew ``max_states``, or a record table its
+    slot width, before an answer."""
+
+
 # -- processes --------------------------------------------------------------
 
 
@@ -129,18 +157,101 @@ class MachineProc(NamedTuple):
         return self.image in ("malicious-initramfs", "malicious-kernel")
 
 
-class World(NamedTuple):
+_MACHINES = Interner()
+_TPMS = Interner()
+_SLOT = 16                    # bits per slot of a packed world
+_MASK = (1 << _SLOT) - 1
+MAX_TPMS = _MASK              # a world's TPM count fills one slot
+
+
+def _record_id(table: Interner, record) -> int:
+    i = table(record)
+    if i > _MASK:
+        raise StateBudgetExceeded(
+            f"more than {_MASK + 1} distinct {type(record).__name__} records")
+    return i
+
+
+class _Records(NamedTuple):
+    """A world's records, unpacked."""
     machines: Tuple[MachineProc, ...]
     tpms: Tuple[TpmProc, ...]
-    knowledge: FrozenSet[Term]
 
-    def canonical_key(self) -> World:
-        """The world's identity in the explorer's seen-set: the world itself,
-        since equal tuples of equal terms are the same state."""
-        return self
+
+class World(int):
+    """One world packed into one int (module docstring): equal worlds are
+    equal ints, so a world hashes and compares in one step."""
+
+    __slots__ = ()
+
+    def canonical_key(self) -> int:
+        """The world's identity in the explorer's seen-set: its packed int,
+        bare, since equal states pack to the same int and a bare int is
+        smaller to store and untracked by the garbage collector."""
+        return int(self)
+
+    @property
+    def machines(self) -> Tuple[MachineProc, ...]:
+        return _records(self).machines
+
+    @property
+    def tpms(self) -> Tuple[TpmProc, ...]:
+        return _records(self).tpms
+
+    @property
+    def knowledge(self) -> FrozenSet[Term]:
+        return _members(self >> _knowledge_shift(self))
 
 
 Event = Tuple  # ("boot", m, image) | ("q0", m, t) | ("obf", m, route) | ...
+
+
+def _record_ids(world: int) -> Tuple[int, ...]:
+    """The ids in a world's record slots: machine ``i`` is slot ``i``, TPM
+    ``t`` slot ``machines + t``."""
+    count = (world & _MASK) + (world >> _SLOT & _MASK)
+    packed = world.to_bytes(max((world.bit_length() + 7) // 8, 4 + 2 * count), "little")
+    return struct.unpack_from(f"<{count}H", packed, 4)
+
+
+def _put(world: int, j: int, record_id: int) -> int:
+    """``world`` with ``record_id`` in record slot ``j``."""
+    shift = _SLOT * (2 + j)
+    return world ^ ((world >> shift & _MASK ^ record_id) << shift)
+
+
+def _knowledge_shift(world: int) -> int:
+    return _SLOT * (2 + (world & _MASK) + (world >> _SLOT & _MASK))
+
+
+def _records(world: int, ids: Optional[Tuple[int, ...]] = None) -> _Records:
+    """The one decoder of a world's machine and TPM records."""
+    if ids is None:
+        ids = _record_ids(world)
+    n_machines = world & _MASK
+    return _Records(tuple(map(_MACHINES.values.__getitem__, ids[:n_machines])),
+                    tuple(map(_TPMS.values.__getitem__, ids[n_machines:])))
+
+
+def _pack(machines: Sequence[MachineProc], tpms: Sequence[TpmProc],
+          knowledge: FrozenSet[Term]) -> World:
+    ids = [_record_id(_MACHINES, m) for m in machines] + [_record_id(_TPMS, t) for t in tpms]
+    world = len(machines) | len(tpms) << _SLOT
+    for j, record_id in enumerate(ids):
+        world |= record_id << (_SLOT * (2 + j))
+    return World(world | _bits(*knowledge) << (_SLOT * (2 + len(ids))))
+
+
+def _bits(*terms: Term) -> int:
+    """The knowledge bitmask of ``terms``: bit ``t`` stands for term ``t``."""
+    mask = 0
+    for t in terms:
+        mask |= 1 << t
+    return mask
+
+
+def _members(mask: int) -> FrozenSet[Term]:
+    return frozenset(t for t in range(mask.bit_length()) if mask >> t & 1)
 
 
 def build_world(n_machines: int, n_tpms: int) -> World:
@@ -149,52 +260,136 @@ def build_world(n_machines: int, n_tpms: int) -> World:
         {S0, D0, UEFI_S, TBOOT_S, K_G, I_G, K_M, I_M}
         | {junk_term(t) for t in range(n_machines, n_tpms)}
     )
-    return World((MachineProc(),) * n_machines, (TpmProc(S0, D0),) * n_tpms, knowledge)
+    return _pack((MachineProc(),) * n_machines, (TpmProc(S0, D0),) * n_tpms, knowledge)
 
 
-@lru_cache(maxsize=4096)
-def _saturated(knowledge: FrozenSet[Term]) -> FrozenSet[Term]:
-    return saturate(knowledge)
+# each image's boot, as (machine record id, chip record id): the golden
+# static chain over the power-on value and the launched stack's dynamic chain
+_BOOTED = {image: (_record_id(_MACHINES, MachineProc("booted", image)),
+                   _record_id(_TPMS, TpmProc(SPCR_G, dpcr_term(kernel, initramfs))))
+           for image, (kernel, initramfs) in _BOOT_STACKS.items()}
+_HALTED_UNSIGNED = _record_id(_MACHINES, MachineProc("halted", "unsigned-uefi"))
+
+
+# -- the decisions of one traversal -----------------------------------------
+
+
+class _Table(dict):
+    """A memo table: ``rule(key)`` is asked on the first lookup of ``key``."""
+
+    __slots__ = ("rule",)
+
+    def __init__(self, rule: Callable):
+        super().__init__()
+        self.rule = rule
+
+    def __missing__(self, key):
+        value = self[key] = self.rule(key)
+        return value
+
+
+def _leaked(m: MachineProc, *terms: Term) -> int:
+    """The knowledge bits a step by ``m``'s driver hands the adversary."""
+    return _bits(*terms) if m.driver_malicious else 0
+
+
+def _q0(key) -> Tuple[int, int]:
+    mid, t, tid = key
+    m, tpm = _MACHINES.values[mid], _TPMS.values[tid]
+    return (_record_id(_MACHINES, MachineProc("init_q0", m.image, t, tpm.spcr, tpm.dpcr)),
+            _leaked(m, tpm.spcr, tpm.dpcr))
+
+
+def _obf(key) -> Tuple[int, int]:
+    i, mid = key
+    m = _MACHINES.values[mid]
+    # the driver sees the mask in the clear
+    return (_record_id(_MACHINES, MachineProc("init_extend", *m[1:])), _leaked(m, rnd_term(i)))
+
+
+def _extend(key) -> int:
+    i, tid = key
+    tpm = _TPMS.values[tid]
+    return _record_id(_TPMS, TpmProc(h(p(tpm.spcr, rnd_term(i))), tpm.dpcr))
+
+
+def _q1(key) -> Tuple[int, int]:
+    """q1: the bound static register must show exactly the q0 value extended
+    by the mask, and the dynamic one must not have moved."""
+    i, mid, tid = key
+    m, tpm = _MACHINES.values[mid], _TPMS.values[tid]
+    if (disagreeing((0,), {0: h(p(m.q0_spcr, rnd_term(i)))}, {0: tpm.spcr})
+            or disagreeing((0,), {0: m.q0_dpcr}, {0: tpm.dpcr})):
+        after = MachineProc("halted", *m[1:])
+    else:
+        after = MachineProc("sealed", m.image, m.bound_tpm, m.q0_spcr, m.q0_dpcr, tpm.spcr)
+    return _record_id(_MACHINES, after), _leaked(m, tpm.spcr, tpm.dpcr)
+
+
+def _seal(mid: int) -> int:
+    m = _MACHINES.values[mid]
+    return _record_id(_MACHINES, MachineProc("sealed", m.image, m.bound_tpm, m.q0_spcr,
+                                             m.q0_dpcr, m.q0_spcr))
+
+
+def _verify(key) -> Tuple[int, int]:
+    """verify: c2 over sealed, golden and quoted dynamics, c3 as the static
+    split over the sealed baseline and the sealed obfuscated value."""
+    mid, tid = key
+    m, tpm = _MACHINES.values[mid], _TPMS.values[tid]
+    c2 = not disagreeing((0,), {0: m.q0_dpcr}, {0: DPCR_G}, {0: tpm.dpcr})
+    c3 = not static_split((0,), {0: SPCR_G}, {0: m.q0_spcr}, {0: m.sealed_obf},
+                          {0: tpm.spcr})
+    return (_record_id(_MACHINES, MachineProc("done", m.image, m.bound_tpm, m.q0_spcr,
+                                              m.q0_dpcr, m.sealed_obf, c2 and c3)),
+            _leaked(m, tpm.spcr, tpm.dpcr))
+
+
+def _forwards(dpcr: Term) -> bool:
+    return forwards_extends({0: DPCR_G}, {0: dpcr})
+
+
+def _derives_golden_static(key) -> bool:
+    knowledge, depth = key
+    return derivable(SPCR_G, saturate(_members(knowledge)), depth)
+
+
+class Memo:
+    """The step tables of one traversal (module docstring).  A step maps
+    the ids it reads to the id of the record it writes and the knowledge
+    bits it leaks."""
+
+    def __init__(self):
+        self.q0 = _Table(_q0)                  # (machine, t, chip) -> (machine, leak)
+        self.obf = _Table(_obf)                # (i, machine) -> (machine, leak)
+        self.extend = _Table(_extend)          # (i, chip) -> chip with i's mask
+        self.q1 = _Table(_q1)                  # (i, machine, chip) -> (machine, leak)
+        self.seal = _Table(_seal)              # machine -> machine
+        self.verify = _Table(_verify)          # (machine, chip) -> (machine, leak)
+        self.forwards = _Table(_forwards)      # host dynamic register -> bool
+        self.golden_static = _Table(_derives_golden_static)  # (knowledge, depth) -> bool
+        self.sort_key = _Table(repr)           # event -> repr(event)
 
 
 # -- transition helpers -----------------------------------------------------
-# worlds are built positionally: ``_replace`` is a keyword pass over every
-# field, and these three run for nearly every generated state
-
-
-def _with_machine(world: World, i: int, m: MachineProc) -> World:
-    machines = list(world.machines)
-    machines[i] = m
-    return World(tuple(machines), world.tpms, world.knowledge)
-
-
-def _with_tpm(world: World, t: int, tpm: TpmProc) -> World:
-    tpms = list(world.tpms)
-    tpms[t] = tpm
-    return World(world.machines, tuple(tpms), world.knowledge)
-
-
-def _leak(world: World, *terms: Term) -> World:
-    missing = [t for t in terms if t not in world.knowledge]
-    if not missing:
-        return world
-    return World(world.machines, world.tpms, world.knowledge | set(missing))
 
 
 def _serving(m: MachineProc) -> bool:
     return m.phase not in ("created", "halted")
 
 
-def _host_accepts_extends(world: World, t: int) -> bool:
+def _host_accepts_extends(world, t: int, memo: Optional[Memo] = None) -> bool:
     """Remote-extend physics: a serving host forwards an extend by the
     relay's rule (:func:`attestsim.trust.forwards_extends`) on its dynamic
     register; free chips are prepared before the episode and serve reads
-    only."""
-    return (t < len(world.machines) and _serving(world.machines[t])
-            and forwards_extends({0: DPCR_G}, {0: world.tpms[t].dpcr}))
+    only.  ``world`` is a :class:`World` or its unpacked records."""
+    if t >= len(world.machines) or not _serving(world.machines[t]):
+        return False
+    dpcr = world.tpms[t].dpcr
+    return memo.forwards[dpcr] if memo else _forwards(dpcr)
 
 
-def _readable_tpms(world: World, i: int) -> Set[int]:
+def _readable_tpms(world, i: int) -> Set[int]:
     """TPMs a malicious driver on machine ``i`` can route reads to."""
     free = range(len(world.machines), len(world.tpms))
     return ({i} | {j for j, m in enumerate(world.machines) if _serving(m)}
@@ -204,108 +399,82 @@ def _readable_tpms(world: World, i: int) -> Set[int]:
 # -- successors -------------------------------------------------------------
 
 
-def successors(world: World, obfuscate: bool, derivation_depth: int) -> List[Tuple[Event, World]]:
-    """All one-step moves, in a canonical deterministic order."""
+def successors(world: World, obfuscate: bool, derivation_depth: int,
+               memo: Optional[Memo] = None) -> List[Tuple[Event, World]]:
+    """All one-step moves, in a canonical deterministic order.  ``memo``
+    carries the step tables across the calls of one traversal; without it,
+    a call decides everything afresh."""
+    if memo is None:
+        memo = Memo()
+    ids = _record_ids(world)
+    records = _records(world, ids)
+    n_machines = len(records.machines)
+    leak_shift = _knowledge_shift(world)
     out: List[Tuple[Event, World]] = []
 
-    for i, m in enumerate(world.machines):
-        if m.phase == "created":
+    def moved(machine: int, step: Tuple[int, int]) -> int:
+        record_id, leak = step
+        return _put(world, machine, record_id) | leak << leak_shift
+
+    for i, m in enumerate(records.machines):
+        phase = m.phase
+        if phase == "created":
             for image in BOOT_MENU:
                 out.append((("boot", i, image), _boot(world, i, image)))
-        elif m.phase == "booted":
-            for t in _readable_tpms(world, i) if m.driver_malicious else (i,):
-                out.append((("q0", i, t), _q0(world, i, t)))
-        elif m.phase == "init_q0":
-            if obfuscate:
-                for route in _obf_routes(world, i):
-                    out.append((("obf", i, route), _obf(world, i, route)))
-            else:
-                out.append((("seal", i), _seal(world, i)))
-        elif m.phase == "init_extend":
-            out.append((("q1", i), _q1(world, i)))
-        elif m.phase == "sealed":
-            out.append((("verify", i), _verify(world, i)))
+        elif phase == "booted":
+            for t in _readable_tpms(records, i) if m.driver_malicious else (i,):
+                step = memo.q0[ids[i], t, ids[n_machines + t]]
+                out.append((("q0", i, t), World(moved(i, step))))
+        elif phase == "init_q0":
+            if not obfuscate:
+                out.append((("seal", i), World(_put(world, i, memo.seal[ids[i]]))))
+                continue
+            masked = moved(i, memo.obf[i, ids[i]])
+            for route in _obf_routes(records, i, memo):
+                if route == "drop":
+                    child = masked
+                else:
+                    chip = n_machines + (i if route == "local" else m.bound_tpm)
+                    child = _put(masked, chip, memo.extend[i, ids[chip]])
+                out.append((("obf", i, route), World(child)))
+        elif phase == "init_extend":
+            step = memo.q1[i, ids[i], ids[n_machines + m.bound_tpm]]
+            out.append((("q1", i), World(moved(i, step))))
+        elif phase == "sealed":
+            step = memo.verify[ids[i], ids[n_machines + m.bound_tpm]]
+            out.append((("verify", i), World(moved(i, step))))
 
-    for t in range(len(world.machines), len(world.tpms)):
-        tpm = world.tpms[t]
+    for t in range(n_machines, len(records.tpms)):
+        tpm = records.tpms[t]
         if tpm.spcr != S0:
             continue
-        if derivable(SPCR_G, _saturated(world.knowledge), derivation_depth):
-            out.append((("tpm-init", t, "golden"),
-                        _with_tpm(world, t, TpmProc(SPCR_G, tpm.dpcr))))
-        out.append((("tpm-init", t, "junk"),
-                    _with_tpm(world, t, TpmProc(junk_term(t), tpm.dpcr))))
+        if memo.golden_static[world >> leak_shift, derivation_depth]:
+            chip = _record_id(_TPMS, TpmProc(SPCR_G, tpm.dpcr))
+            out.append((("tpm-init", t, "golden"), World(_put(world, n_machines + t, chip))))
+        chip = _record_id(_TPMS, TpmProc(junk_term(t), tpm.dpcr))
+        out.append((("tpm-init", t, "junk"), World(_put(world, n_machines + t, chip))))
 
-    out.sort(key=lambda pair: repr(pair[0]))
+    sort_key = memo.sort_key
+    out.sort(key=lambda pair: sort_key[pair[0]])
     return out
 
 
 def _boot(world: World, i: int, image: str) -> World:
-    # a created machine carries nothing but its phase
+    # a created machine carries nothing but its phase, and nothing has
+    # reached its chip yet
     if image == "unsigned-uefi":
-        return _with_machine(world, i, MachineProc("halted", image))
-    kernel, initramfs = _BOOT_STACKS[image]
-    tpm = world.tpms[i]
-    world = _with_tpm(world, i, TpmProc(h(p(tpm.spcr, h(UEFI_S))),
-                                        dpcr_term(kernel, initramfs)))
-    return _with_machine(world, i, MachineProc("booted", image))
+        return World(_put(world, i, _HALTED_UNSIGNED))
+    machine, chip = _BOOTED[image]
+    return World(_put(_put(world, i, machine), (world & _MASK) + i, chip))
 
 
-def _q0(world: World, i: int, t: int) -> World:
-    m, tpm = world.machines[i], world.tpms[t]
-    if m.driver_malicious:
-        world = _leak(world, tpm.spcr, tpm.dpcr)
-    return _with_machine(world, i, m._replace(phase="init_q0", bound_tpm=t,
-                                              q0_spcr=tpm.spcr, q0_dpcr=tpm.dpcr))
-
-
-def _obf_routes(world: World, i: int) -> List[str]:
-    m = world.machines[i]
+def _obf_routes(records: _Records, i: int, memo: Memo) -> Tuple[str, ...]:
+    m = records.machines[i]
     if not m.driver_malicious:
-        return ["local"]
-    if m.bound_tpm != i and _host_accepts_extends(world, m.bound_tpm):
-        return ["drop", "local", "bound"]
-    return ["drop", "local"]
-
-
-def _obf(world: World, i: int, route: str) -> World:
-    m = world.machines[i]
-    rnd = rnd_term(i)
-    if m.driver_malicious:
-        world = _leak(world, rnd)  # the driver sees the mask in the clear
-    if route != "drop":
-        t = i if route == "local" else m.bound_tpm
-        target = world.tpms[t]
-        world = _with_tpm(world, t, TpmProc(h(p(target.spcr, rnd)), target.dpcr))
-    return _with_machine(world, i, m._replace(phase="init_extend"))
-
-
-def _q1(world: World, i: int) -> World:
-    m = world.machines[i]
-    tpm = world.tpms[m.bound_tpm]
-    if m.driver_malicious:
-        world = _leak(world, tpm.spcr, tpm.dpcr)
-    expected = h(p(m.q0_spcr, rnd_term(i)))
-    if (disagreeing((0,), {0: expected}, {0: tpm.spcr})
-            or disagreeing((0,), {0: m.q0_dpcr}, {0: tpm.dpcr})):
-        return _with_machine(world, i, m._replace(phase="halted"))
-    return _with_machine(world, i, m._replace(phase="sealed", sealed_obf=tpm.spcr))
-
-
-def _seal(world: World, i: int) -> World:
-    m = world.machines[i]
-    return _with_machine(world, i, m._replace(phase="sealed", sealed_obf=m.q0_spcr))
-
-
-def _verify(world: World, i: int) -> World:
-    m = world.machines[i]
-    tpm = world.tpms[m.bound_tpm]
-    if m.driver_malicious:
-        world = _leak(world, tpm.spcr, tpm.dpcr)
-    c2 = not disagreeing((0,), {0: m.q0_dpcr}, {0: DPCR_G}, {0: tpm.dpcr})
-    c3 = not static_split((0,), {0: SPCR_G}, {0: m.q0_spcr}, {0: m.sealed_obf},
-                          {0: tpm.spcr})
-    return _with_machine(world, i, m._replace(phase="done", trusted=c2 and c3))
+        return ("local",)
+    if m.bound_tpm != i and _host_accepts_extends(records, m.bound_tpm, memo):
+        return ("drop", "local", "bound")
+    return ("drop", "local")
 
 
 # -- the property -----------------------------------------------------------
@@ -314,5 +483,6 @@ def _verify(world: World, i: int) -> World:
 def violations(world: World) -> List[Tuple[int, int, int]]:
     """Machines holding a trusted verdict whose quote TPM is not the
     attached one: (machine, x=quote tpm, y=attached tpm)."""
-    return [(i, m.bound_tpm, i) for i, m in enumerate(world.machines)
+    machines = map(_MACHINES.values.__getitem__, _record_ids(world)[:world & _MASK])
+    return [(i, m.bound_tpm, i) for i, m in enumerate(machines)
             if m.phase == "done" and m.trusted and m.bound_tpm != i]

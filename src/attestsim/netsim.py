@@ -1,8 +1,9 @@
 """Virtual-time network, trusted beacons and proximity estimation.
 
 Time is virtual.  A message leg draws its latency from the link model
-(base + uniform jitter) in :meth:`NetworkModel.one_way_ms`, which advances
-no clock.  Each beacon stamps its responses from a :class:`VirtualClock`
+(base + uniform jitter) in :meth:`Leg.ms`, which advances no clock; a
+proximity measurement resolves its two legs once and draws every message
+on them.  Each beacon stamps its responses from a :class:`VirtualClock`
 of its own, and a proximity measurement advances only that clock, by each
 leg it draws.  A fleet's script and controller run on another clock, and
 the controller's reachability legs advance none.  An adversary on the
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .crypto import Certificate, KeyPair, Rng, certificate_valid, sha256, sign, verify
 
@@ -89,6 +90,30 @@ class AdversaryModel:
         return src in self.relay_targets or dst in self.relay_targets
 
 
+class Leg(NamedTuple):
+    """One direction between two endpoints, resolved once: its link, and
+    the adversary when one sits on this path."""
+
+    src: str
+    dst: str
+    latency: LatencyModel
+    adversary: Optional[AdversaryModel]
+
+    def ms(self, rng: Rng) -> float:
+        """Latency of one message on this leg; raises on an adversarial drop."""
+        latency = self.latency.sample(rng)
+        adv = self.adversary
+        if adv is not None:
+            if adv.can_drop:
+                raise BeaconUnreachable(f"message {self.src}->{self.dst} dropped in transit")
+            latency += max(0.0, adv.added_delay_ms)
+        return latency
+
+    @property
+    def tampered(self) -> bool:
+        return self.adversary is not None and self.adversary.can_modify
+
+
 class NetworkModel:
     """Endpoint placement plus per-DC-pair latency models."""
 
@@ -121,19 +146,15 @@ class NetworkModel:
             a, b = sorted(pair)
             raise BeaconUnreachable(f"no route between {a} and {b}")
 
+    def leg(self, src: str, dst: str) -> Leg:
+        """The leg from ``src`` to ``dst``; raises when there is no route."""
+        adv = self.adversary
+        return Leg(src, dst, self.link(src, dst),
+                   adv if adv is not None and adv.intercepts(src, dst) else None)
+
     def one_way_ms(self, src: str, dst: str, rng: Rng) -> float:
         """Latency of one message leg; raises on an adversarial drop."""
-        latency = self.link(src, dst).sample(rng)
-        adv = self.adversary
-        if adv is not None and adv.intercepts(src, dst):
-            if adv.can_drop:
-                raise BeaconUnreachable(f"message {src}->{dst} dropped in transit")
-            latency += max(0.0, adv.added_delay_ms)
-        return latency
-
-    def tampered(self, src: str, dst: str) -> bool:
-        adv = self.adversary
-        return adv is not None and adv.can_modify and adv.intercepts(src, dst)
+        return self.leg(src, dst).ms(rng)
 
 
 # --------------------------------------------------------------------------
@@ -232,10 +253,15 @@ def measure_proximity(
     timestamps: List[float] = []
     for k in range(n_samples + 1):
         token = rng.bytes(16)
-        clock.advance(net.one_way_ms(agent_endpoint, beacon.endpoint, rng))
+        if k == 0:
+            # both legs resolve once, as the first request leaves; links are
+            # symmetric, so the return leg resolves whenever this one does
+            out = net.leg(agent_endpoint, beacon.endpoint)
+            back = net.leg(beacon.endpoint, agent_endpoint)
+        clock.advance(out.ms(rng))
         response = beacon.respond(token, first=k == 0, last=k == n_samples)
-        clock.advance(net.one_way_ms(beacon.endpoint, agent_endpoint, rng))
-        if net.tampered(agent_endpoint, beacon.endpoint):  # rewritten in transit
+        clock.advance(back.ms(rng))
+        if out.tampered:  # rewritten in transit
             echo = bytes([response.echo[0] ^ 1]) + response.echo[1:]
             response = replace(response, echo=echo)
         if response.echo != token:

@@ -219,7 +219,8 @@ def _model_host(phase, image=None):
     world = model.build_world(2, 2)
     if image is not None:
         world = model._boot(world, 1, image)
-    return model._with_machine(world, 1, world.machines[1]._replace(phase=phase))
+    machines = (world.machines[0], model.MachineProc(phase, world.machines[1].image))
+    return model._pack(machines, world.tpms, world.knowledge)
 
 
 # host state -> (how the host gets there, relay serves reads, relay forwards

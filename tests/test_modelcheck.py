@@ -1,17 +1,24 @@
 """Symbolic checker: term algebra, state space, the cuckoo result."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import attestsim.modelcheck.world as model
 from attestsim.modelcheck import (
     CheckConfig,
     StateBudgetExceeded,
     check,
+    terms,
 )
 from attestsim.modelcheck.explore import enumerate_reachable, event_str
-from attestsim.modelcheck.terms import derivable, h, name, p, saturate
+from attestsim.modelcheck.terms import derivable, h, name, node, p, saturate
 from attestsim.modelcheck.world import (
+    D0,
     DPCR_G,
     S0,
     SPCR_G,
@@ -67,6 +74,11 @@ def test_world_shape_and_validation():
 def test_check_config_refuses_bad_bounds(bounds, message):
     with pytest.raises(ValueError, match=message):
         CheckConfig(**bounds)
+
+
+def test_check_config_refuses_more_tpms_than_a_slot_holds():
+    with pytest.raises(ValueError, match="tpms must be <= 65535"):
+        CheckConfig(machines=1, tpms=65536)
 
 
 def test_free_tpm_golden_static_is_depth_gated():
@@ -259,9 +271,11 @@ def test_enumeration_covers_exactly_the_checked_states():
 
 
 def _subterms(term):
-    yield term
-    for child in term[1:]:
-        if isinstance(child, tuple):
+    """The term and every term inside it, each as its ``node()``."""
+    tag, *children = node(term)
+    yield (tag, *children)
+    if tag != "n":
+        for child in children:
             yield from _subterms(child)
 
 
@@ -284,3 +298,120 @@ def test_reachable_terms_are_names_hashes_and_pairs(obfuscate):
 def test_plain_reachable_graph_contains_trusted_cuckoo_state():
     cfg = CheckConfig(machines=2, tpms=2, derivation_depth=5)
     assert any(violations(w) for w in enumerate_reachable(cfg))
+
+
+# --------------------------------------------------------------------------
+# compact states: interned terms, packed worlds, per-check step tables
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rule,answer,expected", [
+    ("disagreeing", [], (False, 811)),
+    ("forwards_extends", True, (False, 811)),
+    ("forwards_extends", False, (True, 1269)),
+    # dropping c3 leaves the verdict standing: an open gap, pinned as it is
+    ("static_split", [], (True, 2057)),
+])
+def test_the_verdict_rests_on_the_shared_rules_with_no_stale_step(monkeypatch, rule,
+                                                                   answer, expected):
+    """A rule changed after a check is asked afresh by the next one: the
+    step tables live for one traversal."""
+    cfg = CheckConfig(machines=2, tpms=2, derivation_depth=5, obfuscate=True)
+    assert check(cfg).property_holds
+    monkeypatch.setattr(model, rule, lambda *args: answer)
+    verdict = check(cfg)
+    assert (verdict.property_holds, verdict.states_explored) == expected
+
+
+def test_the_vocabulary_is_pinned_and_the_intern_table_stays_small():
+    cfg = CheckConfig(machines=2, tpms=3, derivation_depth=5, obfuscate=True)
+    seen, knowledge_sets = set(), set()
+    for world in enumerate_reachable(cfg):
+        seen |= world.knowledge | {t for tpm in world.tpms for t in tpm}
+        knowledge_sets.add(world.knowledge)
+    assert (len(seen), len(knowledge_sets)) == (19, 68)
+    # the table holds the vocabulary of every bound these tests run, and a
+    # check adds nothing to what an earlier one built
+    interned = len(terms._nodes)
+    check(cfg)
+    assert len(terms._nodes) == interned <= 64
+
+
+def test_a_record_table_past_its_slot_width_ends_the_search(monkeypatch):
+    table = terms.Interner()
+    for k in range(1 << 16):
+        table(("unrelated", k))
+    monkeypatch.setattr(model, "_MACHINES", table)
+    with pytest.raises(StateBudgetExceeded, match="more than 65536 distinct MachineProc"):
+        check(CheckConfig(machines=1, tpms=1))
+
+
+@pytest.mark.parametrize("obfuscate", [False, True])
+def test_a_chip_is_untouched_until_its_machine_boots(obfuscate):
+    """Boot writes each image's registers, fixed once, over the power-on
+    values: nothing reaches a chip whose machine is still created."""
+    cfg = CheckConfig(machines=2, tpms=3, derivation_depth=5, obfuscate=obfuscate)
+    for world in enumerate_reachable(cfg):
+        for i, m in enumerate(world.machines):
+            if m.phase == "created":
+                assert world.tpms[i] == (S0, D0), world.machines
+
+
+# Runs the 2x2 checks in a fresh interpreter whose term and record tables
+# first intern ``pad`` unrelated values, so every id the model builds moves.
+SHIFTED_RUN = r"""
+import hashlib, importlib.util, json, sys
+from pathlib import Path
+
+pad, src = int(sys.argv[1]), Path(sys.argv[2])
+spec = importlib.util.spec_from_file_location(
+    "attestsim.modelcheck.terms", src / "attestsim" / "modelcheck" / "terms.py")
+terms = importlib.util.module_from_spec(spec)
+sys.modules[spec.name] = terms
+spec.loader.exec_module(terms)
+for k in range(pad):
+    terms.h(terms.name(f"unrelated-{k}"))
+
+from attestsim.modelcheck import world
+from attestsim.modelcheck.explore import CheckConfig, check, enumerate_reachable
+
+for k in range(pad):
+    world._MACHINES(("unrelated", k))
+    world._TPMS(("unrelated", k))
+
+
+def expand(t):
+    tag, *children = terms.node(t)
+    return (tag, *children) if tag == "n" else (tag, *map(expand, children))
+
+
+def render(w):
+    machines = [tuple(expand(f) if k in (3, 4, 5) and f is not None else f
+                      for k, f in enumerate(m)) for m in w.machines]
+    tpms = [tuple(map(expand, tpm)) for tpm in w.tpms]
+    return repr((machines, tpms, sorted(map(repr, map(expand, w.knowledge)))))
+
+
+print(world.S0, world._MACHINES(world.MachineProc()))
+for obfuscate in (False, True):
+    cfg = CheckConfig(machines=2, tpms=2, derivation_depth=5, obfuscate=obfuscate)
+    print(json.dumps(check(cfg).to_dict(), sort_keys=True, indent=2))
+    digest = hashlib.sha256()
+    for w in enumerate_reachable(cfg):
+        digest.update(render(w).encode() + b"\n")
+    print(digest.hexdigest())
+"""
+
+
+def test_ids_carry_no_order():
+    """Shifting every term id and the ids of records built during a check
+    changes no verdict byte and no world of the enumeration, nor its order."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    runs = [subprocess.run([sys.executable, "-c", SHIFTED_RUN, str(pad), str(src)],
+                           capture_output=True, text=True, env=env, check=True).stdout
+            for pad in (0, 37)]
+    (ids, *rest), (shifted_ids, *shifted_rest) = (run.splitlines() for run in runs)
+    assert ids != shifted_ids
+    assert rest == shifted_rest

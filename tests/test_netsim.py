@@ -228,6 +228,28 @@ def test_dropping_adversary_makes_beacon_unreachable():
         measure_proximity(net, rng, "agent", beacon)
 
 
+@pytest.mark.parametrize("net,draws", [
+    (NetworkModel({("a", "a"): LatencyModel(0.3, 0.2)}, {"agent": "a", "beacon-1": "b"}),
+     ["token"]),
+    (two_dc_net(adversary=AdversaryModel(can_drop=True)), ["token", "jitter"]),
+], ids=["no-route", "drop"])
+def test_a_failed_measurement_draws_only_what_it_sent(net, draws):
+    """A missing route raises as the first request leaves, after its token
+    is drawn; a drop raises after that leg's latency is drawn as well.  The
+    agent goes on drawing from the same rng, so these draws shape its
+    later output."""
+    beacon, _ = make_beacon(Rng(3), VirtualClock())
+    rng, expected = Rng(4), Rng(4)
+    with pytest.raises(BeaconUnreachable):
+        measure_proximity(net, rng, "agent", beacon)
+    for draw in draws:
+        if draw == "token":
+            expected.bytes(16)
+        else:
+            expected.uniform(0.0, 0.2)
+    assert rng.bytes(8) == expected.bytes(8)
+
+
 def test_modifying_adversary_breaks_signature():
     rng = Rng(19)
     clock = VirtualClock()

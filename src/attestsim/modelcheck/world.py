@@ -74,8 +74,8 @@ move within one power cycle.
 
 A :class:`Memo` holds the steps of one traversal.  Each table maps the
 ids a step reads (a machine's record, a chip's record, the knowledge) to
-what it writes: the q1 read-back, the verify outcome, the extend rule, the
-tpm-init derivation and each event's sort key among them.  A miss asks the
+what it writes: the q0 step, the q1 read-back, the verify outcome, the
+extend rule, the tpm-init derivation and each event's sort key.  A miss asks the
 shared rule itself, so a table never restates a rule; it only remembers
 what the rule answered.  Tables live for one ``check`` or
 ``enumerate_reachable`` run and are dropped with it, so a rule changed
@@ -131,7 +131,9 @@ def junk_term(t: int) -> Term:
 
 class StateBudgetExceeded(RuntimeError):
     """The reachable graph outgrew ``max_states``, or a record table its
-    slot width, before an answer."""
+    slot width, before an answer.  The record tables are process-wide and
+    only grow, so the slot limit counts the records of every earlier check
+    in the process, not only the current one's."""
 
 
 # -- processes --------------------------------------------------------------
@@ -165,6 +167,9 @@ MAX_TPMS = _MASK              # a world's TPM count fills one slot
 
 
 def _record_id(table: Interner, record) -> int:
+    """``record``'s id in ``table``; an id past one slot ends the search.
+    The tables serve the whole process, so the limit covers every record
+    interned since it started, by any check (:class:`StateBudgetExceeded`)."""
     i = table(record)
     if i > _MASK:
         raise StateBudgetExceeded(
@@ -300,19 +305,6 @@ def _q0(key) -> Tuple[int, int]:
             _leaked(m, tpm.spcr, tpm.dpcr))
 
 
-def _obf(key) -> Tuple[int, int]:
-    i, mid = key
-    m = _MACHINES.values[mid]
-    # the driver sees the mask in the clear
-    return (_record_id(_MACHINES, MachineProc("init_extend", *m[1:])), _leaked(m, rnd_term(i)))
-
-
-def _extend(key) -> int:
-    i, tid = key
-    tpm = _TPMS.values[tid]
-    return _record_id(_TPMS, TpmProc(h(p(tpm.spcr, rnd_term(i))), tpm.dpcr))
-
-
 def _q1(key) -> Tuple[int, int]:
     """q1: the bound static register must show exactly the q0 value extended
     by the mask, and the dynamic one must not have moved."""
@@ -324,12 +316,6 @@ def _q1(key) -> Tuple[int, int]:
     else:
         after = MachineProc("sealed", m.image, m.bound_tpm, m.q0_spcr, m.q0_dpcr, tpm.spcr)
     return _record_id(_MACHINES, after), _leaked(m, tpm.spcr, tpm.dpcr)
-
-
-def _seal(mid: int) -> int:
-    m = _MACHINES.values[mid]
-    return _record_id(_MACHINES, MachineProc("sealed", m.image, m.bound_tpm, m.q0_spcr,
-                                             m.q0_dpcr, m.q0_spcr))
 
 
 def _verify(key) -> Tuple[int, int]:
@@ -361,10 +347,7 @@ class Memo:
 
     def __init__(self):
         self.q0 = _Table(_q0)                  # (machine, t, chip) -> (machine, leak)
-        self.obf = _Table(_obf)                # (i, machine) -> (machine, leak)
-        self.extend = _Table(_extend)          # (i, chip) -> chip with i's mask
         self.q1 = _Table(_q1)                  # (i, machine, chip) -> (machine, leak)
-        self.seal = _Table(_seal)              # machine -> machine
         self.verify = _Table(_verify)          # (machine, chip) -> (machine, leak)
         self.forwards = _Table(_forwards)      # host dynamic register -> bool
         self.golden_static = _Table(_derives_golden_static)  # (knowledge, depth) -> bool
@@ -378,7 +361,7 @@ def _serving(m: MachineProc) -> bool:
     return m.phase not in ("created", "halted")
 
 
-def _host_accepts_extends(world, t: int, memo: Optional[Memo] = None) -> bool:
+def _host_accepts_extends(world, t: int, memo: Memo) -> bool:
     """Remote-extend physics: a serving host forwards an extend by the
     relay's rule (:func:`attestsim.trust.forwards_extends`) on its dynamic
     register; free chips are prepared before the episode and serve reads
@@ -386,7 +369,7 @@ def _host_accepts_extends(world, t: int, memo: Optional[Memo] = None) -> bool:
     if t >= len(world.machines) or not _serving(world.machines[t]):
         return False
     dpcr = world.tpms[t].dpcr
-    return memo.forwards[dpcr] if memo else _forwards(dpcr)
+    return memo.forwards[dpcr]
 
 
 def _readable_tpms(world, i: int) -> Set[int]:
@@ -427,15 +410,22 @@ def successors(world: World, obfuscate: bool, derivation_depth: int,
                 out.append((("q0", i, t), World(moved(i, step))))
         elif phase == "init_q0":
             if not obfuscate:
-                out.append((("seal", i), World(_put(world, i, memo.seal[ids[i]]))))
+                sealed = MachineProc("sealed", m.image, m.bound_tpm, m.q0_spcr, m.q0_dpcr,
+                                     m.q0_spcr)
+                out.append((("seal", i), World(_put(world, i, _record_id(_MACHINES, sealed)))))
                 continue
-            masked = moved(i, memo.obf[i, ids[i]])
+            # the driver sees the mask in the clear
+            mask = rnd_term(i)
+            masked = moved(i, (_record_id(_MACHINES, MachineProc("init_extend", *m[1:])),
+                               _leaked(m, mask)))
             for route in _obf_routes(records, i, memo):
                 if route == "drop":
                     child = masked
                 else:
-                    chip = n_machines + (i if route == "local" else m.bound_tpm)
-                    child = _put(masked, chip, memo.extend[i, ids[chip]])
+                    chip = i if route == "local" else m.bound_tpm
+                    tpm = records.tpms[chip]
+                    extended = _record_id(_TPMS, TpmProc(h(p(tpm.spcr, mask)), tpm.dpcr))
+                    child = _put(masked, n_machines + chip, extended)
                 out.append((("obf", i, route), World(child)))
         elif phase == "init_extend":
             step = memo.q1[i, ids[i], ids[n_machines + m.bound_tpm]]

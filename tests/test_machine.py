@@ -265,7 +265,7 @@ def test_relay_serves_only_a_running_host(state):
 
     if twin is not None:
         assert (1 in model._readable_tpms(twin, 0)) == reads
-        assert model._host_accepts_extends(twin, 1) == extends
+        assert model._host_accepts_extends(twin, 1, model.Memo()) == extends
 
 
 def test_relay_channel_serves_remote_quotes_under_remote_key():

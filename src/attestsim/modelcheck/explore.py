@@ -1,44 +1,70 @@
-"""Serial layer-synchronous breadth-first exploration and verdict reporting.
+"""Serial layer-synchronous breadth-first exploration, reduced by symmetry,
+and verdict reporting.
 
-One generator, :func:`_layers`, drives every traversal.  It expands the
-frontier one layer at a time, keys each generated world exactly once, drops
-duplicates against the states already seen, and yields the new layer in
-discovery order.  A world's key is its packed int (:mod:`.world`), so the
-seen-set hashes and compares one int per state.  States are numbered in
-discovery order, and the search tree is two arrays over those numbers, a
-parent index and the event that reached the state, as in SPIN (Holzmann,
-*The Model Checker SPIN*, IEEE TSE 1997); a trace is read back by following
-the parent indices.
+One generator, :meth:`_Search.layers`, drives every traversal.  It expands
+the frontier one layer at a time, keys each generated world exactly once,
+drops duplicates against the states already seen, and yields the new layer
+in discovery order.  A world's key is its packed int (:mod:`.world`), so the
+seen-set hashes and compares one int per state.
 
-Each traversal owns one :class:`~.world.Memo`, so the step tables that ask
-the trust rules live exactly as long as one :func:`check` or
-:func:`enumerate_reachable` run.  The term and record ids inside a key say
-only in which order their values were first interned in this process;
-they are hashed and compared for equality, never sorted, so no order below
-depends on them.
+**Symmetry.**  Renaming the machines, each together with its attached TPM
+and its mask ``rnd-m<i>``, and renaming the free TPMs, each together with
+its ``junk-t<t>`` term, maps reachable worlds to reachable worlds and moves
+to moves (:class:`~.world.Symmetry`; M!·(T−M)! renamings at M machines and
+T TPMs).  So the search expands one world per orbit, the first one reached,
+and enters the whole orbit into the seen-set when that world is found
+(Ip and Dill, *Better Verification Through Symmetry*, FMSD 1996).  A world
+already seen costs one set lookup, as before.  An orbit is listed by
+applying every renaming while the group is small, and by closing it under
+a few generating renamings once the group is large, so that a bound with
+many free chips costs work in the size of its orbits, not of its group.  The seen-set still holds
+every concrete reachable world, so ``Verdict.states_explored`` is the raw
+count that an unreduced search gives; ``Verdict.orbits``, the number of
+worlds expanded, is the reduced count and stays out of the report.  The
+reduction is sound only while the model is equivariant: every step must
+treat machine and chip indices as names, with nothing special about any
+one of them.  ``test_successors_commute_with_every_renaming`` checks that on
+every reachable world of the small bounds, and a deliberately asymmetric
+model change (a mutant of one machine's rule, say) must be run with that
+test in view, since under the reduction it would give wrong counts.
+
+Orbit representatives are numbered in discovery order, and the search tree
+is two arrays over those numbers, a parent index and the event that reached
+the world, as in SPIN (Holzmann, *The Model Checker SPIN*, IEEE TSE 1997); a
+trace is read back by following the parent indices.
+
+Each traversal owns one :class:`~.world.Memo` and one
+:class:`~.world.Symmetry`, so the step and image tables live exactly as long
+as one :func:`check` or :func:`enumerate_reachable` run.  The term and
+record ids inside a key say only in which order their values were first
+interned in this process; they are hashed and compared for equality, never
+sorted, so no order below depends on them.
 
 Discovery order is what makes the output canonical.  A world's *trace* is
 its lexicographically smallest shortest event trace from the initial world,
 events compared by ``repr``.  Expanding a layer in trace order, each
-world's successors in ``repr(event)`` order, reaches every new world first
-through its trace, so the parent array records exactly that trace and the
-next layer comes out in trace order as well (the induction is spelled out
-on :func:`_layers`).  The order, and so the verdict, depends only on the
-model and the bounds.
+world's successors in ``repr(event)`` order, reaches every new orbit first
+through the smallest trace of any of its members, and that member is the
+one expanded; so the parent array records exactly its trace, and the next
+layer comes out in trace order as well (the induction is spelled out on
+:meth:`_Search.layers`).  Traces are the unreduced search's traces.  The
+order, and so the verdict, depends only on the model and the bounds.
 
-:func:`check` runs the property over each layer as it arrives.  A violation
-ends the search at its layer, and the first violating world of that layer
-is the counterexample: its trace is the lexicographically smallest among
-all shortest violating traces, which keeps the output stable under
-unrelated model changes.  :func:`enumerate_reachable` flattens the same
-layers for invariant sweeps.
+:func:`check` runs the property over each layer as it arrives.  The
+property reads no index except to compare a machine with its chip, so it
+holds on all of an orbit or on none of it.  A violation ends the search at
+its layer, and the first violating world of that layer is the
+counterexample: its trace is the lexicographically smallest among all
+shortest violating traces, which keeps the output stable under unrelated
+model changes.  :func:`enumerate_reachable` flattens the same layers, every
+orbit in full, for invariant sweeps.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .world import (
     DPCR_G,
@@ -47,8 +73,10 @@ from .world import (
     Event,
     Memo,
     StateBudgetExceeded,
+    Symmetry,
     World,
     build_world,
+    record_ids,
     successors,
     violations,
 )
@@ -80,7 +108,8 @@ class CheckConfig:
 @dataclass
 class Verdict:
     property_holds: bool
-    states_explored: int
+    states_explored: int   # concrete worlds reached
+    orbits: int            # of those, orbits under the symmetry (not reported)
     layers: int
     config: CheckConfig
     counterexample: Optional[dict] = None
@@ -141,71 +170,140 @@ def _world_summary(world: World, violation: Tuple[int, int, int]) -> dict:
     }
 
 
-def _layers(config: CheckConfig, parent: array, via: List[Event]):
-    """Yield every non-empty BFS layer as a list of canonical keys in
-    discovery order, starting with the initial world's alone.
+class _Layer:
+    """One BFS layer of orbit representatives: their keys, and their
+    decoded record slots in one flat array of 16-bit ids, ``width`` per key,
+    which is smaller to hold than a tuple per key.  Iterating gives
+    ``(key, ids)`` pairs."""
 
-    States are numbered in discovery order, so a layer is the last block of
-    numbers discovered when it is yielded.  State *n* was first reached from
-    state ``parent[n]`` by event ``via[n]``; the initial world's parent is
-    -1.  Each world is keyed once, when it is generated.  The seen-set and
-    the layers hold keys, plain ints that cost less to store than a
-    :class:`~.world.World`; a world is rebuilt from its key to be expanded.
-    One :class:`~.world.Memo` serves the traversal.
+    __slots__ = ("keys", "slots", "width")
 
-    Each layer is sorted by trace (module docstring).  Layer 0 is one
-    world.  If layer *k* is sorted, its worlds are expanded in that order
-    and each one's successors in ``repr(event)`` order, so the
-    ``(parent, event)`` pairs arrive sorted by parent trace, then by event.
-    A shortest trace of a world in layer *k + 1* is a shortest trace of a
-    parent in layer *k*, all of length *k*, followed by one event; the
-    smallest of them is therefore the first pair that reaches the world,
-    which is the one ``parent`` and ``via`` keep.  Worlds are appended when
-    first reached, so layer *k + 1* is sorted by trace as well.
+    def __init__(self, width: int):
+        self.keys: List[int] = []
+        self.slots = array("H")
+        self.width = width
+
+    def add(self, key: int, ids: Sequence[int]) -> None:
+        self.keys.append(key)
+        self.slots.extend(ids)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self):
+        slots, width = self.slots, self.width
+        return zip(self.keys, (slots[j:j + width] for j in range(0, len(slots), width)))
+
+
+class _Search:
+    """One traversal: its tables, its seen-set and its search tree.
+
+    ``seen`` holds every concrete world reached so far, each orbit entered
+    whole.  The tree holds one node per orbit, its first-reached world:
+    node *n* was reached from node ``parent[n]`` by event ``via[n]``, and
+    the initial world's parent is -1.
     """
-    memo = Memo()
-    events: Dict[Event, Event] = {}  # equal events of stored states share one tuple
-    initial = build_world(config.machines, config.tpms).canonical_key()
-    seen = {initial}
-    parent.append(-1)
-    via.append(None)
-    layer: List[int] = [initial]
-    depth = 0
-    while layer:
-        yield layer
-        depth += 1
-        found: List[int] = []
-        first = len(parent) - len(layer)
-        for n, key in enumerate(layer, first):
-            for event, child in successors(World(key), config.obfuscate,
-                                           config.derivation_depth, memo):
-                child_key = child.canonical_key()
-                if child_key in seen:
-                    continue
-                seen.add(child_key)
-                parent.append(n)
-                via.append(events.setdefault(event, event))
-                if len(parent) > config.max_states:
-                    raise StateBudgetExceeded(
-                        f"more than {config.max_states} states at layer {depth}"
-                    )
-                found.append(child_key)
-        layer = found
+
+    def __init__(self, config: CheckConfig):
+        self.config = config
+        self.memo = Memo()
+        self.symmetry = Symmetry(config.machines, config.tpms)
+        self.seen: Set[int] = set()
+        self.parent = array("i")
+        self.via: List[Event] = []
+
+    def layers(self):
+        """Yield every non-empty BFS layer of orbit representatives as
+        ``(key, ids)`` pairs in discovery order, starting with the initial
+        world's alone; ``ids`` is the key's decoded record slots.
+
+        Nodes are numbered in discovery order, so a layer is the last block
+        of numbers discovered when it is yielded.  Each generated world is
+        keyed once.  A key already seen costs one set lookup; a new one is
+        decoded once, and that decode serves its orbit's images, the
+        property test and its expansion.  Only representatives are
+        expanded: the other members of an orbit are renamings of it, and so
+        are their successors.
+
+        Each layer holds the representatives of its orbits, each the
+        orbit's member with the smallest trace, sorted by trace (module
+        docstring).  Layer 0 is the initial world, which every renaming
+        fixes.  Suppose it holds for layer *k*.  Let ``w`` be the member of
+        an orbit in layer *k + 1* with the smallest trace, reached by event
+        ``e`` from ``u`` in layer *k*; the trace of ``u`` is the prefix.
+        If ``u`` were not its orbit's representative ``r``, the renaming
+        ``g`` with ``g·u = r`` would give ``g·w`` the trace of ``r``
+        followed by ``g·e``, which is smaller than the trace of ``w``
+        because the trace of ``r`` is; so ``u`` is expanded.  Layer *k* is
+        expanded in trace order and each world's successors in
+        ``repr(event)`` order, so the ``(parent, event)`` pairs arrive in
+        lexicographic order of the traces they form.  Any pair that reaches
+        a member of the orbit forms a shortest trace of that member, no
+        smaller than the trace of ``w``, and only ``(u, e)`` forms that
+        trace itself; so ``(u, e)`` is the first pair to reach the orbit,
+        ``w`` becomes its representative, and ``parent`` and ``via`` keep
+        its trace.  Orbits are appended when first reached, so layer
+        *k + 1* is sorted by trace as well.
+        """
+        config, memo, seen, parent, via = (self.config, self.memo, self.seen,
+                                           self.parent, self.via)
+        orbit = self.symmetry.orbit
+        events: Dict[Event, Event] = {}  # equal events of stored states share one tuple
+        width = config.machines + config.tpms
+        initial = build_world(config.machines, config.tpms).canonical_key()
+        initial_ids = record_ids(initial)
+        layer = _Layer(width)
+        layer.add(initial, initial_ids)
+        seen.update(orbit(initial, initial_ids))
+        parent.append(-1)
+        via.append(None)
+        depth = 0
+        while layer:
+            yield layer
+            depth += 1
+            found = _Layer(width)
+            first = len(parent) - len(layer)
+            for n, (key, ids) in enumerate(layer, first):
+                for event, child in successors(World(key), config.obfuscate,
+                                               config.derivation_depth, memo, ids):
+                    child_key = child.canonical_key()
+                    if child_key in seen:
+                        continue
+                    child_ids = record_ids(child_key)
+                    seen.update(orbit(child_key, child_ids))
+                    parent.append(n)
+                    via.append(events.setdefault(event, event))
+                    if len(seen) > config.max_states:
+                        raise StateBudgetExceeded(
+                            f"more than {config.max_states} states at layer {depth}"
+                        )
+                    found.add(child_key, child_ids)
+            layer = found
+
+    def trace(self, n: int) -> List[Event]:
+        parent, via = self.parent, self.via
+        events: List[Event] = []
+        while parent[n] >= 0:
+            events.append(via[n])
+            n = parent[n]
+        events.reverse()
+        return events
 
 
 def check(config: CheckConfig) -> Verdict:
     """Explore exhaustively; return the verdict with a minimal witness."""
-    parent, via = array("i"), []
-    for depth, layer in enumerate(_layers(config, parent, via)):
-        first = len(parent) - len(layer)
-        for n, key in enumerate(layer, first):
+    search = _Search(config)
+    for depth, layer in enumerate(search.layers()):
+        first = len(search.parent) - len(layer)
+        for n, (key, ids) in enumerate(layer, first):
             world = World(key)
-            found = violations(world)
+            found = violations(world, ids)
             if found:
-                trace = _trace(parent, via, n)
+                trace = search.trace(n)
                 return Verdict(
                     property_holds=False,
-                    states_explored=len(parent),
+                    states_explored=len(search.seen),
+                    orbits=len(search.parent),
                     layers=depth,
                     config=config,
                     counterexample={
@@ -217,22 +315,18 @@ def check(config: CheckConfig) -> Verdict:
     # ``layers`` counts expansions; the last layer was expanded into nothing
     return Verdict(
         property_holds=True,
-        states_explored=len(parent),
+        states_explored=len(search.seen),
+        orbits=len(search.parent),
         layers=depth + 1,
         config=config,
     )
 
 
-def _trace(parent: array, via: List[Event], n: int) -> List[Event]:
-    events: List[Event] = []
-    while parent[n] >= 0:
-        events.append(via[n])
-        n = parent[n]
-    events.reverse()
-    return events
-
-
 def enumerate_reachable(config: CheckConfig):
-    """Yield every reachable world once, layer by layer (for invariant sweeps)."""
-    for layer in _layers(config, array("i"), []):
-        yield from map(World, layer)
+    """Yield every reachable world once, layer by layer (for invariant
+    sweeps): each representative, then the other distinct members of its
+    orbit in the symmetry's fixed order."""
+    search = _Search(config)
+    for layer in search.layers():
+        for key, ids in layer:
+            yield from map(World, dict.fromkeys(search.symmetry.orbit(key, ids)))

@@ -16,6 +16,8 @@ bounds the explorer runs.  An id says when its term was first built and
 nothing else, so no order the explorer produces may depend on one: ids
 are compared for equality and used as keys, never sorted.
 
+``substitute`` renames the names in a term, as the explorer's symmetry
+renames masks and junk terms.
 ``saturate`` closes a knowledge set under decomposition (pairs split).
 ``derivable`` additionally allows bounded *composition*: an adversary may
 build up to ``depth`` nested constructors on top of saturated knowledge.
@@ -63,6 +65,14 @@ def p(a: Term, b: Term) -> Term:
 def node(t: Term) -> Tuple:
     """The term as ``(tag, *children)``, children as ids (a name's is its label)."""
     return _nodes[t]
+
+
+def substitute(t: Term, names: Dict[Term, Term]) -> Term:
+    """``t`` with every name in ``names`` replaced by its image."""
+    tag, *children = _nodes[t]
+    if tag == "n":
+        return names.get(t, t)
+    return _terms((tag, *(substitute(c, names) for c in children)))
 
 
 def saturate(knowledge: Iterable[Term]) -> FrozenSet[Term]:

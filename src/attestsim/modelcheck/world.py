@@ -82,15 +82,23 @@ what the rule answered.  Tables live for one ``check`` or
 between runs is asked afresh.  Ids are looked up and compared, never
 ordered: the successor order comes from ``repr(event)``, where no id
 appears.
+
+A :class:`Symmetry` holds the renamings of one bound as image tables of the
+same kind, for the explorer's reduction (:mod:`.explore`).  A renaming
+reads no rule; it renames machine and chip indices and the terms named
+after them, so the tables only avoid rebuilding image records.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Callable, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
+from itertools import permutations
+from math import factorial
+from operator import getitem
+from typing import Callable, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..trust import disagreeing, forwards_extends, static_split
-from .terms import Interner, Term, derivable, h, name, p, saturate
+from .terms import Interner, Term, derivable, h, name, p, saturate, substitute
 
 # -- fixed vocabulary -------------------------------------------------------
 
@@ -211,7 +219,7 @@ class World(int):
 Event = Tuple  # ("boot", m, image) | ("q0", m, t) | ("obf", m, route) | ...
 
 
-def _record_ids(world: int) -> Tuple[int, ...]:
+def record_ids(world: int) -> Tuple[int, ...]:
     """The ids in a world's record slots: machine ``i`` is slot ``i``, TPM
     ``t`` slot ``machines + t``."""
     count = (world & _MASK) + (world >> _SLOT & _MASK)
@@ -229,10 +237,10 @@ def _knowledge_shift(world: int) -> int:
     return _SLOT * (2 + (world & _MASK) + (world >> _SLOT & _MASK))
 
 
-def _records(world: int, ids: Optional[Tuple[int, ...]] = None) -> _Records:
+def _records(world: int, ids: Optional[Sequence[int]] = None) -> _Records:
     """The one decoder of a world's machine and TPM records."""
     if ids is None:
-        ids = _record_ids(world)
+        ids = record_ids(world)
     n_machines = world & _MASK
     return _Records(tuple(map(_MACHINES.values.__getitem__, ids[:n_machines])),
                     tuple(map(_TPMS.values.__getitem__, ids[n_machines:])))
@@ -244,10 +252,10 @@ def _pack(machines: Sequence[MachineProc], tpms: Sequence[TpmProc],
     world = len(machines) | len(tpms) << _SLOT
     for j, record_id in enumerate(ids):
         world |= record_id << (_SLOT * (2 + j))
-    return World(world | _bits(*knowledge) << (_SLOT * (2 + len(ids))))
+    return World(world | _bits(knowledge) << (_SLOT * (2 + len(ids))))
 
 
-def _bits(*terms: Term) -> int:
+def _bits(terms: Iterable[Term]) -> int:
     """The knowledge bitmask of ``terms``: bit ``t`` stands for term ``t``."""
     mask = 0
     for t in terms:
@@ -295,7 +303,7 @@ class _Table(dict):
 
 def _leaked(m: MachineProc, *terms: Term) -> int:
     """The knowledge bits a step by ``m``'s driver hands the adversary."""
-    return _bits(*terms) if m.driver_malicious else 0
+    return _bits(terms) if m.driver_malicious else 0
 
 
 def _q0(key) -> Tuple[int, int]:
@@ -383,13 +391,16 @@ def _readable_tpms(world, i: int) -> Set[int]:
 
 
 def successors(world: World, obfuscate: bool, derivation_depth: int,
-               memo: Optional[Memo] = None) -> List[Tuple[Event, World]]:
+               memo: Optional[Memo] = None,
+               ids: Optional[Sequence[int]] = None) -> List[Tuple[Event, World]]:
     """All one-step moves, in a canonical deterministic order.  ``memo``
     carries the step tables across the calls of one traversal; without it,
-    a call decides everything afresh."""
+    a call decides everything afresh.  ``ids`` is the world's decoded
+    record slots (:func:`record_ids`), when the caller has them already."""
     if memo is None:
         memo = Memo()
-    ids = _record_ids(world)
+    if ids is None:
+        ids = record_ids(world)
     records = _records(world, ids)
     n_machines = len(records.machines)
     leak_shift = _knowledge_shift(world)
@@ -470,9 +481,117 @@ def _obf_routes(records: _Records, i: int, memo: Memo) -> Tuple[str, ...]:
 # -- the property -----------------------------------------------------------
 
 
-def violations(world: World) -> List[Tuple[int, int, int]]:
+def violations(world: World,
+               ids: Optional[Sequence[int]] = None) -> List[Tuple[int, int, int]]:
     """Machines holding a trusted verdict whose quote TPM is not the
-    attached one: (machine, x=quote tpm, y=attached tpm)."""
-    machines = map(_MACHINES.values.__getitem__, _record_ids(world)[:world & _MASK])
+    attached one: (machine, x=quote tpm, y=attached tpm).  ``ids`` is as
+    for :func:`successors`."""
+    if ids is None:
+        ids = record_ids(world)
+    machines = map(_MACHINES.values.__getitem__, ids[:world & _MASK])
     return [(i, m.bound_tpm, i) for i, m in enumerate(machines)
             if m.phase == "done" and m.trusted and m.bound_tpm != i]
+
+
+# -- symmetry ---------------------------------------------------------------
+
+
+_LISTED = 24  # the largest group whose elements are listed outright
+
+
+class Symmetry:
+    """The renamings under which the reachable worlds of one bound are
+    closed, as image tables for one traversal.
+
+    A renaming permutes the machines, each together with its attached chip
+    and its mask ``rnd_term(i)``, and permutes the free chips, each together
+    with its ``junk_term(t)``: the M!·(T−M)! elements of the group of the
+    bound.  No step reads an index except to name a machine, a chip or
+    these terms, so a renamed world's successors are its successors
+    renamed; ``test_modelcheck`` checks that on every reachable world of
+    the small bounds.  Each renaming held is a plan of tables, one per
+    record slot and one for the knowledge: a record id maps to the shifted
+    id of its image record in the slot the renaming sends it to, and a
+    knowledge mask to its image mask.  Terms are renamed by substituting the
+    ``rnd_term`` and ``junk_term`` ids (:func:`~.terms.substitute`).
+
+    A group of at most ``_LISTED`` elements (four machines, or one machine
+    and five chips) is held whole, and an orbit costs one image per
+    element.  A larger one is held as generators, a swap and a rotation of
+    each factor, and an orbit is closed under them, costing a few images
+    per member: the group grows factorially in the free chips, while most
+    free chips stay untouched and the orbits stay small."""
+
+    def __init__(self, n_machines: int, n_tpms: int):
+        self._header = n_machines | n_tpms << _SLOT
+        self._knowledge_shift = _SLOT * (2 + n_machines + n_tpms)
+        self._listed = factorial(n_machines) * factorial(n_tpms - n_machines) <= _LISTED
+        own, free = tuple(range(n_machines)), tuple(range(n_machines, n_tpms))
+        if self._listed:  # the identity is left out: its image is the world itself
+            renamings = [machines + chips for machines in permutations(own)
+                         for chips in permutations(free)][1:]
+        else:
+            renamings = ([machines + free for machines in _generators(own)]
+                         + [own + chips for chips in _generators(free)])
+        self._plans = [_plan(chips, n_machines) for chips in renamings]
+
+    def orbit(self, world: int, ids: Sequence[int]) -> List[int]:
+        """The members of ``world``'s orbit in a fixed order, ``world``
+        first; ``ids`` are its record slots.  A member may repeat when the
+        group is held whole, once per element that gives it."""
+        images = [world] + self._images(world, ids)
+        if self._listed:
+            return images
+        members = dict.fromkeys(images)
+        queue = list(members)[1:]
+        for member in queue:  # grows as members are found
+            for image in self._images(member, record_ids(member)):
+                if image not in members:
+                    members[image] = None
+                    queue.append(image)
+        return list(members)
+
+    def _images(self, world: int, ids: Sequence[int]) -> List[int]:
+        header, knowledge = self._header, world >> self._knowledge_shift
+        return [header + sum(map(getitem, slots, ids)) + masks[knowledge]
+                for slots, masks in self._plans]
+
+
+def _generators(items: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+    """A swap of the first two of ``items`` and a rotation of all of them,
+    which together generate every permutation of ``items``."""
+    if len(items) < 2:
+        return []
+    swap = (items[1], items[0]) + items[2:]
+    rotation = items[1:] + items[:1]
+    return [swap] if rotation == swap else [swap, rotation]
+
+
+def _plan(chips: Tuple[int, ...], n_machines: int) -> Tuple[List[_Table], _Table]:
+    """The slot tables and the knowledge table of the renaming that sends
+    machine ``i`` to ``chips[i]`` and chip ``t`` to ``chips[t]``."""
+    names = {rnd_term(i): rnd_term(chips[i]) for i in range(n_machines)}
+    names.update((junk_term(t), junk_term(chips[t])) for t in range(n_machines, len(chips)))
+    term = _Table(lambda t: substitute(t, names))
+
+    def renamed(t: Optional[Term]) -> Optional[Term]:
+        return None if t is None else term[t]
+
+    def machine(mid: int) -> int:
+        m = _MACHINES.values[mid]
+        return _record_id(_MACHINES, MachineProc(
+            m.phase, m.image, None if m.bound_tpm is None else chips[m.bound_tpm],
+            renamed(m.q0_spcr), renamed(m.q0_dpcr), renamed(m.sealed_obf), m.trusted))
+
+    def tpm(tid: int) -> int:
+        return _record_id(_TPMS, TpmProc(*map(term.__getitem__, _TPMS.values[tid])))
+
+    def slot(image: _Table, j: int) -> _Table:
+        return _Table(lambda rid: image[rid] << _SLOT * (2 + j))
+
+    machines, tpms = _Table(machine), _Table(tpm)
+    knowledge_shift = _SLOT * (2 + n_machines + len(chips))
+    return ([slot(machines, chips[i]) for i in range(n_machines)]
+            + [slot(tpms, n_machines + chips[t]) for t in range(len(chips))],
+            _Table(lambda mask: _bits(map(term.__getitem__, _members(mask)))
+                   << knowledge_shift))

@@ -4,6 +4,10 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
+from functools import lru_cache
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -22,8 +26,12 @@ from attestsim.modelcheck.world import (
     DPCR_G,
     S0,
     SPCR_G,
+    MachineProc,
+    Symmetry,
+    TpmProc,
     build_world,
     junk_term,
+    record_ids,
     rnd_term,
     successors,
     violations,
@@ -95,6 +103,15 @@ def test_state_budget_is_enforced():
         check(CheckConfig(machines=2, tpms=2, max_states=10))
 
 
+def test_state_budget_counts_concrete_worlds():
+    """The budget bounds the raw count, whole orbits entering at once: the
+    boundary and the layer named sit where an unreduced search puts them."""
+    cfg = CheckConfig(machines=2, tpms=2, derivation_depth=5, obfuscate=True)
+    assert check(replace(cfg, max_states=2057)).states_explored == 2057
+    with pytest.raises(StateBudgetExceeded, match="more than 2056 states at layer 10$"):
+        check(replace(cfg, max_states=2056))
+
+
 # --------------------------------------------------------------------------
 # the headline results
 # --------------------------------------------------------------------------
@@ -148,21 +165,25 @@ RELAY_TRACE = [
 
 
 @pytest.mark.parametrize("machines,tpms,depth,obfuscate,expected", [
-    (2, 2, 5, False, (False, 226, 5, RELAY_TRACE)),
-    (2, 2, 4, False, (False, 226, 5, RELAY_TRACE)),
-    (2, 2, 5, True, (True, 2057, 11, None)),
-    (2, 3, 5, True, (True, 8299, 12, None)),
-    (2, 3, 5, False, (False, 642, 5, RELAY_TRACE)),
-    (3, 3, 5, False, (False, 1793, 5, RELAY_TRACE)),
-    (1, 2, 5, True, (True, 83, 7, None)),
-    (1, 2, 5, False, (True, 54, 6, None)),
+    (2, 2, 5, False, (False, 226, 5, 118, RELAY_TRACE)),
+    (2, 2, 4, False, (False, 226, 5, 118, RELAY_TRACE)),
+    (2, 2, 5, True, (True, 2057, 11, 1047, None)),
+    (2, 3, 5, True, (True, 8299, 12, 4215, None)),
+    (2, 3, 5, False, (False, 642, 5, 338, RELAY_TRACE)),
+    (3, 3, 5, False, (False, 1793, 5, 345, RELAY_TRACE)),
+    (1, 2, 5, True, (True, 83, 7, 83, None)),
+    (1, 2, 5, False, (True, 54, 6, 54, None)),
+    (3, 3, 5, True, (True, 440645, 16, 73997, None)),
 ], ids=["2x2-plain-d5", "2x2-plain-d4", "2x2-obf", "2x3-obf", "2x3-plain",
-        "3x3-plain", "1x2-obf", "1x2-plain"])
+        "3x3-plain", "1x2-obf", "1x2-plain", "3x3-obf"])
 def test_verdict_table_is_pinned(machines, tpms, depth, obfuscate, expected):
+    """States are the concrete worlds reached, orbits those under the
+    symmetry; only the first is reported."""
     v = check(CheckConfig(machines=machines, tpms=tpms, derivation_depth=depth,
-                          obfuscate=obfuscate))
+                          obfuscate=obfuscate, max_states=500_000))
     steps = v.counterexample["steps"] if v.counterexample else None
-    assert (v.property_holds, v.states_explored, v.layers, steps) == expected
+    assert (v.property_holds, v.states_explored, v.layers, v.orbits, steps) == expected
+    assert "orbits" not in json.dumps(v.to_dict())
 
 
 @pytest.mark.parametrize("depth", [4, 5])
@@ -330,11 +351,34 @@ def test_the_vocabulary_is_pinned_and_the_intern_table_stays_small():
         seen |= world.knowledge | {t for tpm in world.tpms for t in tpm}
         knowledge_sets.add(world.knowledge)
     assert (len(seen), len(knowledge_sets)) == (19, 68)
-    # the table holds the vocabulary of every bound these tests run, and a
-    # check adds nothing to what an earlier one built
+    # a check adds nothing to what an earlier one built
     interned = len(terms._nodes)
     check(cfg)
-    assert len(terms._nodes) == interned <= 64
+    assert len(terms._nodes) == interned
+    # and the table stays small; it serves the whole process, so it is
+    # measured in a fresh interpreter, where no other test's bounds count
+    fresh = _run_fresh(VOCABULARY_RUN).split()
+    assert fresh[0] == fresh[1] and int(fresh[0]) <= 64
+
+
+VOCABULARY_RUN = r"""
+from attestsim.modelcheck import terms
+from attestsim.modelcheck.explore import CheckConfig, check
+
+cfg = CheckConfig(machines=2, tpms=3, derivation_depth=5, obfuscate=True)
+for _ in range(2):
+    check(cfg)
+    print(len(terms._nodes))
+"""
+
+
+def _run_fresh(code, *args):
+    """The output of ``code`` run in a fresh interpreter on this source tree."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, check=True).stdout
 
 
 def test_a_record_table_past_its_slot_width_ends_the_search(monkeypatch):
@@ -407,11 +451,133 @@ def test_ids_carry_no_order():
     """Shifting every term id and the ids of records built during a check
     changes no verdict byte and no world of the enumeration, nor its order."""
     src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    runs = [subprocess.run([sys.executable, "-c", SHIFTED_RUN, str(pad), str(src)],
-                           capture_output=True, text=True, env=env, check=True).stdout
-            for pad in (0, 37)]
+    runs = [_run_fresh(SHIFTED_RUN, str(pad), str(src)) for pad in (0, 37)]
     (ids, *rest), (shifted_ids, *shifted_rest) = (run.splitlines() for run in runs)
     assert ids != shifted_ids
     assert rest == shifted_rest
+
+
+# --------------------------------------------------------------------------
+# symmetry: the reduction rests on the model being equivariant
+# --------------------------------------------------------------------------
+
+
+def _unreduced_layers(cfg):
+    """Every reachable world, layer by layer, by a plain BFS over
+    ``successors`` that keeps every concrete world."""
+    layer = [build_world(cfg.machines, cfg.tpms)]
+    seen = set(layer)
+    layers = []
+    while layer:
+        layers.append(layer)
+        found = []
+        for world in layer:
+            for _, child in successors(world, cfg.obfuscate, cfg.derivation_depth):
+                if child not in seen:
+                    seen.add(child)
+                    found.append(child)
+        layer = found
+    return layers
+
+
+def _renamings(machines, tpms):
+    """Each renaming as (on worlds, on events), written from the records'
+    fields rather than from the explorer's image tables, in the order of
+    ``Symmetry``: machine permutations outer, free-chip permutations inner."""
+    for own in permutations(range(machines)):
+        for free in permutations(range(machines, tpms)):
+            chips = own + free
+            names = {rnd_term(i): rnd_term(chips[i]) for i in range(machines)}
+            names.update((junk_term(t), junk_term(chips[t])) for t in range(machines, tpms))
+            yield _world_renaming(chips, names), _event_renaming(chips)
+
+
+def _world_renaming(chips, names):
+    @lru_cache(maxsize=None)
+    def term(t):
+        tag, *children = node(t)
+        if tag == "n":
+            return names.get(t, t)
+        return (h if tag == "h" else p)(*map(term, children))
+
+    def rename(world):
+        ms, ts = [None] * len(world.machines), [None] * len(world.tpms)
+        for i, m in enumerate(world.machines):
+            bound = None if m.bound_tpm is None else chips[m.bound_tpm]
+            registers = (None if t is None else term(t) for t in m[3:6])
+            ms[chips[i]] = MachineProc(m.phase, m.image, bound, *registers, m.trusted)
+        for t, tpm in enumerate(world.tpms):
+            ts[chips[t]] = TpmProc(term(tpm.spcr), term(tpm.dpcr))
+        return model._pack(ms, ts, frozenset(map(term, world.knowledge)))
+    return rename
+
+
+def _event_renaming(chips):
+    def rename(event):
+        kind, subject, *rest = event
+        if kind == "q0":
+            rest = [chips[rest[0]]]
+        return (kind, chips[subject], *rest)  # a tpm-init's subject is a chip
+    return rename
+
+
+SYMMETRY_BOUNDS = [(2, 2, False), (2, 2, True), (2, 3, True), (1, 2, True)]
+
+
+@pytest.mark.parametrize("machines,tpms,obfuscate", SYMMETRY_BOUNDS,
+                         ids=["2x2-plain", "2x2-obf", "2x3-obf", "1x2-obf"])
+def test_the_reduced_search_reaches_exactly_the_unreduced_layers(machines, tpms,
+                                                                   obfuscate):
+    cfg = CheckConfig(machines=machines, tpms=tpms, obfuscate=obfuscate)
+    depth = {w: k for k, layer in enumerate(_unreduced_layers(cfg)) for w in layer}
+    enumerated = list(enumerate_reachable(cfg))
+    assert len(set(enumerated)) == len(enumerated)
+    assert set(enumerated) == set(depth)
+    layer_of = [depth[w] for w in enumerated]
+    assert layer_of == sorted(layer_of)  # layer by layer
+    assert Counter(layer_of) == Counter(depth.values())
+
+
+@pytest.mark.parametrize("machines,tpms,obfuscate", SYMMETRY_BOUNDS,
+                         ids=["2x2-plain", "2x2-obf", "2x3-obf", "1x2-obf"])
+def test_successors_commute_with_every_renaming(machines, tpms, obfuscate):
+    """The soundness condition of the reduction (equivariance): on every
+    reachable world, the moves of a renamed world are the renamed moves,
+    and the explorer's image tables give the same images in the same order.
+    A model change that breaks a symmetry fails here, not in a verdict."""
+    cfg = CheckConfig(machines=machines, tpms=tpms, obfuscate=obfuscate)
+    renamings = list(_renamings(machines, tpms))
+    symmetry, memo = Symmetry(machines, tpms), model.Memo()
+    for world in enumerate_reachable(cfg):
+        moves = successors(world, obfuscate, cfg.derivation_depth, memo)
+        for on_world, on_event in renamings:
+            assert set(successors(on_world(world), obfuscate, cfg.derivation_depth, memo)) == {
+                (on_event(e), on_world(child)) for e, child in moves}, world.machines
+        assert symmetry.orbit(world, record_ids(world)) == [g(world) for g, _ in renamings]
+
+
+@pytest.mark.parametrize("machines,tpms,obfuscate", [(3, 3, False), (1, 4, True), (2, 4, True)],
+                         ids=["3x3-plain", "1x4-obf", "2x4-obf"])
+def test_a_group_held_as_generators_closes_the_same_orbits(monkeypatch, machines, tpms,
+                                                           obfuscate):
+    """Past ``_LISTED`` elements the group is held as generators and each
+    orbit is closed under them: the orbits, and so the verdict, are those
+    of the group listed whole."""
+    cfg = CheckConfig(machines=machines, tpms=tpms, obfuscate=obfuscate)
+    listed, verdict = Symmetry(machines, tpms), check(cfg)
+    monkeypatch.setattr(model, "_LISTED", 1)
+    generated = Symmetry(machines, tpms)
+    assert check(cfg) == verdict
+    for world in enumerate_reachable(cfg):
+        ids = record_ids(world)
+        orbit = generated.orbit(world, ids)
+        assert orbit[0] == world and len(set(orbit)) == len(orbit)
+        assert set(orbit) == set(listed.orbit(world, ids))
+
+
+def test_many_free_chips_reach_the_budget_where_the_unreduced_search_does():
+    """One machine and eleven free chips: a group of 11! renamings, held as
+    two generators, so the search runs into the state budget at the layer an
+    unreduced search names."""
+    with pytest.raises(StateBudgetExceeded, match="more than 20000 states at layer 5$"):
+        check(CheckConfig(machines=1, tpms=12, max_states=20_000))

@@ -2,9 +2,14 @@
 and verdict reporting.
 
 One generator, :meth:`_Search.layers`, drives every traversal.  It expands
-the frontier one layer at a time, keys each generated world exactly once,
-drops duplicates against the states already seen, and yields the new layer
-in discovery order.  A world's key is its packed int (:mod:`.world`), so the
+the frontier one layer at a time, one pass per expanded world: the world's
+record slots were decoded once, when it was found, and its successors are
+generated already in canonical order, so nothing is sorted.  A child
+already seen costs one set lookup.  A new one is decoded once, entered
+into the seen-set with its orbit and tested against the property at
+discovery, as SPIN checks on the fly (Holzmann, *The Model Checker SPIN*,
+IEEE TSE 1997).  Each layer is yielded in discovery order with its first
+violating world.  A world's key is its packed int (:mod:`.world`), so the
 seen-set hashes and compares one int per state.
 
 **Symmetry.**  Renaming the machines, each together with its attached TPM
@@ -17,8 +22,9 @@ and enters the whole orbit into the seen-set when that world is found
 already seen costs one set lookup, as before.  An orbit is listed by
 applying every renaming while the group is small, and by closing it under
 a few generating renamings once the group is large, so that a bound with
-many free chips costs work in the size of its orbits, not of its group.  The seen-set still holds
-every concrete reachable world, so ``Verdict.states_explored`` is the raw
+many free chips costs work in the size of its orbits, not of its group.
+The seen-set still holds every concrete reachable world, so
+``Verdict.states_explored`` is the raw
 count that an unreduced search gives; ``Verdict.orbits``, the number of
 worlds expanded, is the reduced count and stays out of the report.  The
 reduction is sound only while the model is equivariant: every step must
@@ -30,8 +36,8 @@ test in view, since under the reduction it would give wrong counts.
 
 Orbit representatives are numbered in discovery order, and the search tree
 is two arrays over those numbers, a parent index and the event that reached
-the world, as in SPIN (Holzmann, *The Model Checker SPIN*, IEEE TSE 1997); a
-trace is read back by following the parent indices.
+the world, as in SPIN; a trace is read back by following the parent
+indices.
 
 Each traversal owns one :class:`~.world.Memo` and one
 :class:`~.world.Symmetry`, so the step and image tables live exactly as long
@@ -42,29 +48,33 @@ sorted, so no order below depends on them.
 
 Discovery order is what makes the output canonical.  A world's *trace* is
 its lexicographically smallest shortest event trace from the initial world,
-events compared by ``repr``.  Expanding a layer in trace order, each
-world's successors in ``repr(event)`` order, reaches every new orbit first
-through the smallest trace of any of its members, and that member is the
-one expanded; so the parent array records exactly its trace, and the next
-layer comes out in trace order as well (the induction is spelled out on
-:meth:`_Search.layers`).  Traces are the unreduced search's traces.  The
-order, and so the verdict, depends only on the model and the bounds.
+events compared by ``repr``.  Expanding a layer in trace order, with each
+world's successors generated in ``repr(event)`` order, reaches every new
+orbit first through the smallest trace of any of its members, and that
+member is the one expanded; so the parent array records exactly its
+trace, and the next layer comes out in trace order as well (the induction
+is spelled out on :meth:`_Search.layers`).  Traces are the unreduced
+search's traces.  The order, and so the verdict, depends only on the
+model and the bounds.
 
-:func:`check` runs the property over each layer as it arrives.  The
-property reads no index except to compare a machine with its chip, so it
-holds on all of an orbit or on none of it.  A violation ends the search at
-its layer, and the first violating world of that layer is the
-counterexample: its trace is the lexicographically smallest among all
-shortest violating traces, which keeps the output stable under unrelated
-model changes.  :func:`enumerate_reachable` flattens the same layers, every
-orbit in full, for invariant sweeps.
+The property is tested at discovery, on each new orbit representative.
+It reads no index except to compare a machine with its chip, so it holds
+on all of an orbit or on none of it.  Discovery order is trace order, so
+the first violating world found in a layer has the smallest trace of the
+layer's violating worlds.  :func:`check` stops at the first layer that
+has one, once that layer is complete, with no second pass over it, and
+that world is the counterexample: its trace is the lexicographically
+smallest among all shortest violating traces, which keeps the output
+stable under unrelated model changes.  :func:`enumerate_reachable`
+flattens the same layers, every orbit in full, for invariant sweeps.
 """
 
 from __future__ import annotations
 
+import struct
 from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .world import (
     DPCR_G,
@@ -76,7 +86,7 @@ from .world import (
     Symmetry,
     World,
     build_world,
-    record_ids,
+    slot_reader,
     successors,
     violations,
 )
@@ -99,6 +109,8 @@ class CheckConfig:
             raise ValueError(f"tpms must be <= {MAX_TPMS}")
         if self.derivation_depth < 0:
             raise ValueError("derivation_depth must be >= 0")
+        if self.max_states < 1:
+            raise ValueError("max_states must be >= 1")
 
     @property
     def variant(self) -> str:
@@ -174,7 +186,8 @@ class _Layer:
     """One BFS layer of orbit representatives: their keys, and their
     decoded record slots in one flat array of 16-bit ids, ``width`` per key,
     which is smaller to hold than a tuple per key.  Iterating gives
-    ``(key, ids)`` pairs."""
+    ``(key, ids)`` pairs, the ids unpacked row by row by one ``struct``
+    layout."""
 
     __slots__ = ("keys", "slots", "width")
 
@@ -183,16 +196,11 @@ class _Layer:
         self.slots = array("H")
         self.width = width
 
-    def add(self, key: int, ids: Sequence[int]) -> None:
-        self.keys.append(key)
-        self.slots.extend(ids)
-
     def __len__(self) -> int:
         return len(self.keys)
 
     def __iter__(self):
-        slots, width = self.slots, self.width
-        return zip(self.keys, (slots[j:j + width] for j in range(0, len(slots), width)))
+        return zip(self.keys, struct.Struct(f"={self.width}H").iter_unpack(self.slots))
 
 
 class _Search:
@@ -213,17 +221,22 @@ class _Search:
         self.via: List[Event] = []
 
     def layers(self):
-        """Yield every non-empty BFS layer of orbit representatives as
-        ``(key, ids)`` pairs in discovery order, starting with the initial
-        world's alone; ``ids`` is the key's decoded record slots.
+        """Yield every non-empty BFS layer of orbit representatives in
+        discovery order, starting with the initial world's alone, each as
+        ``(layer, violating)``: the :class:`_Layer`, and the node number of
+        its first world that violates the property, or None.
 
         Nodes are numbered in discovery order, so a layer is the last block
-        of numbers discovered when it is yielded.  Each generated world is
-        keyed once.  A key already seen costs one set lookup; a new one is
-        decoded once, and that decode serves its orbit's images, the
-        property test and its expansion.  Only representatives are
-        expanded: the other members of an orbit are renamings of it, and so
-        are their successors.
+        of numbers discovered when it is yielded.  Each expanded world is
+        one pass: its slots, decoded when it was discovered, serve its
+        successors, which come in ``repr(event)`` order.  A child already
+        seen costs one set lookup; a new one is decoded once, and that
+        decode serves its orbit's images, the property test and, a layer
+        later, its expansion.  Only representatives are expanded: the other
+        members of an orbit are renamings of it, and so are their
+        successors.  The property is tested on each new representative
+        until one in the layer violates it; a layer is yielded complete,
+        so ``seen`` then holds every world up to its depth.
 
         Each layer holds the representatives of its orbits, each the
         orbit's member with the smallest trace, sorted by trace (module
@@ -235,49 +248,61 @@ class _Search:
         ``g`` with ``g·u = r`` would give ``g·w`` the trace of ``r``
         followed by ``g·e``, which is smaller than the trace of ``w``
         because the trace of ``r`` is; so ``u`` is expanded.  Layer *k* is
-        expanded in trace order and each world's successors in
-        ``repr(event)`` order, so the ``(parent, event)`` pairs arrive in
+        expanded in trace order and each world's successors are generated
+        in ``repr(event)`` order, so the ``(parent, event)`` pairs arrive in
         lexicographic order of the traces they form.  Any pair that reaches
         a member of the orbit forms a shortest trace of that member, no
         smaller than the trace of ``w``, and only ``(u, e)`` forms that
         trace itself; so ``(u, e)`` is the first pair to reach the orbit,
         ``w`` becomes its representative, and ``parent`` and ``via`` keep
         its trace.  Orbits are appended when first reached, so layer
-        *k + 1* is sorted by trace as well.
+        *k + 1* is sorted by trace as well.  Testing the property at
+        discovery leaves this unchanged: the test reads a world and writes
+        nothing the search reads, and since discovery order is trace order,
+        the first violating node found in a layer is the violating node of
+        that layer with the smallest trace.
         """
         config, memo, seen, parent, via = (self.config, self.memo, self.seen,
                                            self.parent, self.via)
+        obfuscate, derivation_depth = config.obfuscate, config.derivation_depth
+        max_states = config.max_states
         orbit = self.symmetry.orbit
         events: Dict[Event, Event] = {}  # equal events of stored states share one tuple
         width = config.machines + config.tpms
+        read_ids = slot_reader(width)
         initial = build_world(config.machines, config.tpms).canonical_key()
-        initial_ids = record_ids(initial)
+        initial_ids = read_ids(initial)
         layer = _Layer(width)
-        layer.add(initial, initial_ids)
+        layer.keys.append(initial)
+        layer.slots.extend(initial_ids)
         seen.update(orbit(initial, initial_ids))
         parent.append(-1)
         via.append(None)
+        violating = 0 if violations(initial, initial_ids) else None
         depth = 0
         while layer:
-            yield layer
+            yield layer, violating
             depth += 1
             found = _Layer(width)
+            keys, slots = found.keys, found.slots
+            violating = None
             first = len(parent) - len(layer)
             for n, (key, ids) in enumerate(layer, first):
-                for event, child in successors(World(key), config.obfuscate,
-                                               config.derivation_depth, memo, ids):
-                    child_key = child.canonical_key()
-                    if child_key in seen:
+                for event, child in successors(key, obfuscate, derivation_depth, memo, ids):
+                    if child in seen:  # a world equals its key
                         continue
-                    child_ids = record_ids(child_key)
+                    child_key = child.canonical_key()
+                    child_ids = read_ids(child_key)
                     seen.update(orbit(child_key, child_ids))
+                    if len(seen) > max_states:
+                        raise StateBudgetExceeded(
+                            f"more than {max_states} states at layer {depth}")
+                    if violating is None and violations(child_key, child_ids):
+                        violating = len(parent)
                     parent.append(n)
                     via.append(events.setdefault(event, event))
-                    if len(seen) > config.max_states:
-                        raise StateBudgetExceeded(
-                            f"more than {config.max_states} states at layer {depth}"
-                        )
-                    found.add(child_key, child_ids)
+                    keys.append(child_key)
+                    slots.extend(child_ids)
             layer = found
 
     def trace(self, n: int) -> List[Event]:
@@ -293,25 +318,22 @@ class _Search:
 def check(config: CheckConfig) -> Verdict:
     """Explore exhaustively; return the verdict with a minimal witness."""
     search = _Search(config)
-    for depth, layer in enumerate(search.layers()):
-        first = len(search.parent) - len(layer)
-        for n, (key, ids) in enumerate(layer, first):
-            world = World(key)
-            found = violations(world, ids)
-            if found:
-                trace = search.trace(n)
-                return Verdict(
-                    property_holds=False,
-                    states_explored=len(search.seen),
-                    orbits=len(search.parent),
-                    layers=depth,
-                    config=config,
-                    counterexample={
-                        "steps": [event_str(e) for e in trace],
-                        "events": [list(e) for e in trace],
-                        "world": _world_summary(world, found[0]),
-                    },
-                )
+    for depth, (layer, violating) in enumerate(search.layers()):
+        if violating is not None:
+            world = World(layer.keys[violating - (len(search.parent) - len(layer))])
+            trace = search.trace(violating)
+            return Verdict(
+                property_holds=False,
+                states_explored=len(search.seen),
+                orbits=len(search.parent),
+                layers=depth,
+                config=config,
+                counterexample={
+                    "steps": [event_str(e) for e in trace],
+                    "events": [list(e) for e in trace],
+                    "world": _world_summary(world, violations(world)[0]),
+                },
+            )
     # ``layers`` counts expansions; the last layer was expanded into nothing
     return Verdict(
         property_holds=True,
@@ -327,6 +349,6 @@ def enumerate_reachable(config: CheckConfig):
     sweeps): each representative, then the other distinct members of its
     orbit in the symmetry's fixed order."""
     search = _Search(config)
-    for layer in search.layers():
+    for layer, _ in search.layers():
         for key, ids in layer:
             yield from map(World, dict.fromkeys(search.symmetry.orbit(key, ids)))

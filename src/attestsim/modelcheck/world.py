@@ -75,13 +75,14 @@ move within one power cycle.
 A :class:`Memo` holds the steps of one traversal.  Each table maps the
 ids a step reads (a machine's record, a chip's record, the knowledge) to
 what it writes: the q0 step, the q1 read-back, the verify outcome, the
-extend rule, the tpm-init derivation and each event's sort key.  A miss asks the
-shared rule itself, so a table never restates a rule; it only remembers
-what the rule answered.  Tables live for one ``check`` or
-``enumerate_reachable`` run and are dropped with it, so a rule changed
-between runs is asked afresh.  Ids are looked up and compared, never
-ordered: the successor order comes from ``repr(event)``, where no id
-appears.
+extend rule and the tpm-init derivation.  A miss asks the shared rule
+itself, so a table never restates a rule; it only remembers what the rule
+answered.  Tables live for one ``check`` or ``enumerate_reachable`` run
+and are dropped with it, so a rule changed between runs is asked afresh.
+Ids are looked up and compared, never ordered: :func:`successors`
+generates its moves in ``repr(event)`` order, where no id appears, so the
+order needs no sort, and the explorer tests the property
+(:func:`violations`) at discovery, on slots it has just decoded.
 
 A :class:`Symmetry` holds the renamings of one bound as image tables of the
 same kind, for the explorer's reduction (:mod:`.explore`).  A renaming
@@ -92,10 +93,11 @@ after them, so the tables only avoid rebuilding image records.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
 from operator import getitem
-from typing import Callable, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..trust import disagreeing, forwards_extends, static_split
 from .terms import Interner, Term, derivable, h, name, p, saturate, substitute
@@ -200,7 +202,9 @@ class World(int):
     def canonical_key(self) -> int:
         """The world's identity in the explorer's seen-set: its packed int,
         bare, since equal states pack to the same int and a bare int is
-        smaller to store and untracked by the garbage collector."""
+        smaller to store and untracked by the garbage collector.  A world
+        equals its key, so the explorer looks a child up in the seen-set
+        as it is and takes the key of a new child only."""
         return int(self)
 
     @property
@@ -222,9 +226,18 @@ Event = Tuple  # ("boot", m, image) | ("q0", m, t) | ("obf", m, route) | ...
 def record_ids(world: int) -> Tuple[int, ...]:
     """The ids in a world's record slots: machine ``i`` is slot ``i``, TPM
     ``t`` slot ``machines + t``."""
-    count = (world & _MASK) + (world >> _SLOT & _MASK)
-    packed = world.to_bytes(max((world.bit_length() + 7) // 8, 4 + 2 * count), "little")
-    return struct.unpack_from(f"<{count}H", packed, 4)
+    return slot_reader((world & _MASK) + (world >> _SLOT & _MASK))(world)
+
+
+@lru_cache(maxsize=None)
+def slot_reader(count: int) -> Callable[[int], Tuple[int, ...]]:
+    """The decoder of a world with ``count`` record slots: its low bytes,
+    header and slots, unpacked by one ``struct`` layout built once per
+    count."""
+    layout = struct.Struct(f"<4x{count}H")
+    size, unpack = layout.size, layout.unpack
+    low = (1 << 8 * size) - 1
+    return lambda world: unpack((world & low).to_bytes(size, "little"))
 
 
 def _put(world: int, j: int, record_id: int) -> int:
@@ -351,7 +364,8 @@ def _derives_golden_static(key) -> bool:
 class Memo:
     """The step tables of one traversal (module docstring).  A step maps
     the ids it reads to the id of the record it writes and the knowledge
-    bits it leaks."""
+    bits it leaks.  No table orders moves: :func:`successors` generates
+    them in ``repr(event)`` order."""
 
     def __init__(self):
         self.q0 = _Table(_q0)                  # (machine, t, chip) -> (machine, leak)
@@ -359,7 +373,6 @@ class Memo:
         self.verify = _Table(_verify)          # (machine, chip) -> (machine, leak)
         self.forwards = _Table(_forwards)      # host dynamic register -> bool
         self.golden_static = _Table(_derives_golden_static)  # (knowledge, depth) -> bool
-        self.sort_key = _Table(repr)           # event -> repr(event)
 
 
 # -- transition helpers -----------------------------------------------------
@@ -380,50 +393,67 @@ def _host_accepts_extends(world, t: int, memo: Memo) -> bool:
     return memo.forwards[dpcr]
 
 
-def _readable_tpms(world, i: int) -> Set[int]:
-    """TPMs a malicious driver on machine ``i`` can route reads to."""
-    free = range(len(world.machines), len(world.tpms))
-    return ({i} | {j for j, m in enumerate(world.machines) if _serving(m)}
-            | {t for t in free if world.tpms[t].spcr != S0})
+def _readable_tpms(world, i: int) -> List[int]:
+    """TPMs a malicious driver on machine ``i`` can route reads to, in
+    name order (:func:`_by_name`)."""
+    machines, tpms = world.machines, world.tpms
+    n_machines = len(machines)
+    return [t for t in _by_name(0, len(tpms))
+            if t == i or (_serving(machines[t]) if t < n_machines else tpms[t].spcr != S0)]
+
+
+@lru_cache(maxsize=None)
+def _by_name(start: int, stop: int) -> Tuple[int, ...]:
+    """The indices ``start`` to ``stop - 1`` in the order their reprs sort
+    in, the order an index takes inside ``repr(event)``: 10 before 2."""
+    return tuple(sorted(range(start, stop), key=str))
 
 
 # -- successors -------------------------------------------------------------
 
 
-def successors(world: World, obfuscate: bool, derivation_depth: int,
+def successors(world: int, obfuscate: bool, derivation_depth: int,
                memo: Optional[Memo] = None,
                ids: Optional[Sequence[int]] = None) -> List[Tuple[Event, World]]:
-    """All one-step moves, in a canonical deterministic order.  ``memo``
-    carries the step tables across the calls of one traversal; without it,
-    a call decides everything afresh.  ``ids`` is the world's decoded
-    record slots (:func:`record_ids`), when the caller has them already."""
+    """All one-step moves, generated in ``repr(event)`` order, the canonical
+    order the explorer's traces rest on (:mod:`.explore`): by kind, ``boot``
+    < ``obf`` < ``q0`` < ``q1`` < ``seal`` < ``tpm-init`` < ``verify``; then
+    by index in name order (:func:`_by_name`), so chip 10 comes before chip
+    2; then by argument: images in ``BOOT_MENU`` order, routes ``bound`` <
+    ``drop`` < ``local``, ``golden`` before ``junk``.  ``memo`` carries the
+    step tables across the calls of one traversal; without it, a call
+    decides everything afresh.  ``ids`` is the world's decoded record slots
+    (:func:`record_ids`), when the caller has them already."""
     if memo is None:
         memo = Memo()
     if ids is None:
         ids = record_ids(world)
     records = _records(world, ids)
-    n_machines = len(records.machines)
-    leak_shift = _knowledge_shift(world)
-    out: List[Tuple[Event, World]] = []
+    machines, tpms = records
+    n_machines = len(machines)
+    leak_shift = _SLOT * (2 + len(ids))
+    # one list per kind, each filled in name order, joined in kind order
+    boots, obfs, q0s, q1s, seals, inits, verifies = [], [], [], [], [], [], []
 
-    def moved(machine: int, step: Tuple[int, int]) -> int:
+    def moved(i: int, step: Tuple[int, int]) -> int:
+        # ``_put`` on machine ``i``'s slot, whose id is known already
         record_id, leak = step
-        return _put(world, machine, record_id) | leak << leak_shift
+        return world ^ (ids[i] ^ record_id) << _SLOT * (2 + i) | leak << leak_shift
 
-    for i, m in enumerate(records.machines):
+    for i in _by_name(0, n_machines):
+        m = machines[i]
         phase = m.phase
         if phase == "created":
-            for image in BOOT_MENU:
-                out.append((("boot", i, image), _boot(world, i, image)))
+            boots += [(("boot", i, image), _boot(world, i, image)) for image in BOOT_MENU]
         elif phase == "booted":
             for t in _readable_tpms(records, i) if m.driver_malicious else (i,):
                 step = memo.q0[ids[i], t, ids[n_machines + t]]
-                out.append((("q0", i, t), World(moved(i, step))))
+                q0s.append((("q0", i, t), World(moved(i, step))))
         elif phase == "init_q0":
             if not obfuscate:
                 sealed = MachineProc("sealed", m.image, m.bound_tpm, m.q0_spcr, m.q0_dpcr,
                                      m.q0_spcr)
-                out.append((("seal", i), World(_put(world, i, _record_id(_MACHINES, sealed)))))
+                seals.append((("seal", i), World(_put(world, i, _record_id(_MACHINES, sealed)))))
                 continue
             # the driver sees the mask in the clear
             mask = rnd_term(i)
@@ -434,30 +464,28 @@ def successors(world: World, obfuscate: bool, derivation_depth: int,
                     child = masked
                 else:
                     chip = i if route == "local" else m.bound_tpm
-                    tpm = records.tpms[chip]
+                    tpm = tpms[chip]
                     extended = _record_id(_TPMS, TpmProc(h(p(tpm.spcr, mask)), tpm.dpcr))
                     child = _put(masked, n_machines + chip, extended)
-                out.append((("obf", i, route), World(child)))
+                obfs.append((("obf", i, route), World(child)))
         elif phase == "init_extend":
             step = memo.q1[i, ids[i], ids[n_machines + m.bound_tpm]]
-            out.append((("q1", i), World(moved(i, step))))
+            q1s.append((("q1", i), World(moved(i, step))))
         elif phase == "sealed":
             step = memo.verify[ids[i], ids[n_machines + m.bound_tpm]]
-            out.append((("verify", i), World(moved(i, step))))
+            verifies.append((("verify", i), World(moved(i, step))))
 
-    for t in range(n_machines, len(records.tpms)):
-        tpm = records.tpms[t]
+    for t in _by_name(n_machines, len(tpms)):
+        tpm = tpms[t]
         if tpm.spcr != S0:
             continue
         if memo.golden_static[world >> leak_shift, derivation_depth]:
             chip = _record_id(_TPMS, TpmProc(SPCR_G, tpm.dpcr))
-            out.append((("tpm-init", t, "golden"), World(_put(world, n_machines + t, chip))))
+            inits.append((("tpm-init", t, "golden"), World(_put(world, n_machines + t, chip))))
         chip = _record_id(_TPMS, TpmProc(junk_term(t), tpm.dpcr))
-        out.append((("tpm-init", t, "junk"), World(_put(world, n_machines + t, chip))))
+        inits.append((("tpm-init", t, "junk"), World(_put(world, n_machines + t, chip))))
 
-    sort_key = memo.sort_key
-    out.sort(key=lambda pair: sort_key[pair[0]])
-    return out
+    return [*boots, *obfs, *q0s, *q1s, *seals, *inits, *verifies]
 
 
 def _boot(world: World, i: int, image: str) -> World:
@@ -474,18 +502,19 @@ def _obf_routes(records: _Records, i: int, memo: Memo) -> Tuple[str, ...]:
     if not m.driver_malicious:
         return ("local",)
     if m.bound_tpm != i and _host_accepts_extends(records, m.bound_tpm, memo):
-        return ("drop", "local", "bound")
+        return ("bound", "drop", "local")
     return ("drop", "local")
 
 
 # -- the property -----------------------------------------------------------
 
 
-def violations(world: World,
+def violations(world: int,
                ids: Optional[Sequence[int]] = None) -> List[Tuple[int, int, int]]:
     """Machines holding a trusted verdict whose quote TPM is not the
     attached one: (machine, x=quote tpm, y=attached tpm).  ``ids`` is as
-    for :func:`successors`."""
+    for :func:`successors`.  The explorer tests it at discovery, on each
+    new orbit representative, with the slots it has just decoded."""
     if ids is None:
         ids = record_ids(world)
     machines = map(_MACHINES.values.__getitem__, ids[:world & _MASK])

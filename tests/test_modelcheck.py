@@ -78,6 +78,8 @@ def test_world_shape_and_validation():
     ({"machines": 0, "tpms": 1}, "machines must be >= 1"),
     ({"machines": 2, "tpms": 1}, "tpms must cover every machine"),
     ({"derivation_depth": -1}, "derivation_depth must be >= 0"),
+    ({"max_states": 0}, "max_states must be >= 1"),
+    ({"max_states": -1}, "max_states must be >= 1"),
 ])
 def test_check_config_refuses_bad_bounds(bounds, message):
     with pytest.raises(ValueError, match=message):
@@ -544,16 +546,38 @@ def test_successors_commute_with_every_renaming(machines, tpms, obfuscate):
     """The soundness condition of the reduction (equivariance): on every
     reachable world, the moves of a renamed world are the renamed moves,
     and the explorer's image tables give the same images in the same order.
-    A model change that breaks a symmetry fails here, not in a verdict."""
+    A model change that breaks a symmetry fails here, not in a verdict.
+    The moves also come in ``repr(event)`` order, which the explorer's
+    traces rest on, without a sort."""
     cfg = CheckConfig(machines=machines, tpms=tpms, obfuscate=obfuscate)
     renamings = list(_renamings(machines, tpms))
     symmetry, memo = Symmetry(machines, tpms), model.Memo()
     for world in enumerate_reachable(cfg):
         moves = successors(world, obfuscate, cfg.derivation_depth, memo)
+        events = [e for e, _ in moves]
+        assert events == sorted(events, key=repr), world.machines
         for on_world, on_event in renamings:
             assert set(successors(on_world(world), obfuscate, cfg.derivation_depth, memo)) == {
                 (on_event(e), on_world(child)) for e, child in moves}, world.machines
         assert symmetry.orbit(world, record_ids(world)) == [g(world) for g, _ in renamings]
+
+
+def test_moves_name_index_10_before_index_2():
+    """Indices come in the order their reprs sort in, as inside
+    ``repr(event)``.  No bound above reaches index 10, so a numeric order
+    passes every other test and fails only this one."""
+    def after(world, event):
+        return dict(successors(world, False, 5))[event]
+
+    world = build_world(1, 12)
+    events = [e for e, _ in successors(world, False, 5)]
+    assert events == sorted(events, key=repr)
+    chips = [e[1] for e in events if e[0] == "tpm-init"]
+    assert list(dict.fromkeys(chips)) == [1, 10, 11, 2, 3, 4, 5, 6, 7, 8, 9]
+
+    booted = after(world, ("boot", 0, "malicious-kernel"))
+    prepared = after(after(booted, ("tpm-init", 2, "junk")), ("tpm-init", 10, "junk"))
+    assert [e[2] for e, _ in successors(prepared, False, 5) if e[0] == "q0"] == [0, 10, 2]
 
 
 @pytest.mark.parametrize("machines,tpms,obfuscate", [(3, 3, False), (1, 4, True), (2, 4, True)],

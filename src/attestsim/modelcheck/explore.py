@@ -96,7 +96,7 @@ from .world import (
 class CheckConfig:
     machines: int = 2
     tpms: int = 2
-    derivation_depth: int = 5
+    derivation_depth: int = 5  # compositions over the public atoms (world: tpm-init)
     obfuscate: bool = False
     max_states: int = 200_000
 

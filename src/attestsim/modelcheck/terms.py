@@ -18,15 +18,14 @@ are compared for equality and used as keys, never sorted.
 
 ``substitute`` renames the names in a term, as the explorer's symmetry
 renames masks and junk terms.
-``saturate`` closes a knowledge set under decomposition (pairs split).
-``derivable`` additionally allows bounded *composition*: an adversary may
-build up to ``depth`` nested constructors on top of saturated knowledge.
-Hashing is one-way, so knowing ``h(t)`` never yields ``t``.
+``derivable`` is bounded *composition*: an adversary may build up to
+``depth`` nested constructors on top of the terms it holds.  Hashing is
+one-way, so holding ``h(t)`` never yields ``t``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Tuple
 
 Term = int  # an id in the intern table
 
@@ -75,24 +74,11 @@ def substitute(t: Term, names: Dict[Term, Term]) -> Term:
     return _terms((tag, *(substitute(c, names) for c in children)))
 
 
-def saturate(knowledge: Iterable[Term]) -> FrozenSet[Term]:
-    """Close ``knowledge`` under decomposition to a fixpoint."""
-    known = set(knowledge)
-    pending = list(known)
-    while pending:
-        tag, *children = _nodes[pending.pop()]
-        if tag == "p":
-            for f in children:
-                if f not in known:
-                    known.add(f)
-                    pending.append(f)
-    return frozenset(known)
-
-
-def derivable(term: Term, saturated: FrozenSet[Term], depth: int) -> bool:
+def derivable(term: Term, known: FrozenSet[Term], depth: int) -> bool:
     """Can the adversary build ``term`` with at most ``depth`` compositions
-    over already-saturated knowledge?"""
-    if term in saturated:
+    over ``known``?  ``known`` holds no pair whose parts it lacks, as a set
+    of names does: pairs are never split here."""
+    if term in known:
         return True
     if depth <= 0:
         return False
@@ -100,4 +86,4 @@ def derivable(term: Term, saturated: FrozenSet[Term], depth: int) -> bool:
     if tag == "n":
         return False  # fresh names cannot be invented
     # a hash needs its argument, a pair both components
-    return all(derivable(c, saturated, depth - 1) for c in children)
+    return all(derivable(c, known, depth - 1) for c in children)

@@ -1,26 +1,24 @@
-"""Protocol state space: machines, TPMs, adversary knowledge, transitions.
+"""Protocol state space: machines, TPMs, transitions.
 
-One world is a frozen snapshot of every machine's protocol phase, every
-TPM's registers (as terms) and the adversary's knowledge set.  The records
-:class:`MachineProc` and :class:`TpmProc` are ``NamedTuple`` values built
-positionally.  A :class:`World` packs them into one int, so a world hashes
-and compares in one step and costs a few dozen bytes to store:
-
-* from the low end, 16-bit slots hold the machine count, the TPM count,
-  then one record id per machine and one per TPM;
-* above the slots, the knowledge is a bitmask: bit *t* is set when the
-  adversary knows term *t* (terms are ids, :mod:`.terms`).
+One world is a frozen snapshot of every machine's protocol phase and every
+TPM's registers (as terms, :mod:`.terms`).  The records :class:`MachineProc`
+and :class:`TpmProc` are ``NamedTuple`` values built positionally.  A
+:class:`World` packs them into one int, so a world hashes and compares in
+one step and costs a few dozen bytes to store: from the low end, 16-bit
+slots hold the machine count, the TPM count, then one record id per
+machine and one per TPM.
 
 Records are hash-consed into process-wide tables, as terms are, so a
 record id names one record for the life of the process, and
-``World.machines``, ``World.tpms`` and ``World.knowledge`` decode any world
-at any time.  Each record stores a fact once.  A record's position is its
-identity: machine *i* is attached to TPM *i*, and the TPMs past the last
-machine are free chips.  What follows from stored facts is derived, not
-stored: whether a driver is malicious follows from the booted image, and
-whether a free chip is prepared follows from its static register (see
-**tpm-init**).  Transitions follow the implementation's semantics, reduced
-to what the trust property can observe:
+``World.machines`` and ``World.tpms`` decode any world at any time.  Each
+record stores a fact once.  A record's position is its identity: machine
+*i* is attached to TPM *i*, and the TPMs past the last machine are free
+chips.  What follows from stored facts is derived, not stored: whether a
+driver is malicious follows from the booted image, whether a free chip is
+prepared follows from its static register, and what the adversary knows of
+the golden static chain follows from the public atoms and the machines'
+q0 records (see **tpm-init**).  Transitions follow the implementation's
+semantics, reduced to what the trust property can observe:
 
 * **Boot** picks an image set per machine.  The firmware is
   signature-gated, so the static register always takes the golden value on
@@ -37,14 +35,15 @@ to what the trust property can observe:
   TPM: later quotes name the minted key, and only that TPM's signatures
   verify, so q1 and the runtime quote are forced to the same chip.
 * **obf** extends the static register with a fresh random mask.  A
-  malicious driver leaks the mask to the adversary and chooses where the
-  extend lands: the attached chip, the bound chip, or nowhere.  The bound
-  chip takes the extend only if its host is serving and forwards extends
-  by the relay's rule (:func:`attestsim.trust.forwards_extends`): its
-  dynamic register is not the golden one, since golden software has no
-  remote-extend service.  A host that is created or halted serves neither
-  reads nor extends.  The concrete twin of these routing rules is
-  ``machine.RelayTpmChannel``, which decides extends by the same rule.
+  malicious driver sees the mask, which no adversary move uses, and
+  chooses where the extend lands: the attached chip, the bound chip, or
+  nowhere.  The bound chip takes the extend only if its host is serving
+  and forwards extends by the relay's rule
+  (:func:`attestsim.trust.forwards_extends`): its dynamic register is not
+  the golden one, since golden software has no remote-extend service.  A
+  host that is created or halted serves neither reads nor extends.  The
+  concrete twin of these routing rules is ``machine.RelayTpmChannel``,
+  which decides extends by the same rule.
 * **q1** reads back: the bound register must show exactly
   ``h(pair(q0_value, mask))`` with dynamics unmoved, else initialization
   aborts.  Both are the agreement rule (:func:`attestsim.trust.disagreeing`)
@@ -57,8 +56,15 @@ to what the trust property can observe:
   be golden, and the bound register must still show the sealed
   (obfuscated) value.  Each register is a one-entry mapping of its term.
 * **tpm-init** prepares a free chip once, before it can serve: the
-  adversary may replay the public static chain (if derivable within the
-  depth bound) or load junk.  Either moves the static register off ``S0``
+  adversary may load junk, or replay the golden static chain ``SPCR_G``
+  if it knows it.  It knows it when the public atoms compose it within
+  the depth bound (:func:`~.terms.derivable`), or when a malicious driver
+  read it at q0: a driver hands the adversary what it reads, and ``q0_spcr``
+  keeps that read in every later record, ``halted`` included.  Nothing
+  else ever shows it the chain: a chip q0 can read is off ``S0``, so it is
+  no longer free to prepare; an extend never yields ``SPCR_G``; and a
+  later read of ``SPCR_G`` at q1 or verify reads the chip q0 read, which
+  showed it then.  Both init moves take the static register off ``S0``
   for good, and nothing else reaches a free chip's registers.  Free chips
   never show a golden *dynamic* chain: that requires a locality-gated
   measured launch, and a chip without a platform has no way to perform
@@ -73,12 +79,12 @@ the chip, and q1 and verify are forced onto it.  The reboot counter cannot
 move within one power cycle.
 
 A :class:`Memo` holds the steps of one traversal.  Each table maps the
-ids a step reads (a machine's record, a chip's record, the knowledge) to
-what it writes: the q0 step, the q1 read-back, the verify outcome, the
-extend rule and the tpm-init derivation.  A miss asks the shared rule
-itself, so a table never restates a rule; it only remembers what the rule
-answered.  Tables live for one ``check`` or ``enumerate_reachable`` run
-and are dropped with it, so a rule changed between runs is asked afresh.
+ids a step reads (a machine's record, a chip's record) to what it writes:
+the q0 step, the q1 read-back, the verify outcome and the extend rule.  A
+miss asks the shared rule itself, so a table never restates a rule; it
+only remembers what the rule answered.  Tables live for one ``check`` or
+``enumerate_reachable`` run and are dropped with it, so a rule changed
+between runs is asked afresh.
 Ids are looked up and compared, never ordered: :func:`successors`
 generates its moves in ``repr(event)`` order, where no id appears, so the
 order needs no sort, and the explorer tests the property
@@ -97,10 +103,10 @@ from functools import lru_cache
 from itertools import permutations
 from math import factorial
 from operator import getitem
-from typing import Callable, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..trust import disagreeing, forwards_extends, static_split
-from .terms import Interner, Term, derivable, h, name, p, saturate, substitute
+from .terms import Interner, Term, derivable, h, name, p, substitute
 
 # -- fixed vocabulary -------------------------------------------------------
 
@@ -114,6 +120,9 @@ K_M = name("kernel-malicious")
 I_M = name("initramfs-malicious")
 
 SPCR_G = h(p(S0, h(UEFI_S)))
+# the atoms everyone holds; the junk terms are the adversary's too, but
+# SPCR_G holds none of them
+PUBLIC = frozenset({S0, D0, UEFI_S, TBOOT_S, K_G, I_G, K_M, I_M})
 
 
 def dpcr_term(kernel: Term, initramfs: Term) -> Term:
@@ -215,10 +224,6 @@ class World(int):
     def tpms(self) -> Tuple[TpmProc, ...]:
         return _records(self).tpms
 
-    @property
-    def knowledge(self) -> FrozenSet[Term]:
-        return _members(self >> _knowledge_shift(self))
-
 
 Event = Tuple  # ("boot", m, image) | ("q0", m, t) | ("obf", m, route) | ...
 
@@ -246,10 +251,6 @@ def _put(world: int, j: int, record_id: int) -> int:
     return world ^ ((world >> shift & _MASK ^ record_id) << shift)
 
 
-def _knowledge_shift(world: int) -> int:
-    return _SLOT * (2 + (world & _MASK) + (world >> _SLOT & _MASK))
-
-
 def _records(world: int, ids: Optional[Sequence[int]] = None) -> _Records:
     """The one decoder of a world's machine and TPM records."""
     if ids is None:
@@ -259,34 +260,17 @@ def _records(world: int, ids: Optional[Sequence[int]] = None) -> _Records:
                     tuple(map(_TPMS.values.__getitem__, ids[n_machines:])))
 
 
-def _pack(machines: Sequence[MachineProc], tpms: Sequence[TpmProc],
-          knowledge: FrozenSet[Term]) -> World:
+def _pack(machines: Sequence[MachineProc], tpms: Sequence[TpmProc]) -> World:
     ids = [_record_id(_MACHINES, m) for m in machines] + [_record_id(_TPMS, t) for t in tpms]
     world = len(machines) | len(tpms) << _SLOT
     for j, record_id in enumerate(ids):
         world |= record_id << (_SLOT * (2 + j))
-    return World(world | _bits(knowledge) << (_SLOT * (2 + len(ids))))
-
-
-def _bits(terms: Iterable[Term]) -> int:
-    """The knowledge bitmask of ``terms``: bit ``t`` stands for term ``t``."""
-    mask = 0
-    for t in terms:
-        mask |= 1 << t
-    return mask
-
-
-def _members(mask: int) -> FrozenSet[Term]:
-    return frozenset(t for t in range(mask.bit_length()) if mask >> t & 1)
+    return World(world)
 
 
 def build_world(n_machines: int, n_tpms: int) -> World:
     """The initial world; ``CheckConfig`` checks the bounds."""
-    knowledge = frozenset(
-        {S0, D0, UEFI_S, TBOOT_S, K_G, I_G, K_M, I_M}
-        | {junk_term(t) for t in range(n_machines, n_tpms)}
-    )
-    return _pack((MachineProc(),) * n_machines, (TpmProc(S0, D0),) * n_tpms, knowledge)
+    return _pack((MachineProc(),) * n_machines, (TpmProc(S0, D0),) * n_tpms)
 
 
 # each image's boot, as (machine record id, chip record id): the golden
@@ -314,19 +298,13 @@ class _Table(dict):
         return value
 
 
-def _leaked(m: MachineProc, *terms: Term) -> int:
-    """The knowledge bits a step by ``m``'s driver hands the adversary."""
-    return _bits(terms) if m.driver_malicious else 0
-
-
-def _q0(key) -> Tuple[int, int]:
+def _q0(key) -> int:
     mid, t, tid = key
     m, tpm = _MACHINES.values[mid], _TPMS.values[tid]
-    return (_record_id(_MACHINES, MachineProc("init_q0", m.image, t, tpm.spcr, tpm.dpcr)),
-            _leaked(m, tpm.spcr, tpm.dpcr))
+    return _record_id(_MACHINES, MachineProc("init_q0", m.image, t, tpm.spcr, tpm.dpcr))
 
 
-def _q1(key) -> Tuple[int, int]:
+def _q1(key) -> int:
     """q1: the bound static register must show exactly the q0 value extended
     by the mask, and the dynamic one must not have moved."""
     i, mid, tid = key
@@ -336,10 +314,10 @@ def _q1(key) -> Tuple[int, int]:
         after = MachineProc("halted", *m[1:])
     else:
         after = MachineProc("sealed", m.image, m.bound_tpm, m.q0_spcr, m.q0_dpcr, tpm.spcr)
-    return _record_id(_MACHINES, after), _leaked(m, tpm.spcr, tpm.dpcr)
+    return _record_id(_MACHINES, after)
 
 
-def _verify(key) -> Tuple[int, int]:
+def _verify(key) -> int:
     """verify: c2 over sealed, golden and quoted dynamics, c3 as the static
     split over the sealed baseline and the sealed obfuscated value."""
     mid, tid = key
@@ -347,32 +325,37 @@ def _verify(key) -> Tuple[int, int]:
     c2 = not disagreeing((0,), {0: m.q0_dpcr}, {0: DPCR_G}, {0: tpm.dpcr})
     c3 = not static_split((0,), {0: SPCR_G}, {0: m.q0_spcr}, {0: m.sealed_obf},
                           {0: tpm.spcr})
-    return (_record_id(_MACHINES, MachineProc("done", m.image, m.bound_tpm, m.q0_spcr,
-                                              m.q0_dpcr, m.sealed_obf, c2 and c3)),
-            _leaked(m, tpm.spcr, tpm.dpcr))
+    return _record_id(_MACHINES, MachineProc("done", m.image, m.bound_tpm, m.q0_spcr,
+                                             m.q0_dpcr, m.sealed_obf, c2 and c3))
 
 
 def _forwards(dpcr: Term) -> bool:
     return forwards_extends({0: DPCR_G}, {0: dpcr})
 
 
-def _derives_golden_static(key) -> bool:
-    knowledge, depth = key
-    return derivable(SPCR_G, saturate(_members(knowledge)), depth)
+@lru_cache(maxsize=None)
+def _public_golden_chain(depth: int) -> bool:
+    return derivable(SPCR_G, PUBLIC, depth)
+
+
+def _golden_chain_known(machines: Sequence[MachineProc], depth: int) -> bool:
+    """Whether the adversary can replay ``SPCR_G`` at tpm-init: composed
+    from the public atoms, or read at q0 by a malicious driver (module
+    docstring, **tpm-init**)."""
+    return _public_golden_chain(depth) or any(
+        m.q0_spcr == SPCR_G and m.driver_malicious for m in machines)
 
 
 class Memo:
     """The step tables of one traversal (module docstring).  A step maps
-    the ids it reads to the id of the record it writes and the knowledge
-    bits it leaks.  No table orders moves: :func:`successors` generates
-    them in ``repr(event)`` order."""
+    the ids it reads to the id of the record it writes.  No table orders
+    moves: :func:`successors` generates them in ``repr(event)`` order."""
 
     def __init__(self):
-        self.q0 = _Table(_q0)                  # (machine, t, chip) -> (machine, leak)
-        self.q1 = _Table(_q1)                  # (i, machine, chip) -> (machine, leak)
-        self.verify = _Table(_verify)          # (machine, chip) -> (machine, leak)
+        self.q0 = _Table(_q0)                  # (machine, t, chip) -> machine
+        self.q1 = _Table(_q1)                  # (i, machine, chip) -> machine
+        self.verify = _Table(_verify)          # (machine, chip) -> machine
         self.forwards = _Table(_forwards)      # host dynamic register -> bool
-        self.golden_static = _Table(_derives_golden_static)  # (knowledge, depth) -> bool
 
 
 # -- transition helpers -----------------------------------------------------
@@ -431,14 +414,12 @@ def successors(world: int, obfuscate: bool, derivation_depth: int,
     records = _records(world, ids)
     machines, tpms = records
     n_machines = len(machines)
-    leak_shift = _SLOT * (2 + len(ids))
     # one list per kind, each filled in name order, joined in kind order
     boots, obfs, q0s, q1s, seals, inits, verifies = [], [], [], [], [], [], []
 
-    def moved(i: int, step: Tuple[int, int]) -> int:
+    def moved(i: int, record_id: int) -> int:
         # ``_put`` on machine ``i``'s slot, whose id is known already
-        record_id, leak = step
-        return world ^ (ids[i] ^ record_id) << _SLOT * (2 + i) | leak << leak_shift
+        return world ^ (ids[i] ^ record_id) << _SLOT * (2 + i)
 
     for i in _by_name(0, n_machines):
         m = machines[i]
@@ -455,10 +436,8 @@ def successors(world: int, obfuscate: bool, derivation_depth: int,
                                      m.q0_spcr)
                 seals.append((("seal", i), World(_put(world, i, _record_id(_MACHINES, sealed)))))
                 continue
-            # the driver sees the mask in the clear
             mask = rnd_term(i)
-            masked = moved(i, (_record_id(_MACHINES, MachineProc("init_extend", *m[1:])),
-                               _leaked(m, mask)))
+            masked = moved(i, _record_id(_MACHINES, MachineProc("init_extend", *m[1:])))
             for route in _obf_routes(records, i, memo):
                 if route == "drop":
                     child = masked
@@ -479,7 +458,7 @@ def successors(world: int, obfuscate: bool, derivation_depth: int,
         tpm = tpms[t]
         if tpm.spcr != S0:
             continue
-        if memo.golden_static[world >> leak_shift, derivation_depth]:
+        if _golden_chain_known(machines, derivation_depth):
             chip = _record_id(_TPMS, TpmProc(SPCR_G, tpm.dpcr))
             inits.append((("tpm-init", t, "golden"), World(_put(world, n_machines + t, chip))))
         chip = _record_id(_TPMS, TpmProc(junk_term(t), tpm.dpcr))
@@ -539,10 +518,9 @@ class Symmetry:
     these terms, so a renamed world's successors are its successors
     renamed; ``test_modelcheck`` checks that on every reachable world of
     the small bounds.  Each renaming held is a plan of tables, one per
-    record slot and one for the knowledge: a record id maps to the shifted
-    id of its image record in the slot the renaming sends it to, and a
-    knowledge mask to its image mask.  Terms are renamed by substituting the
-    ``rnd_term`` and ``junk_term`` ids (:func:`~.terms.substitute`).
+    record slot: a record id maps to the shifted id of its image record in
+    the slot the renaming sends it to.  Terms are renamed by substituting
+    the ``rnd_term`` and ``junk_term`` ids (:func:`~.terms.substitute`).
 
     A group of at most ``_LISTED`` elements (four machines, or one machine
     and five chips) is held whole, and an orbit costs one image per
@@ -553,7 +531,6 @@ class Symmetry:
 
     def __init__(self, n_machines: int, n_tpms: int):
         self._header = n_machines | n_tpms << _SLOT
-        self._knowledge_shift = _SLOT * (2 + n_machines + n_tpms)
         self._listed = factorial(n_machines) * factorial(n_tpms - n_machines) <= _LISTED
         own, free = tuple(range(n_machines)), tuple(range(n_machines, n_tpms))
         if self._listed:  # the identity is left out: its image is the world itself
@@ -581,9 +558,8 @@ class Symmetry:
         return list(members)
 
     def _images(self, world: int, ids: Sequence[int]) -> List[int]:
-        header, knowledge = self._header, world >> self._knowledge_shift
-        return [header + sum(map(getitem, slots, ids)) + masks[knowledge]
-                for slots, masks in self._plans]
+        header = self._header
+        return [header + sum(map(getitem, slots, ids)) for slots in self._plans]
 
 
 def _generators(items: Tuple[int, ...]) -> List[Tuple[int, ...]]:
@@ -596,9 +572,9 @@ def _generators(items: Tuple[int, ...]) -> List[Tuple[int, ...]]:
     return [swap] if rotation == swap else [swap, rotation]
 
 
-def _plan(chips: Tuple[int, ...], n_machines: int) -> Tuple[List[_Table], _Table]:
-    """The slot tables and the knowledge table of the renaming that sends
-    machine ``i`` to ``chips[i]`` and chip ``t`` to ``chips[t]``."""
+def _plan(chips: Tuple[int, ...], n_machines: int) -> List[_Table]:
+    """The slot tables of the renaming that sends machine ``i`` to
+    ``chips[i]`` and chip ``t`` to ``chips[t]``."""
     names = {rnd_term(i): rnd_term(chips[i]) for i in range(n_machines)}
     names.update((junk_term(t), junk_term(chips[t])) for t in range(n_machines, len(chips)))
     term = _Table(lambda t: substitute(t, names))
@@ -619,8 +595,5 @@ def _plan(chips: Tuple[int, ...], n_machines: int) -> Tuple[List[_Table], _Table
         return _Table(lambda rid: image[rid] << _SLOT * (2 + j))
 
     machines, tpms = _Table(machine), _Table(tpm)
-    knowledge_shift = _SLOT * (2 + n_machines + len(chips))
     return ([slot(machines, chips[i]) for i in range(n_machines)]
-            + [slot(tpms, n_machines + chips[t]) for t in range(len(chips))],
-            _Table(lambda mask: _bits(map(term.__getitem__, _members(mask)))
-                   << knowledge_shift))
+            + [slot(tpms, n_machines + chips[t]) for t in range(len(chips))])

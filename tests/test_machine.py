@@ -220,7 +220,7 @@ def _model_host(phase, image=None):
     if image is not None:
         world = model._boot(world, 1, image)
     machines = (world.machines[0], model.MachineProc(phase, world.machines[1].image))
-    return model._pack(machines, world.tpms, world.knowledge)
+    return model._pack(machines, world.tpms)
 
 
 # host state -> (how the host gets there, relay serves reads, relay forwards

@@ -20,7 +20,7 @@ from attestsim.modelcheck import (
     terms,
 )
 from attestsim.modelcheck.explore import enumerate_reachable, event_str
-from attestsim.modelcheck.terms import derivable, h, name, node, p, saturate
+from attestsim.modelcheck.terms import derivable, h, name, node, p
 from attestsim.modelcheck.world import (
     D0,
     DPCR_G,
@@ -42,24 +42,16 @@ from attestsim.modelcheck.world import (
 # --------------------------------------------------------------------------
 
 
-def test_saturate_decomposes_pairs_and_signatures():
-    # the algebra has no signatures left: pairs split, hashes stay opaque
-    a, b, k = name("a"), name("b"), name("k")
-    sat = saturate({p(a, b), h(k)})
-    assert a in sat and b in sat
-    assert k not in sat
-
-
 def test_derivable_is_depth_bounded():
-    base = saturate({name("s0"), name("uefi")})
+    base = frozenset({name("s0"), name("uefi")})
     golden = h(p(name("s0"), h(name("uefi"))))
     assert not derivable(golden, base, 2)
     assert derivable(golden, base, 3)
 
 
 def test_fresh_names_and_hash_preimages_stay_out_of_reach():
-    sat = saturate({h(name("secret"))})
-    assert not derivable(name("secret"), sat, 10)
+    known = frozenset({h(name("secret"))})
+    assert not derivable(name("secret"), known, 10)
 
 
 # --------------------------------------------------------------------------
@@ -91,6 +83,17 @@ def test_check_config_refuses_more_tpms_than_a_slot_holds():
         CheckConfig(machines=1, tpms=65536)
 
 
+def _after(world, *events, obfuscate=False, depth=2):
+    """The world reached from ``world`` by ``events``, one move at a time."""
+    for event in events:
+        world = dict(successors(world, obfuscate, depth))[event]
+    return world
+
+
+def _inits(world, obfuscate=False, depth=2):
+    return [e for e, _ in successors(world, obfuscate, depth) if e[0] == "tpm-init"]
+
+
 def test_free_tpm_golden_static_is_depth_gated():
     w = build_world(1, 2)
     events_d3 = [e for e, _ in successors(w, False, 3)]
@@ -98,6 +101,24 @@ def test_free_tpm_golden_static_is_depth_gated():
     assert ("tpm-init", 1, "golden") in events_d3
     assert ("tpm-init", 1, "golden") not in events_d2
     assert ("tpm-init", 1, "junk") in events_d2
+    # below the depth, the chain is known once a malicious driver has read
+    # it off a golden static register at q0, and only then
+    golden, junk = ("tpm-init", 1, "golden"), ("tpm-init", 1, "junk")
+    honest = _after(w, ("boot", 0, "golden"), ("q0", 0, 0))
+    assert _inits(honest) == [junk]
+    malicious = _after(w, ("boot", 0, "malicious-kernel"))
+    assert _inits(malicious) == [junk]
+    read = _after(malicious, ("q0", 0, 0))
+    assert read.machines[0].q0_spcr == SPCR_G
+    assert _inits(read) == [golden, junk]
+    # the read is kept by every later record, a halted one included
+    halted = _after(read, ("obf", 0, "drop"), ("q1", 0), obfuscate=True)
+    assert halted.machines[0].phase == "halted"
+    assert _inits(halted, obfuscate=True) == [golden, junk]
+    # a static register read off a junk-prepared chip teaches nothing
+    w = _after(build_world(1, 3), ("boot", 0, "malicious-kernel"), ("tpm-init", 1, "junk"),
+               ("q0", 0, 1))
+    assert _inits(w) == [("tpm-init", 2, "junk")]
 
 
 def test_state_budget_is_enforced():
@@ -109,9 +130,9 @@ def test_state_budget_counts_concrete_worlds():
     """The budget bounds the raw count, whole orbits entering at once: the
     boundary and the layer named sit where an unreduced search puts them."""
     cfg = CheckConfig(machines=2, tpms=2, derivation_depth=5, obfuscate=True)
-    assert check(replace(cfg, max_states=2057)).states_explored == 2057
-    with pytest.raises(StateBudgetExceeded, match="more than 2056 states at layer 10$"):
-        check(replace(cfg, max_states=2056))
+    assert check(replace(cfg, max_states=1921)).states_explored == 1921
+    with pytest.raises(StateBudgetExceeded, match="more than 1920 states at layer 10$"):
+        check(replace(cfg, max_states=1920))
 
 
 # --------------------------------------------------------------------------
@@ -169,15 +190,18 @@ RELAY_TRACE = [
 @pytest.mark.parametrize("machines,tpms,depth,obfuscate,expected", [
     (2, 2, 5, False, (False, 226, 5, 118, RELAY_TRACE)),
     (2, 2, 4, False, (False, 226, 5, 118, RELAY_TRACE)),
-    (2, 2, 5, True, (True, 2057, 11, 1047, None)),
-    (2, 3, 5, True, (True, 8299, 12, 4215, None)),
+    (2, 2, 5, True, (True, 1921, 11, 979, None)),
+    (2, 3, 5, True, (True, 7795, 12, 3963, None)),
+    # depth saturates at 3, the compositions the public golden static chain takes
+    (2, 3, 2, True, (True, 7246, 12, 3679, None)),
+    (2, 3, 3, True, (True, 7795, 12, 3963, None)),
     (2, 3, 5, False, (False, 642, 5, 338, RELAY_TRACE)),
     (3, 3, 5, False, (False, 1793, 5, 345, RELAY_TRACE)),
     (1, 2, 5, True, (True, 83, 7, 83, None)),
     (1, 2, 5, False, (True, 54, 6, 54, None)),
-    (3, 3, 5, True, (True, 440645, 16, 73997, None)),
-], ids=["2x2-plain-d5", "2x2-plain-d4", "2x2-obf", "2x3-obf", "2x3-plain",
-        "3x3-plain", "1x2-obf", "1x2-plain", "3x3-obf"])
+    (3, 3, 5, True, (True, 376301, 16, 63263, None)),
+], ids=["2x2-plain-d5", "2x2-plain-d4", "2x2-obf", "2x3-obf", "2x3-obf-d2", "2x3-obf-d3",
+        "2x3-plain", "3x3-plain", "1x2-obf", "1x2-plain", "3x3-obf"])
 def test_verdict_table_is_pinned(machines, tpms, depth, obfuscate, expected):
     """States are the concrete worlds reached, orbits those under the
     symmetry; only the first is reported."""
@@ -242,19 +266,6 @@ def test_event_rendering():
 # --------------------------------------------------------------------------
 
 
-def test_mask_secrecy_for_honest_drivers():
-    """The obfuscation mask of a machine with an honest driver never reaches
-    adversary knowledge, in any reachable state."""
-    cfg = CheckConfig(machines=2, tpms=2, derivation_depth=5, obfuscate=True)
-    checked = 0
-    for world in enumerate_reachable(cfg):
-        for i, m in enumerate(world.machines):
-            if rnd_term(i) in world.knowledge:
-                assert m.driver_malicious, world.canonical_key()
-                checked += 1
-    assert checked > 0  # leaks do happen, only ever on malicious drivers
-
-
 def test_trusted_verdicts_imply_golden_boot_when_obfuscated():
     cfg = CheckConfig(machines=2, tpms=2, derivation_depth=5, obfuscate=True)
     trusted_seen = 0
@@ -304,18 +315,15 @@ def _subterms(term):
 
 @pytest.mark.parametrize("obfuscate", [False, True])
 def test_reachable_terms_are_names_hashes_and_pairs(obfuscate):
-    """Only names and hashes ever leak: every register and known term is
-    built from n/h/p alone and knowledge is already closed under
-    decomposition, which is all ``saturate`` and ``derivable`` handle."""
+    """Every register and recorded term is built from n/h/p alone, which
+    is all ``derivable`` and ``substitute`` handle."""
     cfg = CheckConfig(machines=2, tpms=2, derivation_depth=5, obfuscate=obfuscate)
     for world in enumerate_reachable(cfg):
-        terms = set(world.knowledge)
-        terms.update(t for tpm in world.tpms for t in (tpm.spcr, tpm.dpcr))
+        terms = {t for tpm in world.tpms for t in (tpm.spcr, tpm.dpcr)}
         terms.update(t for m in world.machines
                      for t in (m.q0_spcr, m.q0_dpcr, m.sealed_obf) if t is not None)
         tags = {sub[0] for t in terms for sub in _subterms(t)}
         assert tags <= {"n", "h", "p"}, world.canonical_key()
-        assert saturate(world.knowledge) == world.knowledge, world.canonical_key()
 
 
 def test_plain_reachable_graph_contains_trusted_cuckoo_state():
@@ -331,9 +339,9 @@ def test_plain_reachable_graph_contains_trusted_cuckoo_state():
 @pytest.mark.parametrize("rule,answer,expected", [
     ("disagreeing", [], (False, 811)),
     ("forwards_extends", True, (False, 811)),
-    ("forwards_extends", False, (True, 1269)),
+    ("forwards_extends", False, (True, 1181)),
     # dropping c3 leaves the verdict standing: an open gap, pinned as it is
-    ("static_split", [], (True, 2057)),
+    ("static_split", [], (True, 1921)),
 ])
 def test_the_verdict_rests_on_the_shared_rules_with_no_stale_step(monkeypatch, rule,
                                                                    answer, expected):
@@ -348,11 +356,10 @@ def test_the_verdict_rests_on_the_shared_rules_with_no_stale_step(monkeypatch, r
 
 def test_the_vocabulary_is_pinned_and_the_intern_table_stays_small():
     cfg = CheckConfig(machines=2, tpms=3, derivation_depth=5, obfuscate=True)
-    seen, knowledge_sets = set(), set()
+    seen = set()
     for world in enumerate_reachable(cfg):
-        seen |= world.knowledge | {t for tpm in world.tpms for t in tpm}
-        knowledge_sets.add(world.knowledge)
-    assert (len(seen), len(knowledge_sets)) == (19, 68)
+        seen |= {t for tpm in world.tpms for t in tpm}
+    assert len(seen) == 11
     # a check adds nothing to what an earlier one built
     interned = len(terms._nodes)
     check(cfg)
@@ -435,7 +442,7 @@ def render(w):
     machines = [tuple(expand(f) if k in (3, 4, 5) and f is not None else f
                       for k, f in enumerate(m)) for m in w.machines]
     tpms = [tuple(map(expand, tpm)) for tpm in w.tpms]
-    return repr((machines, tpms, sorted(map(repr, map(expand, w.knowledge)))))
+    return repr((machines, tpms))
 
 
 print(world.S0, world._MACHINES(world.MachineProc()))
@@ -510,7 +517,7 @@ def _world_renaming(chips, names):
             ms[chips[i]] = MachineProc(m.phase, m.image, bound, *registers, m.trusted)
         for t, tpm in enumerate(world.tpms):
             ts[chips[t]] = TpmProc(term(tpm.spcr), term(tpm.dpcr))
-        return model._pack(ms, ts, frozenset(map(term, world.knowledge)))
+        return model._pack(ms, ts)
     return rename
 
 
@@ -566,17 +573,14 @@ def test_moves_name_index_10_before_index_2():
     """Indices come in the order their reprs sort in, as inside
     ``repr(event)``.  No bound above reaches index 10, so a numeric order
     passes every other test and fails only this one."""
-    def after(world, event):
-        return dict(successors(world, False, 5))[event]
-
     world = build_world(1, 12)
     events = [e for e, _ in successors(world, False, 5)]
     assert events == sorted(events, key=repr)
     chips = [e[1] for e in events if e[0] == "tpm-init"]
     assert list(dict.fromkeys(chips)) == [1, 10, 11, 2, 3, 4, 5, 6, 7, 8, 9]
 
-    booted = after(world, ("boot", 0, "malicious-kernel"))
-    prepared = after(after(booted, ("tpm-init", 2, "junk")), ("tpm-init", 10, "junk"))
+    prepared = _after(world, ("boot", 0, "malicious-kernel"), ("tpm-init", 2, "junk"),
+                      ("tpm-init", 10, "junk"), depth=5)
     assert [e[2] for e, _ in successors(prepared, False, 5) if e[0] == "q0"] == [0, 10, 2]
 
 

@@ -189,8 +189,8 @@ class Controller:
         if self.net is None or target.endpoint is None:
             return True
         try:
-            self.net.one_way_ms(CONTROLLER_ENDPOINT, target.endpoint, rng)
-            self.net.one_way_ms(target.endpoint, CONTROLLER_ENDPOINT, rng)
+            self.net.leg(CONTROLLER_ENDPOINT, target.endpoint).ms(rng)
+            self.net.leg(target.endpoint, CONTROLLER_ENDPOINT).ms(rng)
         except BeaconUnreachable:
             return False
         return True

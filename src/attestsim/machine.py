@@ -89,19 +89,6 @@ class Machine:
         self.disk: Dict[str, bytes] = {}
         self.state = "off"  # off | initramfs | runtime
 
-    @property
-    def current_locality(self) -> int:
-        """The locality the platform runs at, as the attached TPM sees it."""
-        return self.tpm.locality
-
-    # -- disk --------------------------------------------------------------
-
-    def snapshot_disk(self) -> Dict[str, bytes]:
-        return dict(self.disk)
-
-    def restore_disk(self, snapshot: Dict[str, bytes]) -> None:
-        self.disk = dict(snapshot)
-
     # -- runtime file loading (IMA hook) ----------------------------------
 
     def load_file(self, path: str, content: bytes,
@@ -235,7 +222,7 @@ class DirectTpmChannel:
         return self.machine.tpm.read_pcr(index)
 
     def pcr_extend(self, index: int, value: bytes) -> None:
-        self.machine.tpm.pcr_extend(index, value, self.machine.current_locality)
+        self.machine.tpm.pcr_extend(index, value, self.machine.tpm.locality)
 
 
 class RelayTpmChannel:

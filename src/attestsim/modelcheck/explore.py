@@ -2,14 +2,14 @@
 and verdict reporting.
 
 One generator, :meth:`_Search.layers`, drives every traversal.  It expands
-the frontier one layer at a time, one pass per expanded world: the world's
-record slots were decoded once, when it was found, and its successors are
-generated already in canonical order, so nothing is sorted.  A child
-already seen costs one set lookup.  A new one is decoded once, entered
-into the seen-set with its orbit and tested against the property at
-discovery, as SPIN checks on the fly (Holzmann, *The Model Checker SPIN*,
-IEEE TSE 1997).  Each layer is yielded in discovery order with its first
-violating world.  A world's key is its packed int (:mod:`.world`), so the
+the frontier one layer at a time, one pass per expanded world:
+:func:`~.world.successors` decodes the world and generates its successors
+already in canonical order, so nothing is sorted.  A child already seen
+costs one set lookup.  A new one is decoded once, entered into the
+seen-set with its orbit and tested against the property at discovery, as
+SPIN checks on the fly (Holzmann, *The Model Checker SPIN*, IEEE TSE
+1997).  Each layer is yielded as a range of node numbers with its first
+violating node.  A world's key is its packed int (:mod:`.world`), so the
 seen-set hashes and compares one int per state.
 
 **Symmetry.**  Renaming the machines, each together with its attached TPM
@@ -34,10 +34,10 @@ every reachable world of the small bounds, and a deliberately asymmetric
 model change (a mutant of one machine's rule, say) must be run with that
 test in view, since under the reduction it would give wrong counts.
 
-Orbit representatives are numbered in discovery order, and the search tree
-is two arrays over those numbers, a parent index and the event that reached
-the world, as in SPIN; a trace is read back by following the parent
-indices.
+Orbit representatives are numbered in discovery order, and the search is
+one node table over those numbers, as in SPIN: the world int of each node,
+its parent's number and the event that reached it.  Nothing is held per
+layer; a trace is read back by following the parent numbers.
 
 Each traversal owns one :class:`~.world.Memo` and one
 :class:`~.world.Symmetry`, so the step and image tables live exactly as long
@@ -71,7 +71,6 @@ flattens the same layers, every orbit in full, for invariant sweeps.
 
 from __future__ import annotations
 
-import struct
 from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
@@ -86,7 +85,7 @@ from .world import (
     Symmetry,
     World,
     build_world,
-    slot_reader,
+    record_ids,
     successors,
     violations,
 )
@@ -182,34 +181,14 @@ def _world_summary(world: World, violation: Tuple[int, int, int]) -> dict:
     }
 
 
-class _Layer:
-    """One BFS layer of orbit representatives: their keys, and their
-    decoded record slots in one flat array of 16-bit ids, ``width`` per key,
-    which is smaller to hold than a tuple per key.  Iterating gives
-    ``(key, ids)`` pairs, the ids unpacked row by row by one ``struct``
-    layout."""
-
-    __slots__ = ("keys", "slots", "width")
-
-    def __init__(self, width: int):
-        self.keys: List[int] = []
-        self.slots = array("H")
-        self.width = width
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def __iter__(self):
-        return zip(self.keys, struct.Struct(f"={self.width}H").iter_unpack(self.slots))
-
-
 class _Search:
     """One traversal: its tables, its seen-set and its search tree.
 
     ``seen`` holds every concrete world reached so far, each orbit entered
-    whole.  The tree holds one node per orbit, its first-reached world:
-    node *n* was reached from node ``parent[n]`` by event ``via[n]``, and
-    the initial world's parent is -1.
+    whole.  The tree holds one node per orbit, its first-reached world,
+    numbered in discovery order: node *n* is the world ``nodes[n]``, reached
+    from node ``parent[n]`` by event ``via[n]``, and the initial world's
+    parent is -1.
     """
 
     def __init__(self, config: CheckConfig):
@@ -217,26 +196,27 @@ class _Search:
         self.memo = Memo()
         self.symmetry = Symmetry(config.machines, config.tpms)
         self.seen: Set[int] = set()
+        self.nodes: List[int] = []
         self.parent = array("i")
         self.via: List[Event] = []
 
     def layers(self):
         """Yield every non-empty BFS layer of orbit representatives in
         discovery order, starting with the initial world's alone, each as
-        ``(layer, violating)``: the :class:`_Layer`, and the node number of
-        its first world that violates the property, or None.
+        ``(layer, violating)``: the range of its node numbers, and the number
+        of its first node that violates the property, or None.
 
-        Nodes are numbered in discovery order, so a layer is the last block
-        of numbers discovered when it is yielded.  Each expanded world is
-        one pass: its slots, decoded when it was discovered, serve its
-        successors, which come in ``repr(event)`` order.  A child already
-        seen costs one set lookup; a new one is decoded once, and that
-        decode serves its orbit's images, the property test and, a layer
-        later, its expansion.  Only representatives are expanded: the other
-        members of an orbit are renamings of it, and so are their
-        successors.  The property is tested on each new representative
-        until one in the layer violates it; a layer is yielded complete,
-        so ``seen`` then holds every world up to its depth.
+        Nodes are numbered in discovery order, so a layer is the block of
+        numbers discovered while the layer before it was expanded.  Each
+        expanded world is one pass: :func:`~.world.successors` decodes it
+        and generates its successors in ``repr(event)`` order.  A child
+        already seen costs one set lookup; a new one is decoded once, and
+        that decode serves its orbit's images and the property test.  Only
+        representatives are expanded: the other members of an orbit are
+        renamings of it, and so are their successors.  The property is
+        tested on each new representative until one in the layer violates
+        it; a layer is yielded complete, so ``seen`` then holds every world
+        up to its depth.
 
         Each layer holds the representatives of its orbits, each the
         orbit's member with the smallest trace, sorted by trace (module
@@ -248,62 +228,56 @@ class _Search:
         ``g`` with ``g·u = r`` would give ``g·w`` the trace of ``r``
         followed by ``g·e``, which is smaller than the trace of ``w``
         because the trace of ``r`` is; so ``u`` is expanded.  Layer *k* is
-        expanded in trace order and each world's successors are generated
-        in ``repr(event)`` order, so the ``(parent, event)`` pairs arrive in
-        lexicographic order of the traces they form.  Any pair that reaches
-        a member of the orbit forms a shortest trace of that member, no
-        smaller than the trace of ``w``, and only ``(u, e)`` forms that
-        trace itself; so ``(u, e)`` is the first pair to reach the orbit,
-        ``w`` becomes its representative, and ``parent`` and ``via`` keep
-        its trace.  Orbits are appended when first reached, so layer
-        *k + 1* is sorted by trace as well.  Testing the property at
-        discovery leaves this unchanged: the test reads a world and writes
-        nothing the search reads, and since discovery order is trace order,
-        the first violating node found in a layer is the violating node of
-        that layer with the smallest trace.
+        expanded in node order, which is trace order, and each world's
+        successors are generated in ``repr(event)`` order, so the
+        ``(parent, event)`` pairs arrive in lexicographic order of the
+        traces they form.  Any pair that reaches a member of the orbit
+        forms a shortest trace of that member, no smaller than the trace of
+        ``w``, and only ``(u, e)`` forms that trace itself; so ``(u, e)`` is
+        the first pair to reach the orbit, ``w`` becomes its node, and
+        ``parent`` and ``via`` keep its trace.  Nodes are appended when
+        their orbits are first reached, so layer *k + 1* is numbered in
+        trace order as well.  Testing the property at discovery leaves this
+        unchanged: the test reads a world and writes nothing the search
+        reads, and since discovery order is trace order, the first violating
+        node found in a layer is the violating node of that layer with the
+        smallest trace.
         """
-        config, memo, seen, parent, via = (self.config, self.memo, self.seen,
-                                           self.parent, self.via)
+        config, memo, seen, nodes, parent, via = (self.config, self.memo, self.seen,
+                                                  self.nodes, self.parent, self.via)
         obfuscate, derivation_depth = config.obfuscate, config.derivation_depth
         max_states = config.max_states
         orbit = self.symmetry.orbit
         events: Dict[Event, Event] = {}  # equal events of stored states share one tuple
-        width = config.machines + config.tpms
-        read_ids = slot_reader(width)
         initial = build_world(config.machines, config.tpms).canonical_key()
-        initial_ids = read_ids(initial)
-        layer = _Layer(width)
-        layer.keys.append(initial)
-        layer.slots.extend(initial_ids)
+        initial_ids = record_ids(initial)
         seen.update(orbit(initial, initial_ids))
+        nodes.append(initial)
         parent.append(-1)
         via.append(None)
         violating = 0 if violations(initial, initial_ids) else None
+        layer = range(1)
         depth = 0
         while layer:
             yield layer, violating
             depth += 1
-            found = _Layer(width)
-            keys, slots = found.keys, found.slots
             violating = None
-            first = len(parent) - len(layer)
-            for n, (key, ids) in enumerate(layer, first):
-                for event, child in successors(key, obfuscate, derivation_depth, memo, ids):
+            for n in layer:
+                for event, child in successors(nodes[n], obfuscate, derivation_depth, memo):
                     if child in seen:  # a world equals its key
                         continue
                     child_key = child.canonical_key()
-                    child_ids = read_ids(child_key)
+                    child_ids = record_ids(child_key)
                     seen.update(orbit(child_key, child_ids))
                     if len(seen) > max_states:
                         raise StateBudgetExceeded(
                             f"more than {max_states} states at layer {depth}")
                     if violating is None and violations(child_key, child_ids):
-                        violating = len(parent)
+                        violating = len(nodes)
+                    nodes.append(child_key)
                     parent.append(n)
                     via.append(events.setdefault(event, event))
-                    keys.append(child_key)
-                    slots.extend(child_ids)
-            layer = found
+            layer = range(layer.stop, len(nodes))
 
     def trace(self, n: int) -> List[Event]:
         parent, via = self.parent, self.via
@@ -318,14 +292,14 @@ class _Search:
 def check(config: CheckConfig) -> Verdict:
     """Explore exhaustively; return the verdict with a minimal witness."""
     search = _Search(config)
-    for depth, (layer, violating) in enumerate(search.layers()):
+    for depth, (_, violating) in enumerate(search.layers()):
         if violating is not None:
-            world = World(layer.keys[violating - (len(search.parent) - len(layer))])
+            world = World(search.nodes[violating])
             trace = search.trace(violating)
             return Verdict(
                 property_holds=False,
                 states_explored=len(search.seen),
-                orbits=len(search.parent),
+                orbits=len(search.nodes),
                 layers=depth,
                 config=config,
                 counterexample={
@@ -338,7 +312,7 @@ def check(config: CheckConfig) -> Verdict:
     return Verdict(
         property_holds=True,
         states_explored=len(search.seen),
-        orbits=len(search.parent),
+        orbits=len(search.nodes),
         layers=depth + 1,
         config=config,
     )
@@ -350,5 +324,6 @@ def enumerate_reachable(config: CheckConfig):
     orbit in the symmetry's fixed order."""
     search = _Search(config)
     for layer, _ in search.layers():
-        for key, ids in layer:
-            yield from map(World, dict.fromkeys(search.symmetry.orbit(key, ids)))
+        for n in layer:
+            key = search.nodes[n]
+            yield from map(World, dict.fromkeys(search.symmetry.orbit(key, record_ids(key))))

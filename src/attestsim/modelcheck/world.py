@@ -231,11 +231,11 @@ Event = Tuple  # ("boot", m, image) | ("q0", m, t) | ("obf", m, route) | ...
 def record_ids(world: int) -> Tuple[int, ...]:
     """The ids in a world's record slots: machine ``i`` is slot ``i``, TPM
     ``t`` slot ``machines + t``."""
-    return slot_reader((world & _MASK) + (world >> _SLOT & _MASK))(world)
+    return _slot_reader((world & _MASK) + (world >> _SLOT & _MASK))(world)
 
 
 @lru_cache(maxsize=None)
-def slot_reader(count: int) -> Callable[[int], Tuple[int, ...]]:
+def _slot_reader(count: int) -> Callable[[int], Tuple[int, ...]]:
     """The decoder of a world with ``count`` record slots: its low bytes,
     header and slots, unpacked by one ``struct`` layout built once per
     count."""
@@ -396,8 +396,7 @@ def _by_name(start: int, stop: int) -> Tuple[int, ...]:
 
 
 def successors(world: int, obfuscate: bool, derivation_depth: int,
-               memo: Optional[Memo] = None,
-               ids: Optional[Sequence[int]] = None) -> List[Tuple[Event, World]]:
+               memo: Optional[Memo] = None) -> List[Tuple[Event, World]]:
     """All one-step moves, generated in ``repr(event)`` order, the canonical
     order the explorer's traces rest on (:mod:`.explore`): by kind, ``boot``
     < ``obf`` < ``q0`` < ``q1`` < ``seal`` < ``tpm-init`` < ``verify``; then
@@ -405,21 +404,15 @@ def successors(world: int, obfuscate: bool, derivation_depth: int,
     2; then by argument: images in ``BOOT_MENU`` order, routes ``bound`` <
     ``drop`` < ``local``, ``golden`` before ``junk``.  ``memo`` carries the
     step tables across the calls of one traversal; without it, a call
-    decides everything afresh.  ``ids`` is the world's decoded record slots
-    (:func:`record_ids`), when the caller has them already."""
+    decides everything afresh."""
     if memo is None:
         memo = Memo()
-    if ids is None:
-        ids = record_ids(world)
+    ids = record_ids(world)
     records = _records(world, ids)
     machines, tpms = records
     n_machines = len(machines)
     # one list per kind, each filled in name order, joined in kind order
     boots, obfs, q0s, q1s, seals, inits, verifies = [], [], [], [], [], [], []
-
-    def moved(i: int, record_id: int) -> int:
-        # ``_put`` on machine ``i``'s slot, whose id is known already
-        return world ^ (ids[i] ^ record_id) << _SLOT * (2 + i)
 
     for i in _by_name(0, n_machines):
         m = machines[i]
@@ -429,7 +422,7 @@ def successors(world: int, obfuscate: bool, derivation_depth: int,
         elif phase == "booted":
             for t in _readable_tpms(records, i) if m.driver_malicious else (i,):
                 step = memo.q0[ids[i], t, ids[n_machines + t]]
-                q0s.append((("q0", i, t), World(moved(i, step))))
+                q0s.append((("q0", i, t), World(_put(world, i, step))))
         elif phase == "init_q0":
             if not obfuscate:
                 sealed = MachineProc("sealed", m.image, m.bound_tpm, m.q0_spcr, m.q0_dpcr,
@@ -437,7 +430,7 @@ def successors(world: int, obfuscate: bool, derivation_depth: int,
                 seals.append((("seal", i), World(_put(world, i, _record_id(_MACHINES, sealed)))))
                 continue
             mask = rnd_term(i)
-            masked = moved(i, _record_id(_MACHINES, MachineProc("init_extend", *m[1:])))
+            masked = _put(world, i, _record_id(_MACHINES, MachineProc("init_extend", *m[1:])))
             for route in _obf_routes(records, i, memo):
                 if route == "drop":
                     child = masked
@@ -449,10 +442,10 @@ def successors(world: int, obfuscate: bool, derivation_depth: int,
                 obfs.append((("obf", i, route), World(child)))
         elif phase == "init_extend":
             step = memo.q1[i, ids[i], ids[n_machines + m.bound_tpm]]
-            q1s.append((("q1", i), World(moved(i, step))))
+            q1s.append((("q1", i), World(_put(world, i, step))))
         elif phase == "sealed":
             step = memo.verify[ids[i], ids[n_machines + m.bound_tpm]]
-            verifies.append((("verify", i), World(moved(i, step))))
+            verifies.append((("verify", i), World(_put(world, i, step))))
 
     for t in _by_name(n_machines, len(tpms)):
         tpm = tpms[t]
@@ -491,9 +484,10 @@ def _obf_routes(records: _Records, i: int, memo: Memo) -> Tuple[str, ...]:
 def violations(world: int,
                ids: Optional[Sequence[int]] = None) -> List[Tuple[int, int, int]]:
     """Machines holding a trusted verdict whose quote TPM is not the
-    attached one: (machine, x=quote tpm, y=attached tpm).  ``ids`` is as
-    for :func:`successors`.  The explorer tests it at discovery, on each
-    new orbit representative, with the slots it has just decoded."""
+    attached one: (machine, x=quote tpm, y=attached tpm).  ``ids`` is the
+    world's decoded record slots (:func:`record_ids`), when the caller has
+    them already: the explorer tests the property at discovery, on each new
+    orbit representative, with the slots it has just decoded."""
     if ids is None:
         ids = record_ids(world)
     machines = map(_MACHINES.values.__getitem__, ids[:world & _MASK])

@@ -152,10 +152,6 @@ class NetworkModel:
         return Leg(src, dst, self.link(src, dst),
                    adv if adv is not None and adv.intercepts(src, dst) else None)
 
-    def one_way_ms(self, src: str, dst: str, rng: Rng) -> float:
-        """Latency of one message leg; raises on an adversarial drop."""
-        return self.leg(src, dst).ms(rng)
-
 
 # --------------------------------------------------------------------------
 # beacons

@@ -194,15 +194,12 @@ def _digest(text: str, where: str) -> bytes:
     return digest
 
 
-def parse_policy(doc_or_text) -> Policy:
-    """Parse a policy from YAML text or an already-loaded mapping."""
-    if isinstance(doc_or_text, (str, bytes)):
-        try:
-            doc = read_yaml(doc_or_text)
-        except yaml.YAMLError as exc:
-            raise PolicyParseError(str(exc)) from exc
-    else:
-        doc = doc_or_text
+def parse_policy(text) -> Policy:
+    """Parse a policy from YAML text (``str`` or ``bytes``)."""
+    try:
+        doc = read_yaml(text)
+    except yaml.YAMLError as exc:
+        raise PolicyParseError(str(exc)) from exc
     check_shape(doc, POLICY, "policy", PolicyParseError)
     chain = tuple(pem_decode_all(doc["chain"], "chain"))
 

@@ -419,8 +419,7 @@ class Fleet:
     def act_copy_disk(self, step: dict) -> None:
         src_id = step["from"]
         dst_id = step["to"]
-        src = self.machine(src_id)
-        self.machine(dst_id).restore_disk(src.snapshot_disk())
+        self.machine(dst_id).disk = dict(self.machine(src_id).disk)
         self.note(dst_id, "copy-disk", {"from": src_id})
 
     def act_relay(self, step: dict) -> None:

@@ -62,7 +62,7 @@ def test_golden_boot_produces_expected_pcr_chain():
     assert tpm.read_pcr(17) == chain(ZERO_DIGEST, [img["tboot"].measurement])
     assert tpm.read_pcr(18) == chain(ZERO_DIGEST, [img["kernel"].measurement])
     assert tpm.read_pcr(19) == chain(ZERO_DIGEST, [img["initramfs"].measurement])
-    assert m.state == "runtime" and m.current_locality == 0
+    assert m.state == "runtime" and m.tpm.locality == 0
 
 
 def test_unsigned_tboot_halts_before_any_dynamic_change():
@@ -98,7 +98,7 @@ def test_init_hook_runs_at_locality_two_and_can_abort():
     seen = {}
 
     def hook(machine):
-        seen["locality"] = machine.current_locality
+        seen["locality"] = machine.tpm.locality
         seen["state"] = machine.state
 
     boot(m, img["uefi"], img["tboot"], img["kernel"], img["initramfs"], init_hook=hook)

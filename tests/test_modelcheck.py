@@ -19,7 +19,7 @@ from attestsim.modelcheck import (
     check,
     terms,
 )
-from attestsim.modelcheck.explore import enumerate_reachable, event_str
+from attestsim.modelcheck.explore import _world_summary, enumerate_reachable, event_str
 from attestsim.modelcheck.terms import derivable, h, name, node, p
 from attestsim.modelcheck.world import (
     D0,
@@ -210,6 +210,11 @@ def test_verdict_table_is_pinned(machines, tpms, depth, obfuscate, expected):
     steps = v.counterexample["steps"] if v.counterexample else None
     assert (v.property_holds, v.states_explored, v.layers, v.orbits, steps) == expected
     assert "orbits" not in json.dumps(v.to_dict())
+    if v.counterexample:
+        # the reported world is the one its trace reaches
+        reached = _after(build_world(machines, tpms), *map(tuple, v.counterexample["events"]),
+                         obfuscate=obfuscate, depth=depth)
+        assert _world_summary(reached, violations(reached)[0]) == v.counterexample["world"]
 
 
 @pytest.mark.parametrize("depth", [4, 5])

@@ -102,7 +102,7 @@ def test_invariant_violations_are_named(mutator, needle):
     doc = yaml.safe_load(fixture_policy_text())
     mutator(doc)
     with pytest.raises(PolicyParseError, match=needle):
-        parse_policy(doc)
+        parse_policy(yaml.safe_dump(doc))
 
 
 @pytest.mark.parametrize("mutator,needle", [
@@ -119,7 +119,7 @@ def test_wrong_types_are_rejected_not_coerced(mutator, needle):
     doc = yaml.safe_load(fixture_policy_text())
     mutator(doc)
     with pytest.raises(PolicyParseError, match=needle):
-        parse_policy(doc)
+        parse_policy(yaml.safe_dump(doc))
 
 
 @pytest.mark.parametrize("value", [".nan", ".inf"])
@@ -142,7 +142,7 @@ def test_duplicate_pcr_ids_rejected():
     doc = yaml.safe_load(text)
     doc["whitelist"]["pcrs"].append({"id": 0, "sha256": "11" * 32})
     with pytest.raises(PolicyParseError, match="duplicate"):
-        parse_policy(doc)
+        parse_policy(yaml.safe_dump(doc))
 
 
 def _depth(node) -> int:

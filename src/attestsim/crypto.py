@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 from cryptography.exceptions import InvalidSignature
@@ -120,12 +120,19 @@ def sign(message: bytes, key: KeyPair) -> bytes:
     return key.private_key.sign(message)
 
 
+@lru_cache(maxsize=64)
+def _public_key(public: bytes) -> Ed25519PublicKey:
+    # an agent checks every quote under one AIK and every signed file under
+    # one distributor key, so a few keys cover nearly every verification
+    return Ed25519PublicKey.from_public_bytes(public)
+
+
 def verify(signature: bytes, message: bytes, public: bytes) -> bool:
     """True iff ``signature`` is valid for ``message`` under ``public``."""
     if not isinstance(public, bytes) or len(public) != KEY_LEN:
         raise MalformedKeyError("verification key must be 32 raw bytes")
     try:
-        Ed25519PublicKey.from_public_bytes(public).verify(signature, message)
+        _public_key(public).verify(signature, message)
     except (InvalidSignature, ValueError):
         return False
     return True

@@ -9,8 +9,9 @@ hook (agent initialization) runs at locality 2; the OS runtime afterwards
 sits at locality 0.
 
 At OS runtime :meth:`Machine.load_file` measures each file into PCR 10 and
-the log.  The kernel appraises nothing and refuses no file; whether a file
-is trusted is decided only by :func:`attestsim.policy.evaluate`.
+appends its line, in place, to the log on disk.  The kernel appraises
+nothing and refuses no file; whether a file is trusted is decided only by
+:func:`attestsim.policy.evaluate`.
 
 Enclaves are modeled just deeply enough for sealing: a context carries the
 binary measurement and a per-machine sealing root, so sealed data binds to
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Union
 
 from . import ima
 from .crypto import Rng, sha256
@@ -86,7 +87,8 @@ class Machine:
         self.tpm = tpm
         self.platform_ca_pub = platform_ca_pub
         self._seal_root = rng.bytes(32)  # never leaves this module
-        self.disk: Dict[str, bytes] = {}
+        # the measurement log is a bytearray that loads append to
+        self.disk: Dict[str, Union[bytes, bytearray]] = {}
         self.state = "off"  # off | initramfs | runtime
 
     # -- runtime file loading (IMA hook) ----------------------------------
@@ -94,14 +96,19 @@ class Machine:
     def load_file(self, path: str, content: bytes,
                   signature: Optional[bytes] = None) -> ima.ImaEvent:
         """OS loader: measure the file (PCR 10 first, then the log) and
-        return its event.  The line is appended to the log on disk as it
-        stands; the log is never rewritten, so an edit made there stays.
+        return its event.  The line is appended in place to the log on disk
+        as it stands, so a load costs the same however long the log is; the
+        log is never rewritten, so an edit made there stays.  A log that was
+        replaced by ``bytes`` is taken over as a ``bytearray`` once.
         """
         if self.state != "runtime":
             raise BootError("files load only at OS runtime")
         event = ima.measure_file(self.tpm, path, content, signature)
-        self.disk[LOG_DISK_KEY] = (self.disk.get(LOG_DISK_KEY, b"")
-                                   + event.encode_line() + b"\n")
+        log = self.disk.get(LOG_DISK_KEY, b"")
+        if not isinstance(log, bytearray):
+            log = bytearray(log)
+        log += event.encode_line() + b"\n"
+        self.disk[LOG_DISK_KEY] = log
         return event
 
 
@@ -142,7 +149,7 @@ def boot(
     tpm.pcr_extend(17, tboot.measurement, locality=DRTM_LOCALITY)
     tpm.pcr_extend(18, kernel.measurement, locality=DRTM_LOCALITY)
     tpm.pcr_extend(19, initramfs.measurement, locality=DRTM_LOCALITY)
-    machine.disk[LOG_DISK_KEY] = b""
+    machine.disk[LOG_DISK_KEY] = bytearray()
 
     # initramfs phase
     machine.state = "initramfs"

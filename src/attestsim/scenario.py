@@ -419,7 +419,9 @@ class Fleet:
     def act_copy_disk(self, step: dict) -> None:
         src_id = step["from"]
         dst_id = step["to"]
-        self.machine(dst_id).disk = dict(self.machine(src_id).disk)
+        # a slice copies the log, which loads append to in place
+        self.machine(dst_id).disk = {key: value[:] for key, value
+                                     in self.machine(src_id).disk.items()}
         self.note(dst_id, "copy-disk", {"from": src_id})
 
     def act_relay(self, step: dict) -> None:

@@ -24,9 +24,13 @@ OBFUSCATED = "obfuscated"
 def disagreeing(indices: Iterable, *banks: Mapping) -> List:
     """The indices, in sorted order, whose value is not the same in every
     bank.  A missing value never agrees, not even with another missing one."""
-    return [i for i in sorted(indices)
-            if any(i not in bank for bank in banks)
-            or any(bank[i] != banks[0][i] for bank in banks[1:])]
+    found = []
+    for i in sorted(indices):
+        for bank in banks:
+            if i not in bank or bank[i] != banks[0][i]:
+                found.append(i)
+                break
+    return found
 
 
 def forwards_extends(golden_dynamics: Mapping, host_dynamics: Mapping) -> bool:

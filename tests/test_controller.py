@@ -14,13 +14,15 @@ from attestsim.controller import (
     parse_duration,
     vulnerability_window,
 )
-from attestsim.crypto import Rng
+from attestsim.crypto import Rng, sha256
 from attestsim.netsim import (
     AdversaryModel,
     LatencyModel,
     NetworkModel,
     VirtualClock,
 )
+from attestsim.scenario import execute_scenario
+from attestsim.tpm import IMA_PCR
 
 # --------------------------------------------------------------------------
 # the window formula
@@ -277,3 +279,30 @@ def test_alert_serialization_roundtrip():
     assert d["kind"] == "violation" and d["machine"] == "m0"
     assert d["policy_id"] == "p2"
     assert d["timestamp_ms"] == 0.0
+
+
+def test_an_unparseable_log_line_latches_log_tampering_across_a_round():
+    # an odd-length signature field is log tampering like any malformed
+    # line: no exception may escape the agent's API and end the round
+    _, fleet, ctl = execute_scenario({
+        "name": "odd-signature",
+        "machines": [{"id": "m0", "agent": {}}],
+        "policies": {"golden": "builtin:golden"},
+        "script": [
+            {"at": 0, "action": "boot", "machine": "m0"},
+            {"at": 10, "action": "establish", "machine": "m0"},
+            {"at": 20, "action": "deploy-policy", "machine": "m0", "policy": "golden"},
+        ],
+    }, seed=1)
+    ctl.set_policy("m0", fleet.deployed[("m0", "golden")])
+    assert ctl.poll_round(Rng(11)) == []
+
+    machine = fleet.machines["m0"]
+    t_hash = sha256(b"odd signature")
+    machine.disk["ima/log"] += (b"10 " + t_hash.hex().encode() + b" ima-sig "
+                                + sha256(b"x").hex().encode() + b" /x abc\n")
+    machine.tpm.pcr_extend(IMA_PCR, t_hash, locality=0)
+    (alert,) = ctl.poll_round(Rng(12))
+    assert alert.machine == "m0" and alert.kind == "violation"
+    assert "log-tampered" in [v["kind"] for v in alert.verdict["violations"]]
+    assert fleet.apis["m0"].handle("GET", "/health").body["status"] == "compromised"

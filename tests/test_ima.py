@@ -1,5 +1,7 @@
 """Measurement log: format, aggregate fold, differential verification, tamper."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,18 +51,40 @@ def test_pcr_rejection_cases_differ_from_a_valid_line_only_in_the_pcr():
     assert parse_line(b"10" + AFTER_PCR).pcr_index == IMA_PCR
 
 
-@pytest.mark.parametrize("line", [
-    b"010" + AFTER_PCR,                                           # pcr, leading zero
-    b"+10" + AFTER_PCR,                                           # pcr, sign
-    b"1_0" + AFTER_PCR,                                           # pcr, underscore
-    b"10 zzzz ima-ng " + b"00" * 32 + b" /x",                     # bad hex
-    b"10 " + b"00" * 32 + b" ima-odd " + b"00" * 32 + b" /x",     # unknown template
-    b"10 " + b"00" * 32 + b" ima-ng " + b"00" * 32,               # missing path
-    b"10 " + b"00" * 32 + b" ima-sig " + b"00" * 32 + b" /x",     # sig template, no sig
-    b"\xff\xfe garbage",                                          # not ascii
-])
+HEX32 = b"00" * 32
+SIG_PREFIX = b"10 " + HEX32 + b" ima-sig " + HEX32 + b" /x "
+LOWERCASE = "hash fields must be lowercase hex"
+BAD_FIELD = "bad numeric or hex field"
+
+
+# each rejected line -> the message it is rejected with (keyed by line, so
+# the test ids name the line alone)
+REJECTIONS = {
+    b"010" + AFTER_PCR: "pcr field must be canonical decimal",    # leading zero
+    b"+10" + AFTER_PCR: "pcr field must be canonical decimal",    # sign
+    b"1_0" + AFTER_PCR: "pcr field must be canonical decimal",    # underscore
+    b"ten" + AFTER_PCR: BAD_FIELD,                                # pcr, not a number
+    b"10 zzzz ima-ng " + HEX32 + b" /x": LOWERCASE,               # bad hex
+    b"10 " + b"AB" * 32 + b" ima-ng " + HEX32 + b" /x": LOWERCASE,  # uppercase hash
+    b"10  ima-ng " + HEX32 + b" /x": LOWERCASE,                   # empty hash field
+    b"10 abc ima-ng " + HEX32 + b" /x": BAD_FIELD,                # odd-length hash
+    b"10 " + HEX32 + b" ima-odd " + HEX32 + b" /x": "unknown template 'ima-odd'",
+    b"10 " + HEX32 + b" ima-ng " + HEX32: "expected 5 or 6 fields, got 4",
+    SIG_PREFIX + b"00 00": "expected 5 or 6 fields, got 7",
+    b"10 " + HEX32 + b" ima-sig " + HEX32 + b" /x": "ima-sig event without signature field",
+    b"10 " + HEX32 + b" ima-ng " + HEX32 + b" /x 00": "ima-ng event with trailing field",
+    SIG_PREFIX + b"ABCD": LOWERCASE,                              # uppercase signature
+    SIG_PREFIX + b"wxyz": LOWERCASE,                              # non-hex signature
+    SIG_PREFIX + b"abc": BAD_FIELD,                               # odd-length signature
+    b"10 " + HEX32 + b" ima-ng " + b"00" * 31 + b" /x": "hash fields must be 32 bytes",
+    b"10 " + HEX32 + b" ima-ng " + HEX32 + b" /x": "template hash does not match event fields",
+    b"\xff\xfe garbage": "non-ascii bytes in event line",
+}
+
+
+@pytest.mark.parametrize("line", list(REJECTIONS))
 def test_malformed_lines_rejected(line):
-    with pytest.raises(ImaFormatError):
+    with pytest.raises(ImaFormatError, match=f"^{re.escape(REJECTIONS[line])}$"):
         parse_line(line)
 
 
@@ -200,6 +224,16 @@ def test_reordered_events_are_tampering():
     swapped = b"".join([lines[0], lines[2], lines[1], lines[3], lines[4]])
     with pytest.raises(TamperDetected):
         read_new_events(swapped, ImaCacheState(), tpm.read_pcr(IMA_PCR))
+
+
+def test_a_canonical_line_for_another_register_parses_and_is_skipped():
+    other = b"11" + AFTER_PCR
+    assert parse_line(other).pcr_index == 11
+    log, tpm = grow_log(3)
+    data = log_bytes(log[:1]) + other + b"\n" + log_bytes(log[1:])
+    events, cache = read_new_events(data, ImaCacheState(), tpm.read_pcr(IMA_PCR))
+    assert events == log
+    assert cache.bytes_read == len(data)
 
 
 @settings(max_examples=25)

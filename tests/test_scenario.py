@@ -187,6 +187,32 @@ def test_load_file_report_bytes_are_pinned(seed, digest):
     assert hashlib.sha256(report_bytes(result).encode()).hexdigest() == digest
 
 
+def test_copy_disk_gives_the_target_its_own_log():
+    doc = {
+        "name": "copy",
+        "machines": [{"id": "m0"}, {"id": "m1"}],
+        "script": [
+            {"at": 0, "action": "boot", "machine": "m0"},
+            {"at": 0, "action": "boot", "machine": "m1"},
+            {"at": 10, "action": "load-file", "machine": "m0", "path": "/a",
+             "content": "a"},
+            {"at": 20, "action": "copy-disk", "from": "m0", "to": "m1"},
+            {"at": 30, "action": "load-file", "machine": "m0", "path": "/b",
+             "content": "b"},
+            {"at": 40, "action": "load-file", "machine": "m1", "path": "/c",
+             "content": "c"},
+        ],
+    }
+    _, fleet, _ = execute_scenario(doc, seed=1)
+
+    def line(path, content):
+        return ima.file_event(path, content, None).encode_line() + b"\n"
+
+    copied = line("/a", b"a")
+    assert fleet.machines["m0"].disk["ima/log"] == copied + line("/b", b"b")
+    assert fleet.machines["m1"].disk["ima/log"] == copied + line("/c", b"c")
+
+
 def test_relay_null_restores_the_direct_channel():
     doc = {
         "name": "relay-roundtrip",

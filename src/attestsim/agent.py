@@ -55,13 +55,13 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ima
 from .crypto import Certificate, Rng, UnsealError, seal, unseal
 from .machine import (
     LOG_DISK_KEY,
-    DirectTpmChannel,
     EnclaveContext,
     InitHookFailure,
     Machine,
@@ -102,6 +102,8 @@ logger = logging.getLogger(__name__)
 
 CONFIG_DISK_KEY = "agent/config.sealed"
 POLICY_ID_LEN = 16  # random bytes per deployed policy id
+# the honest driver's route: a machine's own attached chip
+ATTACHED_TPM = attrgetter("tpm")
 
 CONDITION_UNSEAL = "c1-unseal"
 CONDITION_DYNAMIC = "c2-dynamic-pcr"
@@ -224,7 +226,7 @@ def agent_init(
 
     aik_pub = channel.create_aik(rng)
     secret = rng.bytes(32)
-    ek_cert = channel.ek_certificate()
+    ek_cert = channel.ek_cert
     challenge = make_credential(ek_cert, aik_pub, secret)
     try:
         recovered = channel.activate_credential(aik_pub, challenge)
@@ -432,7 +434,6 @@ class Agent:
         golden_dynamics: Dict[int, bytes],
         static_whitelist: Sequence[int] = (0,),
         obfuscate: bool = True,
-        channel_factory=None,
     ):
         self.machine = machine
         self.binary = binary
@@ -441,7 +442,7 @@ class Agent:
         self.golden_dynamics = dict(golden_dynamics)
         self.static_whitelist = tuple(sorted(set(static_whitelist)))
         self.obfuscate = obfuscate
-        self.channel_factory = channel_factory or DirectTpmChannel
+        self.channel_factory = ATTACHED_TPM
         self.policies: Dict[str, Policy] = {}  # deployed policies by hex id
         self.network: Optional[NetworkAttachment] = None
         self._session: Optional[Session] = None

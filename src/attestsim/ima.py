@@ -153,7 +153,7 @@ def measure_file(tpm: TpmState, path: str, content: bytes,
     (extend-first, so every complete log prefix matches some past register
     state)."""
     event = file_event(path, content, signature)
-    tpm.pcr_extend(IMA_PCR, event.template_hash, locality=0)
+    tpm.pcr_extend(IMA_PCR, event.template_hash)
     return event
 
 

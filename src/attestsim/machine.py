@@ -17,11 +17,11 @@ Enclaves are modeled just deeply enough for sealing: a context carries the
 binary measurement and a per-machine sealing root, so sealed data binds to
 (machine, enclave binary) and nothing else.
 
-TPM channels model the driver between agent and chip.  A
-:class:`DirectTpmChannel` talks to the attached TPM at the machine's
-current locality.  A :class:`RelayTpmChannel` is a malicious driver that
-forwards traffic to another host's TPM; its docstring states what that
-host serves.
+TPM channels model the driver between agent and chip.  The honest driver
+is the attached :class:`~attestsim.tpm.TpmState` itself, which extends at
+the locality the boot pipeline left it at.  A :class:`RelayTpmChannel` is
+a malicious driver that forwards traffic to another host's TPM through the
+same calls; its docstring states what that host serves.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def boot(
     tpm = machine.tpm
 
     # firmware measures itself before anything runs
-    tpm.pcr_extend(0, uefi.measurement, locality=0)
+    tpm.pcr_extend(0, uefi.measurement)
 
     for img in (uefi, tboot):
         ok = img.signature is not None and verify(
@@ -146,9 +146,9 @@ def boot(
     # dynamic root of trust: locality 4 resets the dynamic bank
     tpm.locality = DRTM_LOCALITY
     tpm.drtm_launch_reset()
-    tpm.pcr_extend(17, tboot.measurement, locality=DRTM_LOCALITY)
-    tpm.pcr_extend(18, kernel.measurement, locality=DRTM_LOCALITY)
-    tpm.pcr_extend(19, initramfs.measurement, locality=DRTM_LOCALITY)
+    tpm.pcr_extend(17, tboot.measurement)
+    tpm.pcr_extend(18, kernel.measurement)
+    tpm.pcr_extend(19, initramfs.measurement)
     machine.disk[LOG_DISK_KEY] = bytearray()
 
     # initramfs phase
@@ -207,31 +207,6 @@ def run_enclave(machine: Machine, binary: SoftwareImage, phase: str) -> EnclaveC
 # --------------------------------------------------------------------------
 
 
-class DirectTpmChannel:
-    """Honest driver: talks to the attached TPM at the machine's locality."""
-
-    def __init__(self, machine: Machine):
-        self.machine = machine
-
-    def create_aik(self, rng: Rng) -> bytes:
-        return self.machine.tpm.create_aik(rng)
-
-    def ek_certificate(self):
-        return self.machine.tpm.ek_cert
-
-    def activate_credential(self, aik_pub: bytes, challenge: bytes) -> bytes:
-        return self.machine.tpm.activate_credential(aik_pub, challenge)
-
-    def quote(self, aik_pub: bytes, nonce: bytes, selection) -> Quote:
-        return self.machine.tpm.quote(aik_pub, nonce, selection)
-
-    def read_pcr(self, index: int) -> bytes:
-        return self.machine.tpm.read_pcr(index)
-
-    def pcr_extend(self, index: int, value: bytes) -> None:
-        self.machine.tpm.pcr_extend(index, value, self.machine.tpm.locality)
-
-
 class RelayTpmChannel:
     """Malicious driver relaying the agent's TPM traffic to a remote host.
 
@@ -242,10 +217,11 @@ class RelayTpmChannel:
     traffic.  A quote request names an AIK handle: if that key is resident
     on the remote TPM it signs (handles are just data to forward),
     otherwise the relay substitutes the remote TPM's own resident
-    attestation key.  An extend is forwarded, at the OS runtime's locality
-    0, only when :func:`attestsim.trust.forwards_extends` holds for the
-    host's dynamic registers against ``golden_dynamics``.  Otherwise the
-    extend is swallowed, which is the best a relay can do.
+    attestation key.  An extend is forwarded, to land at the host chip's
+    locality (0 at OS runtime), only when
+    :func:`attestsim.trust.forwards_extends` holds for the host's dynamic
+    registers against ``golden_dynamics``.  Otherwise the extend is
+    swallowed, which is the best a relay can do.
     """
 
     def __init__(self, host: Machine, golden_dynamics: Dict[int, bytes], rng: Rng):
@@ -262,7 +238,8 @@ class RelayTpmChannel:
     def create_aik(self, rng: Rng) -> bytes:
         return self._tpm().create_aik(rng)
 
-    def ek_certificate(self):
+    @property
+    def ek_cert(self):
         return self._tpm().ek_cert
 
     def activate_credential(self, aik_pub: bytes, challenge: bytes) -> bytes:
@@ -283,6 +260,6 @@ class RelayTpmChannel:
         tpm = self._tpm()
         launched = {i: tpm.read_pcr(i) for i in self.golden_dynamics}
         if forwards_extends(self.golden_dynamics, launched):
-            tpm.pcr_extend(index, value, RUNTIME_LOCALITY)
+            tpm.pcr_extend(index, value)
         else:
             logger.debug("relay dropped extend of pcr %d", index)

@@ -39,9 +39,11 @@ one node table over those numbers, as in SPIN: the world int of each node,
 its parent's number and the event that reached it.  Nothing is held per
 layer; a trace is read back by following the parent numbers.
 
-Each traversal owns one :class:`~.world.Memo` and one
-:class:`~.world.Symmetry`, so the step and image tables live exactly as long
-as one :func:`check` or :func:`enumerate_reachable` run.  The term and
+Each traversal owns one :class:`~.world.Memo`, so the step tables live
+exactly as long as one :func:`check` or :func:`enumerate_reachable` run,
+and a rule changed between runs is asked afresh.  The image tables of a
+:class:`~.world.Symmetry` read no rule; each renaming's tables are built
+once in the process and shared by every check of its bound.  The term and
 record ids inside a key say only in which order their values were first
 interned in this process; they are hashed and compared for equality, never
 sorted, so no order below depends on them.

@@ -80,11 +80,12 @@ move within one power cycle.
 
 A :class:`Memo` holds the steps of one traversal.  Each table maps the
 ids a step reads (a machine's record, a chip's record) to what it writes:
-the q0 step, the q1 read-back, the verify outcome and the extend rule.  A
-miss asks the shared rule itself, so a table never restates a rule; it
-only remembers what the rule answered.  Tables live for one ``check`` or
+the q0 step, the q1 read-back and the verify outcome.  A miss asks the
+shared rule itself, so a table never restates a rule; it only remembers
+what the rule answered.  Tables live for one ``check`` or
 ``enumerate_reachable`` run and are dropped with it, so a rule changed
-between runs is asked afresh.
+between runs is asked afresh.  The relay's extend rule is asked at each
+use: it is cheap, and only obfuscation moves read it.
 Ids are looked up and compared, never ordered: :func:`successors`
 generates its moves in ``repr(event)`` order, where no id appears, so the
 order needs no sort, and the explorer tests the property
@@ -329,10 +330,6 @@ def _verify(key) -> int:
                                              m.q0_dpcr, m.sealed_obf, c2 and c3))
 
 
-def _forwards(dpcr: Term) -> bool:
-    return forwards_extends({0: DPCR_G}, {0: dpcr})
-
-
 @lru_cache(maxsize=None)
 def _public_golden_chain(depth: int) -> bool:
     return derivable(SPCR_G, PUBLIC, depth)
@@ -355,7 +352,6 @@ class Memo:
         self.q0 = _Table(_q0)                  # (machine, t, chip) -> machine
         self.q1 = _Table(_q1)                  # (i, machine, chip) -> machine
         self.verify = _Table(_verify)          # (machine, chip) -> machine
-        self.forwards = _Table(_forwards)      # host dynamic register -> bool
 
 
 # -- transition helpers -----------------------------------------------------
@@ -365,15 +361,14 @@ def _serving(m: MachineProc) -> bool:
     return m.phase not in ("created", "halted")
 
 
-def _host_accepts_extends(world, t: int, memo: Memo) -> bool:
+def _host_accepts_extends(world, t: int) -> bool:
     """Remote-extend physics: a serving host forwards an extend by the
     relay's rule (:func:`attestsim.trust.forwards_extends`) on its dynamic
     register; free chips are prepared before the episode and serve reads
     only.  ``world`` is a :class:`World` or its unpacked records."""
     if t >= len(world.machines) or not _serving(world.machines[t]):
         return False
-    dpcr = world.tpms[t].dpcr
-    return memo.forwards[dpcr]
+    return forwards_extends({0: DPCR_G}, {0: world.tpms[t].dpcr})
 
 
 def _readable_tpms(world, i: int) -> List[int]:
@@ -396,17 +391,14 @@ def _by_name(start: int, stop: int) -> Tuple[int, ...]:
 
 
 def successors(world: int, obfuscate: bool, derivation_depth: int,
-               memo: Optional[Memo] = None) -> List[Tuple[Event, World]]:
+               memo: Memo) -> List[Tuple[Event, World]]:
     """All one-step moves, generated in ``repr(event)`` order, the canonical
     order the explorer's traces rest on (:mod:`.explore`): by kind, ``boot``
     < ``obf`` < ``q0`` < ``q1`` < ``seal`` < ``tpm-init`` < ``verify``; then
     by index in name order (:func:`_by_name`), so chip 10 comes before chip
     2; then by argument: images in ``BOOT_MENU`` order, routes ``bound`` <
     ``drop`` < ``local``, ``golden`` before ``junk``.  ``memo`` carries the
-    step tables across the calls of one traversal; without it, a call
-    decides everything afresh."""
-    if memo is None:
-        memo = Memo()
+    step tables across the calls of one traversal."""
     ids = record_ids(world)
     records = _records(world, ids)
     machines, tpms = records
@@ -431,7 +423,7 @@ def successors(world: int, obfuscate: bool, derivation_depth: int,
                 continue
             mask = rnd_term(i)
             masked = _put(world, i, _record_id(_MACHINES, MachineProc("init_extend", *m[1:])))
-            for route in _obf_routes(records, i, memo):
+            for route in _obf_routes(records, i):
                 if route == "drop":
                     child = masked
                 else:
@@ -469,11 +461,11 @@ def _boot(world: World, i: int, image: str) -> World:
     return World(_put(_put(world, i, machine), (world & _MASK) + i, chip))
 
 
-def _obf_routes(records: _Records, i: int, memo: Memo) -> Tuple[str, ...]:
+def _obf_routes(records: _Records, i: int) -> Tuple[str, ...]:
     m = records.machines[i]
     if not m.driver_malicious:
         return ("local",)
-    if m.bound_tpm != i and _host_accepts_extends(records, m.bound_tpm, memo):
+    if m.bound_tpm != i and _host_accepts_extends(records, m.bound_tpm):
         return ("bound", "drop", "local")
     return ("drop", "local")
 
@@ -503,7 +495,7 @@ _LISTED = 24  # the largest group whose elements are listed outright
 
 class Symmetry:
     """The renamings under which the reachable worlds of one bound are
-    closed, as image tables for one traversal.
+    closed, as image tables.
 
     A renaming permutes the machines, each together with its attached chip
     and its mask ``rnd_term(i)``, and permutes the free chips, each together
@@ -515,6 +507,8 @@ class Symmetry:
     record slot: a record id maps to the shifted id of its image record in
     the slot the renaming sends it to.  Terms are renamed by substituting
     the ``rnd_term`` and ``junk_term`` ids (:func:`~.terms.substitute`).
+    A plan reads no rule, so it is built once per renaming in the process
+    and every check of the bound shares it.
 
     A group of at most ``_LISTED`` elements (four machines, or one machine
     and five chips) is held whole, and an orbit costs one image per
@@ -566,6 +560,7 @@ def _generators(items: Tuple[int, ...]) -> List[Tuple[int, ...]]:
     return [swap] if rotation == swap else [swap, rotation]
 
 
+@lru_cache(maxsize=None)
 def _plan(chips: Tuple[int, ...], n_machines: int) -> List[_Table]:
     """The slot tables of the renaming that sends machine ``i`` to
     ``chips[i]`` and chip ``t`` to ``chips[t]``."""

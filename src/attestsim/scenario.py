@@ -60,7 +60,7 @@ from typing import Dict, List, Optional
 import yaml
 
 from . import ima
-from .agent import Agent, AgentApi
+from .agent import ATTACHED_TPM, Agent, AgentApi
 from .controller import CONTROLLER_ENDPOINT, DEFAULT_MISS_THRESHOLD, Alert, Controller
 from .crypto import (
     ZERO_DIGEST,
@@ -72,7 +72,6 @@ from .crypto import (
 )
 from .machine import (
     BootError,
-    DirectTpmChannel,
     Machine,
     RelayTpmChannel,
     SoftwareImage,
@@ -427,13 +426,13 @@ class Fleet:
     def act_relay(self, step: dict) -> None:
         """Hijack a machine's TPM driver: route its traffic to another host.
 
-        ``target: null`` hands the driver back (direct channel again).
+        ``target: null`` hands the driver back (the attached chip again).
         """
         mid = step["machine"]
         agent = self.agent(mid)
         target_id = step.get("target")
         if target_id is None:
-            agent.channel_factory = DirectTpmChannel
+            agent.channel_factory = ATTACHED_TPM
             self.note(mid, "relay", {"target": None})
             return
         target = self.machine(target_id)
@@ -447,7 +446,7 @@ class Fleet:
         machine = self.machine(mid)
         pcr = step["pcr"]
         value = sha256(step.get("value", "").encode())
-        machine.tpm.pcr_extend(pcr, value, locality=0)
+        machine.tpm.pcr_extend(pcr, value)
         self.note(mid, "extend-pcr", {"pcr": pcr})
 
 

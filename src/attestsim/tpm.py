@@ -2,9 +2,12 @@
 
 State lives in :class:`TpmState`: static PCRs 0..15, dynamic PCRs 17..19
 (reset only by a DRTM launch at locality 4, extended only at locality >= 2),
-an endorsement key with a manufacturer certificate, attestation identity
-keys, a monotonic reboot counter and a quote clock.  PCRs are extend-only:
-``pcr[n] = hash(pcr[n] || value)``, never assignable.
+the current locality, an endorsement key with a manufacturer certificate,
+attestation identity keys, a monotonic reboot counter and a quote clock.
+PCRs are extend-only: ``pcr[n] = hash(pcr[n] || value)``, never
+assignable.  An extend happens at the chip's locality, which only the
+platform raises (:func:`attestsim.machine.boot`), so no caller can claim a
+locality the platform never raised.
 
 Quotes are signatures over the selected-PCR composite digest plus a caller
 nonce and the counters.
@@ -126,10 +129,11 @@ class TpmState:
 
     # -- pcr operations ----------------------------------------------------
 
-    def pcr_extend(self, index: int, value: bytes, locality: int) -> None:
-        """Extend a PCR.  Static registers accept any locality; dynamic
-        registers require locality >= 2 (the DRTM-launched environment)."""
-        if index in DYNAMIC_PCRS and locality < DYNAMIC_EXTEND_LOCALITY:
+    def pcr_extend(self, index: int, value: bytes) -> None:
+        """Extend a PCR at the chip's locality.  Static registers accept any
+        locality; dynamic registers require locality >= 2 (the
+        DRTM-launched environment)."""
+        if index in DYNAMIC_PCRS and self.locality < DYNAMIC_EXTEND_LOCALITY:
             raise LocalityViolation(
                 f"dynamic pcr {index} extend needs locality >= {DYNAMIC_EXTEND_LOCALITY}"
             )

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from attestsim import crypto
 from attestsim.agent import (
+    ATTACHED_TPM,
     CONDITION_DYNAMIC,
     CONDITION_REBOOT,
     CONDITION_STATIC,
@@ -33,7 +34,6 @@ from attestsim.crypto import (
     sign,
 )
 from attestsim.machine import (
-    DirectTpmChannel,
     InitHookFailure,
     Machine,
     RelayTpmChannel,
@@ -93,7 +93,7 @@ class World:
         )
 
     def agent_for(self, m, seed=909, whitelist=(0,), obfuscate=True, factory=None):
-        return Agent(
+        agent = Agent(
             m,
             AGENT_BIN,
             Rng(seed),
@@ -101,8 +101,10 @@ class World:
             self.golden_dynamics,
             static_whitelist=whitelist,
             obfuscate=obfuscate,
-            channel_factory=factory,
         )
+        if factory is not None:
+            agent.channel_factory = factory
+        return agent
 
 
 class CountingRng(Rng):
@@ -192,7 +194,7 @@ def test_init_obfuscates_whitelisted_static_and_seals_baseline():
 
     def hook(machine):
         ctx = run_enclave(machine, AGENT_BIN, "init")
-        captured["config"] = agent_init(ctx, DirectTpmChannel(machine), arng, (0,))
+        captured["config"] = agent_init(ctx, machine.tpm, arng, (0,))
 
     out = w.boot(m, init_hook=hook)
     assert not out.halted
@@ -220,7 +222,7 @@ def test_init_draws_exactly_five_values_when_obfuscating():
 
     def hook(machine):
         ctx = run_enclave(machine, AGENT_BIN, "init")
-        agent_init(ctx, DirectTpmChannel(machine), rng, (0, 3))
+        agent_init(ctx, machine.tpm, rng, (0, 3))
 
     w.boot(m, init_hook=hook)
     assert rng.draws == [32] * 5
@@ -235,7 +237,7 @@ def test_plain_init_draws_three_and_leaves_pcrs_alone():
     def hook(machine):
         ctx = run_enclave(machine, AGENT_BIN, "init")
         captured["config"] = agent_init(
-            ctx, DirectTpmChannel(machine), rng, (0,), obfuscate=False
+            ctx, machine.tpm, rng, (0,), obfuscate=False
         )
 
     w.boot(m, init_hook=hook)
@@ -251,9 +253,9 @@ def test_init_rejects_log_register_and_dynamic_indices():
     w.boot(m)
     ctx = run_enclave(m, AGENT_BIN, "init")
     with pytest.raises(ValueError):
-        agent_init(ctx, DirectTpmChannel(m), Rng(1), (IMA_PCR,))
+        agent_init(ctx, m.tpm, Rng(1), (IMA_PCR,))
     with pytest.raises(ValueError):
-        agent_init(ctx, DirectTpmChannel(m), Rng(1), (17,))
+        agent_init(ctx, m.tpm, Rng(1), (17,))
 
 
 def test_init_requires_init_phase_enclave():
@@ -262,7 +264,7 @@ def test_init_requires_init_phase_enclave():
     w.boot(m)
     ctx = run_enclave(m, AGENT_BIN, "runtime")
     with pytest.raises(ValueError):
-        agent_init(ctx, DirectTpmChannel(m), Rng(1), (0,))
+        agent_init(ctx, m.tpm, Rng(1), (0,))
 
 
 def test_init_fails_activation_when_ek_certificate_is_foreign():
@@ -270,13 +272,20 @@ def test_init_fails_activation_when_ek_certificate_is_foreign():
     m, other = w.machines
     w.boot(m)
 
-    class ForeignEkChannel(DirectTpmChannel):
-        def ek_certificate(self):
-            return other.tpm.ek_cert
+    class ForeignEkChannel:
+        """The attached chip, but handing out another chip's EK certificate."""
+
+        ek_cert = other.tpm.ek_cert
+
+        def __init__(self, tpm):
+            self.tpm = tpm
+
+        def __getattr__(self, name):
+            return getattr(self.tpm, name)
 
     ctx = run_enclave(m, AGENT_BIN, "init")
     with pytest.raises(InitFailure) as err:
-        agent_init(ctx, ForeignEkChannel(m), Rng(1), (0,))
+        agent_init(ctx, ForeignEkChannel(m.tpm), Rng(1), (0,))
     assert err.value.reason == "activation-failed"
 
 
@@ -318,7 +327,7 @@ def test_obfuscation_replay_matches_for_any_whitelist(whitelist):
     def hook(machine):
         ctx = run_enclave(machine, AGENT_BIN, "init")
         captured["config"] = agent_init(
-            ctx, DirectTpmChannel(machine), Rng(404), sorted(whitelist)
+            ctx, machine.tpm, Rng(404), sorted(whitelist)
         )
 
     w.boot(m, init_hook=hook)
@@ -359,7 +368,7 @@ def test_c1_sealed_baseline_does_not_open_on_another_machine():
     m1.disk[CONFIG_DISK_KEY] = m0.disk[CONFIG_DISK_KEY]
     ctx = run_enclave(m1, AGENT_BIN, "runtime")
     report = establish_trust(
-        ctx, DirectTpmChannel(m1), Rng(77), w.golden_statics, w.golden_dynamics
+        ctx, m1.tpm, Rng(77), w.golden_statics, w.golden_dynamics
     )
     assert not report.trusted
     assert report.failed_condition == CONDITION_UNSEAL
@@ -371,7 +380,7 @@ def test_c1_missing_baseline():
     w.boot(m)
     ctx = run_enclave(m, AGENT_BIN, "runtime")
     report = establish_trust(
-        ctx, DirectTpmChannel(m), Rng(78), w.golden_statics, w.golden_dynamics
+        ctx, m.tpm, Rng(78), w.golden_statics, w.golden_dynamics
     )
     assert report.failed_condition == CONDITION_UNSEAL
 
@@ -411,7 +420,7 @@ def test_c3_static_drift_on_the_attached_tpm():
     (m,) = w.machines
     agent = w.agent_for(m)
     w.boot(m, init_hook=agent.initialization_hook)
-    m.tpm.pcr_extend(0, sha256(b"malicious rewrite"), locality=0)
+    m.tpm.pcr_extend(0, sha256(b"malicious rewrite"))
     report = agent.enter_runtime()
     assert report.failed_condition == CONDITION_STATIC
 
@@ -425,7 +434,7 @@ def test_c3_sealed_baseline_other_than_golden():
     w.boot(m, init_hook=agent.initialization_hook)
     ctx = run_enclave(m, AGENT_BIN, "runtime")
     golden = {0: sha256(b"another launch configuration")}
-    report = establish_trust(ctx, DirectTpmChannel(m), Rng(79), golden, w.golden_dynamics)
+    report = establish_trust(ctx, m.tpm, Rng(79), golden, w.golden_dynamics)
     assert (report.failed_condition, report.detail) == (
         CONDITION_STATIC, "sealed baseline for static pcr 0 is not the golden value")
 
@@ -467,7 +476,7 @@ def test_conditions_check_in_order_c1_first():
     m1.disk[CONFIG_DISK_KEY] = m0.disk[CONFIG_DISK_KEY]
     ctx = run_enclave(m1, AGENT_BIN, "runtime")
     report = establish_trust(
-        ctx, DirectTpmChannel(m1), Rng(80), w.golden_statics, w.golden_dynamics
+        ctx, m1.tpm, Rng(80), w.golden_statics, w.golden_dynamics
     )
     assert report.failed_condition == CONDITION_UNSEAL
 
@@ -503,7 +512,7 @@ def _run_case(init_route, runtime_route, obfuscate=True, kernel=None):
 
     def factory(route):
         if route == "direct":
-            return DirectTpmChannel
+            return ATTACHED_TPM
         return lambda mm: relays[route]
 
     agent = w.agent_for(m, obfuscate=obfuscate, factory=factory(init_route))
@@ -679,7 +688,7 @@ def test_log_tamper_latches_and_keeps_answering():
     log = bytearray(m.disk["ima/log"])
     log[10] ^= 0x01
     m.disk["ima/log"] = bytes(log) + b"x 41414141 ima-ng 42424242 /oops\n"
-    m.tpm.pcr_extend(IMA_PCR, sha256(b"hidden load"), locality=0)
+    m.tpm.pcr_extend(IMA_PCR, sha256(b"hidden load"))
     agent.refresh(Rng(98).bytes(32))
     assert agent.compromised == "log-tampered"
     verdict = agent.verify_policy(pid, Rng(58).bytes(32))
@@ -829,7 +838,7 @@ def test_reboot_under_running_agent_is_locked_out(whitelist):
 
 def test_static_drift_under_running_agent_is_locked_out():
     w, m, agent = serving_agent()
-    m.tpm.pcr_extend(0, sha256(b"drift"), locality=0)
+    m.tpm.pcr_extend(0, sha256(b"drift"))
     with pytest.raises(UntrustedPlatform):
         agent.refresh(Rng(101).bytes(32))
     assert agent.compromised == "pcr-changed"
@@ -840,7 +849,7 @@ def test_failed_reestablishment_drops_the_ended_sessions_latch():
     and the pcr-changed latch ends with the session it belonged to."""
     w, m, agent = serving_agent()
     pid = agent.deploy_policy(golden_policy(w))
-    m.tpm.pcr_extend(0, sha256(b"drift"), locality=0)
+    m.tpm.pcr_extend(0, sha256(b"drift"))
     with pytest.raises(UntrustedPlatform, match="pcr-changed"):
         agent.verify_policy(pid, Rng(103).bytes(32))
     assert not agent.enter_runtime().trusted

@@ -301,7 +301,7 @@ def test_an_unparseable_log_line_latches_log_tampering_across_a_round():
     t_hash = sha256(b"odd signature")
     machine.disk["ima/log"] += (b"10 " + t_hash.hex().encode() + b" ima-sig "
                                 + sha256(b"x").hex().encode() + b" /x abc\n")
-    machine.tpm.pcr_extend(IMA_PCR, t_hash, locality=0)
+    machine.tpm.pcr_extend(IMA_PCR, t_hash)
     (alert,) = ctl.poll_round(Rng(12))
     assert alert.machine == "m0" and alert.kind == "violation"
     assert "log-tampered" in [v["kind"] for v in alert.verdict["violations"]]

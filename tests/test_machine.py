@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attestsim.crypto import ONES_DIGEST, ZERO_DIGEST, Rng, generate_keypair, seal, sha256, sign, unseal, UnsealError
+from attestsim.agent import ATTACHED_TPM
 from attestsim.machine import (
-    DirectTpmChannel,
     InitHookFailure,
     Machine,
     RelayTpmChannel,
@@ -138,8 +138,9 @@ def test_double_power_on_is_rejected():
 def test_dynamic_mutation_outside_boot_is_impossible(idx, loc):
     (m,), img, *_ = build_world(seed=9)
     boot(m, img["uefi"], img["tboot"], img["kernel"], img["initramfs"])
+    m.tpm.locality = loc
     with pytest.raises(LocalityViolation):
-        m.tpm.pcr_extend(idx, sha256(b"x"), locality=loc)
+        m.tpm.pcr_extend(idx, sha256(b"x"))
 
 
 # --------------------------------------------------------------------------
@@ -176,7 +177,8 @@ def test_sealed_data_moves_between_phases_but_not_machines():
 def test_direct_channel_speaks_to_attached_tpm():
     (m,), img, *_ = build_world()
     boot(m, img["uefi"], img["tboot"], img["kernel"], img["initramfs"])
-    ch = DirectTpmChannel(m)
+    ch = ATTACHED_TPM(m)
+    assert ch is m.tpm
     rng = Rng(60)
     aik = ch.create_aik(rng)
     q = ch.quote(aik, rng.bytes(32), [0])
@@ -251,7 +253,7 @@ def test_relay_serves_only_a_running_host(state):
     prepare(host, img)
     rng = Rng(71)
     relay = RelayTpmChannel(host, golden_dynamics(img), rng.child("adv"))
-    calls = [lambda: relay.read_pcr(0), relay.ek_certificate,
+    calls = [lambda: relay.read_pcr(0), lambda: relay.ek_cert,
              lambda: relay.quote(rng.bytes(32), rng.bytes(32), [0])]
     assert [_served(call) for call in calls] == [reads] * len(calls)
 
@@ -265,7 +267,7 @@ def test_relay_serves_only_a_running_host(state):
 
     if twin is not None:
         assert (1 in model._readable_tpms(twin, 0)) == reads
-        assert model._host_accepts_extends(twin, 1, model.Memo()) == extends
+        assert model._host_accepts_extends(twin, 1) == extends
 
 
 def test_relay_channel_serves_remote_quotes_under_remote_key():

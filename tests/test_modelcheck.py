@@ -86,18 +86,19 @@ def test_check_config_refuses_more_tpms_than_a_slot_holds():
 def _after(world, *events, obfuscate=False, depth=2):
     """The world reached from ``world`` by ``events``, one move at a time."""
     for event in events:
-        world = dict(successors(world, obfuscate, depth))[event]
+        world = dict(successors(world, obfuscate, depth, model.Memo()))[event]
     return world
 
 
 def _inits(world, obfuscate=False, depth=2):
-    return [e for e, _ in successors(world, obfuscate, depth) if e[0] == "tpm-init"]
+    moves = successors(world, obfuscate, depth, model.Memo())
+    return [e for e, _ in moves if e[0] == "tpm-init"]
 
 
 def test_free_tpm_golden_static_is_depth_gated():
     w = build_world(1, 2)
-    events_d3 = [e for e, _ in successors(w, False, 3)]
-    events_d2 = [e for e, _ in successors(w, False, 2)]
+    events_d3 = [e for e, _ in successors(w, False, 3, model.Memo())]
+    events_d2 = [e for e, _ in successors(w, False, 2, model.Memo())]
     assert ("tpm-init", 1, "golden") in events_d3
     assert ("tpm-init", 1, "golden") not in events_d2
     assert ("tpm-init", 1, "junk") in events_d2
@@ -232,7 +233,7 @@ def test_counterexample_is_the_smallest_shortest_violating_trace(depth):
             assert len(trace) == verdict.layers, trace
             violating.append(trace)
         elif len(trace) < verdict.layers:
-            for event, child in successors(world, False, depth):
+            for event, child in successors(world, False, depth, model.Memo()):
                 walk(child, trace + [event])
 
     walk(build_world(2, 2), [])
@@ -482,11 +483,12 @@ def _unreduced_layers(cfg):
     layer = [build_world(cfg.machines, cfg.tpms)]
     seen = set(layer)
     layers = []
+    memo = model.Memo()
     while layer:
         layers.append(layer)
         found = []
         for world in layer:
-            for _, child in successors(world, cfg.obfuscate, cfg.derivation_depth):
+            for _, child in successors(world, cfg.obfuscate, cfg.derivation_depth, memo):
                 if child not in seen:
                     seen.add(child)
                     found.append(child)
@@ -579,14 +581,15 @@ def test_moves_name_index_10_before_index_2():
     ``repr(event)``.  No bound above reaches index 10, so a numeric order
     passes every other test and fails only this one."""
     world = build_world(1, 12)
-    events = [e for e, _ in successors(world, False, 5)]
+    events = [e for e, _ in successors(world, False, 5, model.Memo())]
     assert events == sorted(events, key=repr)
     chips = [e[1] for e in events if e[0] == "tpm-init"]
     assert list(dict.fromkeys(chips)) == [1, 10, 11, 2, 3, 4, 5, 6, 7, 8, 9]
 
     prepared = _after(world, ("boot", 0, "malicious-kernel"), ("tpm-init", 2, "junk"),
                       ("tpm-init", 10, "junk"), depth=5)
-    assert [e[2] for e, _ in successors(prepared, False, 5) if e[0] == "q0"] == [0, 10, 2]
+    moves = successors(prepared, False, 5, model.Memo())
+    assert [e[2] for e, _ in moves if e[0] == "q0"] == [0, 10, 2]
 
 
 @pytest.mark.parametrize("machines,tpms,obfuscate", [(3, 3, False), (1, 4, True), (2, 4, True)],

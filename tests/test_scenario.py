@@ -360,6 +360,9 @@ def test_scenario_step_validation_errors(mutate, message):
                  r"script\[1\] load-file: paths with whitespace", id="path-with-a-space"),
     pytest.param({"at": 5, "action": "extend-pcr", "machine": "m0", "pcr": 99},
                  r"script\[1\] extend-pcr: pcr 99 does not exist", id="pcr-that-does-not-exist"),
+    pytest.param({"at": 5, "action": "extend-pcr", "machine": "m0", "pcr": 17},
+                 r"script\[1\] extend-pcr: dynamic pcr 17 extend needs locality >= 2",
+                 id="dynamic-pcr-at-os-runtime"),
 ])
 def test_script_state_errors_name_the_step(step, message):
     _assert_rejected(lambda d: d["script"].append(step), message)

@@ -40,7 +40,7 @@ def test_extend_matches_hash_chain_oracle():
     tpm, _, rng = fresh_tpm()
     values = [rng.bytes(32) for _ in range(5)]
     for v in values:
-        tpm.pcr_extend(0, v, locality=0)
+        tpm.pcr_extend(0, v)
     assert tpm.read_pcr(0) == chain(ZERO_DIGEST, values)
 
 
@@ -48,29 +48,34 @@ def test_extend_order_matters():
     a, b = sha256(b"a"), sha256(b"b")
     t1, _, _ = fresh_tpm(1)
     t2, _, _ = fresh_tpm(2)
-    t1.pcr_extend(0, a, 0)
-    t1.pcr_extend(0, b, 0)
-    t2.pcr_extend(0, b, 0)
-    t2.pcr_extend(0, a, 0)
+    t1.pcr_extend(0, a)
+    t1.pcr_extend(0, b)
+    t2.pcr_extend(0, b)
+    t2.pcr_extend(0, a)
     assert t1.read_pcr(0) != t2.read_pcr(0)
 
 
 def test_static_extends_allowed_from_any_locality():
     tpm, _, _ = fresh_tpm()
     for loc in (0, 1, 2, 3, 4):
-        tpm.pcr_extend(3, sha256(b"x"), locality=loc)
+        tpm.locality = loc
+        tpm.pcr_extend(3, sha256(b"x"))
 
 
 def test_dynamic_extend_requires_locality_two():
     tpm, _, _ = fresh_tpm()
     tpm.locality = 4
     tpm.drtm_launch_reset()
+    tpm.locality = 0
     with pytest.raises(LocalityViolation):
-        tpm.pcr_extend(17, sha256(b"v"), locality=0)
+        tpm.pcr_extend(17, sha256(b"v"))
+    tpm.locality = 1
     with pytest.raises(LocalityViolation):
-        tpm.pcr_extend(18, sha256(b"v"), locality=1)
-    tpm.pcr_extend(17, sha256(b"v"), locality=2)
-    tpm.pcr_extend(18, sha256(b"v"), locality=4)
+        tpm.pcr_extend(18, sha256(b"v"))
+    tpm.locality = 2
+    tpm.pcr_extend(17, sha256(b"v"))
+    tpm.locality = 4
+    tpm.pcr_extend(18, sha256(b"v"))
 
 
 def test_dynamic_reset_requires_locality_four():
@@ -86,11 +91,12 @@ def test_dynamic_reset_requires_locality_four():
 
 def test_invalid_indices_rejected():
     tpm, _, _ = fresh_tpm()
+    tpm.locality = 4
     for idx in (16, 20, 23, -1):
         with pytest.raises(InvalidPcrIndex):
             tpm.read_pcr(idx)
         with pytest.raises(InvalidPcrIndex):
-            tpm.pcr_extend(idx, sha256(b"v"), 4)
+            tpm.pcr_extend(idx, sha256(b"v"))
 
 
 def test_dynamic_pcrs_hold_sentinel_before_first_drtm():
@@ -109,7 +115,7 @@ def test_extend_only_replay_property(ops):
     tpm.drtm_launch_reset()
     per_index = {}
     for idx, val in ops:
-        tpm.pcr_extend(idx, val, locality=4)
+        tpm.pcr_extend(idx, val)
         per_index.setdefault(idx, []).append(val)
     for idx, vals in per_index.items():
         start = ZERO_DIGEST
@@ -159,7 +165,7 @@ def test_activate_credential_binding():
 def test_quote_signature_and_composite_digest():
     tpm, _, rng = fresh_tpm(30)
     aik = tpm.create_aik(rng)
-    tpm.pcr_extend(0, sha256(b"fw"), 0)
+    tpm.pcr_extend(0, sha256(b"fw"))
     nonce = rng.bytes(32)
     q = tpm.quote(aik, nonce, [0, 3, 10])
     assert q.verify_signature()
@@ -213,8 +219,8 @@ def test_reboot_resets_banks_and_bumps_counter():
     tpm, _, rng = fresh_tpm(40)
     tpm.locality = 4
     tpm.drtm_launch_reset()
-    tpm.pcr_extend(17, sha256(b"mle"), 4)
-    tpm.pcr_extend(0, sha256(b"fw"), 4)
+    tpm.pcr_extend(17, sha256(b"mle"))
+    tpm.pcr_extend(0, sha256(b"fw"))
     before = tpm.reboot_counter
     tpm.reboot()
     assert tpm.reboot_counter == before + 1
@@ -244,4 +250,4 @@ def test_aiks_survive_reboot():
 def test_extend_value_must_be_digest_sized():
     tpm, _, _ = fresh_tpm(43)
     with pytest.raises(Exception):
-        tpm.pcr_extend(0, b"short", 0)
+        tpm.pcr_extend(0, b"short")

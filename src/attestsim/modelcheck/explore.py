@@ -8,9 +8,21 @@ already in canonical order, so nothing is sorted.  A child already seen
 costs one set lookup.  A new one is decoded once, entered into the
 seen-set with its orbit and tested against the property at discovery, as
 SPIN checks on the fly (Holzmann, *The Model Checker SPIN*, IEEE TSE
-1997).  Each layer is yielded as a range of node numbers with its first
-violating node.  A world's key is its packed int (:mod:`.world`), so the
-seen-set hashes and compares one int per state.
+1997).  Each layer is yielded as its world ints with its first violating
+world.  A world's key is its packed int (:mod:`.world`), so the seen-set
+hashes and compares one int per state.
+
+**Frontier.**  The state graph is graded: each move advances one
+machine's phase or prepares one free chip, and none undoes either, so
+every child of a layer-*k* world lies in layer *k + 1*.  The seen-set
+therefore holds the worlds of the layer being built only, and is started
+afresh for each layer, as breadth-first frontier search drops closed
+layers (Korf, Zhang, Thayer and Hohwald, *Frontier Search*, JACM 2005);
+here that is exact, with no duplicate of an earlier layer to miss.  A
+running count of the worlds entered serves ``Verdict.states_explored``
+and the budget.  ``test_the_reduced_search_reaches_exactly_the_unreduced_layers``
+checks the grading on every reachable world of the small bounds; a move
+that breaks it would make the search count a world twice.
 
 **Symmetry.**  Renaming the machines, each together with its attached TPM
 and its mask ``rnd-m<i>``, and renaming the free TPMs, each together with
@@ -23,10 +35,10 @@ already seen costs one set lookup, as before.  An orbit is listed by
 applying every renaming while the group is small, and by closing it under
 a few generating renamings once the group is large, so that a bound with
 many free chips costs work in the size of its orbits, not of its group.
-The seen-set still holds every concrete reachable world, so
-``Verdict.states_explored`` is the raw
-count that an unreduced search gives; ``Verdict.orbits``, the number of
-worlds expanded, is the reduced count and stays out of the report.  The
+The count of worlds entered is the raw count that an unreduced search
+gives, so ``Verdict.states_explored`` is that count; ``Verdict.orbits``,
+the number of worlds expanded, is the reduced count and stays out of the
+report.  The
 reduction is sound only while the model is equivariant: every step must
 treat machine and chip indices as names, with nothing special about any
 one of them.  ``test_successors_commute_with_every_renaming`` checks that on
@@ -34,10 +46,11 @@ every reachable world of the small bounds, and a deliberately asymmetric
 model change (a mutant of one machine's rule, say) must be run with that
 test in view, since under the reduction it would give wrong counts.
 
-Orbit representatives are numbered in discovery order, and the search is
-one node table over those numbers, as in SPIN: the world int of each node,
-its parent's number and the event that reached it.  Nothing is held per
-layer; a trace is read back by following the parent numbers.
+Orbit representatives are numbered in discovery order, and the search
+tree is two arrays over those numbers: each node's parent's number and the
+index of the event that reached it in one table of the events reached.  A
+trace is read back by following the parent numbers.  The world ints are
+held for the layer being expanded and the layer being built only.
 
 Each traversal owns one :class:`~.world.Memo`, so the step tables live
 exactly as long as one :func:`check` or :func:`enumerate_reachable` run,
@@ -86,8 +99,8 @@ from .world import (
     StateBudgetExceeded,
     Symmetry,
     World,
+    _slot_reader,
     build_world,
-    record_ids,
     successors,
     violations,
 )
@@ -184,41 +197,47 @@ def _world_summary(world: World, violation: Tuple[int, int, int]) -> dict:
 
 
 class _Search:
-    """One traversal: its tables, its seen-set and its search tree.
+    """One traversal: its tables and its search tree.
 
-    ``seen`` holds every concrete world reached so far, each orbit entered
-    whole.  The tree holds one node per orbit, its first-reached world,
-    numbered in discovery order: node *n* is the world ``nodes[n]``, reached
-    from node ``parent[n]`` by event ``via[n]``, and the initial world's
-    parent is -1.
+    The tree holds one node per orbit, its first-reached world, numbered in
+    discovery order: node *n* was reached from node ``parent[n]`` by the
+    event numbered ``via[n]`` in ``events``, and the initial world's parent
+    is -1.  The world
+    ints themselves are held for the layer being expanded and the one being
+    built only, and so is the seen-set (module docstring); ``states`` counts
+    every concrete world reached so far.
     """
 
     def __init__(self, config: CheckConfig):
         self.config = config
         self.memo = Memo()
         self.symmetry = Symmetry(config.machines, config.tpms)
-        self.seen: Set[int] = set()
-        self.nodes: List[int] = []
+        self.states = 0
         self.parent = array("i")
-        self.via: List[Event] = []
+        self.via = array("i")
+        self.events: Dict[Event, int] = {}  # each event reached, to its index in ``via``
 
     def layers(self):
         """Yield every non-empty BFS layer of orbit representatives in
         discovery order, starting with the initial world's alone, each as
-        ``(layer, violating)``: the range of its node numbers, and the number
-        of its first node that violates the property, or None.
+        ``(first, worlds, violating)``: the number of its first node, the
+        world ints of its nodes in node order, and the index in ``worlds``
+        of its first world that violates the property, or None.
 
         Nodes are numbered in discovery order, so a layer is the block of
         numbers discovered while the layer before it was expanded.  Each
         expanded world is one pass: :func:`~.world.successors` decodes it
-        and generates its successors in ``repr(event)`` order.  A child
-        already seen costs one set lookup; a new one is decoded once, and
-        that decode serves its orbit's images and the property test.  Only
-        representatives are expanded: the other members of an orbit are
-        renamings of it, and so are their successors.  The property is
-        tested on each new representative until one in the layer violates
-        it; a layer is yielded complete, so ``seen`` then holds every world
-        up to its depth.
+        and generates its successors in ``repr(event)`` order.  Every child
+        of a layer-*k* world lies in layer *k + 1* (module docstring,
+        **Frontier**), so a child is looked up only among the worlds of the
+        layer being built, in a seen-set started afresh for each layer.  A
+        child already there costs one set lookup; a new one is decoded
+        once, and that decode serves its orbit's images and the property
+        test.  Only representatives are expanded: the other members of an
+        orbit are renamings of it, and so are their successors.  The
+        property is tested on each new representative until one in the
+        layer violates it; a layer is yielded complete, so ``states`` then
+        counts every world up to its depth.
 
         Each layer holds the representatives of its orbits, each the
         orbit's member with the smallest trace, sorted by trace (module
@@ -244,48 +263,57 @@ class _Search:
         reads, and since discovery order is trace order, the first violating
         node found in a layer is the violating node of that layer with the
         smallest trace.
+
+        The budget is checked at each new orbit, which is closed no further
+        than the budget left: a new orbit shares no member with the
+        seen-set, so the count it overruns is the count an unreduced search
+        overruns, at the same layer.
         """
-        config, memo, seen, nodes, parent, via = (self.config, self.memo, self.seen,
-                                                  self.nodes, self.parent, self.via)
+        config, memo, parent, via, events = (self.config, self.memo, self.parent,
+                                             self.via, self.events)
         obfuscate, derivation_depth = config.obfuscate, config.derivation_depth
         max_states = config.max_states
         orbit = self.symmetry.orbit
-        events: Dict[Event, Event] = {}  # equal events of stored states share one tuple
+        read = _slot_reader(config.machines + config.tpms)
         initial = build_world(config.machines, config.tpms).canonical_key()
-        initial_ids = record_ids(initial)
-        seen.update(orbit(initial, initial_ids))
-        nodes.append(initial)
+        initial_ids = read(initial)
+        states = len(set(orbit(initial, initial_ids)))
         parent.append(-1)
-        via.append(None)
+        via.append(-1)
         violating = 0 if violations(initial, initial_ids) else None
-        layer = range(1)
-        depth = 0
+        layer = [initial]
+        first = depth = 0
         while layer:
-            yield layer, violating
+            self.states = states
+            yield first, layer, violating
             depth += 1
             violating = None
-            for n in layer:
-                for event, child in successors(nodes[n], obfuscate, derivation_depth, memo):
-                    if child in seen:  # a world equals its key
+            seen: Set[int] = set()  # the worlds of the layer being built
+            found: List[int] = []
+            for n, world in enumerate(layer, first):
+                for event, child in successors(world, obfuscate, derivation_depth, memo):
+                    if child in seen:
                         continue
-                    child_key = child.canonical_key()
-                    child_ids = record_ids(child_key)
-                    seen.update(orbit(child_key, child_ids))
-                    if len(seen) > max_states:
+                    child_ids = read(child)
+                    size = len(seen)
+                    seen.update(orbit(child, child_ids, max_states - states))
+                    states += len(seen) - size
+                    if states > max_states:
                         raise StateBudgetExceeded(
                             f"more than {max_states} states at layer {depth}")
-                    if violating is None and violations(child_key, child_ids):
-                        violating = len(nodes)
-                    nodes.append(child_key)
+                    if violating is None and violations(child, child_ids):
+                        violating = len(found)
+                    found.append(child)
                     parent.append(n)
-                    via.append(events.setdefault(event, event))
-            layer = range(layer.stop, len(nodes))
+                    via.append(events.setdefault(event, len(events)))
+            first += len(layer)
+            layer = found
 
     def trace(self, n: int) -> List[Event]:
-        parent, via = self.parent, self.via
+        parent, via, table = self.parent, self.via, list(self.events)
         events: List[Event] = []
         while parent[n] >= 0:
-            events.append(via[n])
+            events.append(table[via[n]])
             n = parent[n]
         events.reverse()
         return events
@@ -294,14 +322,14 @@ class _Search:
 def check(config: CheckConfig) -> Verdict:
     """Explore exhaustively; return the verdict with a minimal witness."""
     search = _Search(config)
-    for depth, (_, violating) in enumerate(search.layers()):
+    for depth, (first, layer, violating) in enumerate(search.layers()):
         if violating is not None:
-            world = World(search.nodes[violating])
-            trace = search.trace(violating)
+            world = World(layer[violating])
+            trace = search.trace(first + violating)
             return Verdict(
                 property_holds=False,
-                states_explored=len(search.seen),
-                orbits=len(search.nodes),
+                states_explored=search.states,
+                orbits=len(search.parent),
                 layers=depth,
                 config=config,
                 counterexample={
@@ -313,8 +341,8 @@ def check(config: CheckConfig) -> Verdict:
     # ``layers`` counts expansions; the last layer was expanded into nothing
     return Verdict(
         property_holds=True,
-        states_explored=len(search.seen),
-        orbits=len(search.nodes),
+        states_explored=search.states,
+        orbits=len(search.parent),
         layers=depth + 1,
         config=config,
     )
@@ -325,7 +353,7 @@ def enumerate_reachable(config: CheckConfig):
     sweeps): each representative, then the other distinct members of its
     orbit in the symmetry's fixed order."""
     search = _Search(config)
-    for layer, _ in search.layers():
-        for n in layer:
-            key = search.nodes[n]
-            yield from map(World, dict.fromkeys(search.symmetry.orbit(key, record_ids(key))))
+    orbit, read = search.symmetry.orbit, _slot_reader(config.machines + config.tpms)
+    for _, layer, _ in search.layers():
+        for key in layer:
+            yield from map(World, dict.fromkeys(orbit(key, read(key))))

@@ -79,17 +79,20 @@ the chip, and q1 and verify are forced onto it.  The reboot counter cannot
 move within one power cycle.
 
 A :class:`Memo` holds the steps of one traversal.  Each table maps the
-ids a step reads (a machine's record, a chip's record) to what it writes:
-the q0 step, the q1 read-back and the verify outcome.  A miss asks the
-shared rule itself, so a table never restates a rule; it only remembers
-what the rule answered.  Tables live for one ``check`` or
+ids a step reads (a machine's record, a chip's record) to the id of the
+record it writes: the q0 step, the q1 read-back, the verify outcome, the
+plain seal, the obfuscation mask's extend and a free chip's preparation.
+A miss asks the shared rule itself, so a table never restates a rule; it
+only remembers what the rule answered.  Tables live for one ``check`` or
 ``enumerate_reachable`` run and are dropped with it, so a rule changed
 between runs is asked afresh.  The relay's extend rule is asked at each
 use: it is cheap, and only obfuscation moves read it.
 Ids are looked up and compared, never ordered: :func:`successors`
 generates its moves in ``repr(event)`` order, where no id appears, so the
 order needs no sort, and the explorer tests the property
-(:func:`violations`) at discovery, on slots it has just decoded.
+(:func:`violations`) at discovery, on slots it has just decoded.  The
+children come as bare world ints, the explorer's keys; wrap one in
+:class:`World` to read its records.
 
 A :class:`Symmetry` holds the renamings of one bound as image tables of the
 same kind, for the explorer's reduction (:mod:`.explore`).  A renaming
@@ -102,7 +105,7 @@ from __future__ import annotations
 import struct
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import factorial, inf
 from operator import getitem
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -197,12 +200,6 @@ def _record_id(table: Interner, record) -> int:
     return i
 
 
-class _Records(NamedTuple):
-    """A world's records, unpacked."""
-    machines: Tuple[MachineProc, ...]
-    tpms: Tuple[TpmProc, ...]
-
-
 class World(int):
     """One world packed into one int (module docstring): equal worlds are
     equal ints, so a world hashes and compares in one step."""
@@ -219,11 +216,11 @@ class World(int):
 
     @property
     def machines(self) -> Tuple[MachineProc, ...]:
-        return _records(self).machines
+        return _records(self)[0]
 
     @property
     def tpms(self) -> Tuple[TpmProc, ...]:
-        return _records(self).tpms
+        return _records(self)[1]
 
 
 Event = Tuple  # ("boot", m, image) | ("q0", m, t) | ("obf", m, route) | ...
@@ -252,13 +249,15 @@ def _put(world: int, j: int, record_id: int) -> int:
     return world ^ ((world >> shift & _MASK ^ record_id) << shift)
 
 
-def _records(world: int, ids: Optional[Sequence[int]] = None) -> _Records:
-    """The one decoder of a world's machine and TPM records."""
+def _records(world: int, ids: Optional[Sequence[int]] = None
+             ) -> Tuple[Tuple[MachineProc, ...], Tuple[TpmProc, ...]]:
+    """The one decoder of a world's records: its machines and its TPMs."""
     if ids is None:
         ids = record_ids(world)
     n_machines = world & _MASK
-    return _Records(tuple(map(_MACHINES.values.__getitem__, ids[:n_machines])),
-                    tuple(map(_TPMS.values.__getitem__, ids[n_machines:])))
+    machines, tpms = _MACHINES.values, _TPMS.values
+    return (tuple([machines[j] for j in ids[:n_machines]]),
+            tuple([tpms[j] for j in ids[n_machines:]]))
 
 
 def _pack(machines: Sequence[MachineProc], tpms: Sequence[TpmProc]) -> World:
@@ -318,6 +317,34 @@ def _q1(key) -> int:
     return _record_id(_MACHINES, after)
 
 
+def _seal(mid: int) -> int:
+    """seal: the unobfuscated shortcut keeps the q0 value as the baseline."""
+    m = _MACHINES.values[mid]
+    return _record_id(_MACHINES, MachineProc("sealed", m.image, m.bound_tpm, m.q0_spcr,
+                                             m.q0_dpcr, m.q0_spcr))
+
+
+def _init_extend(mid: int) -> int:
+    """obf: the machine awaits its read-back, wherever the extend landed."""
+    m = _MACHINES.values[mid]
+    return _record_id(_MACHINES, MachineProc("init_extend", *m[1:]))
+
+
+def _extend(key) -> int:
+    """obf: the chip's static register extended by machine ``i``'s mask."""
+    i, tid = key
+    tpm = _TPMS.values[tid]
+    return _record_id(_TPMS, TpmProc(h(p(tpm.spcr, rnd_term(i))), tpm.dpcr))
+
+
+def _prepare(key) -> int:
+    """tpm-init: free chip ``t`` loaded with the golden static chain, or
+    with its junk term when ``golden`` is false."""
+    t, tid, golden = key
+    tpm = _TPMS.values[tid]
+    return _record_id(_TPMS, TpmProc(SPCR_G if golden else junk_term(t), tpm.dpcr))
+
+
 def _verify(key) -> int:
     """verify: c2 over sealed, golden and quoted dynamics, c3 as the static
     split over the sealed baseline and the sealed obfuscated value."""
@@ -352,6 +379,10 @@ class Memo:
         self.q0 = _Table(_q0)                  # (machine, t, chip) -> machine
         self.q1 = _Table(_q1)                  # (i, machine, chip) -> machine
         self.verify = _Table(_verify)          # (machine, chip) -> machine
+        self.seal = _Table(_seal)              # machine -> machine
+        self.init_extend = _Table(_init_extend)  # machine -> machine
+        self.extend = _Table(_extend)          # (i, chip) -> chip
+        self.prepare = _Table(_prepare)        # (t, chip, golden) -> chip
 
 
 # -- transition helpers -----------------------------------------------------
@@ -361,20 +392,21 @@ def _serving(m: MachineProc) -> bool:
     return m.phase not in ("created", "halted")
 
 
-def _host_accepts_extends(world, t: int) -> bool:
+def _host_accepts_extends(machines: Sequence[MachineProc], tpms: Sequence[TpmProc],
+                          t: int) -> bool:
     """Remote-extend physics: a serving host forwards an extend by the
     relay's rule (:func:`attestsim.trust.forwards_extends`) on its dynamic
     register; free chips are prepared before the episode and serve reads
-    only.  ``world`` is a :class:`World` or its unpacked records."""
-    if t >= len(world.machines) or not _serving(world.machines[t]):
+    only."""
+    if t >= len(machines) or not _serving(machines[t]):
         return False
-    return forwards_extends({0: DPCR_G}, {0: world.tpms[t].dpcr})
+    return forwards_extends({0: DPCR_G}, {0: tpms[t].dpcr})
 
 
-def _readable_tpms(world, i: int) -> List[int]:
+def _readable_tpms(machines: Sequence[MachineProc], tpms: Sequence[TpmProc],
+                   i: int) -> List[int]:
     """TPMs a malicious driver on machine ``i`` can route reads to, in
     name order (:func:`_by_name`)."""
-    machines, tpms = world.machines, world.tpms
     n_machines = len(machines)
     return [t for t in _by_name(0, len(tpms))
             if t == i or (_serving(machines[t]) if t < n_machines else tpms[t].spcr != S0)]
@@ -391,17 +423,17 @@ def _by_name(start: int, stop: int) -> Tuple[int, ...]:
 
 
 def successors(world: int, obfuscate: bool, derivation_depth: int,
-               memo: Memo) -> List[Tuple[Event, World]]:
+               memo: Memo) -> List[Tuple[Event, int]]:
     """All one-step moves, generated in ``repr(event)`` order, the canonical
     order the explorer's traces rest on (:mod:`.explore`): by kind, ``boot``
     < ``obf`` < ``q0`` < ``q1`` < ``seal`` < ``tpm-init`` < ``verify``; then
     by index in name order (:func:`_by_name`), so chip 10 comes before chip
     2; then by argument: images in ``BOOT_MENU`` order, routes ``bound`` <
     ``drop`` < ``local``, ``golden`` before ``junk``.  ``memo`` carries the
-    step tables across the calls of one traversal."""
+    step tables across the calls of one traversal.  Each child is a bare
+    world int."""
     ids = record_ids(world)
-    records = _records(world, ids)
-    machines, tpms = records
+    machines, tpms = _records(world, ids)
     n_machines = len(machines)
     # one list per kind, each filled in name order, joined in kind order
     boots, obfs, q0s, q1s, seals, inits, verifies = [], [], [], [], [], [], []
@@ -412,60 +444,58 @@ def successors(world: int, obfuscate: bool, derivation_depth: int,
         if phase == "created":
             boots += [(("boot", i, image), _boot(world, i, image)) for image in BOOT_MENU]
         elif phase == "booted":
-            for t in _readable_tpms(records, i) if m.driver_malicious else (i,):
+            for t in _readable_tpms(machines, tpms, i) if m.driver_malicious else (i,):
                 step = memo.q0[ids[i], t, ids[n_machines + t]]
-                q0s.append((("q0", i, t), World(_put(world, i, step))))
+                q0s.append((("q0", i, t), _put(world, i, step)))
         elif phase == "init_q0":
             if not obfuscate:
-                sealed = MachineProc("sealed", m.image, m.bound_tpm, m.q0_spcr, m.q0_dpcr,
-                                     m.q0_spcr)
-                seals.append((("seal", i), World(_put(world, i, _record_id(_MACHINES, sealed)))))
+                seals.append((("seal", i), _put(world, i, memo.seal[ids[i]])))
                 continue
-            mask = rnd_term(i)
-            masked = _put(world, i, _record_id(_MACHINES, MachineProc("init_extend", *m[1:])))
-            for route in _obf_routes(records, i):
+            masked = _put(world, i, memo.init_extend[ids[i]])
+            for route in _obf_routes(machines, tpms, i):
                 if route == "drop":
                     child = masked
                 else:
-                    chip = i if route == "local" else m.bound_tpm
-                    tpm = tpms[chip]
-                    extended = _record_id(_TPMS, TpmProc(h(p(tpm.spcr, mask)), tpm.dpcr))
-                    child = _put(masked, n_machines + chip, extended)
-                obfs.append((("obf", i, route), World(child)))
+                    slot = n_machines + (i if route == "local" else m.bound_tpm)
+                    child = _put(masked, slot, memo.extend[i, ids[slot]])
+                obfs.append((("obf", i, route), child))
         elif phase == "init_extend":
             step = memo.q1[i, ids[i], ids[n_machines + m.bound_tpm]]
-            q1s.append((("q1", i), World(_put(world, i, step))))
+            q1s.append((("q1", i), _put(world, i, step)))
         elif phase == "sealed":
             step = memo.verify[ids[i], ids[n_machines + m.bound_tpm]]
-            verifies.append((("verify", i), World(_put(world, i, step))))
+            verifies.append((("verify", i), _put(world, i, step)))
 
-    for t in _by_name(n_machines, len(tpms)):
-        tpm = tpms[t]
-        if tpm.spcr != S0:
+    free = _by_name(n_machines, len(tpms))
+    golden_known = bool(free) and _golden_chain_known(machines, derivation_depth)
+    for t in free:
+        if tpms[t].spcr != S0:
             continue
-        if _golden_chain_known(machines, derivation_depth):
-            chip = _record_id(_TPMS, TpmProc(SPCR_G, tpm.dpcr))
-            inits.append((("tpm-init", t, "golden"), World(_put(world, n_machines + t, chip))))
-        chip = _record_id(_TPMS, TpmProc(junk_term(t), tpm.dpcr))
-        inits.append((("tpm-init", t, "junk"), World(_put(world, n_machines + t, chip))))
+        slot = n_machines + t
+        if golden_known:
+            chip = memo.prepare[t, ids[slot], True]
+            inits.append((("tpm-init", t, "golden"), _put(world, slot, chip)))
+        chip = memo.prepare[t, ids[slot], False]
+        inits.append((("tpm-init", t, "junk"), _put(world, slot, chip)))
 
     return [*boots, *obfs, *q0s, *q1s, *seals, *inits, *verifies]
 
 
-def _boot(world: World, i: int, image: str) -> World:
+def _boot(world: int, i: int, image: str) -> int:
     # a created machine carries nothing but its phase, and nothing has
     # reached its chip yet
     if image == "unsigned-uefi":
-        return World(_put(world, i, _HALTED_UNSIGNED))
+        return _put(world, i, _HALTED_UNSIGNED)
     machine, chip = _BOOTED[image]
-    return World(_put(_put(world, i, machine), (world & _MASK) + i, chip))
+    return _put(_put(world, i, machine), (world & _MASK) + i, chip)
 
 
-def _obf_routes(records: _Records, i: int) -> Tuple[str, ...]:
-    m = records.machines[i]
+def _obf_routes(machines: Sequence[MachineProc], tpms: Sequence[TpmProc],
+                i: int) -> Tuple[str, ...]:
+    m = machines[i]
     if not m.driver_malicious:
         return ("local",)
-    if m.bound_tpm != i and _host_accepts_extends(records, m.bound_tpm):
+    if m.bound_tpm != i and _host_accepts_extends(machines, tpms, m.bound_tpm):
         return ("bound", "drop", "local")
     return ("drop", "local")
 
@@ -515,10 +545,13 @@ class Symmetry:
     element.  A larger one is held as generators, a swap and a rotation of
     each factor, and an orbit is closed under them, costing a few images
     per member: the group grows factorially in the free chips, while most
-    free chips stay untouched and the orbits stay small."""
+    free chips stay untouched and the orbits stay small.  Closing stops
+    once the members outnumber the caller's limit, so a search whose budget
+    one orbit overruns pays for the budget, not for the orbit."""
 
     def __init__(self, n_machines: int, n_tpms: int):
         self._header = n_machines | n_tpms << _SLOT
+        self._read = _slot_reader(n_machines + n_tpms)
         self._listed = factorial(n_machines) * factorial(n_tpms - n_machines) <= _LISTED
         own, free = tuple(range(n_machines)), tuple(range(n_machines, n_tpms))
         if self._listed:  # the identity is left out: its image is the world itself
@@ -529,17 +562,22 @@ class Symmetry:
                          + [own + chips for chips in _generators(free)])
         self._plans = [_plan(chips, n_machines) for chips in renamings]
 
-    def orbit(self, world: int, ids: Sequence[int]) -> List[int]:
+    def orbit(self, world: int, ids: Sequence[int], limit: float = inf) -> List[int]:
         """The members of ``world``'s orbit in a fixed order, ``world``
         first; ``ids`` are its record slots.  A member may repeat when the
-        group is held whole, once per element that gives it."""
-        images = [world] + self._images(world, ids)
+        group is held whole, once per element that gives it.  A group held
+        as generators stops closing once more than ``limit`` members are
+        found, and then returns those members only."""
         if self._listed:
-            return images
-        members = dict.fromkeys(images)
+            header = self._header
+            return [world, *[header + sum(map(getitem, slots, ids)) for slots in self._plans]]
+        members = dict.fromkeys([world, *self._images(world, ids)])
         queue = list(members)[1:]
+        read = self._read
         for member in queue:  # grows as members are found
-            for image in self._images(member, record_ids(member)):
+            if len(members) > limit:
+                break
+            for image in self._images(member, read(member)):
                 if image not in members:
                     members[image] = None
                     queue.append(image)

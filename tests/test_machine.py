@@ -220,7 +220,7 @@ def _model_host(phase, image=None):
     ``phase``."""
     world = model.build_world(2, 2)
     if image is not None:
-        world = model._boot(world, 1, image)
+        world = model.World(model._boot(world, 1, image))
     machines = (world.machines[0], model.MachineProc(phase, world.machines[1].image))
     return model._pack(machines, world.tpms)
 
@@ -266,8 +266,8 @@ def test_relay_serves_only_a_running_host(state):
             relay.pcr_extend(17, sha256(b"x"))
 
     if twin is not None:
-        assert (1 in model._readable_tpms(twin, 0)) == reads
-        assert model._host_accepts_extends(twin, 1) == extends
+        assert (1 in model._readable_tpms(twin.machines, twin.tpms, 0)) == reads
+        assert model._host_accepts_extends(twin.machines, twin.tpms, 1) == extends
 
 
 def test_relay_channel_serves_remote_quotes_under_remote_key():

@@ -29,6 +29,7 @@ from attestsim.modelcheck.world import (
     MachineProc,
     Symmetry,
     TpmProc,
+    World,
     build_world,
     junk_term,
     record_ids,
@@ -86,7 +87,7 @@ def test_check_config_refuses_more_tpms_than_a_slot_holds():
 def _after(world, *events, obfuscate=False, depth=2):
     """The world reached from ``world`` by ``events``, one move at a time."""
     for event in events:
-        world = dict(successors(world, obfuscate, depth, model.Memo()))[event]
+        world = World(dict(successors(world, obfuscate, depth, model.Memo()))[event])
     return world
 
 
@@ -496,6 +497,23 @@ def _unreduced_layers(cfg):
     return layers
 
 
+def _rank(world, obfuscate):
+    """The number of moves a world's records say were made: per machine,
+    the moves its phase implies, plus one per prepared free chip."""
+    sealed = 4 if obfuscate else 3  # boot, q0, then obf and q1, or seal
+    moves = {"created": 0, "booted": 1, "init_q0": 2, "init_extend": 3,
+             "sealed": sealed, "done": sealed + 1}
+    rank = 0
+    for m in world.machines:
+        if m.phase != "halted":
+            rank += moves[m.phase]
+        elif m.image == "unsigned-uefi":
+            rank += 1  # halted by its boot
+        else:
+            rank += 4  # boot, q0, obf, then a failed q1 read-back
+    return rank + sum(tpm.spcr != S0 for tpm in world.tpms[len(world.machines):])
+
+
 def _renamings(machines, tpms):
     """Each renaming as (on worlds, on events), written from the records'
     fields rather than from the explorer's image tables, in the order of
@@ -544,8 +562,17 @@ SYMMETRY_BOUNDS = [(2, 2, False), (2, 2, True), (2, 3, True), (1, 2, True)]
                          ids=["2x2-plain", "2x2-obf", "2x3-obf", "1x2-obf"])
 def test_the_reduced_search_reaches_exactly_the_unreduced_layers(machines, tpms,
                                                                    obfuscate):
+    """Also that the graph is graded, which the explorer's per-layer
+    seen-set rests on: every move leads one layer down, and a world's layer
+    is the number of moves its records imply.  A model change that adds a
+    move breaking the grading fails here."""
     cfg = CheckConfig(machines=machines, tpms=tpms, obfuscate=obfuscate)
     depth = {w: k for k, layer in enumerate(_unreduced_layers(cfg)) for w in layer}
+    memo = model.Memo()
+    for world, k in depth.items():
+        assert _rank(World(world), obfuscate) == k, World(world).machines
+        for event, child in successors(world, obfuscate, cfg.derivation_depth, memo):
+            assert depth[child] == k + 1, event
     enumerated = list(enumerate_reachable(cfg))
     assert len(set(enumerated)) == len(enumerated)
     assert set(enumerated) == set(depth)
@@ -572,7 +599,7 @@ def test_successors_commute_with_every_renaming(machines, tpms, obfuscate):
         assert events == sorted(events, key=repr), world.machines
         for on_world, on_event in renamings:
             assert set(successors(on_world(world), obfuscate, cfg.derivation_depth, memo)) == {
-                (on_event(e), on_world(child)) for e, child in moves}, world.machines
+                (on_event(e), on_world(World(child))) for e, child in moves}, world.machines
         assert symmetry.orbit(world, record_ids(world)) == [g(world) for g, _ in renamings]
 
 
@@ -611,9 +638,24 @@ def test_a_group_held_as_generators_closes_the_same_orbits(monkeypatch, machines
         assert set(orbit) == set(listed.orbit(world, ids))
 
 
-def test_many_free_chips_reach_the_budget_where_the_unreduced_search_does():
+def test_many_free_chips_reach_the_budget_where_the_unreduced_search_does(monkeypatch):
     """One machine and eleven free chips: a group of 11! renamings, held as
     two generators, so the search runs into the state budget at the layer an
-    unreduced search names."""
+    unreduced search names.  With 1,999 free chips, each tpm-init orbit of
+    layer 1 holds 1,999 worlds, and a check that closed the first one whole
+    would compute 4,008 images; closing stops once the budget is spent, so
+    the search pays for the budget, not for the orbit."""
     with pytest.raises(StateBudgetExceeded, match="more than 20000 states at layer 5$"):
         check(CheckConfig(machines=1, tpms=12, max_states=20_000))
+    images = []
+    all_images = Symmetry._images
+
+    def counted(self, world, ids):
+        found = all_images(self, world, ids)
+        images.extend(found)
+        return found
+
+    monkeypatch.setattr(Symmetry, "_images", counted)
+    with pytest.raises(StateBudgetExceeded, match="more than 10 states at layer 1$"):
+        check(CheckConfig(machines=1, tpms=2000, max_states=10))
+    assert len(images) == 20

@@ -191,6 +191,10 @@ def _build_network(spec: dict, machines: List[dict]) -> NetworkModel:
     for entry in spec.get("links", []):
         if len(entry["between"]) != 2:
             raise ScenarioError(f"network link needs 'between: [dcA, dcB]': {entry!r}")
+        for field in ("base_ms", "jitter_ms"):
+            if entry.get(field, 0) < 0:  # a negative delay would run the clock backwards
+                raise ScenarioError(f"network link {'-'.join(entry['between'])}: "
+                                    f"{field} must not be negative, not {entry[field]}")
         links[tuple(entry["between"])] = LatencyModel(
             base_ms=float(entry.get("base_ms", 1.0)),
             jitter_ms=float(entry.get("jitter_ms", 0.0)),

@@ -194,6 +194,19 @@ def test_deep_nesting_exits_three(tmp_path, name):
                         "--policy-file", str(document))
 
 
+@pytest.mark.parametrize("field", ["base_ms", "jitter_ms"])
+def test_negative_link_latency_exits_three(tmp_path, capsys, field):
+    """A negative delay would run the virtual clock backwards mid-poll."""
+    doc = yaml.safe_load(Path(honest()).read_text())
+    doc["network"] = {"links": [{"between": ["dc1", "dc1"], field: -5}]}
+    document = tmp_path / "negative.yaml"
+    document.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(document)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("attestsim: error: network link dc1-dc1:")
+    assert f"{field} must not be negative" in err
+
+
 def test_deep_indentation_exits_three_on_the_pure_python_loader(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(schema, "YAML_LOADER", yaml.SafeLoader)
     document = tmp_path / "indented.yaml"

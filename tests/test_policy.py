@@ -1,5 +1,11 @@
 """Policy schema and evaluation."""
 
+import codecs
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -22,6 +28,7 @@ from attestsim.schema import MAX_DEPTH, MAX_DOCUMENT_CHARS, read_yaml
 from attestsim.tpm import TpmState
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 RNG = Rng(2024)
 TPM_CA = generate_keypair(RNG.child("tpm-ca"))
 BEACON_CA = generate_keypair(RNG.child("beacon-ca"))
@@ -161,6 +168,20 @@ def test_yaml_reader_refuses_deep_nesting_before_composing():
             read_yaml(text)
     with pytest.raises(PolicyParseError, match="nests deeper than 64 levels"):
         parse_policy("[" * 65 + "]" * 65)
+    # UTF-16 hides every dash from a byte count; run apart, since composing
+    # 50,000 levels would kill this interpreter rather than fail the test
+    for bom, encoding in ((codecs.BOM_UTF16_LE, "utf-16-le"),
+                          (codecs.BOM_UTF16_BE, "utf-16-be")):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, yaml\n"
+             "from attestsim.schema import read_yaml\n"
+             "try:\n    read_yaml(sys.stdin.buffer.read())\n"
+             "except yaml.YAMLError as exc:\n    print(exc)\n"],
+            input=bom + ("- " * 50_000 + "x").encode(encoding), capture_output=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))})
+        assert proc.returncode == 0, (encoding, proc.returncode, proc.stderr)
+        assert b"nests deeper than 64 levels" in proc.stdout, encoding
 
 
 def test_yaml_reader_refuses_a_document_past_the_size_limit():

@@ -6,10 +6,10 @@ the frontier one layer at a time, one pass per expanded world:
 :func:`~.world.successors` decodes the world and generates its successors
 already in canonical order, so nothing is sorted.  A child already seen
 costs one set lookup.  A new one is decoded once, entered into the
-seen-set with its orbit and tested against the property at discovery, as
-SPIN checks on the fly (Holzmann, *The Model Checker SPIN*, IEEE TSE
-1997).  Each layer is yielded as its world ints with its first violating
-world.  A world's key is its packed int (:mod:`.world`), so the seen-set
+seen-set with its orbit and, when a ``verify`` move reached it, tested
+against the property at discovery, as SPIN checks on the fly (Holzmann,
+*The Model Checker SPIN*, IEEE TSE 1997).  Each layer is yielded as its
+world ints with its first violating world.  A world's key is its packed int (:mod:`.world`), so the seen-set
 hashes and compares one int per state.
 
 **Frontier.**  The state graph is graded: each move advances one
@@ -54,12 +54,12 @@ held for the layer being expanded and the layer being built only.
 
 Each traversal owns one :class:`~.world.Memo`, so the step tables live
 exactly as long as one :func:`check` or :func:`enumerate_reachable` run,
-and a rule changed between runs is asked afresh.  The image tables of a
-:class:`~.world.Symmetry` read no rule; each renaming's tables are built
-once in the process and shared by every check of its bound.  The term and
-record ids inside a key say only in which order their values were first
-interned in this process; they are hashed and compared for equality, never
-sorted, so no order below depends on them.
+and a rule changed between runs is asked afresh.  The column tables of a
+:class:`~.world.Symmetry` read no rule; they are built once in the process
+and shared by every check of their bound.  The term and record ids inside
+a key say only in which order their values were first interned in this
+process; they are hashed and compared for equality, never sorted, so no
+order below depends on them.
 
 Discovery order is what makes the output canonical.  A world's *trace* is
 its lexicographically smallest shortest event trace from the initial world,
@@ -72,16 +72,25 @@ is spelled out on :meth:`_Search.layers`).  Traces are the unreduced
 search's traces.  The order, and so the verdict, depends only on the
 model and the bounds.
 
-The property is tested at discovery, on each new orbit representative.
-It reads no index except to compare a machine with its chip, so it holds
-on all of an orbit or on none of it.  Discovery order is trace order, so
-the first violating world found in a layer has the smallest trace of the
-layer's violating worlds.  :func:`check` stops at the first layer that
-has one, once that layer is complete, with no second pass over it, and
-that world is the counterexample: its trace is the lexicographically
-smallest among all shortest violating traces, which keeps the output
-stable under unrelated model changes.  :func:`enumerate_reachable`
-flattens the same layers, every orbit in full, for invariant sweeps.
+The property is tested at discovery, on each new orbit representative
+that a ``verify`` move reached, and on no other world.  Only ``verify``
+writes a ``done`` record, the one record that carries a trusted verdict;
+every move rewrites only its own machine's record and chips, so the other
+machines' verdicts pass to the child unchanged; and :func:`check` stops
+at the first layer that holds a violating world, so every world it
+expands holds the property.  A child reached from such a world by any
+other move therefore holds it too.
+``test_only_verify_creates_a_violation`` checks that on every edge of the
+small bounds' reachable graphs.  The property reads no index except to
+compare a machine with its chip, so it holds on all of an orbit or on none
+of it.  Discovery order is trace order, so the first violating world
+found in a layer has the smallest trace of the layer's violating worlds.
+:func:`check` stops at the first layer that has one, once that layer is
+complete, with no second pass over it, and that world is the
+counterexample: its trace is the lexicographically smallest among all
+shortest violating traces, which keeps the output stable under unrelated
+model changes.  :func:`enumerate_reachable` flattens the same layers,
+every orbit in full, for invariant sweeps.
 """
 
 from __future__ import annotations
@@ -235,9 +244,18 @@ class _Search:
         once, and that decode serves its orbit's images and the property
         test.  Only representatives are expanded: the other members of an
         orbit are renamings of it, and so are their successors.  The
-        property is tested on each new representative until one in the
-        layer violates it; a layer is yielded complete, so ``states`` then
-        counts every world up to its depth.
+        property is tested on each new representative that a ``verify``
+        move reached, until one in the layer violates it; a layer is
+        yielded complete, so ``states`` then counts every world up to its
+        depth.
+
+        Only ``verify`` can make a world violate the property when its
+        parent holds it (module docstring), so ``violating`` is exact up to
+        the first layer that holds a violating world, where :func:`check`
+        stops: every world expanded before it holds the property.  Past
+        that layer, a violating world reached from a violating parent by
+        another move goes untested.  :func:`enumerate_reachable` ignores
+        ``violating``.
 
         Each layer holds the representatives of its orbits, each the
         orbit's member with the smallest trace, sorted by trace (module
@@ -301,7 +319,8 @@ class _Search:
                     if states > max_states:
                         raise StateBudgetExceeded(
                             f"more than {max_states} states at layer {depth}")
-                    if violating is None and violations(child, child_ids):
+                    if (violating is None and event[0] == "verify"
+                            and violations(child, child_ids)):
                         violating = len(found)
                     found.append(child)
                     parent.append(n)

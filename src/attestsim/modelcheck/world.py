@@ -94,10 +94,16 @@ order needs no sort, and the explorer tests the property
 children come as bare world ints, the explorer's keys; wrap one in
 :class:`World` to read its records.
 
-A :class:`Symmetry` holds the renamings of one bound as image tables of the
-same kind, for the explorer's reduction (:mod:`.explore`).  A renaming
-reads no rule; it renames machine and chip indices and the terms named
-after them, so the tables only avoid rebuilding image records.
+A :class:`Symmetry` holds the renamings of one bound for the explorer's
+reduction (:mod:`.explore`), as one column table per record slot: a
+record id maps to its images under every renaming held, packed side by
+side in one int, one lane per renaming.  Each lane is one world wide,
+2·(2+M+T) bytes, and lanes cannot carry into each other: a renaming
+permutes the slots, so its parts fill disjoint 16-bit fields of its lane.
+So the images of a world are one lookup per slot, summed and cut into
+lanes.  A renaming reads no rule; it renames machine and chip indices and
+the terms named after them, so the tables only avoid rebuilding image
+records.
 """
 
 from __future__ import annotations
@@ -509,7 +515,8 @@ def violations(world: int,
     attached one: (machine, x=quote tpm, y=attached tpm).  ``ids`` is the
     world's decoded record slots (:func:`record_ids`), when the caller has
     them already: the explorer tests the property at discovery, on each new
-    orbit representative, with the slots it has just decoded."""
+    orbit representative that a ``verify`` move reached, with the slots it
+    has just decoded."""
     if ids is None:
         ids = record_ids(world)
     machines = map(_MACHINES.values.__getitem__, ids[:world & _MASK])
@@ -525,7 +532,7 @@ _LISTED = 24  # the largest group whose elements are listed outright
 
 class Symmetry:
     """The renamings under which the reachable worlds of one bound are
-    closed, as image tables.
+    closed, as column tables.
 
     A renaming permutes the machines, each together with its attached chip
     and its mask ``rnd_term(i)``, and permutes the free chips, each together
@@ -533,34 +540,48 @@ class Symmetry:
     bound.  No step reads an index except to name a machine, a chip or
     these terms, so a renamed world's successors are its successors
     renamed; ``test_modelcheck`` checks that on every reachable world of
-    the small bounds.  Each renaming held is a plan of tables, one per
-    record slot: a record id maps to the shifted id of its image record in
-    the slot the renaming sends it to.  Terms are renamed by substituting
-    the ``rnd_term`` and ``junk_term`` ids (:func:`~.terms.substitute`).
-    A plan reads no rule, so it is built once per renaming in the process
-    and every check of the bound shares it.
+    the small bounds.  Terms are renamed by substituting the ``rnd_term``
+    and ``junk_term`` ids (:func:`~.terms.substitute`).
+
+    The images of a world under every renaming held are computed at once,
+    in one wide int (Lamport, *Multiple Byte Processing with Full-Word
+    Instructions*, CACM 1975).  It holds one lane per renaming, in the
+    group's fixed order from the low end, and each lane is one world wide:
+    the header and a 16-bit field per record slot, 2·(2+M+T) bytes.  There
+    is one column table per record slot: a record id maps to the sum, over
+    the renamings, of the id of that record's image, shifted into the field
+    of the slot the renaming sends it to, in that renaming's lane.  The
+    images of a world are then its columns' entries at its slot ids, summed
+    with the headers of every lane, and cut into lanes.  No lane carries
+    into the next: a renaming permutes the slots, so within a lane every
+    part fills its own field, each below 2**16, and the sum is an ``or``.
+    A column reads no rule, so it is built once per set of renamings in
+    the process and every check of the bound shares it.
 
     A group of at most ``_LISTED`` elements (four machines, or one machine
-    and five chips) is held whole, and an orbit costs one image per
-    element.  A larger one is held as generators, a swap and a rotation of
-    each factor, and an orbit is closed under them, costing a few images
-    per member: the group grows factorially in the free chips, while most
+    and five chips) is held whole, and an orbit costs one packed sum.  A
+    larger one is held as generators, a swap and a rotation of each factor,
+    one lane each, and an orbit is closed under them, costing one packed
+    sum per member: the group grows factorially in the free chips, while most
     free chips stay untouched and the orbits stay small.  Closing stops
     once the members outnumber the caller's limit, so a search whose budget
     one orbit overruns pays for the budget, not for the orbit."""
 
     def __init__(self, n_machines: int, n_tpms: int):
-        self._header = n_machines | n_tpms << _SLOT
         self._read = _slot_reader(n_machines + n_tpms)
         self._listed = factorial(n_machines) * factorial(n_tpms - n_machines) <= _LISTED
         own, free = tuple(range(n_machines)), tuple(range(n_machines, n_tpms))
         if self._listed:  # the identity is left out: its image is the world itself
-            renamings = [machines + chips for machines in permutations(own)
-                         for chips in permutations(free)][1:]
+            renamings = tuple(machines + chips for machines in permutations(own)
+                              for chips in permutations(free))[1:]
         else:
-            renamings = ([machines + free for machines in _generators(own)]
-                         + [own + chips for chips in _generators(free)])
-        self._plans = [_plan(chips, n_machines) for chips in renamings]
+            renamings = tuple([machines + free for machines in _generators(own)]
+                              + [own + chips for chips in _generators(free)])
+        width = _SLOT * (2 + n_machines + n_tpms)  # one lane: a whole world
+        self._lanes = range(0, width * len(renamings), width)
+        self._lane = (1 << width) - 1
+        self._headers = sum((n_machines | n_tpms << _SLOT) << lane for lane in self._lanes)
+        self._columns = _columns(renamings, n_machines, width)
 
     def orbit(self, world: int, ids: Sequence[int], limit: float = inf) -> List[int]:
         """The members of ``world``'s orbit in a fixed order, ``world``
@@ -569,23 +590,24 @@ class Symmetry:
         as generators stops closing once more than ``limit`` members are
         found, and then returns those members only."""
         if self._listed:
-            header = self._header
-            return [world, *[header + sum(map(getitem, slots, ids)) for slots in self._plans]]
-        members = dict.fromkeys([world, *self._images(world, ids)])
+            return [world, *self._images(ids)]
+        members = dict.fromkeys([world, *self._images(ids)])
         queue = list(members)[1:]
         read = self._read
         for member in queue:  # grows as members are found
             if len(members) > limit:
                 break
-            for image in self._images(member, read(member)):
+            for image in self._images(read(member)):
                 if image not in members:
                     members[image] = None
                     queue.append(image)
         return list(members)
 
-    def _images(self, world: int, ids: Sequence[int]) -> List[int]:
-        header = self._header
-        return [header + sum(map(getitem, slots, ids)) for slots in self._plans]
+    def _images(self, ids: Sequence[int]) -> List[int]:
+        """The images, in the renamings' order, of the world whose record
+        slots are ``ids``: one lookup per slot for every renaming held."""
+        packed, lane = self._headers + sum(map(getitem, self._columns, ids)), self._lane
+        return [packed >> shift & lane for shift in self._lanes]
 
 
 def _generators(items: Tuple[int, ...]) -> List[Tuple[int, ...]]:
@@ -599,9 +621,25 @@ def _generators(items: Tuple[int, ...]) -> List[Tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _plan(chips: Tuple[int, ...], n_machines: int) -> List[_Table]:
-    """The slot tables of the renaming that sends machine ``i`` to
+def _columns(renamings: Tuple[Tuple[int, ...], ...], n_machines: int,
+             width: int) -> List[_Table]:
+    """The column tables of ``renamings``, each lane ``width`` bits wide
+    (:class:`Symmetry`).  A renaming ``chips`` sends machine ``i`` to
     ``chips[i]`` and chip ``t`` to ``chips[t]``."""
+    parts: List[list] = [[] for _ in range(width // _SLOT - 2)]  # per slot: (images, shift)
+    for r, chips in enumerate(renamings):
+        lane, (machines, tpms) = r * width, _renaming(chips, n_machines)
+        for j, target in enumerate(chips[:n_machines]):
+            parts[j].append((machines, lane + _SLOT * (2 + target)))
+        for t, target in enumerate(chips):
+            parts[n_machines + t].append((tpms, lane + _SLOT * (2 + n_machines + target)))
+    return [_Table(lambda rid, slot=slot: sum(images[rid] << shift for images, shift in slot))
+            for slot in parts]
+
+
+def _renaming(chips: Tuple[int, ...], n_machines: int) -> Tuple[_Table, _Table]:
+    """The record tables of one renaming, machines and chips: a record id
+    maps to the id of its renamed record."""
     names = {rnd_term(i): rnd_term(chips[i]) for i in range(n_machines)}
     names.update((junk_term(t), junk_term(chips[t])) for t in range(n_machines, len(chips)))
     term = _Table(lambda t: substitute(t, names))
@@ -618,9 +656,4 @@ def _plan(chips: Tuple[int, ...], n_machines: int) -> List[_Table]:
     def tpm(tid: int) -> int:
         return _record_id(_TPMS, TpmProc(*map(term.__getitem__, _TPMS.values[tid])))
 
-    def slot(image: _Table, j: int) -> _Table:
-        return _Table(lambda rid: image[rid] << _SLOT * (2 + j))
-
-    machines, tpms = _Table(machine), _Table(tpm)
-    return ([slot(machines, chips[i]) for i in range(n_machines)]
-            + [slot(tpms, n_machines + chips[t]) for t in range(len(chips))])
+    return _Table(machine), _Table(tpm)

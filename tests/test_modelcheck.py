@@ -202,8 +202,10 @@ RELAY_TRACE = [
     (1, 2, 5, True, (True, 83, 7, 83, None)),
     (1, 2, 5, False, (True, 54, 6, 54, None)),
     (3, 3, 5, True, (True, 376301, 16, 63263, None)),
+    # the only row whose group is listed whole at 24 elements
+    (4, 4, 5, False, (False, 8047, 5, 500, RELAY_TRACE)),
 ], ids=["2x2-plain-d5", "2x2-plain-d4", "2x2-obf", "2x3-obf", "2x3-obf-d2", "2x3-obf-d3",
-        "2x3-plain", "3x3-plain", "1x2-obf", "1x2-plain", "3x3-obf"])
+        "2x3-plain", "3x3-plain", "1x2-obf", "1x2-plain", "3x3-obf", "4x4-plain"])
 def test_verdict_table_is_pinned(machines, tpms, depth, obfuscate, expected):
     """States are the concrete worlds reached, orbits those under the
     symmetry; only the first is reported."""
@@ -478,14 +480,15 @@ def test_ids_carry_no_order():
 # --------------------------------------------------------------------------
 
 
-def _unreduced_layers(cfg):
+def _unreduced_layers(cfg, depth=None):
     """Every reachable world, layer by layer, by a plain BFS over
-    ``successors`` that keeps every concrete world."""
+    ``successors`` that keeps every concrete world; with ``depth``, the
+    layers up to that one only."""
     layer = [build_world(cfg.machines, cfg.tpms)]
     seen = set(layer)
     layers = []
     memo = model.Memo()
-    while layer:
+    while layer and (depth is None or len(layers) <= depth):
         layers.append(layer)
         found = []
         for world in layer:
@@ -521,12 +524,15 @@ def _renamings(machines, tpms):
     for own in permutations(range(machines)):
         for free in permutations(range(machines, tpms)):
             chips = own + free
-            names = {rnd_term(i): rnd_term(chips[i]) for i in range(machines)}
-            names.update((junk_term(t), junk_term(chips[t])) for t in range(machines, tpms))
-            yield _world_renaming(chips, names), _event_renaming(chips)
+            yield _world_renaming(chips, machines), _event_renaming(chips)
 
 
-def _world_renaming(chips, names):
+def _world_renaming(chips, machines):
+    """The renaming that sends machine ``i`` to ``chips[i]`` and chip ``t``
+    to ``chips[t]``, on whole worlds."""
+    names = {rnd_term(i): rnd_term(chips[i]) for i in range(machines)}
+    names.update((junk_term(t), junk_term(chips[t])) for t in range(machines, len(chips)))
+
     @lru_cache(maxsize=None)
     def term(t):
         tag, *children = node(t)
@@ -603,6 +609,73 @@ def test_successors_commute_with_every_renaming(machines, tpms, obfuscate):
         assert symmetry.orbit(world, record_ids(world)) == [g(world) for g, _ in renamings]
 
 
+@pytest.mark.parametrize("machines,tpms,depth", [(3, 3, None), (4, 4, 4)],
+                         ids=["3x3-plain", "4x4-plain-to-layer-4"])
+def test_packed_images_equal_record_level_renamings(machines, tpms, depth):
+    """Groups listed whole past two elements: every image, packed one lane
+    per renaming, is the world renamed record by record, in the group's
+    order.  3x3 covers all 15,920 reachable worlds and 4x4, whose 23 lanes
+    are the widest listed, its first five layers (2,395 worlds); its whole
+    reachable set is 928,768 worlds."""
+    renamings = [g for g, _ in _renamings(machines, tpms)]
+    symmetry = Symmetry(machines, tpms)
+    for layer in _unreduced_layers(CheckConfig(machines=machines, tpms=tpms), depth):
+        for world in layer:
+            assert symmetry.orbit(world, record_ids(world)) == [
+                g(World(world)) for g in renamings], World(world).machines
+
+
+@pytest.mark.parametrize("machines,tpms", [(1, 4), (2, 4)], ids=["1x4-obf", "2x4-obf"])
+def test_packed_generator_images_equal_record_level_renamings(monkeypatch, machines, tpms):
+    """A group held as generators packs one lane per generator: its images
+    are the world renamed record by record under a swap and a rotation of
+    each factor, and each orbit is their closure, in the same order."""
+    monkeypatch.setattr(model, "_LISTED", 1)
+    symmetry = Symmetry(machines, tpms)
+    own, free = tuple(range(machines)), tuple(range(machines, tpms))
+    generators = [_world_renaming(chips, machines) for chips in
+                  [swap + free for swap in model._generators(own)]
+                  + [own + chips for chips in model._generators(free)]]
+    images = {}
+
+    def renamed(world):
+        if world not in images:
+            images[world] = [g(World(world)) for g in generators]
+        return images[world]
+
+    for world in enumerate_reachable(CheckConfig(machines=machines, tpms=tpms, obfuscate=True)):
+        ids = record_ids(world)
+        assert symmetry._images(ids) == renamed(world), world.machines
+        closure = dict.fromkeys([world])
+        queue = [world]
+        for member in queue:  # grows as members are found
+            for image in renamed(member):
+                if image not in closure:
+                    closure[image] = None
+                    queue.append(image)
+        assert symmetry.orbit(world, ids) == list(closure), world.machines
+
+
+@pytest.mark.parametrize("machines,tpms,obfuscate", [(2, 2, False), (2, 2, True),
+                                                     (2, 3, False), (3, 3, False)],
+                         ids=["2x2-plain", "2x2-obf", "2x3-plain", "3x3-plain"])
+def test_only_verify_creates_a_violation(machines, tpms, obfuscate):
+    """The explorer tests the property only on a world a ``verify`` move
+    reaches (:meth:`~attestsim.modelcheck.explore._Search.layers`).  So on
+    every edge of the reachable graph, past the first violation too, a move
+    from a world that holds to one that violates is a ``verify``.  A model
+    change that lets another move write a trusted ``done`` record fails
+    here, not in a verdict."""
+    cfg = CheckConfig(machines=machines, tpms=tpms, obfuscate=obfuscate)
+    memo = model.Memo()
+    for layer in _unreduced_layers(cfg):
+        for world in layer:
+            if violations(world):
+                continue
+            for event, child in successors(world, obfuscate, cfg.derivation_depth, memo):
+                assert not violations(child) or event[0] == "verify", (event, World(world).machines)
+
+
 def test_moves_name_index_10_before_index_2():
     """Indices come in the order their reprs sort in, as inside
     ``repr(event)``.  No bound above reaches index 10, so a numeric order
@@ -650,8 +723,8 @@ def test_many_free_chips_reach_the_budget_where_the_unreduced_search_does(monkey
     images = []
     all_images = Symmetry._images
 
-    def counted(self, world, ids):
-        found = all_images(self, world, ids)
+    def counted(self, ids):
+        found = all_images(self, ids)
         images.extend(found)
         return found
 

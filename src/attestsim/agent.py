@@ -55,7 +55,6 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import asdict, dataclass, field
-from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import ima
@@ -76,7 +75,6 @@ from .netsim import (
     measure_proximity,
 )
 from .policy import (
-    LocationRule,
     PlatformView,
     Policy,
     PolicyParseError,
@@ -102,8 +100,6 @@ logger = logging.getLogger(__name__)
 
 CONFIG_DISK_KEY = "agent/config.sealed"
 POLICY_ID_LEN = 16  # random bytes per deployed policy id
-# the honest driver's route: a machine's own attached chip
-ATTACHED_TPM = attrgetter("tpm")
 
 CONDITION_UNSEAL = "c1-unseal"
 CONDITION_DYNAMIC = "c2-dynamic-pcr"
@@ -394,7 +390,7 @@ class PolicyState:
     ek_certified: bool
     events: int = 0
     untrusted: Tuple[Violation, ...] = ()
-    beacons: Dict[LocationRule, bool] = field(default_factory=dict)
+    beacons: Dict[int, bool] = field(default_factory=dict)  # by location rule position
 
 
 @dataclass
@@ -442,7 +438,7 @@ class Agent:
         self.golden_dynamics = dict(golden_dynamics)
         self.static_whitelist = tuple(sorted(set(static_whitelist)))
         self.obfuscate = obfuscate
-        self.channel_factory = ATTACHED_TPM
+        self.channel = machine.tpm  # the driver's route: the attached chip, or a relay
         self.policies: Dict[str, Policy] = {}  # deployed policies by hex id
         self.network: Optional[NetworkAttachment] = None
         self._session: Optional[Session] = None
@@ -459,9 +455,8 @@ class Agent:
     def initialization_hook(self, machine: Machine) -> None:
         """Initramfs hook: run phase 1, abort the boot if it fails."""
         ctx = run_enclave(machine, self.binary, "init")
-        channel = self.channel_factory(machine)
         try:
-            agent_init(ctx, channel, self.rng, self.static_whitelist, self.obfuscate)
+            agent_init(ctx, self.channel, self.rng, self.static_whitelist, self.obfuscate)
         except (InitFailure, TpmError) as exc:
             raise InitHookFailure(str(exc)) from exc
 
@@ -472,15 +467,14 @@ class Agent:
         if self.machine.state != "runtime":
             return TrustReport(False, None, "machine is not at os runtime")
         ctx = run_enclave(self.machine, self.binary, "runtime")
-        channel = self.channel_factory(self.machine)
         report = establish_trust(
-            ctx, channel, self.rng, self.golden_statics, self.golden_dynamics
+            ctx, self.channel, self.rng, self.golden_statics, self.golden_dynamics
         )
         if not report.trusted:
             logger.info("trust establishment failed on %s: %s (%s)",
                         self.machine.machine_id, report.failed_condition, report.detail)
             return report
-        session = self._session = Session(channel, report.config,
+        session = self._session = Session(self.channel, report.config,
                                           self.machine.tpm.reboot_counter,
                                           dict(report.pcr_values))
         self._fold_log(session, report.pcr_values[IMA_PCR])
@@ -572,27 +566,27 @@ class Agent:
         logger.info("policy %s deployed to %s", policy_id, self.machine.machine_id)
         return policy_id
 
-    def _measure_locations(self, policy: Policy, certified: Dict[LocationRule, bool]
-                           ) -> Dict[LocationRule, Optional[float]]:
-        """Estimate each rule's beacon distance; ``certified`` keeps which
-        rules' beacons chain to the rule's keys."""
-        estimates: Dict[LocationRule, Optional[float]] = {}
-        for rule in policy.location:
-            estimates[rule] = None
-            att = self.network
+    def _measure_locations(self, policy: Policy, certified: Dict[int, bool]
+                           ) -> Tuple[Optional[float], ...]:
+        """Estimate each rule's beacon distance, aligned with
+        ``policy.location``; ``certified`` keeps, by rule position, whether
+        the rule's beacon chains to the rule's keys."""
+        estimates: List[Optional[float]] = [None] * len(policy.location)
+        att = self.network
+        for position, rule in enumerate(policy.location):
             if att is None or rule.host not in att.beacons:
                 continue
             beacon = att.beacons[rule.host]
-            if rule not in certified:
-                certified[rule] = beacon_certified(beacon, rule.beacon_chain)
-            if not certified[rule]:
+            if position not in certified:
+                certified[position] = beacon_certified(beacon, rule.beacon_chain)
+            if not certified[position]:
                 continue
             try:
                 est = measure_proximity(att.net, self.rng, att.endpoint, beacon)
             except BeaconError:
                 continue
-            estimates[rule] = est.trimmed_mean_ms
-        return estimates
+            estimates[position] = est.trimmed_mean_ms
+        return tuple(estimates)
 
     def verify_policy(self, policy_id: str, nonce: bytes) -> dict:
         """Evaluate a stored policy against the current platform state.

@@ -252,7 +252,7 @@ def cmd_poll(args) -> Tuple[int, dict, List[str]]:
     rng = fleet.rng.child("cli-poll-nonces")
     for _ in range(args.rounds):
         fleet.clock.advance(period_ms)
-        fleet.poll(controller, rng)
+        controller.poll_round(rng)
 
     alerts = controller.alerts
     report = {"rounds": args.rounds, "period_ms": period_ms,

@@ -157,8 +157,8 @@ def measure_file(tpm: TpmState, path: str, content: bytes,
     return event
 
 
-def aggregate(template_hashes, start: bytes = ZERO_DIGEST) -> bytes:
-    acc = start
+def aggregate(template_hashes) -> bytes:
+    acc = ZERO_DIGEST
     for h in template_hashes:
         acc = extend_digest(acc, h)
     return acc

@@ -11,11 +11,11 @@ path can add delay, drop, or modify traffic, but can never deliver faster
 than the honest base latency, which is the physical floor the proximity
 check leans on.
 
-Proximity to a beacon is estimated from n_samples + 1 back-to-back
+Proximity to a beacon is estimated from ``DEFAULT_SAMPLES + 1`` back-to-back
 timestamp requests: each sample is the difference between consecutive
 beacon timestamps, i.e. one full round trip, so a relay across a slower
 link inflates every sample.  The estimate is the trimmed mean of the
-samples.
+samples, ``DEFAULT_TRIM`` of them dropped from each tail.
 
 The beacon signs the transcript once, after Roughtime: it folds each
 response into a hash chain ``c_k = sha256(c_{k-1} || ts_k || echo_k)``
@@ -227,12 +227,10 @@ def measure_proximity(
     rng: Rng,
     agent_endpoint: str,
     beacon: BeaconService,
-    n_samples: int = DEFAULT_SAMPLES,
-    trim_fraction: float = DEFAULT_TRIM,
 ) -> ProximityEstimate:
     """Estimate round-trip distance to a beacon from timestamp deltas.
 
-    Issues ``n_samples + 1`` back-to-back requests, each with a fresh token;
+    Issues ``DEFAULT_SAMPLES + 1`` back-to-back requests, each with a fresh token;
     sample k is ``ts(k+1) - ts(k)`` which spans the return leg of request k
     plus the outbound leg of request k+1, one full round trip.  Each echo
     must match its token as it arrives.  The chain is then recomputed from
@@ -241,13 +239,10 @@ def measure_proximity(
     reordered timestamp or echo fails that check.  Whether the certificate
     chains is the caller's decision (:func:`beacon_certified`).
     """
-    if n_samples < 4:
-        raise ValueError("need at least 4 samples")
-
     clock = beacon.clock
     chain = b""
     timestamps: List[float] = []
-    for k in range(n_samples + 1):
+    for k in range(DEFAULT_SAMPLES + 1):
         token = rng.bytes(16)
         if k == 0:
             # both legs resolve once, as the first request leaves; links are
@@ -255,7 +250,7 @@ def measure_proximity(
             out = net.leg(agent_endpoint, beacon.endpoint)
             back = net.leg(beacon.endpoint, agent_endpoint)
         clock.advance(out.ms(rng))
-        response = beacon.respond(token, first=k == 0, last=k == n_samples)
+        response = beacon.respond(token, first=k == 0, last=k == DEFAULT_SAMPLES)
         clock.advance(back.ms(rng))
         if out.tampered:  # rewritten in transit
             echo = bytes([response.echo[0] ^ 1]) + response.echo[1:]
@@ -272,5 +267,5 @@ def measure_proximity(
     samples = [b - a for a, b in zip(timestamps, timestamps[1:])]
     return ProximityEstimate(
         samples_ms=tuple(samples),
-        trimmed_mean_ms=trimmed_mean(samples, trim_fraction),
+        trimmed_mean_ms=trimmed_mean(samples, DEFAULT_TRIM),
     )

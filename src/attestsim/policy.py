@@ -299,9 +299,10 @@ class PlatformView:
     only the suffix it has not appraised yet; every event since boot with
     no earlier violations is the full evaluation.
 
-    ``location_estimates`` holds each location rule's measured beacon
-    distance in milliseconds, or ``None`` when the rule could not be
-    measured; a missing rule counts as unreachable.
+    ``location_estimates`` holds, by position in ``policy.location``, each
+    location rule's measured beacon distance in milliseconds, or ``None``
+    when the rule could not be measured; a missing entry counts as
+    unreachable.
     """
 
     pcr_values: Dict[int, bytes]
@@ -312,7 +313,7 @@ class PlatformView:
     static_obfuscated: Dict[int, bytes] = field(default_factory=dict)
     log_tampered: bool = False
     stale: bool = False
-    location_estimates: Dict[LocationRule, Optional[float]] = field(default_factory=dict)
+    location_estimates: Tuple[Optional[float], ...] = ()
 
 
 def evaluate(policy: Policy, view: PlatformView) -> PolicyVerdict:
@@ -360,8 +361,9 @@ def evaluate(policy: Policy, view: PlatformView) -> PolicyVerdict:
     if policy.location:
         close_enough = False
         details = []
-        for rule in policy.location:
-            estimate = view.location_estimates.get(rule)
+        estimates = view.location_estimates
+        for position, rule in enumerate(policy.location):
+            estimate = estimates[position] if position < len(estimates) else None
             if estimate is None:
                 details.append(f"{rule.host}: unreachable")
             elif estimate <= rule.max_latency_ms:

@@ -60,7 +60,7 @@ from typing import Dict, List, Optional
 import yaml
 
 from . import ima
-from .agent import ATTACHED_TPM, Agent, AgentApi
+from .agent import Agent, AgentApi
 from .controller import CONTROLLER_ENDPOINT, DEFAULT_MISS_THRESHOLD, Alert, Controller
 from .crypto import (
     ZERO_DIGEST,
@@ -221,9 +221,11 @@ class Fleet:
 
     The ``act_*`` steps drive the fleet; their effects land in
     ``timelines`` (per machine, in order) and ``verdicts`` (each machine's
-    last establishment).  :meth:`controller` and :meth:`poll` are the
-    polling surface for the scenario's poll block and ``attestsim poll``
-    alike.  Every random draw comes from a labelled child of ``rng``.
+    last establishment).  ``controller`` polls the poll block's targets
+    (every agent when none are named) at their ``agent-<id>`` endpoints,
+    each under the policy last deployed to it, for the scenario's poll
+    block and ``attestsim poll`` alike.  Every random draw comes from a
+    labelled child of ``rng``.
     """
 
     def __init__(self, doc: dict, seed: int = 0):
@@ -301,6 +303,14 @@ class Fleet:
         self.verdicts: Dict[str, dict] = {}
         self.verify_rng = rng.child("verify-nonces")
 
+        poll = doc.get("poll", {})
+        self.controller = Controller(
+            clock=self.clock, net=self.net,
+            miss_threshold=poll.get("miss_threshold", DEFAULT_MISS_THRESHOLD))
+        for mid in poll.get("targets", sorted(self.agents)):
+            endpoint = f"agent-{mid}" if self.net is not None else None
+            self.controller.register(mid, self.api(mid), endpoint)
+
     def machine(self, machine_id) -> Machine:
         try:
             return self.machines[machine_id]
@@ -322,27 +332,6 @@ class Fleet:
     def api(self, machine_id) -> AgentApi:
         self.agent(machine_id)
         return self.apis[machine_id]
-
-    # -- polling -----------------------------------------------------------
-
-    def controller(self, targets=None,
-                   miss_threshold: int = DEFAULT_MISS_THRESHOLD) -> Controller:
-        """A controller polling ``targets`` (every agent when None) at their
-        ``agent-<id>`` endpoints."""
-        controller = Controller(clock=self.clock, miss_threshold=miss_threshold,
-                                net=self.net)
-        for mid in sorted(self.agents) if targets is None else targets:
-            endpoint = f"agent-{mid}" if self.net is not None else None
-            controller.register(mid, self.api(mid), endpoint)
-        return controller
-
-    def poll(self, controller: Controller, rng: Rng) -> None:
-        """Point each polled machine at the policies deployed to it so far,
-        then run one poll round."""
-        for (mid, _name), policy_id in self.deployed.items():
-            if mid in controller.targets():
-                controller.set_policy(mid, policy_id)
-        controller.poll_round(rng)
 
     # -- script steps: each returns nothing; effects land in the timelines --
 
@@ -392,7 +381,9 @@ class Fleet:
             raise ScenarioError(f"unknown policy {name!r}")
         resp = self.api(mid).handle("POST", "/policy", self.policies[name])
         if resp.status == 200:
-            self.deployed[(mid, name)] = resp.body["policy_id"]
+            policy_id = self.deployed[(mid, name)] = resp.body["policy_id"]
+            if mid in self.controller.targets():  # polled from now on under it
+                self.controller.set_policy(mid, policy_id)
         self.note(mid, "deploy-policy",
                   {"policy": name, "status": resp.status, **resp.body})
 
@@ -436,13 +427,10 @@ class Fleet:
         agent = self.agent(mid)
         target_id = step.get("target")
         if target_id is None:
-            agent.channel_factory = ATTACHED_TPM
-            self.note(mid, "relay", {"target": None})
-            return
-        target = self.machine(target_id)
-        relay_rng = self.rng.child(f"relay-{mid}-{target_id}")
-        agent.channel_factory = lambda _machine: RelayTpmChannel(
-            target, self.golden_dynamics, relay_rng)
+            agent.channel = agent.machine.tpm
+        else:
+            agent.channel = RelayTpmChannel(self.machine(target_id), self.golden_dynamics,
+                                            self.rng.child(f"relay-{mid}-{target_id}"))
         self.note(mid, "relay", {"target": target_id})
 
     def act_extend_pcr(self, step: dict) -> None:
@@ -486,15 +474,14 @@ def check_config(spec: dict) -> CheckConfig:
 
 def execute_scenario(doc: dict, seed: int = 0):
     """Run a scenario document; returns ``(result, fleet, controller)``, the
-    live fleet and its controller (polling the ``poll`` block's targets, or
-    every agent) for callers that keep interacting after the script ends."""
+    live fleet and its controller for callers that keep interacting after
+    the script ends."""
     fleet = Fleet(doc, seed)
+    controller = fleet.controller
     steps = [(float(step["at"]), 0, index, step)
              for index, step in enumerate(doc.get("script", []))]
 
     poll_spec = doc.get("poll", {})
-    controller = fleet.controller(poll_spec.get("targets"),
-                                  poll_spec.get("miss_threshold", DEFAULT_MISS_THRESHOLD))
     poll_rng = fleet.rng.child("poll-nonces")
     if poll_spec:
         period = float(poll_spec.get("period_ms", 1000.0))
@@ -507,8 +494,8 @@ def execute_scenario(doc: dict, seed: int = 0):
     for at, _tier, index, step in steps:
         if at > fleet.clock.now_ms:
             fleet.clock.advance(at - fleet.clock.now_ms)
-        if step is None:  # a poll round picks up freshly deployed policies first
-            fleet.poll(controller, poll_rng)
+        if step is None:
+            controller.poll_round(poll_rng)
         else:
             fleet.run(index, step)
 

@@ -49,6 +49,7 @@ from attestsim.netsim import (
 )
 from attestsim.policy import pem_encode
 from attestsim.scenario import execute_scenario, run_scenario
+from attestsim.tpm import extend_digest
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -207,7 +208,7 @@ def test_criterion_5_every_bit_flip_in_the_log_is_detected():
     for raw in lines:
         consumed += len(raw) + 1
         offsets.append(consumed)
-        running = ima.aggregate([ima.parse_line(raw).template_hash], running)
+        running = extend_digest(running, ima.parse_line(raw).template_hash)
         aggregates.append(running)
     assert aggregates[-1] == certified
 

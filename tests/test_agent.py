@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from attestsim import crypto
 from attestsim.agent import (
-    ATTACHED_TPM,
     CONDITION_DYNAMIC,
     CONDITION_REBOOT,
     CONDITION_STATIC,
@@ -92,7 +91,7 @@ class World:
             init_hook,
         )
 
-    def agent_for(self, m, seed=909, whitelist=(0,), obfuscate=True, factory=None):
+    def agent_for(self, m, seed=909, whitelist=(0,), obfuscate=True, channel=None):
         agent = Agent(
             m,
             AGENT_BIN,
@@ -102,8 +101,8 @@ class World:
             static_whitelist=whitelist,
             obfuscate=obfuscate,
         )
-        if factory is not None:
-            agent.channel_factory = factory
+        if channel is not None:
+            agent.channel = channel
         return agent
 
 
@@ -145,17 +144,9 @@ class FlakyChannel:
 
 
 def record_quotes(agent):
-    """Record, from now on, every quote the agent's channels return."""
-    quotes = []
-    opens = agent.channel_factory
-
-    def factory(machine):
-        tap = FlakyChannel(opens(machine))
-        tap.quotes = quotes
-        return tap
-
-    agent.channel_factory = factory
-    return quotes
+    """Record, from now on, every quote the agent's channel returns."""
+    tap = agent.channel = FlakyChannel(agent.channel)
+    return tap.quotes
 
 
 def policy_text(world, pcr_entries, runtime_cert=None, software=None, location=None,
@@ -407,7 +398,7 @@ def test_c3_runtime_relay_to_golden_host_is_caught():
     w.boot(m, init_hook=agent.initialization_hook)
     w.boot(oracle)
     relay = RelayTpmChannel(oracle, w.golden_dynamics, w.rng.child("adv"))
-    agent.channel_factory = lambda mm: relay
+    agent.channel = relay
     quotes = record_quotes(agent)
     report = agent.enter_runtime()
     assert not report.trusted
@@ -503,23 +494,17 @@ def _run_case(init_route, runtime_route, obfuscate=True, kernel=None):
     w.boot(golden_host)
     w.boot(tampered_host, kernel=ROOTKIT)
     assert w.boot(halted_host, init_hook=_halt).halted  # off, golden registers kept
-    relays = {
+    channels = {"direct": m.tpm, **{
         route: RelayTpmChannel(host, w.golden_dynamics, w.rng.child("adv"))
         for route, host in [("relay-golden", golden_host),
                             ("relay-tampered", tampered_host),
                             ("relay-halted", halted_host)]
-    }
-
-    def factory(route):
-        if route == "direct":
-            return ATTACHED_TPM
-        return lambda mm: relays[route]
-
-    agent = w.agent_for(m, obfuscate=obfuscate, factory=factory(init_route))
+    }}
+    agent = w.agent_for(m, obfuscate=obfuscate, channel=channels[init_route])
     out = w.boot(m, init_hook=agent.initialization_hook, kernel=kernel)
     if out.halted:
         return "halted-at-init", [], m
-    agent.channel_factory = factory(runtime_route)
+    agent.channel = channels[runtime_route]
     quotes = record_quotes(agent)
     report = agent.enter_runtime()
     if report.detail.startswith("tpm unreachable"):
@@ -578,9 +563,7 @@ def test_plain_variant_lets_the_bridged_cuckoo_through():
     victim, oracle = w.machines
     w.boot(oracle)  # the healthy host whose TPM answers everything
     relay = RelayTpmChannel(oracle, w.golden_dynamics, w.rng.child("adv"))
-    factory = lambda mm: relay
-
-    agent = w.agent_for(victim, obfuscate=False, factory=factory)
+    agent = w.agent_for(victim, obfuscate=False, channel=relay)
     rootkit = SoftwareImage("kernel", b"kernel-5.15-rootkit")
     out = w.boot(victim, init_hook=agent.initialization_hook, kernel=rootkit)
     assert not out.halted
@@ -597,8 +580,7 @@ def test_obfuscated_variant_kills_the_same_bridge_at_init():
     victim, oracle = w.machines
     w.boot(oracle)
     relay = RelayTpmChannel(oracle, w.golden_dynamics, w.rng.child("adv"))
-    factory = lambda mm: relay
-    agent = w.agent_for(victim, obfuscate=True, factory=factory)
+    agent = w.agent_for(victim, obfuscate=True, channel=relay)
     rootkit = SoftwareImage("kernel", b"kernel-5.15-rootkit")
     out = w.boot(victim, init_hook=agent.initialization_hook, kernel=rootkit)
     assert out.halted

@@ -293,8 +293,7 @@ def test_an_unparseable_log_line_latches_log_tampering_across_a_round():
             {"at": 10, "action": "establish", "machine": "m0"},
             {"at": 20, "action": "deploy-policy", "machine": "m0", "policy": "golden"},
         ],
-    }, seed=1)
-    ctl.set_policy("m0", fleet.deployed[("m0", "golden")])
+    }, seed=1)  # the deploy step points the controller at golden
     assert ctl.poll_round(Rng(11)) == []
 
     machine = fleet.machines["m0"]

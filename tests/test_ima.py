@@ -136,11 +136,6 @@ def test_every_prefix_matches_register_at_that_point():
         assert aggregate(prefix) == tpm.read_pcr(IMA_PCR)
 
 
-def test_aggregate_from_custom_start():
-    h1, h2 = sha256(b"a"), sha256(b"b")
-    assert aggregate([h2], start=aggregate([h1])) == aggregate([h1, h2])
-
-
 # --------------------------------------------------------------------------
 # differential verification
 # --------------------------------------------------------------------------

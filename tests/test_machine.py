@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attestsim.crypto import ONES_DIGEST, ZERO_DIGEST, Rng, generate_keypair, seal, sha256, sign, unseal, UnsealError
-from attestsim.agent import ATTACHED_TPM
+from attestsim.agent import Agent
 from attestsim.machine import (
     InitHookFailure,
     Machine,
@@ -177,8 +177,8 @@ def test_sealed_data_moves_between_phases_but_not_machines():
 def test_direct_channel_speaks_to_attached_tpm():
     (m,), img, *_ = build_world()
     boot(m, img["uefi"], img["tboot"], img["kernel"], img["initramfs"])
-    ch = ATTACHED_TPM(m)
-    assert ch is m.tpm
+    ch = Agent(m, SoftwareImage("agent", b"agent-bin"), Rng(0), {}, {}).channel
+    assert ch is m.tpm  # the honest driver's route
     rng = Rng(60)
     aik = ch.create_aik(rng)
     q = ch.quote(aik, rng.bytes(32), [0])

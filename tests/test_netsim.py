@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from attestsim.crypto import Rng, generate_keypair, issue_certificate
 from attestsim.netsim import (
+    DEFAULT_SAMPLES,
+    DEFAULT_TRIM,
     AdversaryModel,
     BeaconResponse,
     BeaconService,
@@ -145,18 +147,10 @@ def test_samples_are_consecutive_timestamp_differences():
     clock = VirtualClock()
     beacon, _ = make_beacon(rng, clock)
     net = two_dc_net()
-    est = measure_proximity(net, rng, "agent", beacon, n_samples=6)
-    assert len(est.samples_ms) == 6
+    est = measure_proximity(net, rng, "agent", beacon)
+    assert len(est.samples_ms) == DEFAULT_SAMPLES
     # each sample is one round trip across the in-DC link
     assert all(0.6 <= s <= 1.0 for s in est.samples_ms)
-
-
-def test_minimum_sample_count_enforced():
-    rng = Rng(14)
-    clock = VirtualClock()
-    beacon, _ = make_beacon(rng, clock)
-    with pytest.raises(ValueError):
-        measure_proximity(two_dc_net(), rng, "agent", beacon, n_samples=3)
 
 
 def test_untrusted_beacon_certificate_aborts():
@@ -391,19 +385,16 @@ def test_forged_timestamps_around_a_genuine_signed_last_response_abort():
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32),
-    n_samples=st.integers(4, 30),
     jitter=st.floats(0.0, 5.0),
-    trim=st.floats(0.0, 0.45),
 )
-def test_estimate_is_the_trimmed_mean_of_timestamp_deltas(seed, n_samples, jitter, trim):
+def test_estimate_is_the_trimmed_mean_of_timestamp_deltas(seed, jitter):
     rng = Rng(seed)
     beacon, _ = make_beacon(rng, VirtualClock())
     net = NetworkModel({("dc-east", "dc-east"): LatencyModel(0.3, jitter)},
                        {"agent": "dc-east", "beacon-1": "dc-east"})
     answers = []
-    est = measure_proximity(net, rng, "agent", Relay(beacon, recording(answers)),
-                            n_samples=n_samples, trim_fraction=trim)
+    est = measure_proximity(net, rng, "agent", Relay(beacon, recording(answers)))
     ts = [r.timestamp_ms for r in answers]
-    assert len(est.samples_ms) == n_samples == len(ts) - 1
+    assert len(est.samples_ms) == DEFAULT_SAMPLES == 20 == len(ts) - 1
     assert est.samples_ms == tuple(b - a for a, b in zip(ts, ts[1:]))
-    assert est.trimmed_mean_ms == trimmed_mean(list(est.samples_ms), trim)
+    assert est.trimmed_mean_ms == trimmed_mean(list(est.samples_ms), DEFAULT_TRIM)

@@ -240,14 +240,13 @@ def make_view(**overrides):
         static_original={0: GOLDEN[0], 3: GOLDEN[3]},
         static_obfuscated=obfuscated,
         log_tampered=False,
-        location_estimates={RULE: 0.8},
+        location_estimates=(0.8,),
     )
     defaults.update(overrides)
     return PlatformView(**defaults)
 
 
 POLICY = parse_policy(fixture_policy_text())
-RULE = POLICY.location[0]  # the beacon-1 rule
 
 
 def test_compliant_view_passes():
@@ -274,7 +273,7 @@ def test_each_violation_kind_fires():
     v = evaluate(POLICY, make_view(log_tampered=True))
     assert [x.kind for x in v.violations] == ["log-tampered"]
 
-    v = evaluate(POLICY, make_view(location_estimates={RULE: 5.0}))
+    v = evaluate(POLICY, make_view(location_estimates=(5.0,)))
     assert [x.kind for x in v.violations] == ["location"]
 
     v = evaluate(POLICY, make_view(stale=True))
@@ -289,12 +288,12 @@ def test_ek_certificate_for_another_role_is_rejected():
 
 
 def test_latency_exactly_at_bound_passes():
-    assert evaluate(POLICY, make_view(location_estimates={RULE: 2.0})).compliant
-    assert not evaluate(POLICY, make_view(location_estimates={RULE: 2.001})).compliant
+    assert evaluate(POLICY, make_view(location_estimates=(2.0,))).compliant
+    assert not evaluate(POLICY, make_view(location_estimates=(2.001,))).compliant
 
 
 def test_unreachable_beacon_is_location_violation():
-    v = evaluate(POLICY, make_view(location_estimates={}))
+    v = evaluate(POLICY, make_view(location_estimates=()))
     assert [x.kind for x in v.violations] == ["location"]
     assert "unreachable" in v.violations[0].detail
 

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from attestsim import ima, scenario
-from attestsim.crypto import ZERO_DIGEST, sha256
+from attestsim.crypto import ZERO_DIGEST, Rng, generate_keypair, sha256
 from attestsim.policy import SoftwareList, parse_policy, render_policy
 from attestsim.scenario import Fleet, ScenarioError, execute_scenario, run_scenario
 from attestsim.tpm import extend_digest
@@ -185,6 +185,31 @@ def test_load_file_report_bytes_are_pinned(seed, digest):
     assert [e["loaded"] for e in result.timelines["m0"]
             if e["event"] == "load-file"] == [True, True, True]
     assert hashlib.sha256(report_bytes(result).encode()).hexdigest() == digest
+
+
+def test_the_poll_follows_the_newest_deployment():
+    """golden -> strict -> golden: the poll judges under the last golden, so
+    the unsigned /opt/x, which only strict refuses, raises no alert."""
+    doc = _one_machine_doc()
+    doc["script"] = doc["script"][:2] + [
+        {"at": 20, "action": "load-file", "machine": "m0", "path": "/opt/x",
+         "content": "x"},
+        {"at": 30, "action": "deploy-policy", "machine": "m0", "policy": "golden"},
+        {"at": 40, "action": "deploy-policy", "machine": "m0", "policy": "strict"},
+        {"at": 50, "action": "deploy-policy", "machine": "m0", "policy": "golden"},
+    ]
+    doc["poll"] = {"period_ms": 1000, "rounds": 2, "targets": ["m0"]}
+    golden = parse_policy(Fleet(doc, 4).policies["golden"])
+    signs_nothing = generate_keypair(Rng(77)).public
+    doc["policies"]["strict"] = render_policy(replace(golden, runtime_cert=signs_nothing))
+    result, fleet, ctl = execute_scenario(doc, seed=4)
+    assert result.alerts == []
+
+    deployed = [e for e in result.timelines["m0"] if e["event"] == "deploy-policy"]
+    assert [e["status"] for e in deployed] == [200, 200, 200]
+    fleet.machines["m0"].tpm.pcr_extend(0, sha256(b"drift"))  # the next poll alerts
+    (alert,) = ctl.poll_round(Rng(5))
+    assert alert.policy_id == deployed[-1]["policy_id"]
 
 
 def test_copy_disk_gives_the_target_its_own_log():

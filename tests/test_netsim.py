@@ -1,5 +1,6 @@
 """Network, beacon and proximity-estimation tests."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -10,6 +11,7 @@ from attestsim.netsim import (
     DEFAULT_SAMPLES,
     DEFAULT_TRIM,
     AdversaryModel,
+    BeaconError,
     BeaconResponse,
     BeaconService,
     BeaconSignatureInvalid,
@@ -398,3 +400,79 @@ def test_estimate_is_the_trimmed_mean_of_timestamp_deltas(seed, jitter):
     assert len(est.samples_ms) == DEFAULT_SAMPLES == 20 == len(ts) - 1
     assert est.samples_ms == tuple(b - a for a, b in zip(ts, ts[1:]))
     assert est.trimmed_mean_ms == trimmed_mean(list(est.samples_ms), DEFAULT_TRIM)
+
+
+# --------------------------------------------------------------------------
+# pinned measurements: draws, their order and every estimate, bit for bit
+# --------------------------------------------------------------------------
+
+
+def _pinned_run(adversary, cross_jitter, endpoints, seed):
+    """Measure each of ``endpoints`` in turn, drawing from one agent rng;
+    each measurement gives a digest of its samples, its trimmed mean and
+    the beacon's clock, or the error it raised and the clock.  The agent
+    rng's next 8 bytes close the record, so every draw a measurement made,
+    on its failing paths too, shows in it."""
+    keys = Rng(seed + 1000)
+    beacons = {e: make_beacon(keys, VirtualClock(), endpoint=e)[0]
+               for e in ("beacon-1", "beacon-2")}
+    net = two_dc_net(adversary, cross_jitter=cross_jitter)
+    rng = Rng(seed)
+    record = []
+    for endpoint in endpoints:
+        beacon = beacons[endpoint]
+        try:
+            est = measure_proximity(net, rng, "agent", beacon)
+        except BeaconError as exc:
+            record.append((type(exc).__name__, repr(beacon.clock.now_ms)))
+            continue
+        digest = hashlib.sha256(repr(est.samples_ms).encode()).hexdigest()[:16]
+        record.append((digest, repr(est.trimmed_mean_ms), repr(beacon.clock.now_ms)))
+    record.append(rng.bytes(8).hex())
+    return record
+
+
+PINNED_RUNS = {
+    "honest": (None, 1.0, ("beacon-1", "beacon-2"), 1),
+    "honest-without-jitter": (None, 0.0, ("beacon-2", "beacon-2"), 2),
+    "delaying": (AdversaryModel(added_delay_ms=4.0), 1.0, ("beacon-1", "beacon-2"), 3),
+    "negative-delay": (AdversaryModel(added_delay_ms=-50.0), 1.0, ("beacon-1",), 4),
+    "targeted": (AdversaryModel(added_delay_ms=9.0, relay_targets=("beacon-2",)), 1.0,
+                 ("beacon-1", "beacon-2"), 5),
+    "dropping": (AdversaryModel(can_drop=True, relay_targets=("beacon-2",)), 1.0,
+                 ("beacon-1", "beacon-2", "beacon-1"), 6),
+    "modifying": (AdversaryModel(can_modify=True, relay_targets=("beacon-2",)), 1.0,
+                  ("beacon-1", "beacon-2", "beacon-1"), 7),
+}
+
+PINNED_RECORDS = {
+    "delaying": [("5fc6b7332770e9cd", "8.833338960734066", "185.4927393259335"),
+                 ("14573e59aee7e958", "18.888760137122734", "397.7412277416647"),
+                 "2f83ff2e96401ddd"],
+    "dropping": [("6e1f78fd9f9c81ad", "0.8330095632891673", "17.359628854398007"),
+                 ("BeaconUnreachable", "0.0"),
+                 ("8a30b85f70090c08", "0.812854995896973", "34.42101600602228"),
+                 "65f2dd701279aa7a"],
+    "honest": [("2edd980797a0f0b8", "0.8030400561646797", "16.869409701509934"),
+               ("dc212487a776f28e", "10.849681604427923", "228.19643146559739"),
+               "898a0c0fe89ac9bc"],
+    "honest-without-jitter": [("e862afc3330275bc", "10.0", "210.0"),
+                              ("e862afc3330275bc", "10.0", "420.0"),
+                              "ddfc5be804bda7d0"],
+    "modifying": [("af8c89f60d28efcc", "0.7805827582359459", "16.488879710262808"),
+                  ("BeaconSignatureInvalid", "11.262371677259527"),
+                  ("e1cf86a07d32fb6b", "0.7945172922260092", "33.11294993639006"),
+                  "8ae145da0717f531"],
+    "negative-delay": [("ada5e87b0384a40b", "0.8078056762516533", "16.988151306435313"),
+                       "ddc9116952f282dc"],
+    "targeted": [("1eebf86185c5e8a8", "0.7876772218088476", "16.664892940436957"),
+                 ("19eb9aecc996c218", "29.03361085303796", "609.489189838258"),
+                 "94f50e59e0b61c46"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_proximity_measurements_are_pinned(name):
+    """No shipped scenario has a beacon, so the report pins never run a
+    measurement; this pins its draws and estimates directly."""
+    assert _pinned_run(*PINNED_RUNS[name]) == PINNED_RECORDS[name]

@@ -56,6 +56,7 @@ import json
 import logging
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+from urllib.parse import parse_qs, urlsplit
 
 from . import ima
 from .crypto import Certificate, Rng, UnsealError, seal, unseal
@@ -662,8 +663,6 @@ class AgentApi:
         self.agent = agent
 
     def handle(self, method: str, path: str, body: str = "") -> ApiResponse:
-        from urllib.parse import parse_qs, urlsplit
-
         try:
             parts = urlsplit(path)
         except ValueError as exc:  # e.g. an unclosed IPv6 host

@@ -54,9 +54,12 @@ def parse_duration(text: str) -> int:
     else:
         raise ControllerError(f"duration {text!r} needs a unit (s, ms, us)")
     try:
-        value = Decimal(number) * factor
+        value = Decimal(number)
     except InvalidOperation:
         raise ControllerError(f"cannot parse duration {text!r}")
+    if value.is_nan():  # NaN equals no value, not even its own integral one
+        raise ControllerError(f"duration {text!r} is not a number")
+    value *= factor
     if value != value.to_integral_value():
         raise ControllerError(f"duration {text!r} is finer than a microsecond")
     if abs(value) > MAX_DURATION_US:

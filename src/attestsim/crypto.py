@@ -13,7 +13,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable
+from typing import Callable, Iterable
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -69,20 +69,18 @@ class Rng:
     that equal seeds yield byte-identical streams.  ``child`` derives an
     independent, reproducible sub-stream from a label, which is how the
     scenario runner fans one master seed out to machines and agents.
+
+    The draws are the generator's own bound methods: ``bytes(n)``,
+    ``uniform(low, high)`` and ``randint(low, high)`` (both ends
+    inclusive), so a draw goes straight to the generator.
     """
 
     def __init__(self, seed: int):
         self.seed = seed & 0xFFFFFFFFFFFFFFFF
-        self._r = random.Random(self.seed)
-
-    def bytes(self, n: int) -> bytes:
-        return self._r.randbytes(n)
-
-    def uniform(self, low: float, high: float) -> float:
-        return self._r.uniform(low, high)
-
-    def randint(self, low: int, high: int) -> int:
-        return self._r.randint(low, high)
+        generator = random.Random(self.seed)
+        self.bytes: Callable[[int], bytes] = generator.randbytes
+        self.uniform: Callable[[float, float], float] = generator.uniform
+        self.randint: Callable[[int, int], int] = generator.randint
 
     def child(self, label: str) -> "Rng":
         seed_bytes = sha256(self.seed.to_bytes(8, "big") + label.encode())

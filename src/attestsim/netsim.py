@@ -18,24 +18,33 @@ link inflates every sample.  The estimate is the trimmed mean of the
 samples, ``DEFAULT_TRIM`` of them dropped from each tail.
 
 The beacon signs the transcript once, after Roughtime: it folds each
-response into a hash chain ``c_k = sha256(c_{k-1} || ts_k || echo_k)``
-that starts empty, and only the last response carries a signature, over
-``c_n``.  The beacon holds the chain of the transcript it is answering;
-no request carries a chain value, so a relay cannot have the beacon sign
-over timestamps it made up.  The agent recomputes the chain from what it
-received, so one verification covers every timestamp and echo.
+response's record ``ts_k || echo_k`` into one running SHA-256 that starts
+afresh with the transcript's first response, and only the last response
+carries a signature, over the digest of every record.  Each record is
+24 bytes wide, an 8-byte timestamp and a 16-byte (``TOKEN_LEN``) echo,
+and the beacon refuses an echo of any other width, so the record
+boundaries are fixed: an altered, dropped, inserted or reordered record
+changes the hashed bytes, and no run of records can pass as one longer
+echo.  The beacon holds the digest of the transcript it is answering; no
+request carries one, so a relay cannot have the beacon sign over
+timestamps it made up.  The agent folds what it received into a digest
+of its own, so one verification covers every timestamp and echo.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .crypto import Certificate, KeyPair, Rng, certificate_valid, sha256, sign, verify
+from .crypto import Certificate, KeyPair, Rng, certificate_valid, sign, verify
 
 DEFAULT_SAMPLES = 20
 DEFAULT_TRIM = 0.2
+
+TOKEN_LEN = 16
+_RECORD = struct.Struct(f">d{TOKEN_LEN}s")  # a response's timestamp and echo
 
 
 class BeaconError(Exception):
@@ -65,13 +74,11 @@ class VirtualClock:
 
 @dataclass(frozen=True)
 class LatencyModel:
+    """A link's latency: ``base_ms`` plus a uniform draw from
+    ``[0, jitter_ms]``, or no draw at all when ``jitter_ms`` is 0."""
+
     base_ms: float
     jitter_ms: float = 0.0
-
-    def sample(self, rng: Rng) -> float:
-        if self.jitter_ms <= 0:
-            return self.base_ms
-        return self.base_ms + rng.uniform(0.0, self.jitter_ms)
 
 
 @dataclass
@@ -91,27 +98,27 @@ class AdversaryModel:
 
 
 class Leg(NamedTuple):
-    """One direction between two endpoints, resolved once: its link, and
-    the adversary when one sits on this path."""
+    """One direction between two endpoints, resolved once into what a
+    message on it needs: the link's base and jitter, and the part of the
+    adversary on this path, if any: its added delay, clamped at zero,
+    whether it drops and whether it rewrites."""
 
     src: str
     dst: str
-    latency: LatencyModel
-    adversary: Optional[AdversaryModel]
+    base_ms: float
+    jitter_ms: float
+    delay_ms: float = 0.0
+    drops: bool = False
+    tampered: bool = False
 
     def ms(self, rng: Rng) -> float:
-        """Latency of one message on this leg; raises on an adversarial drop."""
-        latency = self.latency.sample(rng)
-        adv = self.adversary
-        if adv is not None:
-            if adv.can_drop:
-                raise BeaconUnreachable(f"message {self.src}->{self.dst} dropped in transit")
-            latency += max(0.0, adv.added_delay_ms)
-        return latency
-
-    @property
-    def tampered(self) -> bool:
-        return self.adversary is not None and self.adversary.can_modify
+        """Latency of one message on this leg; raises on an adversarial drop,
+        after the message's jitter is drawn."""
+        jitter = self.jitter_ms
+        latency = self.base_ms if jitter <= 0 else self.base_ms + rng.uniform(0.0, jitter)
+        if self.drops:
+            raise BeaconUnreachable(f"message {self.src}->{self.dst} dropped in transit")
+        return latency + self.delay_ms
 
 
 class NetworkModel:
@@ -148,9 +155,12 @@ class NetworkModel:
 
     def leg(self, src: str, dst: str) -> Leg:
         """The leg from ``src`` to ``dst``; raises when there is no route."""
+        latency = self.link(src, dst)
         adv = self.adversary
-        return Leg(src, dst, self.link(src, dst),
-                   adv if adv is not None and adv.intercepts(src, dst) else None)
+        if adv is None or not adv.intercepts(src, dst):
+            return Leg(src, dst, latency.base_ms, latency.jitter_ms)
+        return Leg(src, dst, latency.base_ms, latency.jitter_ms,
+                   max(0.0, adv.added_delay_ms), adv.can_drop, adv.can_modify)
 
 
 # --------------------------------------------------------------------------
@@ -158,16 +168,14 @@ class NetworkModel:
 # --------------------------------------------------------------------------
 
 
-def transcript_link(chain: bytes, timestamp_ms: float, echo: bytes) -> bytes:
-    """Fold one response into a transcript chain; the first link folds
-    into the empty chain ``b""``."""
-    return sha256(chain + struct.pack(">d", timestamp_ms) + echo)
-
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BeaconResponse:
     """A timestamp and the echoed request token; the last response of a
-    transcript also carries the beacon's signature over the chain."""
+    transcript also carries the beacon's signature over its digest.
+
+    Not frozen: a measurement builds 21 of them, and a frozen dataclass
+    costs about twice as much to build.
+    """
 
     timestamp_ms: float
     echo: bytes
@@ -183,18 +191,25 @@ class BeaconService:
         self.keypair = keypair
         self.certificate = certificate
         self.clock = clock
-        self._chain = b""
+        self._transcript = hashlib.sha256()
 
     def respond(self, echo: bytes, first: bool, last: bool) -> BeaconResponse:
         """Timestamp ``echo`` as the next response of the transcript.
 
-        ``first`` opens a transcript on the empty chain.  Each response is
-        folded into the chain the beacon holds, and the ``last`` one is
-        signed over the folded chain.
+        ``first`` opens a new transcript digest.  Each response's record is
+        folded into the digest the beacon holds, and the ``last`` one is
+        signed over the digest of every record.  An echo that is not
+        ``TOKEN_LEN`` bytes is refused: records of one width are what keep
+        a relay from passing several records off as one.
         """
+        if len(echo) != TOKEN_LEN:
+            raise BeaconError(f"beacon {self.endpoint} refuses a {len(echo)}-byte echo")
         ts = self.clock.now_ms
-        self._chain = transcript_link(b"" if first else self._chain, ts, echo)
-        return BeaconResponse(ts, echo, sign(self._chain, self.keypair) if last else None)
+        if first:
+            self._transcript = hashlib.sha256()
+        self._transcript.update(_RECORD.pack(ts, echo))
+        return BeaconResponse(
+            ts, echo, sign(self._transcript.digest(), self.keypair) if last else None)
 
 
 def beacon_certified(beacon: BeaconService, chain: Tuple[bytes, ...]) -> bool:
@@ -233,34 +248,35 @@ def measure_proximity(
     Issues ``DEFAULT_SAMPLES + 1`` back-to-back requests, each with a fresh token;
     sample k is ``ts(k+1) - ts(k)`` which spans the return leg of request k
     plus the outbound leg of request k+1, one full round trip.  Each echo
-    must match its token as it arrives.  The chain is then recomputed from
-    the received timestamps and echoes, and the last response's signature
-    must hold over it under the certified key; any altered, dropped or
-    reordered timestamp or echo fails that check.  Whether the certificate
-    chains is the caller's decision (:func:`beacon_certified`).
+    must match its token as it arrives, and its record is then folded into
+    the agent's own transcript digest; the last response's signature must
+    hold over that digest under the certified key, so any altered, dropped,
+    inserted or reordered timestamp or echo fails the one verification.
+    Whether the certificate chains is the caller's decision
+    (:func:`beacon_certified`).
     """
-    clock = beacon.clock
-    chain = b""
+    advance, respond, draw = beacon.clock.advance, beacon.respond, rng.bytes
+    transcript = hashlib.sha256()
+    fold = transcript.update
     timestamps: List[float] = []
     for k in range(DEFAULT_SAMPLES + 1):
-        token = rng.bytes(16)
+        token = draw(TOKEN_LEN)
         if k == 0:
             # both legs resolve once, as the first request leaves; links are
             # symmetric, so the return leg resolves whenever this one does
             out = net.leg(agent_endpoint, beacon.endpoint)
             back = net.leg(beacon.endpoint, agent_endpoint)
-        clock.advance(out.ms(rng))
-        response = beacon.respond(token, first=k == 0, last=k == DEFAULT_SAMPLES)
-        clock.advance(back.ms(rng))
-        if out.tampered:  # rewritten in transit
-            echo = bytes([response.echo[0] ^ 1]) + response.echo[1:]
-            response = replace(response, echo=echo)
-        if response.echo != token:
+        advance(out.ms(rng))
+        response = respond(token, k == 0, k == DEFAULT_SAMPLES)
+        advance(back.ms(rng))
+        # a response rewritten in transit no longer echoes its token
+        if out.tampered or response.echo != token:
             raise BeaconSignatureInvalid(f"beacon {beacon.endpoint} response rejected")
-        chain = transcript_link(chain, response.timestamp_ms, response.echo)
-        timestamps.append(response.timestamp_ms)
+        ts = response.timestamp_ms
+        fold(_RECORD.pack(ts, token))
+        timestamps.append(ts)
     if response.signature is None or not verify(
-        response.signature, chain, beacon.certificate.subject
+        response.signature, transcript.digest(), beacon.certificate.subject
     ):
         raise BeaconSignatureInvalid(f"beacon {beacon.endpoint} transcript rejected")
 

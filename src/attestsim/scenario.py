@@ -202,6 +202,9 @@ def _build_network(spec: dict, machines: List[dict]) -> NetworkModel:
     adv = None
     if "adversary" in spec:
         a = spec["adversary"]
+        if a.get("added_delay_ms", 0) < 0:  # a relay can only slow traffic down
+            raise ScenarioError(f"network adversary: added_delay_ms must not be negative, "
+                                f"not {a['added_delay_ms']}")
         adv = AdversaryModel(
             added_delay_ms=float(a.get("added_delay_ms", 0.0)),
             can_drop=a.get("can_drop", False),

@@ -110,10 +110,13 @@ class CountingRng(Rng):
     def __init__(self, seed):
         super().__init__(seed)
         self.draws = []
+        draw = self.bytes
 
-    def bytes(self, n):
-        self.draws.append(n)
-        return super().bytes(n)
+        def counted(n):
+            self.draws.append(n)
+            return draw(n)
+
+        self.bytes = counted
 
 
 class FlakyChannel:

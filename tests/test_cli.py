@@ -66,6 +66,15 @@ def test_vwindow_huge_duration_is_an_error(capsys, duration):
     assert capsys.readouterr().err.startswith("attestsim: error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["vwindow", "--trq=nanms", "--tre", "58us", "--tvp", "100ms", "--floor", "40us"],
+    ["poll", honest(), "--rounds", "1", "--period", "nanms"],
+], ids=["vwindow", "poll-period"])
+def test_nan_duration_is_not_a_number(capsys, argv):
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "attestsim: error: duration 'nanms' is not a number\n"
+
+
 def test_vwindow_missing_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["vwindow", "--trq", "155ms"])

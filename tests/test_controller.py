@@ -123,6 +123,12 @@ def test_parse_duration_rejects(text):
         parse_duration(text)
 
 
+@pytest.mark.parametrize("text", ["nanms", "-NaN us", "snans"])
+def test_parse_duration_says_nan_is_not_a_number(text):
+    with pytest.raises(ControllerError, match="is not a number"):
+        parse_duration(text)
+
+
 def test_format_duration_strips_noise():
     assert format_duration_ms(224_750) == "224.75 ms"
     assert format_duration_ms(804_500) == "804.5 ms"

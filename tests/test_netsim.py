@@ -1,6 +1,7 @@
 """Network, beacon and proximity-estimation tests."""
 
 import hashlib
+import struct
 from dataclasses import replace
 
 import pytest
@@ -94,9 +95,9 @@ def test_clock_is_monotone():
 
 def test_latency_sample_within_jitter_band():
     rng = Rng(7)
-    model = LatencyModel(2.0, 0.5)
+    leg = NetworkModel({("a", "a"): LatencyModel(2.0, 0.5)}, {"x": "a", "y": "a"}).leg("x", "y")
     for _ in range(200):
-        s = model.sample(rng)
+        s = leg.ms(rng)
         assert 2.0 <= s <= 2.5
 
 
@@ -325,10 +326,16 @@ def test_honest_relay_leaves_the_estimate_alone():
     assert relayed(recording([])) == direct
 
 
-def test_changed_middle_timestamp_aborts():
+# the first response, a middle one and the signed last one
+ENDS_AND_MIDDLE = pytest.mark.parametrize("tampered", [0, MID, DEFAULT_SAMPLES],
+                                          ids=["first", "middle", "last"])
+
+
+@ENDS_AND_MIDDLE
+def test_changed_timestamp_aborts(tampered):
     def forward(beacon, k, token, first, last):
         response = beacon.respond(token, first, last)
-        if k == MID:
+        if k == tampered:
             response = replace(response, timestamp_ms=response.timestamp_ms - 0.2)
         return response
 
@@ -336,10 +343,11 @@ def test_changed_middle_timestamp_aborts():
         relayed(forward)
 
 
-def test_changed_middle_echo_aborts():
+@ENDS_AND_MIDDLE
+def test_changed_echo_aborts(tampered):
     # the beacon answers a token of the relay's; the agent gets its own echo back
     def forward(beacon, k, token, first, last):
-        if k == MID:
+        if k == tampered:
             return replace(beacon.respond(bytes(16), first, last), echo=token)
         return beacon.respond(token, first, last)
 
@@ -347,29 +355,56 @@ def test_changed_middle_echo_aborts():
         relayed(forward)
 
 
-def test_dropped_response_aborts():
-    # the beacon answers request MID twice; the relay drops the first answer
+@ENDS_AND_MIDDLE
+def test_dropped_response_aborts(tampered):
+    # the beacon answers the request twice within the transcript; the relay
+    # drops the first answer
     def forward(beacon, k, token, first, last):
-        if k == MID:
-            beacon.respond(token, first, last)
+        if k == tampered:
+            beacon.respond(token, first, last=False)
+            first = False
         return beacon.respond(token, first, last)
 
     with pytest.raises(BeaconSignatureInvalid):
         relayed(forward)
 
 
-def test_swapped_responses_abort():
+@ENDS_AND_MIDDLE
+def test_swapped_responses_abort(tampered):
     # a genuine transcript for the tokens every call draws, replayed with two
-    # responses' timestamps in each other's place; each echo still matches
+    # neighbouring responses' timestamps in each other's place; each echo
+    # still matches
     beacon = in_dc_beacon()
     genuine = []
     relayed(recording(genuine), beacon)
-    a, b = genuine[MID], genuine[MID + 1]
+    i = min(tampered, DEFAULT_SAMPLES - 1)
+    a, b = genuine[i], genuine[i + 1]
     served = list(genuine)
-    served[MID] = replace(a, timestamp_ms=b.timestamp_ms)
-    served[MID + 1] = replace(b, timestamp_ms=a.timestamp_ms)
+    served[i] = replace(a, timestamp_ms=b.timestamp_ms)
+    served[i + 1] = replace(b, timestamp_ms=a.timestamp_ms)
     with pytest.raises(BeaconSignatureInvalid):
         relayed(lambda beacon, k, *request: served[k], beacon)
+
+
+def test_records_passed_off_as_one_long_echo_abort():
+    """Records of one width are what make a running digest bind: the relay
+    answers every request itself with made-up timestamps, then has the
+    beacon sign one response whose echo is the rest of the agent's
+    transcript.  Taken, it would be signed over the agent's very digest."""
+    records = []
+
+    def forward(beacon, k, token, first, last):
+        ts = 0.1 * k  # the first is 0, the beacon's own clock when it signs
+        records.append(struct.pack(">d", ts) + token)
+        if last:
+            signed = beacon.respond(b"".join(records)[8:], first=True, last=True)
+            return replace(signed, timestamp_ms=ts, echo=token)
+        return BeaconResponse(ts, token)
+
+    relay = Relay(in_dc_beacon(), forward)
+    relay.clock = VirtualClock()  # the agent's legs advance a clock of the relay's
+    with pytest.raises(BeaconError, match="refuses a 496-byte echo"):
+        measure_proximity(two_dc_net(), Rng(40), "agent", relay)
 
 
 def test_forged_timestamps_around_a_genuine_signed_last_response_abort():

@@ -359,6 +359,8 @@ def test_reboot_under_a_serving_agent_latches_rebooted(after_reboot):
         machines=d["machines"] + [{"id": "m0"}]), "duplicate"),
     (lambda d: d.update(poll={"period_ms": 0, "rounds": 1}), "positive"),
     (lambda d: d.update(poll={"rounds": 1, "targets": ["m1"]}), "no agent"),
+    (lambda d: d.update(network={"links": [], "adversary": {"added_delay_ms": -5}}),
+     "network adversary: added_delay_ms must not be negative, not -5"),
 ])
 def test_scenario_validation_errors(mutate, message):
     _assert_rejected(mutate, message)

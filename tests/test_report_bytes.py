@@ -69,6 +69,13 @@ RECORDS = {
     "modelcheck-obfuscated-2x3-d2": (
         _MODELCHECK + ["obfuscated", "--machines", "2", "--tpms", "3", "--depth", "2"], 0,
         "35837f32e051f148319c390ddb58f9f1cc67c924414fd342b7fc789fd894aeb3"),
+    "modelcheck-obfuscated-1x8": (
+        _MODELCHECK + ["obfuscated", "--machines", "1", "--tpms", "8"], 0,
+        "e6881f38569d04a08014c1b1738c7748741b466bfa5e2f339b1260fb9ae667b8"),
+    "modelcheck-obfuscated-3x3": (
+        _MODELCHECK + ["obfuscated", "--machines", "3", "--tpms", "3",
+                       "--max-states", "500000"], 0,
+        "4ea137fa865bffa1b6984b81b2b74d99222964639af354c21e9b8b218cb94638"),
 }
 
 

@@ -26,11 +26,13 @@ can be demonstrated end to end.
 
 The :class:`Agent` wraps both phases plus the serving loop: policy
 deployment/evaluation with compromise latching, and a small HTTP-shaped
-facade (:class:`AgentApi`).  Each verdict refreshes the platform under its
-round nonce: a fresh quote checked for c2-c4 by the same function that
-establishes trust, so the runtime and the establishment decision cannot
-drift apart.  The agent alone verifies quotes; the policy evaluator gets
-the certified PCR values and whether this round's quote failed (``stale``).
+facade (:class:`AgentApi`).  Every round goes over the driver's current
+route, so a relay swapped in under a serving agent meets the next one.
+Each verdict refreshes the platform under its round nonce: a fresh quote
+checked for c2-c4 by the same function that establishes trust, so the
+runtime and the establishment decision cannot drift apart.  The agent
+alone verifies quotes; the policy evaluator gets the certified PCR values
+and whether this round's quote failed (``stale``).
 
 Runtime work is differential at both ends.  Each refresh folds only the
 new suffix of the measurement log (:func:`ima.read_new_events`), and each
@@ -396,9 +398,8 @@ class PolicyState:
 
 @dataclass
 class Session:
-    """The runtime state one trusted establishment opens."""
+    """The runtime state one trusted establishment opens; rounds use ``Agent.channel``."""
 
-    channel: object               # the channel trust was established over
     config: SealedConfig
     power_cycle: int              # the attached TPM's reboot counter at opening
     pcr_values: Dict[int, bytes]  # the last certified values
@@ -416,6 +417,7 @@ class Agent:
     pipeline calls :meth:`initialization_hook`; once the OS is up,
     :meth:`enter_runtime` re-establishes trust and the controller drives
     the :class:`AgentApi` endpoints; each verdict calls :meth:`refresh`.
+    Every round goes over ``channel``, the driver's route at that round.
     Each trusted establishment opens one :class:`Session`, and the agent
     serves while it is open.  Entering runtime ends the running session
     first and refuses a machine not at OS runtime; a session latches
@@ -475,8 +477,7 @@ class Agent:
             logger.info("trust establishment failed on %s: %s (%s)",
                         self.machine.machine_id, report.failed_condition, report.detail)
             return report
-        session = self._session = Session(self.channel, report.config,
-                                          self.machine.tpm.reboot_counter,
+        session = self._session = Session(report.config, self.machine.tpm.reboot_counter,
                                           dict(report.pcr_values))
         self._fold_log(session, report.pcr_values[IMA_PCR])
         return report
@@ -534,9 +535,7 @@ class Agent:
         config = session.config
         selection = _selection(config.originals, config.dynamics)
         try:
-            quote, values, ok = _checked_quote(
-                session.channel, config.aik_pub, nonce, selection
-            )
+            quote, values, ok = _checked_quote(self.channel, config.aik_pub, nonce, selection)
         except TpmError as exc:
             logger.warning("tpm unreachable on %s: %s", self.machine.machine_id, exc)
             session.stale = True

@@ -147,6 +147,8 @@ def validate(doc) -> None:
         if not isinstance(action, str) or action not in STEPS:
             raise ScenarioError(f"{where}: unknown action {action!r}")
         check_shape(step, STEPS[action], where, ScenarioError)
+        if step["at"] < 0:  # the clock runs forwards from 0
+            raise ScenarioError(f"{where}: at must not be negative, not {step['at']}")
 
 
 # --------------------------------------------------------------------------
@@ -265,8 +267,12 @@ class Fleet:
         self.net = _build_network(doc["network"], machine_specs) if "network" in doc else None
 
         self.beacons: Dict[str, BeaconService] = {}
+        taken = {CONTROLLER_ENDPOINT, *(f"agent-{m['id']}" for m in machine_specs)}
         for b in doc.get("beacons", []):
             endpoint = b["endpoint"]
+            if endpoint in taken:  # placing it would move what already sits there
+                raise ScenarioError(f"beacon endpoint {endpoint!r} is already in use")
+            taken.add(endpoint)
             pair = generate_keypair(rng.child(f"beacon-{endpoint}"))
             cert = issue_certificate(platform_ca, pair.public, "beacon")
             self.beacons[endpoint] = BeaconService(endpoint, pair, cert, VirtualClock())
@@ -327,6 +333,7 @@ class Fleet:
             raise ScenarioError(f"unknown image {name!r}")
 
     def agent(self, machine_id) -> Agent:
+        self.machine(machine_id)  # an unknown id is not an agentless machine
         try:
             return self.agents[machine_id]
         except KeyError:
@@ -393,11 +400,12 @@ class Fleet:
     def act_verify(self, step: dict) -> None:
         mid = step["machine"]
         name = step["policy"]
+        api = self.api(mid)
         policy_id = self.deployed.get((mid, name))
         if policy_id is None:
             raise ScenarioError(f"policy {name!r} was never deployed to {mid}")
         nonce = self.verify_rng.bytes(NONCE_LEN)
-        resp = self.api(mid).handle("GET", f"/policy/{policy_id}?nonce={nonce.hex()}")
+        resp = api.handle("GET", f"/policy/{policy_id}?nonce={nonce.hex()}")
         self.note(mid, "verify",
                   {"policy": name, "status": resp.status, "verdict": resp.body})
 
@@ -424,7 +432,9 @@ class Fleet:
     def act_relay(self, step: dict) -> None:
         """Hijack a machine's TPM driver: route its traffic to another host.
 
-        ``target: null`` hands the driver back (the attached chip again).
+        The agent's next round goes over the new route, before trust or
+        after it; ``target: null`` hands the driver back (the attached chip
+        again) and clears no latch.
         """
         mid = step["machine"]
         agent = self.agent(mid)

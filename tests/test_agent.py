@@ -487,11 +487,9 @@ def _halt(machine):
     raise InitHookFailure("halted by test")
 
 
-def _run_case(init_route, runtime_route, obfuscate=True, kernel=None):
-    """Drive init+establish on a victim booting ``kernel`` with the given
-    channel routes; returns (outcome, runtime quotes, attached_machine).
-    The outcome is ``halted-at-init``, ``tpm-unreachable``, ``trusted`` or
-    the failed condition."""
+def _routed_world():
+    """A victim m and its channel routes: ``direct`` to its own chip, or a
+    relay to a golden, a tampered or a halted host."""
     w = World(n_machines=4)
     m, golden_host, tampered_host, halted_host = w.machines
     w.boot(golden_host)
@@ -503,6 +501,15 @@ def _run_case(init_route, runtime_route, obfuscate=True, kernel=None):
                             ("relay-tampered", tampered_host),
                             ("relay-halted", halted_host)]
     }}
+    return w, m, channels
+
+
+def _run_case(init_route, runtime_route, obfuscate=True, kernel=None):
+    """Drive init+establish on a victim booting ``kernel`` with the given
+    channel routes; returns (outcome, runtime quotes, attached_machine).
+    The outcome is ``halted-at-init``, ``tpm-unreachable``, ``trusted`` or
+    the failed condition."""
+    w, m, channels = _routed_world()
     agent = w.agent_for(m, obfuscate=obfuscate, channel=channels[init_route])
     out = w.boot(m, init_hook=agent.initialization_hook, kernel=kernel)
     if out.halted:
@@ -528,6 +535,38 @@ def test_cuckoo_soundness_grid(init_route, runtime_route):
     if trusted:
         assert quotes[-1].aik_pub in m.tpm.aiks
     assert trusted == (init_route == "direct" and runtime_route == "direct")
+
+
+@pytest.mark.parametrize("serving_route", ROUTES)
+def test_serving_route_grid(serving_route):
+    """After a trusted direct establishment, the driver of the serving agent
+    switches route: the next verdict quotes over that route, so a relay
+    that answers fails the key binding and latches, and one that does not
+    answer leaves the round stale until the driver is handed back."""
+    w, m, channels = _routed_world()
+    agent = w.agent_for(m)
+    w.boot(m, init_hook=agent.initialization_hook)
+    assert agent.enter_runtime().trusted
+    pid = agent.deploy_policy(golden_policy(w))
+    agent.channel = channels[serving_route]
+    quotes = record_quotes(agent)
+    if serving_route in ("relay-golden", "relay-tampered"):
+        with pytest.raises(UntrustedPlatform, match="pcr-changed"):
+            agent.verify_policy(pid, Rng(104).bytes(32))
+        assert quotes[-1].aik_pub not in m.tpm.aiks
+        assert agent.compromised == "pcr-changed"
+        return
+    verdict = agent.verify_policy(pid, Rng(104).bytes(32))
+    if serving_route == "relay-halted":
+        assert verdict["violations"] == [
+            {"kind": "stale-quote", "detail": "quote does not bind the round nonce"}]
+        assert agent.health()["status"] == "stale"
+        agent.channel = channels["direct"]
+        quotes = record_quotes(agent)
+        verdict = agent.verify_policy(pid, Rng(105).bytes(32))
+    assert verdict["compliant"] is True
+    assert quotes[-1].aik_pub in m.tpm.aiks
+    assert agent.health()["status"] == "ok"
 
 
 # a rootkit victim over every (init route, runtime route): the plain scheme
@@ -607,7 +646,7 @@ def serving_agent(w=None, **kw):
 
 def test_deploy_and_verify_compliant_policy():
     w, m, agent = serving_agent()
-    tap = agent._session.channel = FlakyChannel(agent._session.channel)
+    tap = agent.channel = FlakyChannel(agent.channel)
     api = AgentApi(agent)
     resp = api.handle("POST", "/policy", golden_policy(w))
     assert resp.status == 200
@@ -865,7 +904,7 @@ def test_runtime_relay_swap_under_running_agent_is_locked_out():
     w.boot(m, init_hook=agent.initialization_hook)
     assert agent.enter_runtime().trusted
     w.boot(oracle)
-    tap = agent._session.channel = FlakyChannel(
+    tap = agent.channel = FlakyChannel(
         RelayTpmChannel(oracle, w.golden_dynamics, w.rng.child("adv")))
     with pytest.raises(UntrustedPlatform):
         agent.refresh(Rng(102).bytes(32))
@@ -876,7 +915,7 @@ def test_runtime_relay_swap_under_running_agent_is_locked_out():
 def _stale_round_then_recovery(fault):
     w, m, agent = serving_agent()
     pid = agent.deploy_policy(golden_policy(w))
-    flaky = agent._session.channel = FlakyChannel(agent._session.channel)
+    flaky = agent.channel = FlakyChannel(agent.channel)
     flaky.fault = fault
     verdict = agent.verify_policy(pid, Rng(60).bytes(32))
     assert verdict["compliant"] is False

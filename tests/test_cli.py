@@ -354,6 +354,20 @@ def test_deploy_policy_unknown_name_exits_three(capsys):
                  "--policy", "ghost"]) == 3
 
 
+@pytest.mark.parametrize("machine,message", [
+    ("mX", "unknown machine 'mX'"),
+    ("m1", "machine 'm1' has no agent"),
+])
+def test_deploy_policy_names_a_machine_it_cannot_reach(tmp_path, capsys, machine, message):
+    doc = yaml.safe_load(Path(honest()).read_text())
+    doc["machines"].append({"id": "m1"})
+    document = tmp_path / "fleet.yaml"
+    document.write_text(yaml.safe_dump(doc))
+    assert main(["deploy-policy", str(document), "--machine", machine,
+                 "--policy", "golden"]) == 3
+    assert capsys.readouterr().err == f"attestsim: error: {message}\n"
+
+
 def test_deploy_policy_needs_exactly_one_source():
     with pytest.raises(SystemExit) as exc:
         main(["deploy-policy", honest(), "--machine", "m0"])

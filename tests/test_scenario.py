@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 from attestsim import ima, scenario
+from attestsim.cli import main
 from attestsim.crypto import ZERO_DIGEST, Rng, generate_keypair, sha256
 from attestsim.policy import SoftwareList, parse_policy, render_policy
 from attestsim.scenario import Fleet, ScenarioError, execute_scenario, run_scenario
@@ -290,6 +291,37 @@ def test_failed_relay_reestablishment_ends_serving():
     assert [(a.kind, a.timestamp_ms) for a in result.alerts] == [("violation", 1000.0)]
 
 
+def test_relay_under_a_serving_agent_is_caught_at_its_next_round(tmp_path, capsys):
+    """A relay step means the same after trust as before it: the next round
+    quotes over the relay to golden m1, fails the key binding and latches
+    ``pcr-changed``, which handing the driver back does not clear."""
+    doc = _one_machine_doc()
+    doc["machines"].append({"id": "m1"})
+    doc["script"] = [
+        {"at": 0, "action": "boot", "machine": "m0"},
+        {"at": 5, "action": "boot", "machine": "m1"},
+        {"at": 10, "action": "establish", "machine": "m0"},
+        {"at": 20, "action": "deploy-policy", "machine": "m0", "policy": "golden"},
+        {"at": 30, "action": "relay", "machine": "m0", "target": "m1"},
+        {"at": 40, "action": "verify", "machine": "m0", "policy": "golden"},
+        {"at": 1500, "action": "relay", "machine": "m0", "target": None},
+        {"at": 1600, "action": "verify", "machine": "m0", "policy": "golden"},
+    ]
+    doc["poll"] = {"period_ms": 1000, "rounds": 3, "targets": ["m0"]}
+    result = run_doc(doc, seed=0)
+    verifies = [e for e in result.timelines["m0"] if e["event"] == "verify"]
+    assert [(e["status"], e["verdict"]) for e in verifies] == [
+        (403, {"error": "pcr-changed"})] * 2
+    assert [(a.kind, a.timestamp_ms) for a in result.alerts] == [("violation", 1000.0)]
+    assert result.verdicts["m0"]["trusted"] is True
+    assert result.verdicts["m0"]["compromised"] == "pcr-changed"
+
+    path = tmp_path / "relay-after-trust.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(path), "--seed", "0"]) == 2
+    capsys.readouterr()
+
+
 def test_failed_reboot_reestablishment_stops_health_reporting_ok():
     """After a reboot without the agent hook the second establishment fails
     c4; a controller polling health alone must see the agent stop serving."""
@@ -366,15 +398,44 @@ def test_scenario_validation_errors(mutate, message):
     _assert_rejected(mutate, message)
 
 
+def _on_unknown_machine(action, **fields):
+    step = {"at": 0, "action": action, "machine": "mX", **fields}
+    return pytest.param(
+        lambda d: d.update(policies={"g": "builtin:golden"}, script=[step]),
+        "unknown machine 'mX'", id=f"{action}-on-unknown-machine")
+
+
 @pytest.mark.parametrize("mutate,message", [
     pytest.param(lambda d: d["script"].append({"at": 99}), "unknown action",
                  id="step-without-action"),
     pytest.param(lambda d: d.update(policies={"g": "builtin:golden"}, script=[
         {"at": 0, "action": "deploy-policy", "machine": "m1", "policy": "g"}]),
         "no agent", id="deploy-policy-without-agent"),
+    pytest.param(lambda d: d["script"].append({"at": -10, "action": "boot", "machine": "m1"}),
+                 r"scenario.script\[1\]: at must not be negative, not -10", id="negative-at"),
+    _on_unknown_machine("establish"),
+    _on_unknown_machine("deploy-policy", policy="g"),
+    _on_unknown_machine("verify", policy="g"),
+    _on_unknown_machine("relay", target="m1"),
+    pytest.param(lambda d: d.update(poll={"rounds": 1, "targets": ["mX"]}),
+                 "unknown machine 'mX'", id="poll-target-unknown-machine"),
 ])
 def test_scenario_step_validation_errors(mutate, message):
     _assert_rejected(mutate, message)
+
+
+@pytest.mark.parametrize("endpoint", [
+    pytest.param("beacon-1", id="repeated"),
+    pytest.param("controller", id="controller"),
+    pytest.param("agent-m0", id="agent-endpoint"),
+    pytest.param("agent-m1", id="agentless-machine-endpoint"),
+])
+def test_beacon_endpoint_already_in_use_is_refused(endpoint):
+    """Placing a beacon where another endpoint sits would silently move that
+    endpoint, a machine's agent to another data centre for one."""
+    beacons = [{"endpoint": "beacon-1", "dc": "dc1"}, {"endpoint": endpoint, "dc": "dc2"}]
+    _assert_rejected(lambda d: d.update(network={"links": []}, beacons=beacons),
+                     f"beacon endpoint '{endpoint}' is already in use")
 
 
 @pytest.mark.parametrize("step,message", [

@@ -15,6 +15,7 @@ import pytest
 from attestsim.cli import main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _scenario(name):
@@ -40,6 +41,10 @@ RECORDS = {
     "run-wrong-machine-unseal": (
         ["run", _scenario("wrong-machine-unseal"), "--seed", "1", "--format", "json"], 2,
         "614831474befc8f30d13520587e925ee0c2cf4774aedbea83eba6279632f29cd"),
+    # the one record that deploys a policy document to more than one machine
+    "run-shared-policy": (
+        ["run", str(DATA / "shared-policy.yaml"), "--seed", "1", "--format", "json"], 2,
+        "ec444366512a09ca079713c25c335667f021c950b4af7a770f83ceced0ad1b71"),
     "poll-honest": (
         ["poll", _scenario("honest"), "--rounds", "3"], 0,
         "586dfbfaba4752e234991a9bcfdf65a8a7907408c9aad2a58f791fcce208546f"),

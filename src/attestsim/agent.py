@@ -57,7 +57,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from . import ima
@@ -433,6 +433,7 @@ class Agent:
         golden_dynamics: Dict[int, bytes],
         static_whitelist: Sequence[int] = (0,),
         obfuscate: bool = True,
+        parsed_policies: Optional[Dict[Union[str, bytes], Policy]] = None,
     ):
         self.machine = machine
         self.binary = binary
@@ -443,6 +444,8 @@ class Agent:
         self.obfuscate = obfuscate
         self.channel = machine.tpm  # the driver's route: the attached chip, or a relay
         self.policies: Dict[str, Policy] = {}  # deployed policies by hex id
+        # parsed policies by exact document: a fleet's, shared, or this agent's own
+        self.parsed_policies = {} if parsed_policies is None else parsed_policies
         self.network: Optional[NetworkAttachment] = None
         self._session: Optional[Session] = None
 
@@ -557,10 +560,17 @@ class Agent:
 
     # -- policies ----------------------------------------------------------
 
-    def deploy_policy(self, document: str) -> str:
-        """Parse and store a policy; returns its id."""
+    def deploy_policy(self, document: Union[str, bytes]) -> str:
+        """Store a policy under a fresh id and return the id.
+
+        A document this agent's store (a fleet's, shared by its agents) has
+        already parsed is not parsed again; one that fails to parse is not
+        stored, so every agent refuses it with the same message.
+        """
         self._platform_session()
-        policy = parse_policy(document)
+        policy = self.parsed_policies.get(document)
+        if policy is None:
+            policy = self.parsed_policies[document] = parse_policy(document)
         policy_id = self.rng.bytes(POLICY_ID_LEN).hex()
         self.policies[policy_id] = policy
         logger.info("policy %s deployed to %s", policy_id, self.machine.machine_id)

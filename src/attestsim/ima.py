@@ -85,13 +85,13 @@ def template_hash(template_name: str, file_hash: bytes, path: str,
 
 
 # canonical lowercase only: bytes.fromhex also accepts uppercase and
-# whitespace, which would let two distinct byte streams decode to the same
-# digest
-_lowercase_hex = re.compile("[0-9a-f]+").fullmatch
+# whitespace, which would let two distinct spellings (log lines, policy
+# whitelist entries) decode to the same digest
+lowercase_hex = re.compile("[0-9a-f]+").fullmatch
 
 
 def _strict_hex(field: str) -> bytes:
-    if _lowercase_hex(field) is None:
+    if lowercase_hex(field) is None:
         raise ImaFormatError("hash fields must be lowercase hex")
     if len(field) % 2:
         # the only way lowercase hex digits fail bytes.fromhex

@@ -49,7 +49,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 import yaml
 
 from .crypto import Certificate, certificate_valid, verify
-from .ima import ImaEvent
+from .ima import ImaEvent, lowercase_hex
 from .schema import Required, check_shape, read_yaml
 from .tpm import DYNAMIC_PCRS, STATIC_PCRS
 from .trust import BASELINE, OBFUSCATED, disagreeing, static_split
@@ -137,6 +137,12 @@ class LocationRule:
 
 @dataclass(frozen=True)
 class Policy:
+    """One parsed policy document.
+
+    A fleet's agents share one ``Policy`` per distinct document they are
+    sent, so a parsed policy is never mutated, its banks included.
+    """
+
     tpm_ca_chain: Tuple[bytes, ...]
     statics: Dict[int, bytes]   # whitelisted static pcr -> golden digest
     dynamics: Dict[int, bytes]  # whitelisted dynamic pcr -> golden digest
@@ -151,7 +157,8 @@ class Policy:
 
     @cached_property
     def whitelisted_hashes(self) -> FrozenSet[bytes]:
-        """Every software whitelist hash, built once per policy."""
+        """Every software whitelist hash, built once per parsed policy: in
+        a fleet, once per document rather than once per agent."""
         return frozenset(h for lst in self.software for h, _ in lst.hashes)
 
 
@@ -184,14 +191,13 @@ class PolicyVerdict:
 
 
 def _digest(text: str, where: str) -> bytes:
-    """A sha256 digest written as 64 hex digits."""
-    try:
-        digest = bytes.fromhex(text)
-    except ValueError:
-        raise PolicyParseError(f"{where}: {text!r} is not hex") from None
-    if len(digest) != 32:
-        raise PolicyParseError(f"{where}: a sha256 digest is 32 bytes")
-    return digest
+    """A sha256 digest written as exactly 64 lowercase hex digits, its one
+    spelling, so that a whitelist cannot list one digest twice."""
+    if lowercase_hex(text) is None:
+        raise PolicyParseError(f"{where}: {text!r} is not lowercase hex")
+    if len(text) != 64:
+        raise PolicyParseError(f"{where}: a sha256 digest is 64 hex digits")
+    return bytes.fromhex(text)
 
 
 def parse_policy(text) -> Policy:

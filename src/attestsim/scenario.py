@@ -55,7 +55,7 @@ reports reproducible.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 import yaml
 
@@ -229,8 +229,9 @@ class Fleet:
     last establishment).  ``controller`` polls the poll block's targets
     (every agent when none are named) at their ``agent-<id>`` endpoints,
     each under the policy last deployed to it, for the scenario's poll
-    block and ``attestsim poll`` alike.  Every random draw comes from a
-    labelled child of ``rng``.
+    block and ``attestsim poll`` alike.  Every agent shares the fleet's
+    ``parsed_policies``, so a document deployed to many machines is parsed
+    once.  Every random draw comes from a labelled child of ``rng``.
     """
 
     def __init__(self, doc: dict, seed: int = 0):
@@ -281,6 +282,7 @@ class Fleet:
 
         self.machines: Dict[str, Machine] = {}
         self.agents: Dict[str, Agent] = {}
+        self.parsed_policies: Dict[Union[str, bytes], Policy] = {}
         self.apis: Dict[str, AgentApi] = {}
         for spec in machine_specs:
             mid = spec["id"]
@@ -298,6 +300,7 @@ class Fleet:
                     self.golden_dynamics,
                     static_whitelist=tuple(spec["agent"].get("static_whitelist", [0])),
                     obfuscate=spec["agent"].get("obfuscate", True),
+                    parsed_policies=self.parsed_policies,
                 )
                 if self.net is not None:
                     agent.attach_network(self.net, self.beacons, f"agent-{mid}")

@@ -101,6 +101,8 @@ def test_unknown_fields_rejected():
     (lambda d: d["location"].__setitem__(0, {**d["location"][0], "max_latency": 0}), "positive"),
     (lambda d: d["location"].__setitem__(0, {**d["location"][0], "max_latency": -3}), "positive"),
     (lambda d: d["whitelist"]["pcrs"].__setitem__(0, {"id": 0, "sha256": "xyz"}), "hex"),
+    (lambda d: d["whitelist"]["pcrs"].__setitem__(0, {"id": 0, "sha256": "00" * 33}),
+     "64 hex digits"),
     (lambda d: d.pop("chain"), "chain"),
 ])
 def test_invariant_violations_are_named(mutator, needle):
@@ -216,9 +218,42 @@ def test_pure_python_composer_refuses_deep_indentation(monkeypatch):
         parse_policy(document)
 
 
+def _two_spellings_text():
+    """The fixture with one extra whitelist entry: the approved tool's
+    digest again, spelled in uppercase."""
+    digest = sha256(b"approved-tool").hex()
+    entry = f"        {digest}: /usr/bin/approved\n"
+    again = f"        {digest.upper()}: /usr/bin/again\n"
+    return fixture_policy_text().replace(entry, entry + again)
+
+
 def test_render_parse_roundtrip():
+    """Whatever parses renders back to the same policy.  A digest spelled
+    two ways would parse into two whitelist entries that render as one, so
+    such a document must not parse at all."""
     p = parse_policy(fixture_policy_text())
     assert parse_policy(render_policy(p)) == p
+    try:
+        p = parse_policy(_two_spellings_text())
+    except PolicyParseError:
+        return
+    assert parse_policy(render_policy(p)) == p
+
+
+@pytest.mark.parametrize("spell", [str.upper, lambda h: h[:32] + " " + h[32:]],
+                         ids=["uppercase", "whitespace"])
+@pytest.mark.parametrize("where", ["pcr", "whitelist-key"])
+def test_digests_are_exactly_64_lowercase_hex_digits(spell, where):
+    digest = sha256(b"approved-tool").hex()
+    if where == "pcr":
+        text = fixture_policy_text().replace(GOLDEN[0].hex(), spell(GOLDEN[0].hex()))
+        needle = r"whitelist\.pcrs\[0\]\.sha256: .* is not lowercase hex"
+    else:
+        text = fixture_policy_text().replace(digest, spell(digest))
+        needle = r"runtime\.software\[0\]\.whitelist: .* is not lowercase hex"
+    assert text != fixture_policy_text()
+    with pytest.raises(PolicyParseError, match=needle):
+        parse_policy(text)
 
 
 # --------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from attestsim import agent as agent_module
 from attestsim import ima, scenario
 from attestsim.cli import main
 from attestsim.crypto import ZERO_DIGEST, Rng, generate_keypair, sha256
@@ -211,6 +212,52 @@ def test_the_poll_follows_the_newest_deployment():
     fleet.machines["m0"].tpm.pcr_extend(0, sha256(b"drift"))  # the next poll alerts
     (alert,) = ctl.poll_round(Rng(5))
     assert alert.policy_id == deployed[-1]["policy_id"]
+
+
+def test_a_fleet_parses_each_document_once(monkeypatch):
+    """Every agent of a fleet looks a document up in the fleet's store before
+    parsing it: one parse per distinct document and one shared Policy behind
+    every id, while a document that fails to parse is never stored and is
+    refused alike by each agent that receives it."""
+    parses = []
+    real_parse = agent_module.parse_policy
+
+    def counting_parse(document):
+        parses.append(document)
+        return real_parse(document)
+
+    monkeypatch.setattr(agent_module, "parse_policy", counting_parse)
+    fleet = Fleet({"machines": [{"id": mid, "agent": {}} for mid in ("m0", "m1", "m2")],
+                   "policies": {"golden": "builtin:golden"}}, seed=4)
+    golden = fleet.policies["golden"]
+
+    def deploy(mid, document):
+        return fleet.api(mid).handle("POST", "/policy", document)
+
+    # the serving check comes first: no parse for an agent that is not serving
+    assert deploy("m0", golden).status == 403
+    assert parses == []
+    for index, mid in enumerate(fleet.agents):
+        fleet.run(index, {"at": 0, "action": "boot", "machine": mid})
+        fleet.run(index, {"at": 0, "action": "establish", "machine": mid})
+
+    ids = {mid: deploy(mid, golden).body["policy_id"] for mid in fleet.agents}
+    assert len(parses) == 1 and len(set(ids.values())) == 3
+    shared = fleet.agents["m0"].policies[ids["m0"]]
+    assert all(fleet.agents[mid].policies[ids[mid]] is shared for mid in fleet.agents)
+
+    second = render_policy(replace(shared, software=(
+        SoftwareList("tools", ((sha256(b"tool"), "/opt/tool"),)),)))
+    assert deploy("m1", second).status == 200 and deploy("m2", second).status == 200
+    assert len(parses) == 2
+    assert fleet.agents["m1"].policies[deploy("m1", second).body["policy_id"]] \
+        is fleet.parsed_policies[second]
+
+    refusals = [deploy(mid, "whitelist: [") for mid in ("m0", "m2")]
+    assert [r.status for r in refusals] == [400, 400]
+    assert refusals[0].body == refusals[1].body
+    assert list(fleet.parsed_policies) == [golden, second]
+    assert deploy("m0", golden).status == 200 and len(parses) == 4
 
 
 def test_copy_disk_gives_the_target_its_own_log():

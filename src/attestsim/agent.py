@@ -2,10 +2,11 @@
 
 Phase 1 (``agent_init``) runs from the initramfs hook on first boot: it
 mints an attestation key, proves key/EK co-residence via credential
-activation, quotes the platform, obfuscates the whitelisted static PCRs by
-extending each with a random value that is then discarded, re-quotes, and
+activation, quotes the platform, obfuscates static PCR 0 (the register the
+firmware measurement lands in, and the model's one static register) by
+extending it with a random value that is then discarded, re-quotes, and
 seals the whole baseline to the enclave sealing key.  After the extend the
-unobfuscated static values exist nowhere outside the sealed blob.
+unobfuscated static value exists nowhere outside the sealed blob.
 
 Phase 2 (``establish_trust``) runs when the runtime agent starts and
 re-derives trust from four checks, reported in order of first failure:
@@ -17,10 +18,10 @@ re-derives trust from four checks, reported in order of first failure:
 * ``c4-reboot-counter``    the TPM has not rebooted since initialization
 
 A quote relayed from another machine fails c3 in the obfuscated variant:
-the foreign TPM can show golden static values but not the obfuscated ones,
+the foreign TPM can show the golden static value but not the obfuscated one,
 and replaying the extend is impossible because the random mask was never
 stored.  With ``obfuscate=False`` initialization seals the raw static
-values as the obfuscated ones, so c3 compares raw values, which a relay
+value as the obfuscated one, so c3 compares the raw value, which a relay
 to a well-booted host satisfies — that variant exists so the regression
 can be demonstrated end to end.
 
@@ -57,7 +58,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from . import ima
@@ -89,7 +90,6 @@ from .tpm import (
     DYNAMIC_PCRS,
     IMA_PCR,
     NONCE_LEN,
-    STATIC_PCRS,
     ActivationError,
     Quote,
     TpmError,
@@ -103,6 +103,9 @@ logger = logging.getLogger(__name__)
 
 CONFIG_DISK_KEY = "agent/config.sealed"
 POLICY_ID_LEN = 16  # random bytes per deployed policy id
+MASKED_PCR = 0  # the static register the firmware measurement lands in
+# every quote: the masked static, the measurement-log register, the dynamic bank
+SELECTION = (MASKED_PCR, IMA_PCR, *DYNAMIC_PCRS)
 
 CONDITION_UNSEAL = "c1-unseal"
 CONDITION_DYNAMIC = "c2-dynamic-pcr"
@@ -167,29 +170,23 @@ class SealedConfig:
         )
 
 
-def _checked_quote(channel, aik_pub: bytes, nonce: bytes, selection: Sequence[int]):
-    """Quote plus PCR read-back, verified for internal consistency.
+def _checked_quote(channel, aik_pub: bytes, nonce: bytes):
+    """Quote of :data:`SELECTION` plus PCR read-back, verified for internal
+    consistency.
 
     The signature is checked under the key *inside* the quote; whether that
     key is the expected one is a trust-condition question, not a transport
     one, so a relayed quote passes here and fails c3 later.
     """
-    quote = channel.quote(aik_pub, nonce, selection)
-    values = {i: channel.read_pcr(i) for i in selection}
+    quote = channel.quote(aik_pub, nonce, SELECTION)
+    values = {i: channel.read_pcr(i) for i in SELECTION}
     consistent = (
         quote.nonce == nonce
-        and quote.selection == tuple(selection)
-        and quote.pcr_digest == composite_digest([values[i] for i in selection])
+        and quote.selection == SELECTION
+        and quote.pcr_digest == composite_digest([values[i] for i in SELECTION])
         and quote.verify_signature()
     )
     return quote, values, consistent
-
-
-def _selection(static_indices, dynamic_indices) -> Tuple[int, ...]:
-    """Canonical quote selection: whitelisted statics, the measurement-log
-    register, then the dynamic bank."""
-    statics = sorted(set(static_indices) | {IMA_PCR})
-    return tuple(statics) + tuple(sorted(dynamic_indices))
 
 
 # --------------------------------------------------------------------------
@@ -201,7 +198,6 @@ def agent_init(
     ctx: EnclaveContext,
     channel,
     rng: Rng,
-    static_whitelist: Sequence[int],
     obfuscate: bool = True,
 ) -> SealedConfig:
     """First-boot initialization inside the init enclave.
@@ -213,15 +209,6 @@ def agent_init(
     """
     if ctx.phase != "init":
         raise ValueError("initialization must run in the init-phase enclave")
-    whitelist = sorted(set(int(i) for i in static_whitelist))
-    if IMA_PCR in whitelist:
-        raise ValueError(
-            f"pcr {IMA_PCR} aggregates the measurement log and cannot be"
-            " obfuscated, or the log could never be re-verified"
-        )
-    for idx in whitelist:
-        if idx not in STATIC_PCRS:
-            raise ValueError(f"obfuscation whitelist accepts static pcrs only, got {idx}")
 
     aik_pub = channel.create_aik(rng)
     secret = rng.bytes(32)
@@ -234,26 +221,23 @@ def agent_init(
     if recovered != secret:
         raise InitFailure("activation-failed", "activation returned a different secret")
 
-    selection = _selection(whitelist, DYNAMIC_PCRS)
     nonce0 = rng.bytes(NONCE_LEN)
-    quote0, values0, ok = _checked_quote(channel, aik_pub, nonce0, selection)
+    quote0, values0, ok = _checked_quote(channel, aik_pub, nonce0)
     if not ok:
         raise InitFailure("quote-invalid", "baseline quote failed verification")
 
-    originals = {i: values0[i] for i in whitelist}
+    originals = {MASKED_PCR: values0[MASKED_PCR]}
     if obfuscate:
         mask = bytearray(rng.bytes(32))
-        for idx in whitelist:
-            channel.pcr_extend(idx, bytes(mask))
+        channel.pcr_extend(MASKED_PCR, bytes(mask))
         nonce1 = rng.bytes(NONCE_LEN)
-        _, values1, ok = _checked_quote(channel, aik_pub, nonce1, selection)
+        _, values1, ok = _checked_quote(channel, aik_pub, nonce1)
         if not ok:
             raise InitFailure("quote-invalid", "post-obfuscation quote failed verification")
-        expected = {i: extend_digest(originals[i], bytes(mask)) for i in whitelist}
-        missed = disagreeing(whitelist, expected, values1)
-        if missed:
+        expected = {MASKED_PCR: extend_digest(originals[MASKED_PCR], bytes(mask))}
+        if disagreeing((MASKED_PCR,), expected, values1):
             raise InitFailure(
-                "obfuscation-mismatch", f"pcr {missed[0]} did not take the obfuscation extend"
+                "obfuscation-mismatch", f"pcr {MASKED_PCR} did not take the obfuscation extend"
             )
         moved = disagreeing(DYNAMIC_PCRS, values0, values1)
         if moved:
@@ -262,7 +246,7 @@ def agent_init(
             )
         for i in range(len(mask)):  # discard the mask for good
             mask[i] = 0
-        obfuscated = {i: values1[i] for i in whitelist}
+        obfuscated = {MASKED_PCR: values1[MASKED_PCR]}
     else:
         obfuscated = dict(originals)
 
@@ -275,11 +259,8 @@ def agent_init(
         dynamics={i: values0[i] for i in DYNAMIC_PCRS},
     )
     ctx.machine.disk[CONFIG_DISK_KEY] = seal(config.to_bytes(), ctx.seal_key())
-    logger.info(
-        "agent initialized on %s (%s statics obfuscated)",
-        ctx.machine.machine_id,
-        len(whitelist) if obfuscate else "no",
-    )
+    logger.info("agent initialized on %s (pcr %d %s)", ctx.machine.machine_id,
+                MASKED_PCR, "obfuscated" if obfuscate else "left plain")
     return config
 
 
@@ -353,10 +334,9 @@ def establish_trust(
     except (UnsealError, ValueError, KeyError) as exc:
         return TrustReport(False, CONDITION_UNSEAL, f"sealed baseline rejected: {exc}")
 
-    selection = _selection(config.originals, config.dynamics)
     nonce = rng.bytes(NONCE_LEN)
     try:
-        quote, values, ok = _checked_quote(channel, config.aik_pub, nonce, selection)
+        quote, values, ok = _checked_quote(channel, config.aik_pub, nonce)
     except TpmError as exc:
         return TrustReport(False, None, f"tpm unreachable: {exc}")
     if not ok:
@@ -431,7 +411,6 @@ class Agent:
         rng: Rng,
         golden_statics: Dict[int, bytes],
         golden_dynamics: Dict[int, bytes],
-        static_whitelist: Sequence[int] = (0,),
         obfuscate: bool = True,
         parsed_policies: Optional[Dict[Union[str, bytes], Policy]] = None,
     ):
@@ -440,7 +419,6 @@ class Agent:
         self.rng = rng
         self.golden_statics = dict(golden_statics)
         self.golden_dynamics = dict(golden_dynamics)
-        self.static_whitelist = tuple(sorted(set(static_whitelist)))
         self.obfuscate = obfuscate
         self.channel = machine.tpm  # the driver's route: the attached chip, or a relay
         self.policies: Dict[str, Policy] = {}  # deployed policies by hex id
@@ -462,7 +440,7 @@ class Agent:
         """Initramfs hook: run phase 1, abort the boot if it fails."""
         ctx = run_enclave(machine, self.binary, "init")
         try:
-            agent_init(ctx, self.channel, self.rng, self.static_whitelist, self.obfuscate)
+            agent_init(ctx, self.channel, self.rng, self.obfuscate)
         except (InitFailure, TpmError) as exc:
             raise InitHookFailure(str(exc)) from exc
 
@@ -536,9 +514,8 @@ class Agent:
         """
         session = self._platform_session()
         config = session.config
-        selection = _selection(config.originals, config.dynamics)
         try:
-            quote, values, ok = _checked_quote(self.channel, config.aik_pub, nonce, selection)
+            quote, values, ok = _checked_quote(self.channel, config.aik_pub, nonce)
         except TpmError as exc:
             logger.warning("tpm unreachable on %s: %s", self.machine.machine_id, exc)
             session.stale = True

@@ -28,6 +28,7 @@ from .scenario import (
     load_scenario,
     run_scenario,
 )
+from .schema import MAX_DOCUMENT_CHARS
 from .tpm import NONCE_LEN
 
 EXIT_OK = 0
@@ -213,7 +214,7 @@ def cmd_deploy_policy(args) -> Tuple[int, dict, List[str]]:
     api = fleet.api(args.machine)
     if args.policy_file:
         with open(args.policy_file) as fh:  # main turns an OSError into exit 3
-            body = fh.read()
+            body = fh.read(MAX_DOCUMENT_CHARS + 1)  # enough for read_yaml to refuse it
     else:
         if args.policy not in fleet.policies:
             raise ScenarioError(f"scenario has no policy named {args.policy!r}")

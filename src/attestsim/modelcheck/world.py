@@ -34,7 +34,9 @@ semantics, reduced to what the trust property can observe:
   surface, or a prepared free chip).  The serving TPM becomes the bound
   TPM: later quotes name the minted key, and only that TPM's signatures
   verify, so q1 and the runtime quote are forced to the same chip.
-* **obf** extends the static register with a fresh random mask.  A
+* **obf** extends the static register with a fresh random mask.  The
+  simulator's agent masks the same single register, PCR 0
+  (``agent.MASKED_PCR``), unless it runs plain, the model's other variant.  A
   malicious driver sees the mask, which no adversary move uses, and
   chooses where the extend lands: the attached chip, the bound chip, or
   nowhere.  The bound chip takes the extend only if its host is serving

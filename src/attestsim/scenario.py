@@ -16,8 +16,7 @@ Schema (all durations in virtual milliseconds)::
       - id: m0
         dc: dc1                  # default dc1
         agent:                   # omit for agentless machines
-          obfuscate: true        # default true
-          static_whitelist: [0]  # default [0]
+          obfuscate: true        # default true: mask static pcr 0
       - id: m1                   # an agentless machine
     network:                     # optional; single-DC fleets can skip it
       links:
@@ -54,7 +53,9 @@ Every random draw flows from one seeded generator, which is what makes
 reports reproducible.
 """
 
+import heapq
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, List, Optional, Union
 
 import yaml
@@ -105,7 +106,7 @@ SCENARIO = {
     "name": str,
     "images": {str: str},
     "machines": [{Required("id"): str, "dc": str,
-                  "agent": {"obfuscate": bool, "static_whitelist": [int]}}],
+                  "agent": {"obfuscate": bool}}],
     "network": {
         "links": [{Required("between"): [str], "base_ms": _NUMBER, "jitter_ms": _NUMBER}],
         "adversary": {"added_delay_ms": _NUMBER, "can_drop": bool, "can_modify": bool,
@@ -149,6 +150,11 @@ def validate(doc) -> None:
         check_shape(step, STEPS[action], where, ScenarioError)
         if step["at"] < 0:  # the clock runs forwards from 0
             raise ScenarioError(f"{where}: at must not be negative, not {step['at']}")
+    if "modelcheck" in doc:  # refused before the script runs, not after
+        try:
+            check_config(doc["modelcheck"])
+        except ValueError as exc:
+            raise ScenarioError(f"scenario.modelcheck: {exc}") from None
 
 
 # --------------------------------------------------------------------------
@@ -298,7 +304,6 @@ class Fleet:
                     rng.child(f"agent-{mid}"),
                     self.golden_statics,
                     self.golden_dynamics,
-                    static_whitelist=tuple(spec["agent"].get("static_whitelist", [0])),
                     obfuscate=spec["agent"].get("obfuscate", True),
                     parsed_policies=self.parsed_policies,
                 )
@@ -494,20 +499,21 @@ def execute_scenario(doc: dict, seed: int = 0):
     the script ends."""
     fleet = Fleet(doc, seed)
     controller = fleet.controller
-    steps = [(float(step["at"]), 0, index, step)
-             for index, step in enumerate(doc.get("script", []))]
+    order = itemgetter(0, 1, 2)  # (at, tier, index): at equal times the script runs first
+    steps = sorted(((float(step["at"]), 0, index, step)
+                    for index, step in enumerate(doc.get("script", []))), key=order)
 
     poll_spec = doc.get("poll", {})
     poll_rng = fleet.rng.child("poll-nonces")
+    polls = ()
     if poll_spec:
         period = float(poll_spec.get("period_ms", 1000.0))
         rounds = poll_spec.get("rounds", 5)
         if period <= 0 or rounds < 0:
             raise ScenarioError("poll period must be positive, rounds >= 0")
-        steps.extend((period * k, 1, k, None) for k in range(1, rounds + 1))
+        polls = ((period * k, 1, k, None) for k in range(1, rounds + 1))
 
-    steps.sort(key=lambda s: s[:3])
-    for at, _tier, index, step in steps:
+    for at, _tier, index, step in heapq.merge(steps, polls, key=order):
         if at > fleet.clock.now_ms:
             fleet.clock.advance(at - fleet.clock.now_ms)
         if step is None:

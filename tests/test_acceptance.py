@@ -281,7 +281,7 @@ def test_criterion_7_policy_roundtrip_over_the_agent_api():
     doc = {
         "name": "policy-roundtrip",
         "machines": [{"id": "m0", "dc": "dc1",
-                      "agent": {"obfuscate": True, "static_whitelist": [0]}}],
+                      "agent": {"obfuscate": True}}],
         "script": [
             {"at": 0, "action": "boot", "machine": "m0"},
             {"at": 10, "action": "establish", "machine": "m0"},

@@ -91,14 +91,13 @@ class World:
             init_hook,
         )
 
-    def agent_for(self, m, seed=909, whitelist=(0,), obfuscate=True, channel=None):
+    def agent_for(self, m, seed=909, obfuscate=True, channel=None):
         agent = Agent(
             m,
             AGENT_BIN,
             Rng(seed),
             self.golden_statics,
             self.golden_dynamics,
-            static_whitelist=whitelist,
             obfuscate=obfuscate,
         )
         if channel is not None:
@@ -188,7 +187,7 @@ def test_init_obfuscates_whitelisted_static_and_seals_baseline():
 
     def hook(machine):
         ctx = run_enclave(machine, AGENT_BIN, "init")
-        captured["config"] = agent_init(ctx, machine.tpm, arng, (0,))
+        captured["config"] = agent_init(ctx, machine.tpm, arng)
 
     out = w.boot(m, init_hook=hook)
     assert not out.halted
@@ -216,7 +215,7 @@ def test_init_draws_exactly_five_values_when_obfuscating():
 
     def hook(machine):
         ctx = run_enclave(machine, AGENT_BIN, "init")
-        agent_init(ctx, machine.tpm, rng, (0, 3))
+        agent_init(ctx, machine.tpm, rng)
 
     w.boot(m, init_hook=hook)
     assert rng.draws == [32] * 5
@@ -230,9 +229,7 @@ def test_plain_init_draws_three_and_leaves_pcrs_alone():
 
     def hook(machine):
         ctx = run_enclave(machine, AGENT_BIN, "init")
-        captured["config"] = agent_init(
-            ctx, machine.tpm, rng, (0,), obfuscate=False
-        )
+        captured["config"] = agent_init(ctx, machine.tpm, rng, obfuscate=False)
 
     w.boot(m, init_hook=hook)
     assert rng.draws == [32] * 3
@@ -241,24 +238,13 @@ def test_plain_init_draws_three_and_leaves_pcrs_alone():
     assert m.tpm.read_pcr(0) == w.golden_statics[0]
 
 
-def test_init_rejects_log_register_and_dynamic_indices():
-    w = World()
-    (m,) = w.machines
-    w.boot(m)
-    ctx = run_enclave(m, AGENT_BIN, "init")
-    with pytest.raises(ValueError):
-        agent_init(ctx, m.tpm, Rng(1), (IMA_PCR,))
-    with pytest.raises(ValueError):
-        agent_init(ctx, m.tpm, Rng(1), (17,))
-
-
 def test_init_requires_init_phase_enclave():
     w = World()
     (m,) = w.machines
     w.boot(m)
     ctx = run_enclave(m, AGENT_BIN, "runtime")
     with pytest.raises(ValueError):
-        agent_init(ctx, m.tpm, Rng(1), (0,))
+        agent_init(ctx, m.tpm, Rng(1))
 
 
 def test_init_fails_activation_when_ek_certificate_is_foreign():
@@ -279,7 +265,7 @@ def test_init_fails_activation_when_ek_certificate_is_foreign():
 
     ctx = run_enclave(m, AGENT_BIN, "init")
     with pytest.raises(InitFailure) as err:
-        agent_init(ctx, ForeignEkChannel(m.tpm), Rng(1), (0,))
+        agent_init(ctx, ForeignEkChannel(m.tpm), Rng(1))
     assert err.value.reason == "activation-failed"
 
 
@@ -293,7 +279,7 @@ def test_init_via_relay_to_golden_host_hits_obfuscation_mismatch():
     relay = RelayTpmChannel(oracle, w.golden_dynamics, w.rng.child("adv"))
     ctx = run_enclave(victim, AGENT_BIN, "init")
     with pytest.raises(InitFailure) as err:
-        agent_init(ctx, relay, Rng(2), (0,))
+        agent_init(ctx, relay, Rng(2))
     assert err.value.reason == "obfuscation-mismatch"
 
 
@@ -305,34 +291,10 @@ def test_init_via_relay_to_tampered_host_seals_foreign_values():
     w.boot(victim)
     relay = RelayTpmChannel(host, w.golden_dynamics, w.rng.child("adv"))
     ctx = run_enclave(victim, AGENT_BIN, "init")
-    config = agent_init(ctx, relay, Rng(3), (0,))
+    config = agent_init(ctx, relay, Rng(3))
     assert config.dynamics[18] != w.golden_dynamics[18]
     assert config.dynamics[18] == host.tpm.read_pcr(18)
     assert config.aik_pub in host.tpm.aiks and config.aik_pub not in victim.tpm.aiks
-
-
-@settings(max_examples=15, deadline=None)
-@given(st.sets(st.sampled_from([i for i in range(16) if i != IMA_PCR]), min_size=1, max_size=4))
-def test_obfuscation_replay_matches_for_any_whitelist(whitelist):
-    w = World(seed=17)
-    (m,) = w.machines
-    captured = {}
-
-    def hook(machine):
-        ctx = run_enclave(machine, AGENT_BIN, "init")
-        captured["config"] = agent_init(
-            ctx, machine.tpm, Rng(404), sorted(whitelist)
-        )
-
-    w.boot(m, init_hook=hook)
-    replay = Rng(404)
-    for _ in range(3):
-        replay.bytes(32)
-    mask = replay.bytes(32)
-    config = captured["config"]
-    for idx in whitelist:
-        assert config.obfuscated[idx] == extend_digest(config.originals[idx], mask)
-        assert m.tpm.read_pcr(idx) == config.obfuscated[idx]
 
 
 # --------------------------------------------------------------------------
@@ -434,11 +396,11 @@ def test_c3_sealed_baseline_other_than_golden():
 
 
 def test_c4_reboot_without_reinitialization():
-    # dynamics-only whitelist: statics carry no obfuscation, so the reboot
-    # counter is the condition that catches the power cycle
+    # a plain agent masks no static, so the reboot counter is the
+    # condition that catches the power cycle
     w = World()
     (m,) = w.machines
-    agent = w.agent_for(m, whitelist=())
+    agent = w.agent_for(m, obfuscate=False)
     w.boot(m, init_hook=agent.initialization_hook)
     reboot_machine(m)
     w.boot(m)  # attacker reboots the golden stack without the agent hook
@@ -450,7 +412,7 @@ def test_c4_reboot_without_reinitialization():
 def test_reboot_with_obfuscated_statics_fails_c3_before_c4():
     w = World()
     (m,) = w.machines
-    agent = w.agent_for(m, whitelist=(0,))
+    agent = w.agent_for(m)
     w.boot(m, init_hook=agent.initialization_hook)
     reboot_machine(m)
     w.boot(m)
@@ -839,11 +801,11 @@ def test_unchanged_log_is_appraised_once_per_policy(monkeypatch):
     assert appraised[-1] == 5 and len(verifies) == 9
 
 
-@pytest.mark.parametrize("whitelist", [(), (0,)], ids=["plain-statics", "obfuscated-static"])
-def test_reboot_under_running_agent_is_locked_out(whitelist):
+@pytest.mark.parametrize("obfuscate", [False, True], ids=["plain-statics", "obfuscated-static"])
+def test_reboot_under_running_agent_is_locked_out(obfuscate):
     """A reboot latches ``rebooted`` even when it also wipes the obfuscated
     static, which on its own would latch ``pcr-changed``."""
-    w, m, agent = serving_agent(whitelist=whitelist)
+    w, m, agent = serving_agent(obfuscate=obfuscate)
     pid = agent.deploy_policy(golden_policy(w))
     reboot_machine(m)
     w.boot(m)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from attestsim import schema
 from attestsim.cli import main
+from attestsim.policy import parse_policy
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -123,7 +124,7 @@ def test_run_missing_file_exits_three(capsys):
     "machines: [{id: m0}]\nbeacons: [{dc: dc1}]\n",
     "machines: [{id: m0}]\nnetwork: {links: 5}\n",
     "machines: 5\n",
-    "machines: [{id: m0, agent: {static_whitelist: 5}}]\n",
+    "machines: [{id: m0, agent: {obfuscate: 5}}]\n",
     "machines: [{id: m0}]\nscript: 5\n",
     "machines: [{id: m0}]\nimages: [a]\n",
     "machines: [{id: m0}]\npolicies: [a]\n",
@@ -147,7 +148,7 @@ def test_run_missing_file_exits_three(capsys):
     "machines: [{id: m0}]\nscript: [{at: .inf, action: boot, machine: m0}]\n",
 ], ids=["step-without-machine", "unknown-image", "machine-without-id",
         "beacon-without-endpoint", "links-not-a-list", "machines-not-a-list",
-        "static-whitelist-not-a-list", "script-not-a-list", "images-not-a-mapping",
+        "obfuscate-an-integer", "script-not-a-list", "images-not-a-mapping",
         "policies-not-a-mapping", "poll-not-a-mapping",
         "modelcheck-machines-not-an-integer", "modelcheck-unknown-variant",
         "poll-rounds-not-an-integer", "poll-period-not-a-number",
@@ -169,6 +170,25 @@ def test_deploy_policy_wrong_type_exits_three_without_traceback(tmp_path):
     policy.write_text(golden + "runtime: {software: 5}\n")
     _assert_clean_error("deploy-policy", honest(), "--machine", "m0",
                         "--policy-file", str(policy))
+
+
+@pytest.mark.parametrize("extra", [1, schema.MAX_DOCUMENT_CHARS])
+def test_deploy_policy_file_over_the_limit_exits_three(tmp_path, capsys, monkeypatch, extra):
+    """A policy file past the document limit is refused, and no more of it
+    is read than the refusal needs."""
+    handed = []
+
+    def recording(document):
+        handed.append(len(document))
+        return parse_policy(document)
+
+    monkeypatch.setattr("attestsim.agent.parse_policy", recording)
+    policy = tmp_path / "policy.yaml"
+    policy.write_text("#" * (schema.MAX_DOCUMENT_CHARS + extra))
+    assert main(["deploy-policy", honest(), "--machine", "m0",
+                 "--policy-file", str(policy)]) == 3
+    assert "document is longer than" in capsys.readouterr().err
+    assert handed[-1] == schema.MAX_DOCUMENT_CHARS + 1
 
 
 def _python(*argv):

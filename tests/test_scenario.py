@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import textwrap
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -214,6 +217,28 @@ def test_the_poll_follows_the_newest_deployment():
     assert alert.policy_id == deployed[-1]["policy_id"]
 
 
+def test_poll_schedule_is_built_lazily():
+    """A million poll rounds cost no schedule of a million entries: the
+    rounds are drawn as the clock reaches them.  The run gets a fresh
+    interpreter and reads its own peak RSS from ``VmHWM``, since
+    ``ru_maxrss`` keeps the spawning process's peak across exec and would
+    read this test session's."""
+    code = textwrap.dedent("""
+        from attestsim.scenario import execute_scenario
+        execute_scenario({"machines": [{"id": "m0"}],
+                          "poll": {"period_ms": 1, "rounds": 1000000, "targets": []}})
+        with open("/proc/self/status") as status:
+            print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    peak_mb = int(proc.stdout) / 1024  # VmHWM is in kB
+    assert peak_mb < 100, f"peak RSS {peak_mb:.1f} MB"
+
+
 def test_a_fleet_parses_each_document_once(monkeypatch):
     """Every agent of a fleet looks a document up in the fleet's store before
     parsing it: one parse per distinct document and one shared Policy behind
@@ -369,12 +394,45 @@ def test_relay_under_a_serving_agent_is_caught_at_its_next_round(tmp_path, capsy
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("obfuscate,trusted,halted,code", [
+    pytest.param(False, True, None, 0, id="plain"),
+    pytest.param(True, False,
+                 "init-hook: obfuscation-mismatch: pcr 0 did not take the obfuscation extend",
+                 2, id="obfuscated"),
+])
+def test_relay_before_boot_is_the_cuckoo(tmp_path, capsys, obfuscate, trusted, halted, code):
+    """m0's driver relays to golden, agentless m1 before m0 boots an evil
+    initramfs: the model's ``boot, boot, q0(m1, t0), seal, verify``
+    counterexample.  A plain agent seals m1's golden values and comes out
+    trusted; a masking agent sees the extend dropped and halts the boot."""
+    doc = {
+        "name": "relay-before-boot",
+        "images": {"initramfs-evil": "initramfs-evil-1.0"},
+        "machines": [{"id": "m0", "agent": {"obfuscate": obfuscate}}, {"id": "m1"}],
+        "script": [
+            {"at": 0, "action": "boot", "machine": "m1"},
+            {"at": 5, "action": "relay", "machine": "m0", "target": "m1"},
+            {"at": 10, "action": "boot", "machine": "m0", "initramfs": "initramfs-evil"},
+            {"at": 30, "action": "establish", "machine": "m0"},
+        ],
+    }
+    result = run_doc(doc, seed=0)
+    boot_event = next(e for e in result.timelines["m0"] if e["event"] == "boot")
+    assert (boot_event["halted"], boot_event["reason"]) == (halted is not None, halted)
+    assert result.verdicts["m0"]["trusted"] is trusted
+
+    path = tmp_path / "relay-before-boot.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(path), "--seed", "0"]) == code
+    capsys.readouterr()
+
+
 def test_failed_reboot_reestablishment_stops_health_reporting_ok():
     """After a reboot without the agent hook the second establishment fails
     c4; a controller polling health alone must see the agent stop serving."""
     doc = {
         "name": "re-establish-after-reboot",
-        "machines": [{"id": "m0", "agent": {"static_whitelist": []}}],
+        "machines": [{"id": "m0", "agent": {"obfuscate": False}}],
         "script": [
             {"at": 0, "action": "boot", "machine": "m0"},
             {"at": 10, "action": "establish", "machine": "m0"},
@@ -440,6 +498,12 @@ def test_reboot_under_a_serving_agent_latches_rebooted(after_reboot):
     (lambda d: d.update(poll={"rounds": 1, "targets": ["m1"]}), "no agent"),
     (lambda d: d.update(network={"links": [], "adversary": {"added_delay_ms": -5}}),
      "network adversary: added_delay_ms must not be negative, not -5"),
+    (lambda d: d["machines"][0]["agent"].update(static_whitelist=[]),
+     "unknown key 'static_whitelist'"),
+    (lambda d: d.update(modelcheck={"variant": "plain", "machines": 0, "tpms": 2}),
+     "scenario.modelcheck: machines must be >= 1"),
+    (lambda d: d.update(modelcheck={"machines": 3, "tpms": 2}),
+     "scenario.modelcheck: tpms must cover every machine"),
 ])
 def test_scenario_validation_errors(mutate, message):
     _assert_rejected(mutate, message)

@@ -14,7 +14,7 @@ re-derives trust from four checks, reported in order of first failure:
 * ``c1-unseal``            the sealed baseline opens on this hardware
 * ``c2-dynamic-pcr``       sealed, golden and quoted dynamic PCRs agree
 * ``c3-obfuscated-static-pcr``  the quote is signed by the initialized key
-                           and reproduces the obfuscated static values
+                           and reproduces the obfuscated static value
 * ``c4-reboot-counter``    the TPM has not rebooted since initialization
 
 A quote relayed from another machine fails c3 in the obfuscated variant:
@@ -89,6 +89,7 @@ from .policy import (
 from .tpm import (
     DYNAMIC_PCRS,
     IMA_PCR,
+    MASKED_PCR,
     NONCE_LEN,
     ActivationError,
     Quote,
@@ -97,13 +98,12 @@ from .tpm import (
     extend_digest,
     make_credential,
 )
-from .trust import BASELINE, OBFUSCATED, disagreeing, static_split
+from .trust import BASELINE, OBFUSCATED, disagreeing, static_half
 
 logger = logging.getLogger(__name__)
 
 CONFIG_DISK_KEY = "agent/config.sealed"
 POLICY_ID_LEN = 16  # random bytes per deployed policy id
-MASKED_PCR = 0  # the static register the firmware measurement lands in
 # every quote: the masked static, the measurement-log register, the dynamic bank
 SELECTION = (MASKED_PCR, IMA_PCR, *DYNAMIC_PCRS)
 
@@ -113,8 +113,8 @@ CONDITION_STATIC = "c3-obfuscated-static-pcr"
 CONDITION_REBOOT = "c4-reboot-counter"
 
 _STATIC_DETAIL = {
-    BASELINE: "sealed baseline for static pcr {} is not the golden value",
-    OBFUSCATED: "static pcr {} does not show the expected value",
+    BASELINE: f"sealed baseline for static pcr {MASKED_PCR} is not the golden value",
+    OBFUSCATED: f"static pcr {MASKED_PCR} does not show the expected value",
 }
 
 
@@ -149,8 +149,8 @@ class SealedConfig:
     aik_pub: bytes
     ek_cert: Certificate
     reboot_counter: int
-    originals: Dict[int, bytes]   # static pcr -> value before obfuscation
-    obfuscated: Dict[int, bytes]  # static pcr -> value after obfuscation
+    original: bytes               # the masked static pcr before obfuscation
+    obfuscated: bytes             # the masked static pcr after obfuscation
     dynamics: Dict[int, bytes]    # dynamic pcr -> value at initialization
 
     def to_bytes(self) -> bytes:
@@ -161,12 +161,11 @@ class SealedConfig:
         doc = json.loads(raw.decode())
         cert = doc["ek_cert"]
         return cls(
-            aik_pub=bytes.fromhex(doc["aik_pub"]),
             ek_cert=Certificate(bytes.fromhex(cert["subject"]), bytes.fromhex(cert["issuer"]),
                                 cert["role"], bytes.fromhex(cert["signature"])),
             reboot_counter=int(doc["reboot_counter"]),
-            **{bank: {int(k): bytes.fromhex(v) for k, v in doc[bank].items()}
-               for bank in ("originals", "obfuscated", "dynamics")},
+            dynamics={int(k): bytes.fromhex(v) for k, v in doc["dynamics"].items()},
+            **{key: bytes.fromhex(doc[key]) for key in ("aik_pub", "original", "obfuscated")},
         )
 
 
@@ -205,7 +204,7 @@ def agent_init(
     Draws, in order: the attestation-key seed, the activation secret, the
     first quote nonce, the obfuscation mask, the second quote nonce.  The
     mask is zeroed before returning; only the sealed blob can tie the
-    obfuscated register values back to the originals.
+    obfuscated register value back to the original.
     """
     if ctx.phase != "init":
         raise ValueError("initialization must run in the init-phase enclave")
@@ -226,7 +225,7 @@ def agent_init(
     if not ok:
         raise InitFailure("quote-invalid", "baseline quote failed verification")
 
-    originals = {MASKED_PCR: values0[MASKED_PCR]}
+    original = values0[MASKED_PCR]
     if obfuscate:
         mask = bytearray(rng.bytes(32))
         channel.pcr_extend(MASKED_PCR, bytes(mask))
@@ -234,7 +233,7 @@ def agent_init(
         _, values1, ok = _checked_quote(channel, aik_pub, nonce1)
         if not ok:
             raise InitFailure("quote-invalid", "post-obfuscation quote failed verification")
-        expected = {MASKED_PCR: extend_digest(originals[MASKED_PCR], bytes(mask))}
+        expected = {MASKED_PCR: extend_digest(original, bytes(mask))}
         if disagreeing((MASKED_PCR,), expected, values1):
             raise InitFailure(
                 "obfuscation-mismatch", f"pcr {MASKED_PCR} did not take the obfuscation extend"
@@ -246,15 +245,15 @@ def agent_init(
             )
         for i in range(len(mask)):  # discard the mask for good
             mask[i] = 0
-        obfuscated = {MASKED_PCR: values1[MASKED_PCR]}
+        obfuscated = values1[MASKED_PCR]
     else:
-        obfuscated = dict(originals)
+        obfuscated = original
 
     config = SealedConfig(
         aik_pub=aik_pub,
         ek_cert=ek_cert,
         reboot_counter=quote0.reboot_counter,
-        originals=originals,
+        original=original,
         obfuscated=obfuscated,
         dynamics={i: values0[i] for i in DYNAMIC_PCRS},
     )
@@ -282,16 +281,16 @@ def _failed_condition(
     config: SealedConfig,
     quote: Quote,
     values: Dict[int, bytes],
-    golden_statics: Dict[int, bytes],
+    golden_static: bytes,
     golden_dynamics: Dict[int, bytes],
 ) -> Optional[Tuple[str, str]]:
     """The first failing c2/c3/c4 condition and its detail, or ``None``.
 
     Takes a quote that already verified for internal consistency; c1 (the
-    sealed baseline opens) is the caller's.  c2 and the c3 split are the
-    shared rules of :mod:`.trust`; the key binding and the reboot counter
-    are checked here alone.  A plain initialization seals the originals as
-    the obfuscated values.
+    sealed baseline opens) is the caller's.  c2 and the static half of c3
+    are the shared rules of :mod:`.trust`; the key binding and the reboot
+    counter are checked here alone.  A plain initialization seals the
+    original as the obfuscated value.
     """
     moved = disagreeing(config.dynamics, config.dynamics, golden_dynamics, values)
     if moved:
@@ -300,11 +299,9 @@ def _failed_condition(
 
     if quote.aik_pub != config.aik_pub:
         return CONDITION_STATIC, "quote signed by a key other than the initialized one"
-    split = static_split(config.originals, golden_statics, config.originals,
-                         config.obfuscated, values)
-    if split:
-        idx, half = split[0]
-        return CONDITION_STATIC, _STATIC_DETAIL[half].format(idx)
+    half = static_half(golden_static, config.original, config.obfuscated, values[MASKED_PCR])
+    if half is not None:
+        return CONDITION_STATIC, _STATIC_DETAIL[half]
 
     if quote.reboot_counter != config.reboot_counter:
         return (CONDITION_REBOOT,
@@ -317,14 +314,14 @@ def establish_trust(
     ctx: EnclaveContext,
     channel,
     rng: Rng,
-    golden_statics: Dict[int, bytes],
+    golden_static: bytes,
     golden_dynamics: Dict[int, bytes],
 ) -> TrustReport:
     """Runtime trust establishment against the sealed baseline.
 
-    Checks c1..c4 in order and names the first failure.  ``golden_statics``
-    and ``golden_dynamics`` are the fleet launch-configuration values the
-    platform is expected to have measured.
+    Checks c1..c4 in order and names the first failure.  ``golden_static``
+    (the masked static pcr) and ``golden_dynamics`` are the fleet
+    launch-configuration values the platform is expected to have measured.
     """
     blob = ctx.machine.disk.get(CONFIG_DISK_KEY)
     if blob is None:
@@ -345,7 +342,7 @@ def establish_trust(
             False, CONDITION_DYNAMIC, "quote failed verification", config
         )
 
-    failed = _failed_condition(config, quote, values, golden_statics, golden_dynamics)
+    failed = _failed_condition(config, quote, values, golden_static, golden_dynamics)
     if failed is not None:
         return TrustReport(False, *failed, config, values)
     return TrustReport(True, None, "", config, values)
@@ -409,7 +406,7 @@ class Agent:
         machine: Machine,
         binary: SoftwareImage,
         rng: Rng,
-        golden_statics: Dict[int, bytes],
+        golden_static: bytes,
         golden_dynamics: Dict[int, bytes],
         obfuscate: bool = True,
         parsed_policies: Optional[Dict[Union[str, bytes], Policy]] = None,
@@ -417,7 +414,7 @@ class Agent:
         self.machine = machine
         self.binary = binary
         self.rng = rng
-        self.golden_statics = dict(golden_statics)
+        self.golden_static = golden_static
         self.golden_dynamics = dict(golden_dynamics)
         self.obfuscate = obfuscate
         self.channel = machine.tpm  # the driver's route: the attached chip, or a relay
@@ -452,7 +449,7 @@ class Agent:
             return TrustReport(False, None, "machine is not at os runtime")
         ctx = run_enclave(self.machine, self.binary, "runtime")
         report = establish_trust(
-            ctx, self.channel, self.rng, self.golden_statics, self.golden_dynamics
+            ctx, self.channel, self.rng, self.golden_static, self.golden_dynamics
         )
         if not report.trusted:
             logger.info("trust establishment failed on %s: %s (%s)",
@@ -526,7 +523,7 @@ class Agent:
         session.stale = False
         session.pcr_values = values
 
-        if _failed_condition(config, quote, values, self.golden_statics,
+        if _failed_condition(config, quote, values, self.golden_static,
                              self.golden_dynamics) is not None:
             moved = quote.reboot_counter != config.reboot_counter
             session.compromised = "rebooted" if moved else "pcr-changed"
@@ -601,7 +598,7 @@ class Agent:
             ek_certified=state.ek_certified,
             ima_events=tuple(session.events[state.events:]),
             earlier_violations=state.untrusted,
-            static_original=config.originals,
+            static_original=config.original,
             static_obfuscated=config.obfuscated,
             log_tampered=session.compromised == "log-tampered",
             stale=session.stale,

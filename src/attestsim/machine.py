@@ -32,7 +32,7 @@ from typing import Callable, Dict, Optional, Union
 
 from . import ima
 from .crypto import Rng, sha256
-from .tpm import DRTM_LOCALITY, Quote, TpmError, TpmState
+from .tpm import DRTM_LOCALITY, MASKED_PCR, Quote, TpmError, TpmState
 from .trust import forwards_extends
 
 logger = logging.getLogger(__name__)
@@ -133,7 +133,7 @@ def boot(
     tpm = machine.tpm
 
     # firmware measures itself before anything runs
-    tpm.pcr_extend(0, uefi.measurement)
+    tpm.pcr_extend(MASKED_PCR, uefi.measurement)
 
     for img in (uefi, tboot):
         ok = img.signature is not None and verify(

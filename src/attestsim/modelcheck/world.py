@@ -36,7 +36,7 @@ semantics, reduced to what the trust property can observe:
   verify, so q1 and the runtime quote are forced to the same chip.
 * **obf** extends the static register with a fresh random mask.  The
   simulator's agent masks the same single register, PCR 0
-  (``agent.MASKED_PCR``), unless it runs plain, the model's other variant.  A
+  (``tpm.MASKED_PCR``), unless it runs plain, the model's other variant.  A
   malicious driver sees the mask, which no adversary move uses, and
   chooses where the extend lands: the attached chip, the bound chip, or
   nowhere.  The bound chip takes the extend only if its host is serving
@@ -53,10 +53,10 @@ semantics, reduced to what the trust property can observe:
   unobfuscated shortcut straight from q0.
 * **verify** is the runtime trust decision, through the rules that
   ``agent._failed_condition`` calls: c2 is the agreement rule over the
-  sealed, golden and quoted dynamics, and c3 is the static split
-  (:func:`attestsim.trust.static_split`): the sealed static baseline must
-  be golden, and the bound register must still show the sealed
-  (obfuscated) value.  Each register is a one-entry mapping of its term.
+  sealed, golden and quoted dynamics, and c3 is the static rule
+  (:func:`attestsim.trust.static_half`) on the register's terms: the
+  sealed static baseline must be golden, and the bound register must still
+  show the sealed (obfuscated) value.
 * **tpm-init** prepares a free chip once, before it can serve: the
   adversary may load junk, or replay the golden static chain ``SPCR_G``
   if it knows it.  It knows it when the public atoms compose it within
@@ -117,7 +117,7 @@ from math import factorial, inf
 from operator import getitem
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..trust import disagreeing, forwards_extends, static_split
+from ..trust import disagreeing, forwards_extends, static_half
 from .terms import Interner, Term, derivable, h, name, p, substitute
 
 # -- fixed vocabulary -------------------------------------------------------
@@ -355,12 +355,11 @@ def _prepare(key) -> int:
 
 def _verify(key) -> int:
     """verify: c2 over sealed, golden and quoted dynamics, c3 as the static
-    split over the sealed baseline and the sealed obfuscated value."""
+    rule over the sealed baseline and the sealed obfuscated value."""
     mid, tid = key
     m, tpm = _MACHINES.values[mid], _TPMS.values[tid]
     c2 = not disagreeing((0,), {0: m.q0_dpcr}, {0: DPCR_G}, {0: tpm.dpcr})
-    c3 = not static_split((0,), {0: SPCR_G}, {0: m.q0_spcr}, {0: m.sealed_obf},
-                          {0: tpm.spcr})
+    c3 = static_half(SPCR_G, m.q0_spcr, m.sealed_obf, tpm.spcr) is None
     return _record_id(_MACHINES, MachineProc("done", m.image, m.bound_tpm, m.q0_spcr,
                                              m.q0_dpcr, m.sealed_obf, c2 and c3))
 

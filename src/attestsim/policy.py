@@ -22,9 +22,10 @@ A policy document is a small YAML dialect::
           -----BEGIN CERTIFICATE----- ...
 
 ``POLICY`` and the section shapes below declare it; unknown fields and
-wrong types anywhere are rejected.  The PCR whitelist parses into two
-index -> digest banks, ``Policy.statics`` and ``Policy.dynamics``, the form
-the fleet, the agent and :mod:`.trust` hold registers in.
+wrong types anywhere are rejected.  The PCR whitelist names only the masked
+static register (``tpm.MASKED_PCR``) and the dynamic ones, and parses into
+the forms the fleet, the agent and :mod:`.trust` hold registers in: one
+digest, ``Policy.static``, and one index -> digest bank, ``Policy.dynamics``.
 
 Evaluation is pure: it maps (policy, platform view) to a verdict whose
 ``violations`` list draws from {tpm-cert, pcr-mismatch, untrusted-file,
@@ -42,7 +43,7 @@ under the runtime certificate.
 from __future__ import annotations
 
 import base64
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
@@ -51,8 +52,8 @@ import yaml
 from .crypto import Certificate, certificate_valid, verify
 from .ima import ImaEvent, lowercase_hex
 from .schema import Required, check_shape, read_yaml
-from .tpm import DYNAMIC_PCRS, STATIC_PCRS
-from .trust import BASELINE, OBFUSCATED, disagreeing, static_split
+from .tpm import DYNAMIC_PCRS, MASKED_PCR
+from .trust import BASELINE, OBFUSCATED, disagreeing, static_half
 
 # each section is checked as parsing reaches it, so a broken trust anchor
 # is named before a mistake further down
@@ -64,8 +65,8 @@ LOCATION = [{Required("host"): str, Required("max_latency"): (int, float),
              Required("chain"): str}]
 
 _STATIC_DETAIL = {
-    BASELINE: "static pcr {} baseline differs from whitelist",
-    OBFUSCATED: "static pcr {} lost its obfuscated value",
+    BASELINE: f"static pcr {MASKED_PCR} baseline differs from whitelist",
+    OBFUSCATED: f"static pcr {MASKED_PCR} lost its obfuscated value",
 }
 
 
@@ -140,11 +141,11 @@ class Policy:
     """One parsed policy document.
 
     A fleet's agents share one ``Policy`` per distinct document they are
-    sent, so a parsed policy is never mutated, its banks included.
+    sent, so a parsed policy is never mutated, its dynamic bank included.
     """
 
     tpm_ca_chain: Tuple[bytes, ...]
-    statics: Dict[int, bytes]   # whitelisted static pcr -> golden digest
+    static: Optional[bytes]     # golden digest of the masked static pcr, if whitelisted
     dynamics: Dict[int, bytes]  # whitelisted dynamic pcr -> golden digest
     runtime_cert: Optional[bytes]
     software: Tuple[SoftwareList, ...]
@@ -212,17 +213,17 @@ def parse_policy(text) -> Policy:
     check_shape(doc["whitelist"], WHITELIST, "whitelist", PolicyParseError)
     if not doc["whitelist"]["pcrs"]:
         raise PolicyParseError("whitelist.pcrs: need at least one PCR entry")
-    statics: Dict[int, bytes] = {}
-    dynamics: Dict[int, bytes] = {}
+    pcrs: Dict[int, bytes] = {}
     for i, node in enumerate(doc["whitelist"]["pcrs"]):
         where = f"whitelist.pcrs[{i}]"
         idx = node["id"]
-        bank = statics if idx in STATIC_PCRS else dynamics if idx in DYNAMIC_PCRS else None
-        if bank is None:
-            raise PolicyParseError(f"{where}: pcr {idx} outside 0..15 and 17..19")
-        if idx in bank:
+        if idx != MASKED_PCR and idx not in DYNAMIC_PCRS:
+            raise PolicyParseError(f"{where}.id: pcr {idx} is neither the masked static "
+                                   f"pcr {MASKED_PCR} nor a dynamic pcr 17..19")
+        if idx in pcrs:
             raise PolicyParseError(f"{where}: duplicate pcr id {idx}")
-        bank[idx] = _digest(node["sha256"], f"{where}.sha256")
+        pcrs[idx] = _digest(node["sha256"], f"{where}.sha256")
+    static = pcrs.pop(MASKED_PCR, None)
 
     runtime_cert = None
     software: List[SoftwareList] = []
@@ -247,14 +248,14 @@ def parse_policy(text) -> Policy:
         chain_keys = tuple(pem_decode_all(node["chain"], f"{where}.chain"))
         location.append(LocationRule(node["host"], float(node["max_latency"]), chain_keys))
 
-    return Policy(chain, statics, dynamics, runtime_cert, tuple(software), tuple(location))
+    return Policy(chain, static, pcrs, runtime_cert, tuple(software), tuple(location))
 
 
 def render_policy(policy: Policy) -> str:
     """Emit a policy as YAML in the canonical field order, PCRs by index."""
     doc: dict = {"chain": "".join(pem_encode(k) for k in policy.tpm_ca_chain)}
-    pcrs = sorted({**policy.statics, **policy.dynamics}.items())
-    doc["whitelist"] = {"pcrs": [{"id": i, "sha256": v.hex()} for i, v in pcrs]}
+    pcrs = sorted({MASKED_PCR: policy.static, **policy.dynamics}.items())
+    doc["whitelist"] = {"pcrs": [{"id": i, "sha256": v.hex()} for i, v in pcrs if v]}
     if policy.runtime_cert is not None or policy.software:
         rt: dict = {}
         if policy.runtime_cert is not None:
@@ -292,8 +293,8 @@ class PlatformView:
     is the policy's decision on the sealed EK certificate
     (:meth:`Policy.certifies_ek`).
 
-    Static whitelist values are matched through the obfuscation split
-    (:func:`.trust.static_split`): the policy's golden value must equal the
+    A whitelisted static value is matched through the obfuscation split
+    (:func:`.trust.static_half`): the policy's golden value must equal the
     value the agent sealed at initialization, and the current quote value
     must equal the sealed obfuscated value.  Dynamic whitelist values are
     matched directly against the quote (:func:`.trust.disagreeing`).
@@ -315,8 +316,8 @@ class PlatformView:
     ek_certified: bool
     ima_events: Tuple[ImaEvent, ...]
     earlier_violations: Tuple[Violation, ...] = ()
-    static_original: Dict[int, bytes] = field(default_factory=dict)
-    static_obfuscated: Dict[int, bytes] = field(default_factory=dict)
+    static_original: Optional[bytes] = None
+    static_obfuscated: Optional[bytes] = None
     log_tampered: bool = False
     stale: bool = False
     location_estimates: Tuple[Optional[float], ...] = ()
@@ -341,9 +342,11 @@ def evaluate(policy: Policy, view: PlatformView) -> PolicyVerdict:
         violations.append(
             Violation("pcr-mismatch", f"dynamic pcr {index} differs from whitelist")
         )
-    for index, half in static_split(policy.statics, policy.statics, view.static_original,
-                                    view.static_obfuscated, view.pcr_values):
-        violations.append(Violation("pcr-mismatch", _STATIC_DETAIL[half].format(index)))
+    if policy.static is not None:
+        half = static_half(policy.static, view.static_original, view.static_obfuscated,
+                           view.pcr_values.get(MASKED_PCR))
+        if half is not None:
+            violations.append(Violation("pcr-mismatch", _STATIC_DETAIL[half]))
 
     if view.log_tampered:
         violations.append(Violation("log-tampered", "measurement log diverged from pcr-10"))

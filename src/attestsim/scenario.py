@@ -44,7 +44,7 @@ Schema (all durations in virtual milliseconds)::
       - {at: 99, action: relay, machine: m0, target: m1}
       - {at: 100, action: extend-pcr, machine: m0, pcr: 0, value: drift}
     poll: {period_ms: 1000, rounds: 5, miss_threshold: 3, targets: [m0]}
-    modelcheck: {variant: plain, machines: 2, tpms: 2, depth: 5}
+    modelcheck: {variant: plain, machines: 2, tpms: 2, depth: 5, max_states: 200000}
 
 Unknown keys and wrong types are errors: ``SCENARIO`` and ``STEPS`` below
 declare the shape, one step shape per action.  Actions and polls are merged
@@ -117,7 +117,7 @@ SCENARIO = {
     "script": [dict],  # each step has the shape STEPS gives its action
     "poll": {"period_ms": _NUMBER, "rounds": int, "miss_threshold": int, "targets": [str]},
     "modelcheck": {"variant": {"plain", "obfuscated"}, "machines": int, "tpms": int,
-                   "depth": int},
+                   "depth": int, "max_states": int},
 }
 
 _AT = {Required("at"): _NUMBER, Required("action"): str}
@@ -190,7 +190,7 @@ class ScenarioResult:
 
 
 def _golden_policy(fleet: "Fleet") -> str:
-    return render_policy(Policy((fleet.tpm_ca_pub,), fleet.golden_statics,
+    return render_policy(Policy((fleet.tpm_ca_pub,), fleet.golden_static,
                                 fleet.golden_dynamics, None, (), ()))
 
 
@@ -261,7 +261,7 @@ class Fleet:
                 raise ScenarioError(f"image name {name!r} shadows a golden image")
             images[name] = SoftwareImage(name, content.encode())
 
-        self.golden_statics = {0: extend_digest(ZERO_DIGEST, images["uefi"].measurement)}
+        self.golden_static = extend_digest(ZERO_DIGEST, images["uefi"].measurement)
         self.golden_dynamics = {
             17: extend_digest(ZERO_DIGEST, images["tboot"].measurement),
             18: extend_digest(ZERO_DIGEST, images["kernel"].measurement),
@@ -302,7 +302,7 @@ class Fleet:
                     machine,
                     AGENT_BIN,
                     rng.child(f"agent-{mid}"),
-                    self.golden_statics,
+                    self.golden_static,
                     self.golden_dynamics,
                     obfuscate=spec["agent"].get("obfuscate", True),
                     parsed_policies=self.parsed_policies,
@@ -457,6 +457,8 @@ class Fleet:
     def act_extend_pcr(self, step: dict) -> None:
         mid = step["machine"]
         machine = self.machine(mid)
+        if machine.state != "runtime":  # a powered-off chip would seal the drift at boot
+            raise BootError("pcr extends run only at OS runtime")
         pcr = step["pcr"]
         value = sha256(step.get("value", "").encode())
         machine.tpm.pcr_extend(pcr, value)

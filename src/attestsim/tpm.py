@@ -37,6 +37,7 @@ from .crypto import (
 )
 
 STATIC_PCRS = tuple(range(0, 16))
+MASKED_PCR = 0  # the static register the firmware measurement lands in
 DYNAMIC_PCRS = (17, 18, 19)
 IMA_PCR = 10
 

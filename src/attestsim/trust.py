@@ -3,19 +3,18 @@
 The agent (``agent._failed_condition`` and ``agent_init``), the policy
 evaluator (``policy.evaluate``) and the symbolic model (``world._q1`` and
 ``world._verify``) decide c2, c3 and the obfuscation read-back through
-:func:`disagreeing` and :func:`static_split`.  The relay channel
+:func:`disagreeing` and :func:`static_half`.  The relay channel
 (``machine.RelayTpmChannel``) and the model (``world._host_accepts_extends``)
 decide whether a relayed extend lands through :func:`forwards_extends`.
-The rules compare values for equality only, so they take mappings from
-register index to an opaque value: digests on the agent and the relay,
-whitelist digests in the policy, terms in one-entry mappings in the model.
-Each caller adds only what the others cannot see (the agent's key binding
-and reboot counter, whether a host serves at all) and words the findings
-its own way.  The condition rules return lists, never a bare index:
-register 0 is falsy.
+The rules compare opaque values for equality only: digests on the agent
+and the relay, whitelist digests in the policy, terms in the model, held
+by register index, or bare for the one masked static register.  Each caller
+adds only what the others cannot see (the agent's key binding and reboot
+counter, whether a host serves at all) and words the findings its own way.
+:func:`disagreeing` returns a list, never a bare index: register 0 is falsy.
 """
 
-from typing import Iterable, List, Mapping, Tuple
+from typing import Iterable, List, Mapping, Optional
 
 BASELINE = "baseline"
 OBFUSCATED = "obfuscated"
@@ -40,18 +39,16 @@ def forwards_extends(golden_dynamics: Mapping, host_dynamics: Mapping) -> bool:
     return bool(disagreeing(golden_dynamics, golden_dynamics, host_dynamics))
 
 
-def static_split(indices: Iterable, golden: Mapping, original: Mapping,
-                 obfuscated: Mapping, quoted: Mapping) -> List[Tuple[object, str]]:
-    """``(index, half)`` for each failing static register, in sorted order.
+def static_half(golden, original, obfuscated, quoted) -> Optional[str]:
+    """Which half of the masked static register fails, or ``None``.
 
-    ``half`` is :data:`BASELINE` when the sealed original is not the golden
-    value, and otherwise :data:`OBFUSCATED` when the quote does not show the
-    sealed obfuscated value.
+    :data:`BASELINE` when the sealed original is not the golden value, and
+    otherwise :data:`OBFUSCATED` when the quote does not show the sealed
+    obfuscated value.  A ``None`` value never agrees, as a missing one does
+    in :func:`disagreeing`.
     """
-    found = []
-    for i in sorted(indices):
-        if disagreeing((i,), golden, original):
-            found.append((i, BASELINE))
-        elif disagreeing((i,), obfuscated, quoted):
-            found.append((i, OBFUSCATED))
-    return found
+    if golden is None or original != golden:
+        return BASELINE
+    if obfuscated is None or quoted != obfuscated:
+        return OBFUSCATED
+    return None

@@ -297,7 +297,7 @@ def test_criterion_7_policy_roundtrip_over_the_agent_api():
     def policy_text(extra_whitelist=()):
         known = {e.file_hash.hex(): e.path for e in loaded}
         known.update(extra_whitelist)
-        entries = sorted({**fleet.golden_statics, **fleet.golden_dynamics}.items())
+        entries = sorted({0: fleet.golden_static, **fleet.golden_dynamics}.items())
         return yaml.safe_dump({
             "chain": pem_encode(fleet.tpm_ca_pub),
             "whitelist": {"pcrs": [{"id": i, "sha256": v.hex()}

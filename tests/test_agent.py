@@ -73,7 +73,7 @@ class World:
             self.machines.append(Machine(f"m{i}", tpm, self.platform_ca.public, mrng))
 
         img = self.images
-        self.golden_statics = {0: extend_digest(ZERO_DIGEST, img["uefi"].measurement)}
+        self.golden_static = extend_digest(ZERO_DIGEST, img["uefi"].measurement)
         self.golden_dynamics = {
             17: extend_digest(ZERO_DIGEST, img["tboot"].measurement),
             18: extend_digest(ZERO_DIGEST, img["kernel"].measurement),
@@ -96,7 +96,7 @@ class World:
             m,
             AGENT_BIN,
             Rng(seed),
-            self.golden_statics,
+            self.golden_static,
             self.golden_dynamics,
             obfuscate=obfuscate,
         )
@@ -170,7 +170,7 @@ def policy_text(world, pcr_entries, runtime_cert=None, software=None, location=N
 
 
 def golden_policy(world):
-    entries = [(0, world.golden_statics[0])] + sorted(world.golden_dynamics.items())
+    entries = [(0, world.golden_static)] + sorted(world.golden_dynamics.items())
     return policy_text(world, entries)
 
 
@@ -199,10 +199,10 @@ def test_init_obfuscates_whitelisted_static_and_seals_baseline():
     for _ in range(3):
         replay.bytes(32)
     mask = replay.bytes(32)
-    assert config.originals[0] == w.golden_statics[0]
-    assert config.obfuscated[0] == extend_digest(config.originals[0], mask)
-    assert m.tpm.read_pcr(0) == config.obfuscated[0]
-    assert config.obfuscated[0] != config.originals[0]
+    assert config.original == w.golden_static
+    assert config.obfuscated == extend_digest(config.original, mask)
+    assert m.tpm.read_pcr(0) == config.obfuscated
+    assert config.obfuscated != config.original
     assert CONFIG_DISK_KEY in m.disk
     assert config.dynamics == w.golden_dynamics
     assert config.reboot_counter == 0
@@ -234,8 +234,8 @@ def test_plain_init_draws_three_and_leaves_pcrs_alone():
     w.boot(m, init_hook=hook)
     assert rng.draws == [32] * 3
     config = captured["config"]
-    assert config.obfuscated == config.originals
-    assert m.tpm.read_pcr(0) == w.golden_statics[0]
+    assert config.obfuscated == config.original
+    assert m.tpm.read_pcr(0) == w.golden_static
 
 
 def test_init_requires_init_phase_enclave():
@@ -324,7 +324,7 @@ def test_c1_sealed_baseline_does_not_open_on_another_machine():
     m1.disk[CONFIG_DISK_KEY] = m0.disk[CONFIG_DISK_KEY]
     ctx = run_enclave(m1, AGENT_BIN, "runtime")
     report = establish_trust(
-        ctx, m1.tpm, Rng(77), w.golden_statics, w.golden_dynamics
+        ctx, m1.tpm, Rng(77), w.golden_static, w.golden_dynamics
     )
     assert not report.trusted
     assert report.failed_condition == CONDITION_UNSEAL
@@ -336,7 +336,7 @@ def test_c1_missing_baseline():
     w.boot(m)
     ctx = run_enclave(m, AGENT_BIN, "runtime")
     report = establish_trust(
-        ctx, m.tpm, Rng(78), w.golden_statics, w.golden_dynamics
+        ctx, m.tpm, Rng(78), w.golden_static, w.golden_dynamics
     )
     assert report.failed_condition == CONDITION_UNSEAL
 
@@ -356,7 +356,7 @@ def test_c2_tampered_kernel_breaks_dynamic_agreement():
 def test_c3_runtime_relay_to_golden_host_is_caught():
     """The cuckoo move at runtime: the driver starts relaying to a healthy
     remote host.  Its quotes verify and show golden values everywhere, but
-    they are signed by the wrong key and miss the obfuscated statics."""
+    they are signed by the wrong key and miss the obfuscated static."""
     w = World(n_machines=2)
     m, oracle = w.machines
     agent = w.agent_for(m)
@@ -432,7 +432,7 @@ def test_conditions_check_in_order_c1_first():
     m1.disk[CONFIG_DISK_KEY] = m0.disk[CONFIG_DISK_KEY]
     ctx = run_enclave(m1, AGENT_BIN, "runtime")
     report = establish_trust(
-        ctx, m1.tpm, Rng(80), w.golden_statics, w.golden_dynamics
+        ctx, m1.tpm, Rng(80), w.golden_static, w.golden_dynamics
     )
     assert report.failed_condition == CONDITION_UNSEAL
 
@@ -622,6 +622,21 @@ def test_deploy_and_verify_compliant_policy():
     assert tap.quotes[-1].nonce == nonce  # the round nonce reached the TPM
 
 
+@pytest.mark.parametrize("pcr", [3, IMA_PCR])
+def test_a_whitelist_naming_another_register_is_refused_at_deploy(pcr):
+    """Only the masked static register and the dynamic ones have a whitelist
+    rule: listing any other register, even at its true value, is a 400, not
+    a policy under which every verdict is a false pcr-mismatch."""
+    w, m, agent = serving_agent()
+    api = AgentApi(agent)
+    entries = [(0, w.golden_static), (pcr, m.tpm.read_pcr(pcr)),
+               *sorted(w.golden_dynamics.items())]
+    resp = api.handle("POST", "/policy", policy_text(w, entries))
+    assert resp.status == 400
+    assert resp.body["error"].startswith(f"whitelist.pcrs[1].id: pcr {pcr} is neither")
+    assert agent.policies == {}
+
+
 def test_policy_ids_are_fresh_16_byte_hex():
     w, m, agent = serving_agent()
     a = agent.deploy_policy(golden_policy(w))
@@ -638,7 +653,7 @@ def test_unknown_file_raises_untrusted_file_violation():
     known = b"#!/bin/sh\necho backup\n"
     text = policy_text(
         w,
-        [(0, w.golden_statics[0])] + sorted(w.golden_dynamics.items()),
+        [(0, w.golden_static)] + sorted(w.golden_dynamics.items()),
         runtime_cert=distributor.public,
         software=[{"name": "ops", "whitelist": {sha256(known).hex(): "/opt/backup.sh"}}],
     )
@@ -656,7 +671,7 @@ def test_signed_file_passes_without_whitelist_entry():
     distributor = generate_keypair(Rng(92))
     text = policy_text(
         w,
-        [(0, w.golden_statics[0])] + sorted(w.golden_dynamics.items()),
+        [(0, w.golden_static)] + sorted(w.golden_dynamics.items()),
         runtime_cert=distributor.public,
     )
     pid = agent.deploy_policy(text)
@@ -721,7 +736,7 @@ def _file_load(kind, i):
 def _runtime_policies(w):
     """A policy with a runtime certificate, and one without whose PCR 17
     entry is wrong, so each of its verdicts also carries a pcr-mismatch."""
-    entries = [(0, w.golden_statics[0])] + sorted(w.golden_dynamics.items())
+    entries = [(0, w.golden_static)] + sorted(w.golden_dynamics.items())
     software = [{"name": "ops", "whitelist": {sha256(KNOWN).hex(): "/opt/known"}}]
     wrong = [(i, ZERO_DIGEST if i == 17 else v) for i, v in entries]
     return (policy_text(w, entries, runtime_cert=VENDOR.public, software=software),
@@ -915,7 +930,7 @@ def in_dc_beacon(seed=71, authority=None):
 
 def location_policy(w, *authorities, tpm_ca=None):
     """The golden policy with a 2 ms rule for beacon-1 under each authority."""
-    entries = [(0, w.golden_statics[0])] + sorted(w.golden_dynamics.items())
+    entries = [(0, w.golden_static)] + sorted(w.golden_dynamics.items())
     rules = [{"host": "beacon-1", "max_latency": 2, "chain": pem_encode(a.public)}
              for a in authorities]
     return policy_text(w, entries, location=rules, tpm_ca=tpm_ca)

@@ -350,7 +350,7 @@ def test_plain_reachable_graph_contains_trusted_cuckoo_state():
     ("forwards_extends", True, (False, 811)),
     ("forwards_extends", False, (True, 1181)),
     # dropping c3 leaves the verdict standing: an open gap, pinned as it is
-    ("static_split", [], (True, 1921)),
+    ("static_half", None, (True, 1921)),
 ])
 def test_the_verdict_rests_on_the_shared_rules_with_no_stale_step(monkeypatch, rule,
                                                                    answer, expected):

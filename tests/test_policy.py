@@ -36,17 +36,16 @@ IMA_SIGNER = generate_keypair(RNG.child("ima"))
 
 GOLDEN = {
     0: sha256(b"golden-pcr0"),
-    3: sha256(b"golden-pcr3"),
     18: sha256(b"golden-pcr18"),
     19: sha256(b"golden-pcr19"),
 }
 
 
 def fixture_policy_text(max_latency=2, location=True):
-    """A policy shaped like the deployment example: four PCR entries
-    (two static, two dynamic), a runtime section, one location rule."""
+    """A policy shaped like the deployment example: three PCR entries
+    (the masked static, two dynamic), a runtime section, one location rule."""
     lines = ["chain: |", *_indent(pem_encode(TPM_CA.public)), "whitelist:", "  pcrs:"]
-    for idx in (0, 3, 18, 19):
+    for idx in (0, 18, 19):
         lines += [f"    - id: {idx}", f"      sha256: {GOLDEN[idx].hex()}"]
     lines += [
         "runtime:",
@@ -79,9 +78,8 @@ def _indent(pem, n=2):
 
 def test_fixture_parses_with_expected_shape():
     p = parse_policy(fixture_policy_text())
-    assert [*p.statics, *p.dynamics] == [0, 3, 18, 19]
-    assert p.statics.keys() == {0, 3}
-    assert p.dynamics.keys() == {18, 19}
+    assert p.static == GOLDEN[0]
+    assert p.dynamics == {18: GOLDEN[18], 19: GOLDEN[19]}
     assert p.tpm_ca_chain == (TPM_CA.public,)
     assert p.runtime_cert == IMA_SIGNER.public
     assert p.location[0].host == "beacon-1"
@@ -96,8 +94,15 @@ def test_unknown_fields_rejected():
 
 @pytest.mark.parametrize("mutator,needle", [
     (lambda d: d["whitelist"]["pcrs"].clear(), "at least one"),
-    (lambda d: d["whitelist"]["pcrs"].append({"id": 16, "sha256": "00" * 32}), "outside"),
-    (lambda d: d["whitelist"]["pcrs"].append({"id": 22, "sha256": "00" * 32}), "outside"),
+    pytest.param(lambda d: d["whitelist"]["pcrs"].append({"id": 3, "sha256": "00" * 32}),
+                 r"whitelist\.pcrs\[3\]\.id: pcr 3 is neither the masked static pcr 0",
+                 id="static-pcr-3"),
+    pytest.param(lambda d: d["whitelist"]["pcrs"].append({"id": 10, "sha256": "00" * 32}),
+                 r"whitelist\.pcrs\[3\]\.id: pcr 10 is neither", id="ima-pcr-10"),
+    pytest.param(lambda d: d["whitelist"]["pcrs"].append({"id": 16, "sha256": "00" * 32}),
+                 r"whitelist\.pcrs\[3\]\.id: pcr 16 is neither", id="pcr-16"),
+    pytest.param(lambda d: d["whitelist"]["pcrs"].append({"id": 22, "sha256": "00" * 32}),
+                 r"whitelist\.pcrs\[3\]\.id: pcr 22 is neither", id="pcr-22"),
     (lambda d: d["location"].__setitem__(0, {**d["location"][0], "max_latency": 0}), "positive"),
     (lambda d: d["location"].__setitem__(0, {**d["location"][0], "max_latency": -3}), "positive"),
     (lambda d: d["whitelist"]["pcrs"].__setitem__(0, {"id": 0, "sha256": "xyz"}), "hex"),
@@ -265,14 +270,13 @@ VIEW_TPM = TpmState(TPM_CA, RNG.child("view-tpm"))
 
 def make_view(**overrides):
     """A fully compliant view for the fixture policy."""
-    rnd = sha256(b"round-rnd")
-    obfuscated = {i: sha256(GOLDEN[i] + rnd) for i in (0, 3)}
-    values = {0: obfuscated[0], 3: obfuscated[3], 18: GOLDEN[18], 19: GOLDEN[19]}
+    obfuscated = sha256(GOLDEN[0] + sha256(b"round-rnd"))
+    values = {0: obfuscated, 18: GOLDEN[18], 19: GOLDEN[19]}
     defaults = dict(
         pcr_values=values,
         ek_certified=POLICY.certifies_ek(VIEW_TPM.ek_cert),
         ima_events=(file_event("/usr/bin/approved", b"approved-tool", None),),
-        static_original={0: GOLDEN[0], 3: GOLDEN[3]},
+        static_original=GOLDEN[0],
         static_obfuscated=obfuscated,
         log_tampered=False,
         location_estimates=(0.8,),
@@ -350,9 +354,7 @@ def test_unsigned_static_pcr_drift_detected():
 
 def test_static_baseline_other_than_golden_detected():
     # the quote still shows the sealed obfuscated value
-    view = make_view()
-    other = {**view.static_original, 0: sha256(b"other firmware")}
-    v = evaluate(POLICY, make_view(static_original=other))
+    v = evaluate(POLICY, make_view(static_original=sha256(b"other firmware")))
     assert [(x.kind, x.detail) for x in v.violations] == [
         ("pcr-mismatch", "static pcr 0 baseline differs from whitelist")]
 
@@ -370,7 +372,7 @@ def test_whitelist_growth_is_monotone(extra):
     assert evaluate(POLICY, view).compliant
     bigger = Policy(
         tpm_ca_chain=POLICY.tpm_ca_chain,
-        statics=POLICY.statics,
+        static=POLICY.static,
         dynamics=POLICY.dynamics,
         runtime_cert=POLICY.runtime_cert,
         software=POLICY.software + (

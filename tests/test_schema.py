@@ -178,7 +178,7 @@ def test_a_shape_is_compiled_once():
 def _big_policy():
     base = parse_policy(fixture_policy_text())
     hashes = tuple((sha256(b"file-%d" % i), f"/usr/bin/tool-{i}") for i in range(2000))
-    return render_policy(policy.Policy(base.tpm_ca_chain, base.statics, base.dynamics,
+    return render_policy(policy.Policy(base.tpm_ca_chain, base.static, base.dynamics,
                                        base.runtime_cert, (SoftwareList("fleet", hashes),),
                                        base.location))
 

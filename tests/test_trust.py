@@ -5,7 +5,7 @@ from attestsim.trust import (
     OBFUSCATED,
     disagreeing,
     forwards_extends,
-    static_split,
+    static_half,
 )
 
 
@@ -21,12 +21,17 @@ def test_disagreements_come_in_sorted_order_register_zero_included():
     assert disagreeing([7, 3, 0], sealed, quoted) == [0, 7]
 
 
-def test_static_split_names_the_baseline_before_the_obfuscated_value():
-    golden, obfuscated = {0: "g"}, {0: "o"}
-    assert static_split([0], golden, {0: "g"}, obfuscated, {0: "o"}) == []
-    assert static_split([0], golden, {0: "b"}, obfuscated, {0: "q"}) == [(0, BASELINE)]
-    assert static_split([0], golden, {0: "g"}, obfuscated, {0: "q"}) == [(0, OBFUSCATED)]
-    assert static_split([0], golden, {0: "g"}, obfuscated, {}) == [(0, OBFUSCATED)]
+def test_static_half_names_the_baseline_before_the_obfuscated_value():
+    assert static_half("g", "g", "o", "o") is None
+    assert static_half("g", "b", "o", "q") == BASELINE
+    assert static_half("g", "g", "o", "q") == OBFUSCATED
+
+
+def test_a_missing_static_value_never_agrees():
+    assert static_half(None, None, "o", "o") == BASELINE
+    assert static_half("g", None, "o", "o") == BASELINE
+    assert static_half("g", "g", None, None) == OBFUSCATED
+    assert static_half("g", "g", "o", None) == OBFUSCATED
 
 
 def test_a_host_forwards_extends_unless_its_dynamics_are_golden():

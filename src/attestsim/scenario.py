@@ -44,7 +44,7 @@ Schema (all durations in virtual milliseconds)::
       - {at: 99, action: relay, machine: m0, target: m1}
       - {at: 100, action: extend-pcr, machine: m0, pcr: 0, value: drift}
     poll: {period_ms: 1000, rounds: 5, miss_threshold: 3, targets: [m0]}
-    modelcheck: {variant: plain, machines: 2, tpms: 2, depth: 5, max_states: 200000}
+    modelcheck: {variant: plain, machines: 2, tpms: 2, depth: 5}
 
 Unknown keys and wrong types are errors: ``SCENARIO`` and ``STEPS`` below
 declare the shape, one step shape per action.  Actions and polls are merged
@@ -117,7 +117,7 @@ SCENARIO = {
     "script": [dict],  # each step has the shape STEPS gives its action
     "poll": {"period_ms": _NUMBER, "rounds": int, "miss_threshold": int, "targets": [str]},
     "modelcheck": {"variant": {"plain", "obfuscated"}, "machines": int, "tpms": int,
-                   "depth": int, "max_states": int},
+                   "depth": int},
 }
 
 _AT = {Required("at"): _NUMBER, Required("action"): str}

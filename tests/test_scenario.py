@@ -16,13 +16,11 @@ from attestsim import agent as agent_module
 from attestsim import ima, scenario
 from attestsim.cli import main
 from attestsim.crypto import ZERO_DIGEST, Rng, generate_keypair, sha256
-from attestsim.modelcheck import CheckConfig, check
 from attestsim.policy import SoftwareList, parse_policy, render_policy
 from attestsim.scenario import Fleet, ScenarioError, execute_scenario, run_scenario
 from attestsim.tpm import extend_digest
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(name, seed=0):
@@ -80,24 +78,6 @@ def test_reboot_attack_alert_lands_within_one_poll_period():
         e for e in result.timelines["m0"] if e["event"] == "establish"
     )
     assert violations[0].timestamp_ms <= establish["t_ms"] + 1000.0
-
-
-def test_an_embedded_check_takes_max_states():
-    """Obfuscated 3x3 needs more states than the default bound allows."""
-    result = run_scenario(str(DATA / "embedded-modelcheck.yaml"), 1)
-    expected = check(CheckConfig(machines=3, tpms=3, obfuscate=True, max_states=500_000))
-    assert result.explorer == expected.to_dict()
-    assert result.explorer["property_holds"] is True
-    assert result.explorer["states_explored"] == 376_301
-
-
-def test_a_max_states_below_one_is_refused_before_the_script():
-    doc = yaml.safe_load((DATA / "embedded-modelcheck.yaml").read_text())
-    doc["modelcheck"]["max_states"] = 0
-    # a step that fails at once if the script runs before the block is checked
-    doc["script"].insert(0, {"at": 0, "action": "extend-pcr", "machine": "m0", "pcr": 0})
-    with pytest.raises(ScenarioError, match=r"^scenario\.modelcheck: max_states must be >= 1$"):
-        run_doc(doc, seed=1)
 
 
 def test_runtime_relay_embeds_the_symbolic_counterpart():

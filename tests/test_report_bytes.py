@@ -62,6 +62,13 @@ RECORDS = {
     "gen-ima-log": (
         ["gen-ima-log", "--seed", "3", "--events", "200"], 0,
         "32c3840e45b41ae21bfcd954ca9d7d1b543023f155642a892e59718a2d7c1339"),
+    # the explore benchmark's warm-up check and its obfuscated episode
+    "modelcheck-plain-2x2": (
+        _MODELCHECK + ["plain", "--machines", "2", "--tpms", "2"], 2,
+        "27d17c662fae43ba32d96989887dda34c990ed6191e8ecb816e1ba9b99fd268e"),
+    "modelcheck-obfuscated-2x2": (
+        _MODELCHECK + ["obfuscated", "--machines", "2", "--tpms", "2"], 0,
+        "5d7fa38589854b447b673d1f0001ed47b63f6af7911c9f805e8283d3dda66e3e"),
     "modelcheck-plain-3x3": (
         _MODELCHECK + ["plain", "--machines", "3", "--tpms", "3"], 2,
         "546dea66b8fbdc7976ef1c08f57a45413652c8aa4b82dbe45fa573f6dcd1556a"),

@@ -25,13 +25,15 @@ checks the grading on every reachable world of the small bounds; a move
 that breaks it would make the search count a world twice.
 
 **Symmetry.**  Renaming the machines, each together with its attached TPM
-and its mask ``rnd-m<i>``, and renaming the free TPMs, each together with
-its ``junk-t<t>`` term, maps reachable worlds to reachable worlds and moves
-to moves (:class:`~.world.Symmetry`; M!·(T−M)! renamings at M machines and
-T TPMs).  So the search expands one world per orbit, the first one reached,
-and enters the whole orbit into the seen-set when that world is found
-(Ip and Dill, *Better Verification Through Symmetry*, FMSD 1996).  A world
-already seen costs one set lookup, as before.  An orbit is listed by
+and its mask ``rnd-m<i>``, renaming the free TPMs, each together with its
+``junk-t<t>`` term, and swapping the two malicious images, each together
+with its dynamic chain, maps reachable worlds to reachable worlds and moves
+to moves (:class:`~.world.Symmetry`; 2·M!·(T−M)! renamings at M machines
+and T TPMs).  So the search expands one world per orbit, the first one
+reached, and enters the whole orbit into the seen-set when that world is
+found (Ip and Dill, *Better Verification Through Symmetry*, FMSD 1996, in
+whose terms the malicious images are a scalarset).  A world already seen
+costs one set lookup, as before.  An orbit is listed by
 applying every renaming while the group is small, and by closing it under
 a few generating renamings once the group is large, so that a bound with
 many free chips costs work in the size of its orbits, not of its group.
@@ -40,9 +42,10 @@ gives, so ``Verdict.states_explored`` is that count; ``Verdict.orbits``,
 the number of worlds expanded, is the reduced count and stays out of the
 report.  The
 reduction is sound only while the model is equivariant: every step must
-treat machine and chip indices as names, with nothing special about any
-one of them.  ``test_successors_commute_with_every_renaming`` checks that on
-every reachable world of the small bounds, and a deliberately asymmetric
+treat machine and chip indices as names, and the malicious images as
+interchangeable values, with nothing special about any one of them.
+``test_successors_commute_with_every_renaming`` checks that on every
+reachable world of the small bounds, and a deliberately asymmetric
 model change (a mutant of one machine's rule, say) must be run with that
 test in view, since under the reduction it would give wrong counts.
 

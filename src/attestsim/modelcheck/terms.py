@@ -16,8 +16,8 @@ bounds the explorer runs.  An id says when its term was first built and
 nothing else, so no order the explorer produces may depend on one: ids
 are compared for equality and used as keys, never sorted.
 
-``substitute`` renames the names in a term, as the explorer's symmetry
-renames masks and junk terms.
+``substitute`` replaces subterms of a term, as the explorer's symmetry
+renames masks, junk terms and whole dynamic chains.
 ``derivable`` is bounded *composition*: an adversary may build up to
 ``depth`` nested constructors on top of the terms it holds.  Hashing is
 one-way, so holding ``h(t)`` never yields ``t``.
@@ -67,10 +67,14 @@ def node(t: Term) -> Tuple:
 
 
 def substitute(t: Term, names: Dict[Term, Term]) -> Term:
-    """``t`` with every name in ``names`` replaced by its image."""
+    """``t`` with every subterm in ``names`` replaced by its image: a node
+    is looked up before its children, so a whole term is replaced as one,
+    and its image is not descended into."""
+    if t in names:
+        return names[t]
     tag, *children = _nodes[t]
     if tag == "n":
-        return names.get(t, t)
+        return t
     return _terms((tag, *(substitute(c, names) for c in children)))
 
 

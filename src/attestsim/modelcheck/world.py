@@ -104,8 +104,8 @@ side in one int, one lane per renaming.  Each lane is one world wide,
 permutes the slots, so its parts fill disjoint 16-bit fields of its lane.
 So the images of a world are one lookup per slot, summed and cut into
 lanes.  A renaming reads no rule; it renames machine and chip indices and
-the terms named after them, so the tables only avoid rebuilding image
-records.
+the terms named after them, and the malicious images and their dynamic
+chains, so the tables only avoid rebuilding image records.
 """
 
 from __future__ import annotations
@@ -188,6 +188,12 @@ class MachineProc(NamedTuple):
     def driver_malicious(self) -> bool:
         """A malicious stack hands the agent's TPM driver to the adversary."""
         return self.image in ("malicious-initramfs", "malicious-kernel")
+
+
+# The model reads a malicious image only through ``driver_malicious``, and
+# its dynamic chain only by equality, so these images are interchangeable
+# values, a scalarset (:class:`Symmetry`).
+_MALICIOUS = tuple(image for image in BOOT_MENU if MachineProc(image=image).driver_malicious)
 
 
 _MACHINES = Interner()
@@ -528,7 +534,7 @@ def violations(world: int,
 # -- symmetry ---------------------------------------------------------------
 
 
-_LISTED = 24  # the largest group whose elements are listed outright
+_LISTED = 48  # the largest group whose elements are listed outright
 
 
 class Symmetry:
@@ -536,13 +542,17 @@ class Symmetry:
     closed, as column tables.
 
     A renaming permutes the machines, each together with its attached chip
-    and its mask ``rnd_term(i)``, and permutes the free chips, each together
-    with its ``junk_term(t)``: the M!·(T−M)! elements of the group of the
-    bound.  No step reads an index except to name a machine, a chip or
-    these terms, so a renamed world's successors are its successors
-    renamed; ``test_modelcheck`` checks that on every reachable world of
-    the small bounds.  Terms are renamed by substituting the ``rnd_term``
-    and ``junk_term`` ids (:func:`~.terms.substitute`).
+    and its mask ``rnd_term(i)``; permutes the free chips, each together
+    with its ``junk_term(t)``; and permutes the malicious images, each
+    together with its dynamic chain: the 2·M!·(T−M)! elements of the group
+    of the bound.  No step reads an index except to name a machine, a chip
+    or these terms, and none reads a malicious image except through
+    ``driver_malicious`` and its chain except by equality, so the
+    malicious images are a scalarset (Ip and Dill, 1996) and a renamed
+    world's successors are its successors renamed; ``test_modelcheck``
+    checks that on every reachable world of the small bounds.  Terms are
+    renamed by substituting the ``rnd_term`` and ``junk_term`` ids and the
+    chains whole (:func:`~.terms.substitute`).
 
     The images of a world under every renaming held are computed at once,
     in one wide int (Lamport, *Multiple Byte Processing with Full-Word
@@ -570,14 +580,17 @@ class Symmetry:
 
     def __init__(self, n_machines: int, n_tpms: int):
         self._read = _slot_reader(n_machines + n_tpms)
-        self._listed = factorial(n_machines) * factorial(n_tpms - n_machines) <= _LISTED
+        self._listed = (factorial(n_machines) * factorial(n_tpms - n_machines)
+                        * factorial(len(_MALICIOUS)) <= _LISTED)
         own, free = tuple(range(n_machines)), tuple(range(n_machines, n_tpms))
         if self._listed:  # the identity is left out: its image is the world itself
-            renamings = tuple(machines + chips for machines in permutations(own)
-                              for chips in permutations(free))[1:]
+            renamings = tuple((machines + chips, malicious) for machines in permutations(own)
+                              for chips in permutations(free)
+                              for malicious in permutations(_MALICIOUS))[1:]
         else:
-            renamings = tuple([machines + free for machines in _generators(own)]
-                              + [own + chips for chips in _generators(free)])
+            renamings = tuple([(machines + free, _MALICIOUS) for machines in _generators(own)]
+                              + [(own + chips, _MALICIOUS) for chips in _generators(free)]
+                              + [(own + free, malicious) for malicious in _generators(_MALICIOUS)])
         width = _SLOT * (2 + n_machines + n_tpms)  # one lane: a whole world
         self._lanes = range(0, width * len(renamings), width)
         self._lane = (1 << width) - 1
@@ -611,7 +624,7 @@ class Symmetry:
         return [packed >> shift & lane for shift in self._lanes]
 
 
-def _generators(items: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+def _generators(items: Tuple) -> List[Tuple]:
     """A swap of the first two of ``items`` and a rotation of all of them,
     which together generate every permutation of ``items``."""
     if len(items) < 2:
@@ -622,14 +635,15 @@ def _generators(items: Tuple[int, ...]) -> List[Tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _columns(renamings: Tuple[Tuple[int, ...], ...], n_machines: int,
+def _columns(renamings: Tuple[Tuple[Tuple[int, ...], Tuple[str, ...]], ...], n_machines: int,
              width: int) -> List[_Table]:
     """The column tables of ``renamings``, each lane ``width`` bits wide
-    (:class:`Symmetry`).  A renaming ``chips`` sends machine ``i`` to
-    ``chips[i]`` and chip ``t`` to ``chips[t]``."""
+    (:class:`Symmetry`).  A renaming ``(chips, malicious)`` sends machine
+    ``i`` to ``chips[i]``, chip ``t`` to ``chips[t]`` and malicious image
+    ``_MALICIOUS[k]`` to ``malicious[k]``."""
     parts: List[list] = [[] for _ in range(width // _SLOT - 2)]  # per slot: (images, shift)
-    for r, chips in enumerate(renamings):
-        lane, (machines, tpms) = r * width, _renaming(chips, n_machines)
+    for r, (chips, malicious) in enumerate(renamings):
+        lane, (machines, tpms) = r * width, _renaming(chips, malicious, n_machines)
         for j, target in enumerate(chips[:n_machines]):
             parts[j].append((machines, lane + _SLOT * (2 + target)))
         for t, target in enumerate(chips):
@@ -638,11 +652,16 @@ def _columns(renamings: Tuple[Tuple[int, ...], ...], n_machines: int,
             for slot in parts]
 
 
-def _renaming(chips: Tuple[int, ...], n_machines: int) -> Tuple[_Table, _Table]:
+def _renaming(chips: Tuple[int, ...], malicious: Tuple[str, ...],
+              n_machines: int) -> Tuple[_Table, _Table]:
     """The record tables of one renaming, machines and chips: a record id
-    maps to the id of its renamed record."""
+    maps to the id of its renamed record.  Each malicious image takes its
+    dynamic chain with it."""
+    labels = dict(zip(_MALICIOUS, malicious))
     names = {rnd_term(i): rnd_term(chips[i]) for i in range(n_machines)}
     names.update((junk_term(t), junk_term(chips[t])) for t in range(n_machines, len(chips)))
+    names.update((dpcr_term(*_BOOT_STACKS[image]), dpcr_term(*_BOOT_STACKS[labels[image]]))
+                 for image in _MALICIOUS)
     term = _Table(lambda t: substitute(t, names))
 
     def renamed(t: Optional[Term]) -> Optional[Term]:
@@ -651,7 +670,8 @@ def _renaming(chips: Tuple[int, ...], n_machines: int) -> Tuple[_Table, _Table]:
     def machine(mid: int) -> int:
         m = _MACHINES.values[mid]
         return _record_id(_MACHINES, MachineProc(
-            m.phase, m.image, None if m.bound_tpm is None else chips[m.bound_tpm],
+            m.phase, labels.get(m.image, m.image),
+            None if m.bound_tpm is None else chips[m.bound_tpm],
             renamed(m.q0_spcr), renamed(m.q0_dpcr), renamed(m.sealed_obf), m.trusted))
 
     def tpm(tid: int) -> int:

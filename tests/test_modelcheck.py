@@ -7,7 +7,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, permutations
 from pathlib import Path
 
 import pytest
@@ -24,6 +24,10 @@ from attestsim.modelcheck.terms import derivable, h, name, node, p
 from attestsim.modelcheck.world import (
     D0,
     DPCR_G,
+    I_G,
+    I_M,
+    K_G,
+    K_M,
     S0,
     SPCR_G,
     MachineProc,
@@ -31,6 +35,7 @@ from attestsim.modelcheck.world import (
     TpmProc,
     World,
     build_world,
+    dpcr_term,
     junk_term,
     record_ids,
     rnd_term,
@@ -190,20 +195,20 @@ RELAY_TRACE = [
 
 
 @pytest.mark.parametrize("machines,tpms,depth,obfuscate,expected", [
-    (2, 2, 5, False, (False, 226, 5, 118, RELAY_TRACE)),
-    (2, 2, 4, False, (False, 226, 5, 118, RELAY_TRACE)),
-    (2, 2, 5, True, (True, 1921, 11, 979, None)),
-    (2, 3, 5, True, (True, 7795, 12, 3963, None)),
+    (2, 2, 5, False, (False, 226, 5, 69, RELAY_TRACE)),
+    (2, 2, 4, False, (False, 226, 5, 69, RELAY_TRACE)),
+    (2, 2, 5, True, (True, 1921, 11, 511, None)),
+    (2, 3, 5, True, (True, 7795, 12, 2051, None)),
     # depth saturates at 3, the compositions the public golden static chain takes
-    (2, 3, 2, True, (True, 7246, 12, 3679, None)),
-    (2, 3, 3, True, (True, 7795, 12, 3963, None)),
-    (2, 3, 5, False, (False, 642, 5, 338, RELAY_TRACE)),
-    (3, 3, 5, False, (False, 1793, 5, 345, RELAY_TRACE)),
-    (1, 2, 5, True, (True, 83, 7, 83, None)),
-    (1, 2, 5, False, (True, 54, 6, 54, None)),
-    (3, 3, 5, True, (True, 376301, 16, 63263, None)),
-    # the only row whose group is listed whole at 24 elements
-    (4, 4, 5, False, (False, 8047, 5, 500, RELAY_TRACE)),
+    (2, 3, 2, True, (True, 7246, 12, 1892, None)),
+    (2, 3, 3, True, (True, 7795, 12, 2051, None)),
+    (2, 3, 5, False, (False, 642, 5, 197, RELAY_TRACE)),
+    (3, 3, 5, False, (False, 1793, 5, 193, RELAY_TRACE)),
+    (1, 2, 5, True, (True, 83, 7, 52, None)),
+    (1, 2, 5, False, (True, 54, 6, 36, None)),
+    (3, 3, 5, True, (True, 376301, 16, 31746, None)),
+    # the only row whose group is listed whole at 48 elements
+    (4, 4, 5, False, (False, 8047, 5, 278, RELAY_TRACE)),
 ], ids=["2x2-plain-d5", "2x2-plain-d4", "2x2-obf", "2x3-obf", "2x3-obf-d2", "2x3-obf-d3",
         "2x3-plain", "3x3-plain", "1x2-obf", "1x2-plain", "3x3-obf", "4x4-plain"])
 def test_verdict_table_is_pinned(machines, tpms, depth, obfuscate, expected):
@@ -517,27 +522,42 @@ def _rank(world, obfuscate):
     return rank + sum(tpm.spcr != S0 for tpm in world.tpms[len(world.machines):])
 
 
+# the transposition of the two malicious images, each with its dynamic chain
+IMAGE_SWAP = {"malicious-initramfs": "malicious-kernel",
+              "malicious-kernel": "malicious-initramfs"}
+CHAIN_SWAP = {dpcr_term(K_G, I_M): dpcr_term(K_M, I_G),
+              dpcr_term(K_M, I_G): dpcr_term(K_G, I_M)}
+
+
 def _renamings(machines, tpms):
     """Each renaming as (on worlds, on events), written from the records'
     fields rather than from the explorer's image tables, in the order of
-    ``Symmetry``: machine permutations outer, free-chip permutations inner."""
+    ``Symmetry``: machine permutations outer, free-chip permutations next,
+    the identity on the malicious images before their transposition inner."""
     for own in permutations(range(machines)):
         for free in permutations(range(machines, tpms)):
             chips = own + free
-            yield _world_renaming(chips, machines), _event_renaming(chips)
+            for swap in (False, True):
+                yield _world_renaming(chips, machines, swap), _event_renaming(chips, swap)
 
 
-def _world_renaming(chips, machines):
+def _world_renaming(chips, machines, swap=False):
     """The renaming that sends machine ``i`` to ``chips[i]`` and chip ``t``
-    to ``chips[t]``, on whole worlds."""
+    to ``chips[t]``, and with ``swap`` each malicious image and its chain to
+    the other's, on whole worlds."""
     names = {rnd_term(i): rnd_term(chips[i]) for i in range(machines)}
     names.update((junk_term(t), junk_term(chips[t])) for t in range(machines, len(chips)))
+    if swap:
+        names.update(CHAIN_SWAP)
+    images = IMAGE_SWAP if swap else {}
 
     @lru_cache(maxsize=None)
     def term(t):
+        if t in names:
+            return names[t]
         tag, *children = node(t)
         if tag == "n":
-            return names.get(t, t)
+            return t
         return (h if tag == "h" else p)(*map(term, children))
 
     def rename(world):
@@ -545,18 +565,23 @@ def _world_renaming(chips, machines):
         for i, m in enumerate(world.machines):
             bound = None if m.bound_tpm is None else chips[m.bound_tpm]
             registers = (None if t is None else term(t) for t in m[3:6])
-            ms[chips[i]] = MachineProc(m.phase, m.image, bound, *registers, m.trusted)
+            image = images.get(m.image, m.image)
+            ms[chips[i]] = MachineProc(m.phase, image, bound, *registers, m.trusted)
         for t, tpm in enumerate(world.tpms):
             ts[chips[t]] = TpmProc(term(tpm.spcr), term(tpm.dpcr))
         return model._pack(ms, ts)
     return rename
 
 
-def _event_renaming(chips):
+def _event_renaming(chips, swap=False):
+    images = IMAGE_SWAP if swap else {}
+
     def rename(event):
         kind, subject, *rest = event
         if kind == "q0":
             rest = [chips[rest[0]]]
+        elif kind == "boot":
+            rest = [images.get(rest[0], rest[0])]
         return (kind, chips[subject], *rest)  # a tpm-init's subject is a chip
     return rename
 
@@ -587,6 +612,20 @@ def test_the_reduced_search_reaches_exactly_the_unreduced_layers(machines, tpms,
     assert Counter(layer_of) == Counter(depth.values())
 
 
+def test_the_reduced_search_reaches_the_unreduced_layers_at_three_obfuscated_machines():
+    """The one obfuscated bound with three machines checked against the
+    plain BFS: the orbits the reduced search enters, listed layer by layer,
+    are exactly the unreduced layers, 376,301 worlds in 16 layers, which
+    the search reaches through 31,746 orbits."""
+    cfg = CheckConfig(machines=3, tpms=3, obfuscate=True, max_states=500_000)
+    unreduced = _unreduced_layers(cfg)
+    assert (len(unreduced), sum(map(len, unreduced))) == (16, 376_301)
+    enumerated = enumerate_reachable(cfg)
+    for k, layer in enumerate(unreduced):
+        assert set(islice(enumerated, len(layer))) == set(layer), k
+    assert next(enumerated, None) is None
+
+
 @pytest.mark.parametrize("machines,tpms,obfuscate", SYMMETRY_BOUNDS,
                          ids=["2x2-plain", "2x2-obf", "2x3-obf", "1x2-obf"])
 def test_successors_commute_with_every_renaming(machines, tpms, obfuscate):
@@ -612,9 +651,9 @@ def test_successors_commute_with_every_renaming(machines, tpms, obfuscate):
 @pytest.mark.parametrize("machines,tpms,depth", [(3, 3, None), (4, 4, 4)],
                          ids=["3x3-plain", "4x4-plain-to-layer-4"])
 def test_packed_images_equal_record_level_renamings(machines, tpms, depth):
-    """Groups listed whole past two elements: every image, packed one lane
+    """Groups listed whole past four elements: every image, packed one lane
     per renaming, is the world renamed record by record, in the group's
-    order.  3x3 covers all 15,920 reachable worlds and 4x4, whose 23 lanes
+    order.  3x3 covers all 15,920 reachable worlds and 4x4, whose 47 lanes
     are the widest listed, its first five layers (2,395 worlds); its whole
     reachable set is 928,768 worlds."""
     renamings = [g for g, _ in _renamings(machines, tpms)]
@@ -629,13 +668,15 @@ def test_packed_images_equal_record_level_renamings(machines, tpms, depth):
 def test_packed_generator_images_equal_record_level_renamings(monkeypatch, machines, tpms):
     """A group held as generators packs one lane per generator: its images
     are the world renamed record by record under a swap and a rotation of
-    each factor, and each orbit is their closure, in the same order."""
+    each factor of indices, then the transposition of the malicious
+    images, and each orbit is their closure, in the same order."""
     monkeypatch.setattr(model, "_LISTED", 1)
     symmetry = Symmetry(machines, tpms)
     own, free = tuple(range(machines)), tuple(range(machines, tpms))
     generators = [_world_renaming(chips, machines) for chips in
                   [swap + free for swap in model._generators(own)]
                   + [own + chips for chips in model._generators(free)]]
+    generators.append(_world_renaming(own + free, machines, swap=True))
     images = {}
 
     def renamed(world):
@@ -712,23 +753,24 @@ def test_a_group_held_as_generators_closes_the_same_orbits(monkeypatch, machines
 
 
 def test_many_free_chips_reach_the_budget_where_the_unreduced_search_does(monkeypatch):
-    """One machine and eleven free chips: a group of 11! renamings, held as
-    two generators, so the search runs into the state budget at the layer an
-    unreduced search names.  With 1,999 free chips, each tpm-init orbit of
-    layer 1 holds 1,999 worlds, and a check that closed the first one whole
-    would compute 4,008 images; closing stops once the budget is spent, so
-    the search pays for the budget, not for the orbit."""
+    """One machine and eleven free chips: a group of 2·11! renamings, held
+    as three generators, so the search runs into the state budget at the
+    layer an unreduced search names.  With 1,999 free chips, each tpm-init
+    orbit of layer 1 holds 1,999 worlds, and a check that closed the first
+    one whole would compute thousands of images; closing stops once the
+    budget is spent, so the search pays for the budget, not for the orbit:
+    ten packed sums of three images each, one per generator."""
     with pytest.raises(StateBudgetExceeded, match="more than 20000 states at layer 5$"):
         check(CheckConfig(machines=1, tpms=12, max_states=20_000))
-    images = []
+    calls = []
     all_images = Symmetry._images
 
     def counted(self, ids):
         found = all_images(self, ids)
-        images.extend(found)
+        calls.append(len(found))
         return found
 
     monkeypatch.setattr(Symmetry, "_images", counted)
     with pytest.raises(StateBudgetExceeded, match="more than 10 states at layer 1$"):
         check(CheckConfig(machines=1, tpms=2000, max_states=10))
-    assert len(images) == 20
+    assert calls == [3] * 10

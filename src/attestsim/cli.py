@@ -71,8 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=argparse.SUPPRESS,
                    help="adversary derivation depth bound")
     p.add_argument("--max-states", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--emit-trace", metavar="PATH",
-                   help="write the counterexample trace as json")
 
     p = sub.add_parser("vwindow", parents=[common],
                        help="vulnerability-window calculator")
@@ -149,10 +147,6 @@ def cmd_modelcheck(args) -> Tuple[int, dict, List[str]]:
     config = check_config(vars(args))
     verdict = check(config)
     report = verdict.to_dict()
-    if args.emit_trace:
-        _write(args.emit_trace, json.dumps({"property_holds": verdict.property_holds,
-                                            "counterexample": verdict.counterexample},
-                                           indent=2, sort_keys=True))
     lines = [
         f"variant {config.variant}: machines={config.machines} "
         f"tpms={config.tpms} depth={config.derivation_depth}",

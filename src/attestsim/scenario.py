@@ -196,9 +196,10 @@ def _golden_policy(fleet: "Fleet") -> str:
 
 def _build_network(spec: dict, machines: List[dict]) -> NetworkModel:
     links = {}
-    for entry in spec.get("links", []):
+    for i, entry in enumerate(spec.get("links", [])):
         if len(entry["between"]) != 2:
-            raise ScenarioError(f"network link needs 'between: [dcA, dcB]': {entry!r}")
+            raise ScenarioError(f"scenario.network.links[{i}].between: needs exactly two "
+                                f"data centres, not {len(entry['between'])}")
         for field in ("base_ms", "jitter_ms"):
             if entry.get(field, 0) < 0:  # a negative delay would run the clock backwards
                 raise ScenarioError(f"network link {'-'.join(entry['between'])}: "

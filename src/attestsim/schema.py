@@ -1,7 +1,9 @@
 """The input front door: one YAML reader and one shape checker.
 
 :func:`read_yaml` recognises a document's size and nesting before it is
-composed, then builds its values from the composed nodes.
+composed, then builds its values from the composed nodes if they form a
+tree: no alias, no tagged collection, no scalar with a collection's tag and
+no mapping key but a plain string.
 :func:`check_shape` checks the result against a shape of plain data.
 A shape is a type or a tuple of types (``bool`` passes only where it is
 named, never as ``int`` or ``float``, and a ``float`` must be finite);
@@ -18,6 +20,7 @@ import math
 from typing import Optional
 
 import yaml
+from yaml.constructor import ConstructorError
 from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 # the safe loader on libyaml's parser where the installed PyYAML has it
@@ -146,44 +149,43 @@ def check_shape(value, shape, where: str, error) -> None:
 # --------------------------------------------------------------------------
 
 
-class _Unwalked(Exception):
-    """The document holds a node that :func:`_walk` leaves to the loader."""
-
-
 def _walk(loader, root):
-    """Build the values under ``root`` as the loader's ``construct_document``
-    would, or raise :class:`_Unwalked`.
-
-    Strings, lists and dicts are built here and every other scalar by the
-    loader's ``construct_object``.  Collections are filled from a queue in
-    the loader's own breadth-first order, so the first scalar that fails to
-    construct is the one the loader would name, and depth costs no stack.
-    Left to the loader: a tagged collection, a collection reached twice
-    through an alias, a mapping key that is not a plain string (``<<``
-    merges, ``=``), and a scalar tagged with a collection's constructor.
+    """Build the values of the tree under ``root`` as ``yaml.load`` would:
+    strings, lists and dicts here, other scalars by ``construct_object``,
+    collections filled from a queue in the loader's breadth-first order (so
+    the first scalar to fail is the one the loader names, and depth costs no
+    stack).  ``ConstructorError`` at the node refuses what is not a tree: a
+    node reached twice (an alias, to a scalar or a collection), a collection
+    tagged other than a plain sequence or mapping, a scalar with a
+    collection's tag, and a mapping key that is not a plain string (``<<``
+    merges, ``=``).  So no alias multiplies the work after it.
     """
     construct = loader.construct_object
     seen = set()
     pending = []  # collections made but not filled yet, appended to while read
 
+    def refuse(node, problem):
+        return ConstructorError(None, None, f"found {problem}; only a tree is read",
+                                node.start_mark)
+
     def build(node):
+        if node in seen:
+            raise refuse(node, "a node reached twice through an alias")
+        seen.add(node)
         kind = node.__class__
         if kind is ScalarNode:
             if node.tag == _STR:
                 return node.value
             data = construct(node)
             if loader.state_generators:  # a collection constructor left its filling
-                raise _Unwalked
+                raise refuse(node, f"a scalar tagged {node.tag}")
             return data
         if kind is SequenceNode and node.tag == _SEQ:
             data = []
         elif kind is MappingNode and node.tag == _MAP:
             data = {}
         else:
-            raise _Unwalked
-        if node in seen:
-            raise _Unwalked
-        seen.add(node)
+            raise refuse(node, f"a collection tagged {node.tag}")
         pending.append((node, data))
         return data
 
@@ -193,9 +195,10 @@ def _walk(loader, root):
             data.extend([build(child) for child in node.value])
             continue
         pairs = node.value
-        for key, _ in pairs:
+        for key, _ in pairs:  # all keys before any value, whose scalar may fail
             if key.__class__ is not ScalarNode or key.tag != _STR:
-                raise _Unwalked
+                raise refuse(key, "a mapping key that is not a plain string")
+            build(key)
         for key, value in pairs:
             data[key.value] = build(value)
     return document
@@ -225,9 +228,10 @@ def read_yaml(text, name: Optional[str] = None):
     stays below sqrt(2 * MAX_DOCUMENT_CHARS), about 1,450 levels.
     libyaml composes that cleanly; the pure-Python composer recurses once per
     level and may run out of stack, which is refused with ``yaml.YAMLError``
-    too.  The composed nodes are built into values by :func:`_walk`, or by
-    the loader where the walk leaves a node to it; either gives what
-    ``yaml.load`` gives.  ``name`` marks errors the way a file's name does.
+    too.  :func:`_walk` then builds the values of a tree, as ``yaml.load``
+    would, and refuses anything else with ``yaml.YAMLError``: an alias, a
+    tagged collection, a scalar with a collection's tag, a key that is not
+    a plain string.  ``name`` marks errors the way a file's name does.
     """
     if len(text) > MAX_DOCUMENT_CHARS:
         raise yaml.YAMLError(f"document is longer than {MAX_DOCUMENT_CHARS} characters")
@@ -251,13 +255,7 @@ def read_yaml(text, name: Optional[str] = None):
     loader = YAML_LOADER(source())
     try:
         root = loader.get_single_node()
-        if root is None:
-            return None
-        try:
-            return _walk(loader, root)
-        except _Unwalked:  # start over, without what the walk left half built
-            loader.constructed_objects, loader.state_generators = {}, []
-            return loader.construct_document(root)
+        return None if root is None else _walk(loader, root)
     except RecursionError:
         raise yaml.YAMLError("document nests too deeply to compose") from None
     finally:

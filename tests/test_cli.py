@@ -236,6 +236,18 @@ def test_negative_link_latency_exits_three(tmp_path, capsys, field):
     assert f"{field} must not be negative" in err
 
 
+def test_a_bad_link_is_named_by_its_index_not_echoed(tmp_path, capsys):
+    doc = yaml.safe_load(Path(honest()).read_text())
+    links = [{"between": pair} for pair in (["dc1", "dc1"], ["dc1", "dc2"], ["dc2", "dc2"])]
+    links.append({"between": [f"dc{i}" for i in range(30_000)]})
+    doc["network"] = {"links": links}
+    document = tmp_path / "wide.yaml"
+    document.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(document)]) == 3
+    assert capsys.readouterr().err == ("attestsim: error: scenario.network.links[3].between: "
+                                       "needs exactly two data centres, not 30000\n")
+
+
 def test_deep_indentation_exits_three_on_the_pure_python_loader(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(schema, "YAML_LOADER", yaml.SafeLoader)
     document = tmp_path / "indented.yaml"
@@ -261,7 +273,6 @@ def test_deep_nesting_is_a_bad_request(tmp_path, name):
 @pytest.mark.parametrize("argv", [
     ["run", honest(), "--out"],
     ["modelcheck", "--out"],
-    ["modelcheck", "--emit-trace"],
     ["vwindow", "--trq", "155ms", "--tre", "58us", "--tvp", "100ms",
      "--floor", "40us", "--out"],
     ["gen-ima-log", "--events", "3", "--out"],
@@ -297,13 +308,13 @@ def test_run_out_files_are_byte_identical(tmp_path, capsys):
 
 
 def test_modelcheck_plain_finds_violation(capsys, tmp_path):
-    trace = tmp_path / "trace.json"
+    report = tmp_path / "report.json"
     code = main(["modelcheck", "--variant", "plain", "--machines", "2",
-                 "--tpms", "2", "--depth", "5", "--emit-trace", str(trace)])
+                 "--tpms", "2", "--depth", "5", "--out", str(report)])
     out = capsys.readouterr().out
     assert code == 2
     assert "VIOLATED" in out
-    emitted = json.loads(trace.read_text())
+    emitted = json.loads(report.read_text())
     assert emitted["property_holds"] is False
     assert emitted["counterexample"]["steps"][0] == "boot(m0, golden)"
 
@@ -535,9 +546,7 @@ SUBCOMMAND_OPTIONS = {
                    ("--machines", SMALL, False),
                    ("--tpms", SMALL, False),
                    ("--depth", SMALL, False),
-                   ("--max-states", st.sampled_from(["500", "200", "40", "0", "-1"]), True),
-                   ("--emit-trace", st.sampled_from(["{tmp}/trace.json",
-                                                     "{tmp}/no-dir/trace.json"]), False)],
+                   ("--max-states", st.sampled_from(["500", "200", "40", "0", "-1"]), True)],
     "vwindow": [(flag, DURATIONS, True) for flag in ("--trq", "--tre", "--tvp", "--floor")],
     "gen-ima-log": [("--seed", SEEDS, False),
                     ("--events", st.sampled_from(["20", "1", "0", "-1", "x"]), True)],

@@ -1,5 +1,6 @@
 """The input front door: the compiled shape checks against the recursive
-reference they replaced, and the YAML node walk against PyYAML."""
+reference they replaced, and the YAML node walk against PyYAML on trees and
+its refusal of every other document."""
 
 import math
 import pickle
@@ -8,8 +9,11 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from attestsim import policy, scenario, schema
+from attestsim.cli import main
 from attestsim.crypto import sha256
 from attestsim.policy import PolicyParseError, SoftwareList, parse_policy, render_policy
 from attestsim.scenario import ScenarioError
@@ -220,6 +224,27 @@ CORPUS = {
 }
 
 
+# the corpus split by the tree rule: read_yaml refuses exactly these
+NOT_TREES = (
+    "alias-collection", "alias-recursive", "alias-scalar", "custom-collection",
+    "map-tag-on-a-sequence", "merge", "merge-list", "merge-of-a-scalar", "omap",
+    "scalar-keys", "seq-tag-on-a-scalar", "seq-tag-on-a-scalar-before-a-bad-int", "set",
+    "str-tag-on-a-sequence", "value-key",
+)
+TREES = (
+    "bad-int", "binary", "comment-only", "custom-scalar", "duplicate-keys", "empty",
+    "explicit-str", "first-bad-scalar-breadth-first", "fixture-policy", "nested", "numbers",
+    "policy-2000", "scenario-honest", "scenario-reboot-attack", "scenario-runtime-relay",
+    "scenario-tampered-kernel", "scenario-wrong-machine-unseal", "timestamps",
+    "two-documents", "utf-16", "value-scalar",
+)
+LOADERS = sorted({yaml.SafeLoader, schema.YAML_LOADER}, key=lambda cls: cls.__name__)
+
+
+def test_the_corpus_is_split_into_trees_and_the_rest():
+    assert sorted(TREES + NOT_TREES) == sorted(CORPUS)
+
+
 def _loaded(load, text):
     """What loading ``text`` gives: the value, pickled so that types, shared
     objects and cycles count, or the error's type and first line."""
@@ -229,24 +254,113 @@ def _loaded(load, text):
         return type(exc), str(exc).splitlines()[:1]
 
 
-@pytest.mark.parametrize("loader", sorted({yaml.SafeLoader, schema.YAML_LOADER},
-                                          key=lambda cls: cls.__name__),
-                         ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda cls: cls.__name__)
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_the_walk_equals_pyyaml(name, loader, monkeypatch):
+    """On a tree, ``read_yaml`` gives what ``yaml.load`` gives, value or
+    error; every other document it refuses as invalid YAML."""
     monkeypatch.setattr(schema, "YAML_LOADER", loader)
     text = CORPUS[name]
-    assert _loaded(read_yaml, text) == _loaded(lambda t: yaml.load(t, Loader=loader), text)
+    if name in NOT_TREES:
+        with pytest.raises(yaml.YAMLError, match="; only a tree is read"):
+            read_yaml(text)
+    else:
+        assert _loaded(read_yaml, text) == _loaded(lambda t: yaml.load(t, Loader=loader), text)
 
 
-def test_the_program_s_own_documents_are_walked_to_the_end(monkeypatch):
-    """No shipped scenario or policy falls back to the loader's constructor."""
-    def fallback(self, node):
-        raise AssertionError("left to the loader")
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=24)
 
-    monkeypatch.setattr(schema.YAML_LOADER, "construct_document", fallback)
-    for name in CORPUS:
-        if name.startswith(("scenario-", "fixture-policy", "policy-2000")):
-            assert read_yaml(CORPUS[name])
-    with pytest.raises(AssertionError, match="left to the loader"):
-        read_yaml(CORPUS["merge"])
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda cls: cls.__name__)
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(doc=JSON_TREES)
+def test_a_dumped_tree_reads_back_equal(loader, doc):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schema, "YAML_LOADER", loader)
+        assert read_yaml(yaml.safe_dump(doc)) == doc
+
+
+def _collections(node):
+    """``(container, key)`` of each collection below ``node``, in the order
+    ``yaml.safe_dump`` writes them (a mapping's keys sorted)."""
+    for key, child in sorted(node.items()) if isinstance(node, dict) else enumerate(node):
+        if isinstance(child, (list, dict)):
+            yield node, key
+            yield from _collections(child)
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda cls: cls.__name__)
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(doc=st.lists(JSON_TREES, min_size=2, max_size=4), data=st.data())
+def test_a_tree_with_one_subtree_aliased_is_refused(loader, doc, data):
+    """One later collection replaced by the same object as an earlier one,
+    which ``yaml.safe_dump`` writes as an alias to that one's anchor."""
+    slots = list(_collections(doc))
+    assume(len(slots) >= 2)
+    first = data.draw(st.integers(0, len(slots) - 2))
+    later = data.draw(st.integers(first + 1, len(slots) - 1))
+    anchored, replaced = slots[first], slots[later]
+    replaced[0][replaced[1]] = anchored[0][anchored[1]]
+    text = yaml.safe_dump(doc)
+    assert "*id" in text
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schema, "YAML_LOADER", loader)
+        with pytest.raises(yaml.YAMLError, match="a node reached twice through an alias"):
+            read_yaml(text)
+
+
+# --------------------------------------------------------------------------
+# documents that an alias would multiply
+# --------------------------------------------------------------------------
+
+
+def _aliased_policy(lists=3000, hashes=3000):
+    """The fixture policy with ``lists`` software lists, each aliasing the
+    first one's whitelist of ``hashes`` entries."""
+    head = fixture_policy_text(location=False).split("  software:\n")[0]
+    whitelist = "".join(f"        {sha256(b'%d' % i).hex()}: /b/{i}\n" for i in range(hashes))
+    others = "".join(f"    - {{name: s{i}, whitelist: *w}}\n" for i in range(1, lists))
+    return f"{head}  software:\n    - name: s0\n      whitelist: &w\n{whitelist}{others}"
+
+
+def _aliased_scenario(links=3000, width=30_000):
+    """The honest scenario with ``links`` network links, each aliasing the
+    first one's ``between`` list of ``width`` data centres."""
+    between = ", ".join(f"d{i}" for i in range(width))
+    return ((SCENARIOS / "honest.yaml").read_text()
+            + f"network:\n  links:\n    - between: &b [{between}]\n"
+            + "    - between: *b\n" * (links - 1))
+
+
+def test_an_aliased_policy_is_refused_before_its_shape_is_checked(monkeypatch):
+    text = _aliased_policy()
+    assert len(text) < schema.MAX_DOCUMENT_CHARS
+
+    def never(*args):
+        raise AssertionError("shape checked")
+
+    monkeypatch.setattr(policy, "check_shape", never)
+    with pytest.raises(PolicyParseError, match="a node reached twice through an alias"):
+        parse_policy(text)
+
+
+def test_an_aliased_policy_is_a_bad_request():
+    _, fleet, _ = scenario.execute_scenario(scenario.load_scenario(
+        str(SCENARIOS / "honest.yaml")), 0)
+    response = fleet.apis["m0"].handle("POST", "/policy", _aliased_policy())
+    assert response.status == 400
+    assert "a node reached twice through an alias" in response.body["error"]
+
+
+def test_an_aliased_scenario_exits_three(tmp_path, capsys):
+    document = tmp_path / "aliased.yaml"
+    document.write_text(_aliased_scenario())
+    assert len(document.read_text()) < schema.MAX_DOCUMENT_CHARS
+    assert main(["run", str(document)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "attestsim: error: scenario is not valid yaml: found a node reached twice")
